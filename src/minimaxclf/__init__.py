@@ -29,8 +29,7 @@ from .losses import (
     GeneralizedLossSpec,
     batch_loss,
     batch_loss_gradient,
-    gml_batch_loss,
-    gml_batch_loss_gradient,
+    loss_and_grad,
     spec_from_variant,
     tla_offsets,
 )

@@ -93,7 +93,6 @@ def minimax_config(config: dict) -> MinimaxConfig:
         momentum=model["momentum"],
         weight_decay=model["weight_decay"],
         batch_size=model["batch_size"],
-        epochs=mm["warmup_epochs"] + mm["minimax_epochs"] + mm["finetune_epochs"],
         warmup_epochs=model["lr_warmup_epochs"],
         decay_epochs=tuple(model["decay_epochs"]),
         decay_factor=model["decay_factor"],
@@ -166,7 +165,7 @@ def run_ablate(config: dict, out_dir: Path) -> None:
     """{TLA, TWCE} x {linear, ega} over the repetition seeds. All four cells
     of one repetition share the same dataset, partition, init and tie seeds."""
     seeds = config["ablate"]["seeds"]
-    results = {key: [] for key in (("TLA", "linear"), ("TLA", "ega"), ("TWCE", "linear"), ("TWCE", "ega"))}
+    results = {key: [] for key in swap_components(minimax_config(config))}
     for seed in seeds:
         run_cfg = _reseed(config, seed)
         dataset, spec = build_dataset(run_cfg["dataset"])

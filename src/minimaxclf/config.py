@@ -23,14 +23,6 @@ BENCHMARKS = ("two_gaussians_1d", "three_gaussians_1d", "circle")
 # the default curve input for the theory/MC validation experiments.
 DEFAULT_ERROR_VECTOR = [0.75, 0.67, 0.86, 0.96, 0.89, 0.06, 0.03, 0.05, 0.02, 0.03]
 
-# Loss hyperparameter defaults keyed by (class scale, imbalance kind).
-LOSS_HYPER_DEFAULTS = {
-    ("k10", "long_tail"): {"tau": 2.25, "vs_tau": 1.25, "vs_gamma": 0.15},
-    ("k10", "step"): {"tau": 2.25, "vs_tau": 1.5, "vs_gamma": 0.2},
-    ("k100", "long_tail"): {"tau": 1.375, "vs_tau": 0.75, "vs_gamma": 0.05},
-    ("k100", "step"): {"tau": 0.875, "vs_tau": 0.5, "vs_gamma": 0.05},
-}
-
 
 class ConfigError(ValueError):
     """A config field is missing, unknown, or has an invalid value."""
@@ -196,6 +188,7 @@ def validate_config(config: dict) -> dict:
     """Fill defaults, then check every field; returns the resolved config."""
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
+    config = dict(config)
     preset = config.pop("preset", None)
     base = DEFAULT_CONFIG
     if preset is not None:

@@ -161,74 +161,65 @@ def spec_from_variant(
     return GeneralizedLossSpec(variant, ones, ones, tla_offsets(pi_train, need_target(), tau))
 
 
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with max subtraction."""
-    m = z.max(axis=1, keepdims=True)
-    shifted = z - m
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_batch(spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndarray):
+def loss_and_grad(spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """Mean per-sample loss over the batch and its exact gradient with
+    respect to the logits, from one max-shifted exponential.
+
+    GML works on the raw logits and normalizes each class score by the batch
+    class counts; classes absent from the batch are skipped and the
+    averaging constant is the number of classes actually present.
+    """
     f = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if f.ndim != 2 or f.shape[1] != spec.class_count:
-        raise ValueError(f"logits must be (N, {spec.class_count}), got {f.shape}")
+    k = spec.class_count
+    if f.ndim != 2 or f.shape[1] != k:
+        raise ValueError(f"logits must be (N, {k}), got {f.shape}")
     if f.shape[0] == 0:
         raise ValueError("empty batch")
     if not np.all(np.isfinite(f)):
         raise ValueError("non-finite logits")
-    if y.shape != (f.shape[0],) or y.min() < 0 or y.max() >= spec.class_count:
+    if y.shape != (f.shape[0],) or y.min() < 0 or y.max() >= k:
         raise ValueError("labels must be a vector of class indices matching the batch")
-    return f, y
-
-
-def _adjusted_logits(spec: GeneralizedLossSpec, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    z = spec.delta * f + spec.ell
-    if spec.true_class_offsets is not None:
-        z = z.copy()
-        z[np.arange(y.size), y] += spec.true_class_offsets[y]
-    return z
-
-
-def batch_loss(spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean per-sample loss over the batch."""
-    f, y = _check_batch(spec, logits, labels)
-    if spec.variant == "GML":
-        return gml_batch_loss(f, y, np.bincount(y, minlength=spec.class_count))
-    z = _adjusted_logits(spec, f, y)
-    logp = log_softmax(z)
-    rows = np.arange(y.size)
-    ce = -logp[rows, y]
-    w = spec.weights[y]
-    if spec.focal_gamma is not None:
-        p_true = np.exp(logp[rows, y])
-        w = w * (1.0 - p_true) ** spec.focal_gamma
-    return float(np.mean(w * ce))
-
-
-def batch_loss_gradient(
-    spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Exact gradient of :func:`batch_loss` with respect to the logits."""
-    f, y = _check_batch(spec, logits, labels)
-    if spec.variant == "GML":
-        return gml_batch_loss_gradient(f, y, np.bincount(y, minlength=spec.class_count))
     n = y.size
     rows = np.arange(n)
-    z = _adjusted_logits(spec, f, y)
-    p = softmax(z)
-    onehot = np.zeros_like(p)
+    onehot = np.zeros_like(f)
     onehot[rows, y] = 1.0
-    base = spec.weights[y][:, None] * spec.delta[None, :] * (p - onehot)
+
+    if spec.variant == "GML":
+        counts = np.bincount(y, minlength=k).astype(np.float64)
+        e = np.exp(f - f.max(axis=1, keepdims=True))
+        ratio = e / (e * counts[None, :]).sum(axis=1)[:, None]  # exp(f_k) / sum_k' n_k' exp(f_k')
+        t = ratio[rows, y]                  # per-sample contribution to its class score
+        p_class = np.zeros(k)
+        np.add.at(p_class, y, t)
+        present = counts > 0
+        loss = float(-np.mean(np.log(p_class[present])))
+        # d t_i / d f_{i,k} = t_i * (1[k=y_i] - n_k * ratio_{i,k})
+        dt = t[:, None] * (onehot - counts[None, :] * ratio)
+        return loss, -dt / (np.count_nonzero(present) * p_class[y][:, None])
+
+    z = spec.delta * f + spec.ell
+    if spec.true_class_offsets is not None:
+        z[rows, y] += spec.true_class_offsets[y]
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    logp_true = shifted[rows, y] - np.log(total[:, 0])
+    p = e / total
+    w = spec.weights[y]
     if spec.focal_gamma is None:
-        return base / n
+        loss = float(np.mean(w * -logp_true))
+        return loss, w[:, None] * spec.delta[None, :] * (p - onehot) / n
     gamma = spec.focal_gamma
+    # the loss takes p_y as exp(log p_y), the gradient as the softmax entry; they
+    # can differ in the last bit, and each keeps its form so runs stay bit-identical
+    loss = float(np.mean(w * (1.0 - np.exp(logp_true)) ** gamma * -logp_true))
     p_true = p[rows, y]
     ce = -np.log(p_true)
     focal = (1.0 - p_true) ** gamma
@@ -239,54 +230,16 @@ def batch_loss_gradient(
         -gamma * (1.0 - p_true)[:, None] ** (gamma - 1.0) * ce[:, None] * dp_true
         + focal[:, None] * spec.delta[None, :] * (p - onehot)
     )
-    return spec.weights[y][:, None] * grad / n
+    return loss, w[:, None] * grad / n
 
 
-def gml_batch_loss(logits: np.ndarray, labels: np.ndarray, batch_class_counts) -> float:
-    """Negative mean log of the count-normalized class scores.
-
-    Classes absent from the batch are skipped and the averaging constant is
-    the number of classes actually present.
-    """
-    f = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    counts = np.asarray(batch_class_counts, dtype=np.float64)
-    if f.shape[0] == 0:
-        raise ValueError("empty batch")
-    p_class = _gml_class_scores(f, y, counts)
-    present = counts > 0
-    return float(-np.mean(np.log(p_class[present])))
+def batch_loss(spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean per-sample loss over the batch; see :func:`loss_and_grad`."""
+    return loss_and_grad(spec, logits, labels)[0]
 
 
-def gml_batch_loss_gradient(
-    logits: np.ndarray, labels: np.ndarray, batch_class_counts
+def batch_loss_gradient(
+    spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    f = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    counts = np.asarray(batch_class_counts, dtype=np.float64)
-    if f.shape[0] == 0:
-        raise ValueError("empty batch")
-    k_present = int(np.count_nonzero(counts > 0))
-    rows = np.arange(y.size)
-    m = f.max(axis=1, keepdims=True)
-    e = np.exp(f - m)
-    denom = (e * counts[None, :]).sum(axis=1)
-    ratio = e / denom[:, None]              # (N, K): exp(f_k) / sum_k' n_k' exp(f_k')
-    t = ratio[rows, y]                      # per-sample contribution to its class score
-    p_class = np.zeros(counts.size)
-    np.add.at(p_class, y, t)
-    onehot = np.zeros_like(f)
-    onehot[rows, y] = 1.0
-    # d t_i / d f_{i,k} = t_i * (1[k=y_i] - n_k * ratio_{i,k})
-    dt = t[:, None] * (onehot - counts[None, :] * ratio)
-    return -dt / (k_present * p_class[y][:, None])
-
-
-def _gml_class_scores(f: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    m = f.max(axis=1, keepdims=True)
-    e = np.exp(f - m)
-    denom = (e * counts[None, :]).sum(axis=1)
-    t = e[np.arange(y.size), y] / denom
-    p_class = np.zeros(counts.size)
-    np.add.at(p_class, y, t)
-    return p_class
+    """Exact gradient of :func:`batch_loss` with respect to the logits."""
+    return loss_and_grad(spec, logits, labels)[1]

@@ -25,7 +25,7 @@ from .losses import (
     deferred_reweighting_weights,
     spec_from_variant,
 )
-from .metrics import balanced_accuracy, worst_class_accuracy
+from .metrics import per_class_accuracies
 from .model import (
     ModelParams,
     TrainConfig,
@@ -125,6 +125,16 @@ def _loss_spec(
     return spec
 
 
+def _evaluate(params: ModelParams, eval_set: Optional[LabeledDataset]) -> tuple:
+    """(worst class, its accuracy, balanced accuracy) from one prediction of
+    the eval set; all None without one."""
+    if eval_set is None:
+        return None, None, None
+    acc = per_class_accuracies(params, eval_set)
+    worst = int(np.argmin(acc))
+    return worst, float(acc[worst]), float(acc.mean())
+
+
 def run_minimax(
     config: MinimaxConfig,
     dataset: LabeledDataset,
@@ -164,61 +174,34 @@ def run_minimax(
     )
     move_prior = config.fixed_target is None and alpha > 0
 
+    phases = (
+        [WARMUP] * config.warmup_epochs
+        + [MINIMAX] * config.minimax_epochs
+        + [FINETUNE] * config.finetune_epochs
+    )
     records = []
-
-    def record(epoch: int, phase: str, loss: float, prior: Prior) -> None:
-        risks = estimate_class_risks(params, split.prior_part)
-        if eval_set is not None:
-            worst, worst_acc = worst_class_accuracy(params, eval_set)
-            bal = balanced_accuracy(params, eval_set)
-        else:
-            worst = worst_acc = bal = None
-        records.append(
-            EpochRecord(epoch, phase, loss, prior, risks, worst, worst_acc, bal)
-        )
-
-    epoch = 0
-    for _ in range(config.warmup_epochs):
-        epoch += 1
-        spec = _loss_spec(config, pi_train, ascent_state.prior, counts, epoch)
-        try:
-            params, loss = train_epoch(params, opt_state, split.model_part, spec, config.train)
-        except Exception as err:
-            raise RuntimeError(f"warmup epoch {epoch} failed: {err}") from err
-        record(epoch, WARMUP, loss, ascent_state.prior)
-
-    for _ in range(config.minimax_epochs):
-        epoch += 1
+    for epoch, phase in enumerate(phases, start=1):
         prior_used = ascent_state.prior
         spec = _loss_spec(config, pi_train, prior_used, counts, epoch)
+        # fine-tuning trains on the full data, the earlier phases on the model split
+        data = dataset if phase == FINETUNE else split.model_part
         try:
-            params, loss = train_epoch(params, opt_state, split.model_part, spec, config.train)
+            params, loss = train_epoch(params, opt_state, data, spec, config.train)
         except Exception as err:
-            raise RuntimeError(f"minimax epoch {epoch} failed: {err}") from err
-        if move_prior:
-            risks = estimate_class_risks(params, split.prior_part)
+            raise RuntimeError(f"{phase} epoch {epoch} failed: {err}") from err
+        risks = estimate_class_risks(params, split.prior_part)
+        if phase == MINIMAX and move_prior:
             if config.ascent.use_auto_m:
                 ascent_state.m_worst = auto_m(risks)
             ascent_step(ascent_state, risks)
-        record(epoch, MINIMAX, loss, prior_used)
+        records.append(
+            EpochRecord(epoch, phase, loss, prior_used, risks, *_evaluate(params, eval_set))
+        )
 
-    final_prior = ascent_state.prior
-    for _ in range(config.finetune_epochs):
-        epoch += 1
-        spec = _loss_spec(config, pi_train, final_prior, counts, epoch)
-        try:
-            params, loss = train_epoch(params, opt_state, dataset, spec, config.train)
-        except Exception as err:
-            raise RuntimeError(f"fine-tune epoch {epoch} failed: {err}") from err
-        record(epoch, FINETUNE, loss, final_prior)
-
-    final_worst = final_worst_acc = final_bal = None
-    if eval_set is not None:
-        final_worst, final_worst_acc = worst_class_accuracy(params, eval_set)
-        final_bal = balanced_accuracy(params, eval_set)
+    final_worst, final_worst_acc, final_bal = _evaluate(params, eval_set)
     return RunReport(
         records=records,
-        final_prior=final_prior,
+        final_prior=ascent_state.prior,
         prior_trajectory=list(ascent_state.trajectory),
         params=params,
         train_prior=pi_train,

@@ -1,6 +1,8 @@
 """A small differentiable classifier (linear softmax or one-hidden-layer MLP)
 trained by SGD with momentum, decoupled weight decay, linear warmup and step
-decay. No autodiff framework: forward and backward are written out.
+decay. No autodiff framework: forward and backward are written out once for
+a stack of dense layers with ReLU between them; the architecture name only
+sets the layer widths.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .losses import GeneralizedLossSpec, batch_loss, batch_loss_gradient
+from .losses import GeneralizedLossSpec, loss_and_grad
 
 LINEAR = "linear"
 MLP = "mlp"
@@ -48,7 +50,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 2e-4
     batch_size: int = 128
-    epochs: int = 100
     warmup_epochs: int = 5
     decay_epochs: tuple = ()
     decay_factor: float = 0.01
@@ -61,8 +62,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if not (0.0 < self.decay_factor <= 1.0):
             raise ValueError("decay factor must be in (0, 1]")
-        if self.batch_size < 1 or self.epochs < 0 or self.warmup_epochs < 0:
-            raise ValueError("batch_size, epochs and warmup_epochs must be nonnegative")
+        if self.batch_size < 1 or self.warmup_epochs < 0:
+            raise ValueError("batch_size must be positive and warmup_epochs nonnegative")
         object.__setattr__(self, "decay_epochs", tuple(int(e) for e in self.decay_epochs))
 
 
@@ -82,15 +83,15 @@ def init_params(
         bound = 1.0 / np.sqrt(n_in)
         return rng.uniform(-bound, bound, size=(n_in, n_out))
 
-    if architecture == LINEAR:
-        return ModelParams(LINEAR, (layer(dim, class_count),), (np.zeros(class_count),))
-    if architecture == MLP:
-        return ModelParams(
-            MLP,
-            (layer(dim, hidden_width), layer(hidden_width, class_count)),
-            (np.zeros(hidden_width), np.zeros(class_count)),
-        )
-    raise ValueError(f"unknown architecture {architecture!r}")
+    widths = {LINEAR: (dim, class_count), MLP: (dim, hidden_width, class_count)}
+    if architecture not in widths:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    sizes = widths[architecture]
+    return ModelParams(
+        architecture,
+        tuple(layer(n_in, n_out) for n_in, n_out in zip(sizes, sizes[1:])),
+        tuple(np.zeros(n_out) for n_out in sizes[1:]),
+    )
 
 
 def init_optimizer(params: ModelParams) -> OptimizerState:
@@ -98,14 +99,21 @@ def init_optimizer(params: ModelParams) -> OptimizerState:
     return OptimizerState(velocities=vel, epoch=0)
 
 
-def forward_logits(params: ModelParams, instances: np.ndarray) -> np.ndarray:
+def _layer_inputs(params: ModelParams, instances: np.ndarray) -> list:
+    """The input of every layer: the instances, then each hidden activation."""
     x = np.asarray(instances, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError(f"instances must be (N, {params.dim}), got {x.shape}")
-    if params.architecture == LINEAR:
-        return x @ params.weights[0] + params.biases[0]
-    h = np.maximum(x @ params.weights[0] + params.biases[0], 0.0)
-    return h @ params.weights[1] + params.biases[1]
+    inputs = [x]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = inputs[-1] @ w + b
+        np.maximum(h, 0.0, out=h)  # in place: the pre-activation is not kept
+        inputs.append(h)
+    return inputs
+
+
+def forward_logits(params: ModelParams, instances: np.ndarray) -> np.ndarray:
+    return _layer_inputs(params, instances)[-1] @ params.weights[-1] + params.biases[-1]
 
 
 def backward(
@@ -119,24 +127,18 @@ def backward(
     Weight decay contributes 2 * lambda * W to weight gradients only,
     independent of the loss term.
     """
-    x = np.asarray(instances, dtype=np.float64)
+    inputs = _layer_inputs(params, instances)
     g = np.asarray(upstream_logit_grad, dtype=np.float64)
-    if g.shape != (x.shape[0], params.class_count):
+    if g.shape != (inputs[0].shape[0], params.class_count):
         raise ValueError(f"upstream gradient must be (N, {params.class_count}), got {g.shape}")
-    if params.architecture == LINEAR:
-        dw = x.T @ g + 2.0 * weight_decay * params.weights[0]
-        db = g.sum(axis=0)
-        return [dw, db]
-    w1, w2 = params.weights
-    b1, _ = params.biases
-    pre = x @ w1 + b1
-    h = np.maximum(pre, 0.0)
-    dw2 = h.T @ g + 2.0 * weight_decay * w2
-    db2 = g.sum(axis=0)
-    dh = (g @ w2.T) * (pre > 0.0)
-    dw1 = x.T @ dh + 2.0 * weight_decay * w1
-    db1 = dh.sum(axis=0)
-    return [dw1, db1, dw2, db2]
+    grads = []
+    for i in reversed(range(len(params.weights))):
+        w = params.weights[i]
+        grads[:0] = [inputs[i].T @ g + 2.0 * weight_decay * w, g.sum(axis=0)]
+        if i > 0:
+            # ReLU passes the gradient where its output is positive
+            g = (g @ w.T) * (inputs[i] > 0.0)
+    return grads
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
@@ -168,9 +170,7 @@ def sgd_step(
             raise ValueError(f"non-finite gradient in tensor {name}")
         opt_state.velocities[i] = config.momentum * opt_state.velocities[i] + g
         new.append(t - lr * opt_state.velocities[i])
-    if params.architecture == LINEAR:
-        return ModelParams(LINEAR, (new[0],), (new[1],))
-    return ModelParams(MLP, (new[0], new[2]), (new[1], new[3]))
+    return ModelParams(params.architecture, tuple(new[0::2]), tuple(new[1::2]))
 
 
 def train_epoch(
@@ -196,14 +196,12 @@ def train_epoch(
     for start in range(0, len(dataset), config.batch_size):
         xb = x[start : start + config.batch_size]
         yb = y[start : start + config.batch_size]
-        logits = forward_logits(params, xb)
-        loss = batch_loss(spec, logits, yb)
+        loss, g = loss_and_grad(spec, forward_logits(params, xb), yb)
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite loss {loss} at epoch {opt_state.epoch}, batch offset {start}"
             )
         total += loss * len(yb)
-        g = batch_loss_gradient(spec, logits, yb)
         grads = backward(params, xb, g, weight_decay=config.weight_decay)
         params = sgd_step(params, opt_state, grads, config)
     return params, total / len(dataset)
@@ -217,12 +215,7 @@ def predict(params: ModelParams, instances: np.ndarray) -> np.ndarray:
 def extract_features(params: ModelParams, instances: np.ndarray) -> np.ndarray:
     """Input of the final layer: hidden activations for the MLP, the raw
     instances for the linear model."""
-    x = np.asarray(instances, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ValueError(f"instances must be (N, {params.dim}), got {x.shape}")
-    if params.architecture == LINEAR:
-        return x
-    return np.maximum(x @ params.weights[0] + params.biases[0], 0.0)
+    return _layer_inputs(params, instances)[-1]
 
 
 def save_checkpoint(

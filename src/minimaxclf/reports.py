@@ -111,24 +111,3 @@ def write_json(path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-
-def emit_plot_data(report_or_rows, out_dir, kind: str = "trajectory") -> list:
-    """Write plot-ready CSVs; returns the created paths.
-
-    ``kind='trajectory'`` takes a RunReport; ``kind='curve'`` and
-    ``kind='table'`` take pre-assembled rows.
-    """
-    out_dir = Path(out_dir)
-    if kind == "trajectory":
-        path = out_dir / "trajectory.csv"
-        trajectory_csv(report_or_rows, path)
-        return [path]
-    if kind == "curve":
-        path = out_dir / "curve.csv"
-        curve_csv(path, report_or_rows)
-        return [path]
-    if kind == "table":
-        path = out_dir / "table.csv"
-        value_table_csv(path, report_or_rows)
-        return [path]
-    raise ValueError(f"unknown plot data kind {kind!r}")

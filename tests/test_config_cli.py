@@ -32,6 +32,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="preset"):
             validate_config({"preset": "nope"})
 
+    def test_caller_dict_left_unchanged(self):
+        config = {"preset": "step10-desk"}
+        resolved = validate_config(config)
+        assert config == {"preset": "step10-desk"}
+        assert resolved["model"]["architecture"] == "mlp"
+
     def test_preset_merge_and_override(self):
         config = validate_config({"preset": "step10-desk", "loss": {"tau": 0.5}})
         assert config["dataset"]["imbalance"]["kind"] == "step"

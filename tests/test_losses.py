@@ -3,15 +3,113 @@ import pytest
 
 from minimaxclf.losses import (
     VARIANTS,
+    GeneralizedLossSpec,
     batch_loss,
     batch_loss_gradient,
     deferred_reweighting_weights,
-    gml_batch_loss,
-    gml_batch_loss_gradient,
+    loss_and_grad,
     spec_from_variant,
     tla_offsets,
 )
 from minimaxclf.priors import Prior
+
+
+# Reference: the loss and its gradient as two separate passes, each with its
+# own softmax, and GML from explicit batch class scores. loss_and_grad must
+# reproduce these bit for bit.
+
+
+def _ref_adjusted_logits(spec, f, y):
+    z = spec.delta * f + spec.ell
+    if spec.true_class_offsets is not None:
+        z = z.copy()
+        z[np.arange(y.size), y] += spec.true_class_offsets[y]
+    return z
+
+
+def _ref_log_softmax(z):
+    m = z.max(axis=1, keepdims=True)
+    shifted = z - m
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _ref_softmax(z):
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_gml_class_scores(f, y, counts):
+    m = f.max(axis=1, keepdims=True)
+    e = np.exp(f - m)
+    denom = (e * counts[None, :]).sum(axis=1)
+    t = e[np.arange(y.size), y] / denom
+    p_class = np.zeros(counts.size)
+    np.add.at(p_class, y, t)
+    return p_class
+
+
+def _ref_gml_loss(f, y, counts):
+    p_class = _ref_gml_class_scores(f, y, counts)
+    return float(-np.mean(np.log(p_class[counts > 0])))
+
+
+def _ref_gml_gradient(f, y, counts):
+    k_present = int(np.count_nonzero(counts > 0))
+    rows = np.arange(y.size)
+    m = f.max(axis=1, keepdims=True)
+    e = np.exp(f - m)
+    denom = (e * counts[None, :]).sum(axis=1)
+    ratio = e / denom[:, None]
+    t = ratio[rows, y]
+    p_class = np.zeros(counts.size)
+    np.add.at(p_class, y, t)
+    onehot = np.zeros_like(f)
+    onehot[rows, y] = 1.0
+    dt = t[:, None] * (onehot - counts[None, :] * ratio)
+    return -dt / (k_present * p_class[y][:, None])
+
+
+def _ref_loss(spec, f, y):
+    if spec.variant == "GML":
+        return _ref_gml_loss(f, y, np.bincount(y, minlength=spec.class_count).astype(np.float64))
+    logp = _ref_log_softmax(_ref_adjusted_logits(spec, f, y))
+    rows = np.arange(y.size)
+    ce = -logp[rows, y]
+    w = spec.weights[y]
+    if spec.focal_gamma is not None:
+        p_true = np.exp(logp[rows, y])
+        w = w * (1.0 - p_true) ** spec.focal_gamma
+    return float(np.mean(w * ce))
+
+
+def _ref_gradient(spec, f, y):
+    if spec.variant == "GML":
+        return _ref_gml_gradient(
+            f, y, np.bincount(y, minlength=spec.class_count).astype(np.float64)
+        )
+    n = y.size
+    rows = np.arange(n)
+    p = _ref_softmax(_ref_adjusted_logits(spec, f, y))
+    onehot = np.zeros_like(p)
+    onehot[rows, y] = 1.0
+    base = spec.weights[y][:, None] * spec.delta[None, :] * (p - onehot)
+    if spec.focal_gamma is None:
+        return base / n
+    gamma = spec.focal_gamma
+    p_true = p[rows, y]
+    ce = -np.log(p_true)
+    focal = (1.0 - p_true) ** gamma
+    dp_true = spec.delta[None, :] * (p_true[:, None] * (onehot - p))
+    grad = (
+        -gamma * (1.0 - p_true)[:, None] ** (gamma - 1.0) * ce[:, None] * dp_true
+        + focal[:, None] * spec.delta[None, :] * (p - onehot)
+    )
+    return spec.weights[y][:, None] * grad / n
+
+
+def _gml_spec(k):
+    return GeneralizedLossSpec("GML", np.ones(k), np.ones(k), np.zeros(k))
 
 
 def _prior(*values):
@@ -212,36 +310,64 @@ class TestGradients:
             np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-14)
 
 
+class TestFusedMatchesReference:
+    def _assert_bit_exact(self, spec, logits, labels):
+        loss, grad = loss_and_grad(spec, logits, labels)
+        assert loss == _ref_loss(spec, logits, labels)
+        assert np.array_equal(grad, _ref_gradient(spec, logits, labels))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant(self, variant):
+        rng = np.random.default_rng(sum(map(ord, variant)))
+        for draw in range(5):
+            spec = _make_spec(variant, k=5, seed=draw)
+            logits = rng.normal(scale=2.0, size=(64, 5))
+            labels = rng.integers(0, 5, size=64)
+            self._assert_bit_exact(spec, logits, labels)
+            # the same batch with class 2 absent
+            self._assert_bit_exact(spec, logits, np.where(labels == 2, 3, labels))
+
+    def test_drw_reweighted_vs(self):
+        # the one configuration where both w and delta are non-unit
+        rng = np.random.default_rng(11)
+        counts = rng.integers(5, 500, size=6)
+        spec = spec_from_variant("VS", Prior.from_counts(counts), counts=counts, tau=1.5, gamma=0.2)
+        spec = spec.with_weights(deferred_reweighting_weights(counts))
+        assert not np.all(spec.weights == 1.0) and not np.all(spec.delta == 1.0)
+        logits = rng.normal(scale=2.0, size=(128, 6))
+        labels = rng.integers(0, 6, size=128)
+        self._assert_bit_exact(spec, logits, labels)
+
+
 class TestGml:
     def test_single_class_batch_zero_loss(self):
         logits = np.array([[1.7], [0.3]])
-        loss = gml_batch_loss(logits, np.array([0, 0]), np.array([2]))
+        loss = batch_loss(_gml_spec(1), logits, np.array([0, 0]))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_balanced_batch(self):
         k, per = 5, 3
         logits = np.zeros((k * per, k))
         labels = np.repeat(np.arange(k), per)
-        loss = gml_batch_loss(logits, labels, np.full(k, per))
+        loss = batch_loss(_gml_spec(k), logits, labels)
         assert loss == pytest.approx(np.log(k), rel=1e-12)
 
     def test_absent_class_skipped(self):
         logits = np.zeros((4, 3))
         labels = np.array([0, 0, 1, 1])
-        counts = np.array([2, 2, 0])
-        loss = gml_batch_loss(logits, labels, counts)
+        loss = batch_loss(_gml_spec(3), logits, labels)
         assert np.isfinite(loss)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(8, 3))
         labels = rng.integers(0, 3, size=8)
-        counts = np.bincount(labels, minlength=3)
-        analytic = gml_batch_loss_gradient(logits, labels, counts)
-        numeric = _fd_gradient(lambda f: gml_batch_loss(f, labels, counts), logits, h=1e-5)
+        spec = _gml_spec(3)
+        analytic = batch_loss_gradient(spec, logits, labels)
+        numeric = _fd_gradient(lambda f: batch_loss(spec, f, labels), logits, h=1e-5)
         err = np.abs(analytic - numeric).max() / np.abs(numeric).max()
         assert err < 1e-5
 
     def test_empty_batch(self):
         with pytest.raises(ValueError, match="empty"):
-            gml_batch_loss(np.empty((0, 2)), np.empty(0, dtype=int), np.zeros(2))
+            batch_loss(_gml_spec(2), np.empty((0, 2)), np.empty(0, dtype=int))

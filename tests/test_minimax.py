@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from minimaxclf.data import sample_mixture, two_gaussians_1d
+from minimaxclf.ascent import estimate_class_risks
+from minimaxclf.data import partition_dataset, sample_mixture, two_gaussians_1d
+from minimaxclf.metrics import balanced_accuracy, worst_class_accuracy
 from minimaxclf.minimax import (
     AscentConfig,
     MinimaxConfig,
@@ -100,6 +102,9 @@ class TestPhases:
         assert np.allclose(report.final_prior.p, [0.3, 0.7])
         for rec in report.records:
             assert np.allclose(rec.prior.p, [0.3, 0.7])
+        # minimax epochs still estimate held-out risks, but the prior never moves
+        assert [r.risks is not None for r in report.records if r.phase == "minimax"] == [True] * 4
+        assert len(report.prior_trajectory) == 1
 
     def test_drw_switch_changes_training(self):
         # same run with and without the deferred re-weighting switch must
@@ -120,6 +125,24 @@ class TestPhases:
         report = run_minimax(_small_config(), _dataset(), eval_set)
         assert report.final_worst_class_acc is not None
         assert all(r.balanced_acc is not None for r in report.records)
+
+    def test_shared_evaluation_matches_metrics(self):
+        config = _small_config()
+        dataset = _dataset()
+        eval_set = sample_mixture(two_gaussians_1d(), [100, 100], seed=9)
+        report = run_minimax(config, dataset, eval_set)
+        worst, worst_acc = worst_class_accuracy(report.params, eval_set)
+        assert report.final_worst_class == worst
+        assert report.final_worst_class_acc == worst_acc
+        assert report.final_balanced_acc == balanced_accuracy(report.params, eval_set)
+        last = report.records[-1]
+        assert (last.worst_class, last.worst_class_acc, last.balanced_acc) == (
+            worst, worst_acc, report.final_balanced_acc
+        )
+        split = partition_dataset(dataset, config.model_fraction, config.partition_seed)
+        risks = estimate_class_risks(report.params, split.prior_part)
+        np.testing.assert_array_equal(last.risks.estimates, risks.estimates)
+        np.testing.assert_array_equal(last.risks.counts, risks.counts)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_phase_error_context(self):
