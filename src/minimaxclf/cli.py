@@ -39,7 +39,7 @@ from .mc import mc_ega_mse, mc_worst_class_failure
 from .metrics import inter_intra_ratio
 from .minimax import AscentConfig, MinimaxConfig, run_minimax, swap_components
 from .model import TrainConfig, extract_features, save_checkpoint
-from .oracle import adversarial_prior_search, bayes_class_risks
+from .oracle import adversarial_prior_search
 from .reports import (
     curve_csv,
     epochs_csv,
@@ -253,7 +253,6 @@ def run_oracle(config: dict, out_dir: Path) -> None:
         mc_samples=o["mc_samples"],
         seed=o["seed"],
     )
-    risks = bayes_class_risks(spec, result.prior, mc_samples=o["mc_samples"], seed=o["seed"])
     write_json(
         out_dir / "adversarial_prior.json",
         {
@@ -267,7 +266,7 @@ def run_oracle(config: dict, out_dir: Path) -> None:
     write_csv(
         out_dir / "risks_at_adversarial_prior.csv",
         ["class", "risk"],
-        [[y + 1, risks.estimates[y]] for y in range(risks.class_count)],
+        [[y + 1, risk] for y, risk in enumerate(result.risks.estimates)],
     )
 
 

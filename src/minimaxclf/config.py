@@ -13,6 +13,7 @@ import hashlib
 import json
 
 from .losses import VARIANTS
+from .oracle import MIN_MC_SAMPLES
 
 SCHEMA_VERSION = 1
 
@@ -184,6 +185,14 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config(config: dict) -> dict:
     """Fill defaults, then check every field; returns the resolved config."""
     if not isinstance(config, dict):
@@ -293,7 +302,27 @@ def validate_config(config: dict) -> dict:
         "oracle.method",
         "expected 'auto', 'grid' or 'ascent'",
     )
-    _require(0 < orc["resolution"] <= 0.5, "oracle.resolution", "must be in (0, 0.5]")
+    _require(
+        _is_number(orc["resolution"]) and 0 < orc["resolution"] <= 0.5,
+        "oracle.resolution",
+        "must be a number in (0, 0.5]",
+    )
+    _require(
+        _is_int(orc["iterations"]) and orc["iterations"] >= 1,
+        "oracle.iterations",
+        "must be an integer >= 1",
+    )
+    _require(
+        _is_number(orc["step_scale"]) and orc["step_scale"] > 0,
+        "oracle.step_scale",
+        "must be a positive number",
+    )
+    _require(
+        _is_int(orc["mc_samples"]) and orc["mc_samples"] >= MIN_MC_SAMPLES,
+        "oracle.mc_samples",
+        f"must be an integer >= {MIN_MC_SAMPLES}",
+    )
+    _require(_is_int(orc["seed"]) and orc["seed"] >= 0, "oracle.seed", "must be an integer >= 0")
     return resolved
 
 

@@ -24,7 +24,7 @@ GRID = "grid"
 ASCENT = "ascent"
 AUTO = "auto"
 
-_MIN_MC_SAMPLES = 10_000
+MIN_MC_SAMPLES = 10_000
 
 
 def class_log_densities(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
@@ -112,38 +112,58 @@ def _exact_risks_1d(means: np.ndarray, sigma: float, pi: Prior) -> np.ndarray:
     return risks
 
 
+class BayesOracle:
+    """Per-class Bayes risks of one mixture at any prior.
+
+    Exact (normal CDF) for 1-d shared-variance mixtures. Otherwise the
+    seeded Monte Carlo sample, with ``mc_samples`` points per class and
+    independent seed streams, and its (N, K) class log-density matrix are
+    built once here; they do not depend on the prior, so each ``risks``
+    call is one argmax. The oracle holds N * K floats for its lifetime.
+    """
+
+    def __init__(self, spec: MixtureSpec, mc_samples: int = 100_000, seed: int = 0) -> None:
+        self.spec = spec
+        self.sigma = _shared_sigma_1d(spec)
+        if self.sigma is not None:
+            return
+        if mc_samples < MIN_MC_SAMPLES:
+            raise ValueError(f"no closed form for this mixture; need mc_samples >= {MIN_MC_SAMPLES}")
+        self.counts = np.full(spec.class_count, int(mc_samples), dtype=np.int64)
+        ds = sample_mixture(spec, self.counts, seed)
+        self.labels = ds.labels
+        self.log_densities = class_log_densities(spec, ds.instances)
+
+    def risks(self, pi: Prior) -> ClassRisks:
+        """Per-class error rates of the Bayes rule at prior ``pi``."""
+        k = self.spec.class_count
+        if pi.class_count != k:
+            raise ValueError("prior does not match the mixture's class count")
+        if self.sigma is not None:
+            risks = _exact_risks_1d(self.spec.means[:, 0], self.sigma, pi)
+            return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
+        predictions = np.argmax(self.log_densities + _log_prior(pi), axis=1)
+        errors = np.bincount(self.labels[predictions != self.labels], minlength=k)
+        return ClassRisks(errors / self.counts, self.counts)
+
+    def total_risk(self, pi: Prior) -> float:
+        """R(pi) = sum_y pi_y P_e(y) for the Bayes rule at pi."""
+        return float(np.dot(pi.p, self.risks(pi).estimates))
+
+
 def bayes_class_risks(
     spec: MixtureSpec, pi: Prior, mc_samples: int = 100_000, seed: int = 0
 ) -> ClassRisks:
-    """Per-class error rates of the Bayes rule at prior ``pi``.
-
-    Exact (normal CDF) for 1-d shared-variance mixtures; Monte Carlo with
-    per-class sample counts and independent seed streams otherwise.
-    """
-    if pi.class_count != spec.class_count:
-        raise ValueError("prior does not match the mixture's class count")
-    sigma = _shared_sigma_1d(spec)
-    if sigma is not None:
-        risks = _exact_risks_1d(spec.means[:, 0], sigma, pi)
-        return ClassRisks(risks, np.ones(spec.class_count, dtype=np.int64), exact=True)
-    if mc_samples < _MIN_MC_SAMPLES:
-        raise ValueError(f"no closed form for this mixture; need mc_samples >= {_MIN_MC_SAMPLES}")
-    counts = np.full(spec.class_count, int(mc_samples), dtype=np.int64)
-    ds = sample_mixture(spec, counts, seed)
-    predictions = bayes_predict(spec, pi, ds.instances)
-    estimates = np.empty(spec.class_count)
-    for y in range(spec.class_count):
-        idx = ds.class_indices(y)
-        estimates[y] = np.mean(predictions[idx] != y)
-    return ClassRisks(estimates, counts)
+    """Per-class error rates of the Bayes rule at prior ``pi`` (see
+    ``BayesOracle``)."""
+    return BayesOracle(spec, mc_samples, seed).risks(pi)
 
 
 def bayes_total_risk(
     spec: MixtureSpec, pi: Prior, mc_samples: int = 100_000, seed: int = 0
 ) -> float:
     """R(pi) = sum_y pi_y P_e(y) for the Bayes rule at pi."""
-    risks = bayes_class_risks(spec, pi, mc_samples=mc_samples, seed=seed)
-    return float(np.dot(pi.p, risks.estimates))
+    return BayesOracle(spec, mc_samples, seed).total_risk(pi)
 
 
 def _exact_total_risk_grid_1d(means: np.ndarray, sigma: float, pis: np.ndarray) -> np.ndarray:
@@ -201,6 +221,7 @@ class SearchResult:
     method: str
     converged: bool
     iterations: int
+    risks: ClassRisks  # per-class Bayes risks at ``prior``
 
 
 def adversarial_prior_search(
@@ -216,45 +237,46 @@ def adversarial_prior_search(
 
     Grid search enumerates the simplex at ``resolution`` (K <= 3 only);
     supergradient ascent iterates pi <- project(pi + (c/sqrt t) risks(pi)),
-    valid because the risk vector is a supergradient of R.
+    valid because the risk vector is a supergradient of R. One
+    ``BayesOracle`` serves every risk evaluation of the search.
     """
     k = spec.class_count
     if method == AUTO:
         method = GRID if k <= 3 else ASCENT
-    sigma = _shared_sigma_1d(spec)
     if method == GRID:
         if k > 3:
             raise ValueError("grid search supports K <= 3; use method='ascent'")
+        oracle = BayesOracle(spec, mc_samples, seed)
         grid = _simplex_grid(k, resolution)
-        if sigma is not None:
-            values = _exact_total_risk_grid_1d(spec.means[:, 0], sigma, grid)
+        if oracle.sigma is not None:
+            values = _exact_total_risk_grid_1d(spec.means[:, 0], oracle.sigma, grid)
         else:
-            values = np.array(
-                [
-                    bayes_total_risk(spec, Prior(g), mc_samples=mc_samples, seed=seed)
-                    for g in grid
-                ]
-            )
+            values = np.array([oracle.total_risk(Prior(g)) for g in grid])
         best = int(np.argmax(values))
+        prior = Prior(grid[best])
         return SearchResult(
-            prior=Prior(grid[best]),
+            prior=prior,
             risk=float(values[best]),
             method=GRID,
             converged=True,
             iterations=len(grid),
+            risks=oracle.risks(prior),
         )
     if method != ASCENT:
         raise ValueError(f"unknown search method {method!r}")
+    if iterations < 1:
+        raise ValueError(f"ascent needs iterations >= 1, got {iterations}")
+    oracle = BayesOracle(spec, mc_samples, seed)
     pi = np.full(k, 1.0 / k)
-    best_pi = pi.copy()
     best_risk = -np.inf
     last_improvement = 0
     for t in range(1, iterations + 1):
-        risks = bayes_class_risks(spec, Prior(pi), mc_samples=mc_samples, seed=seed)
+        risks = oracle.risks(Prior(pi))
         value = float(np.dot(pi, risks.estimates))
         if value > best_risk:
             best_risk = value
             best_pi = pi.copy()
+            best_risks = risks
             last_improvement = t
         pi = project_to_simplex(pi + step_scale / math.sqrt(t) * risks.estimates)
     # flagged as unconverged if the best point still moved late in the run
@@ -265,4 +287,5 @@ def adversarial_prior_search(
         method=ASCENT,
         converged=converged,
         iterations=iterations,
+        risks=best_risks,
     )

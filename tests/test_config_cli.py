@@ -38,6 +38,31 @@ class TestValidation:
         assert config == {"preset": "step10-desk"}
         assert resolved["model"]["architecture"] == "mlp"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("iterations", 0),
+            ("iterations", "3"),
+            ("iterations", 2.5),
+            ("iterations", True),
+            ("step_scale", -1),
+            ("step_scale", 0),
+            ("step_scale", "0.1"),
+            ("step_scale", True),
+            ("mc_samples", 100),
+            ("mc_samples", 20_000.0),
+            ("mc_samples", True),
+            ("seed", "1"),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", -1),
+            ("resolution", "0.1"),
+        ],
+    )
+    def test_bad_oracle_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=rf"oracle\.{field}"):
+            validate_config({"experiment": "oracle", "oracle": {field: value}})
+
     def test_preset_merge_and_override(self):
         config = validate_config({"preset": "step10-desk", "loss": {"tau": 0.5}})
         assert config["dataset"]["imbalance"]["kind"] == "step"
@@ -179,6 +204,18 @@ class TestCliEntry:
         record = json.loads(captured.err.strip())
         assert record["error"]["kind"] == "config"
         assert "loss.variant" in record["error"]["message"]
+
+    def test_oracle_zero_iterations_exit_code(self, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"benchmark": "circle", "class_count": 10, "radius": 3.0},
+            "oracle": {"method": "ascent", "iterations": 0},
+        }))
+        code = main(["oracle", "--config", str(config_path), "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert code == 2
+        assert "oracle.iterations" in record["error"]["message"]
+        assert not (tmp_path / "x").exists()
 
     def test_report_command(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from minimaxclf.data import MixtureSpec, circle_mixture, three_gaussians_1d, two_gaussians_1d
+from minimaxclf import oracle
+from minimaxclf.data import (
+    MixtureSpec,
+    circle_mixture,
+    sample_mixture,
+    three_gaussians_1d,
+    two_gaussians_1d,
+)
 from minimaxclf.oracle import (
+    BayesOracle,
+    _simplex_grid,
     adversarial_prior_search,
     bayes_class_risks,
     bayes_predict,
@@ -85,6 +94,48 @@ class TestBayesRisks:
             assert bayes_total_risk(spec, pi) <= risks.estimates.max() + 1e-12
 
 
+class TestBayesOracle:
+    def test_matches_per_call_monte_carlo(self):
+        # reference: redraw the sample and predict it at every prior
+        spec = circle_mixture(10, 3.0)
+        counts = np.full(10, 10_000)
+        seed = 5
+        ds = sample_mixture(spec, counts, seed)
+        cached = BayesOracle(spec, 10_000, seed)
+        rng = np.random.default_rng(2)
+        priors = [rng.dirichlet(np.ones(10)) for _ in range(5)]
+        priors.append(np.r_[0.0, np.full(9, 1.0 / 9)])
+        for p in priors:
+            pi = Prior(p)
+            pred = bayes_predict(spec, pi, ds.instances)
+            expected = np.array([np.mean(pred[ds.class_indices(y)] != y) for y in range(10)])
+            risks = cached.risks(pi)
+            assert np.array_equal(risks.estimates, expected)
+            assert np.array_equal(risks.counts, counts)
+            assert not risks.exact
+
+    def test_prior_length_checked(self):
+        with pytest.raises(ValueError, match="class count"):
+            BayesOracle(two_gaussians_1d()).risks(Prior.uniform(3))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"method": "ascent", "iterations": 4}, {"method": "grid", "resolution": 0.5}],
+        ids=["ascent", "mc-grid"],
+    )
+    def test_densities_built_once_per_search(self, monkeypatch, kwargs):
+        calls = []
+        original = oracle.class_log_densities
+
+        def counting(spec, x):
+            calls.append(len(x))
+            return original(spec, x)
+
+        monkeypatch.setattr(oracle, "class_log_densities", counting)
+        adversarial_prior_search(circle_mixture(3), mc_samples=10_000, seed=1, **kwargs)
+        assert calls == [30_000]
+
+
 class TestEnvelopeAgainstQuadrature:
     def test_random_mixtures(self):
         # independent oracle: integrate each class density over the regions
@@ -156,3 +207,35 @@ class TestAdversarialSearch:
     def test_grid_rejects_large_k(self):
         with pytest.raises(ValueError, match="K <= 3"):
             adversarial_prior_search(circle_mixture(5), method="grid")
+
+    def test_mc_grid_is_argmax_of_total_risk(self):
+        spec = circle_mixture(3)
+        result = adversarial_prior_search(spec, method="grid", resolution=0.25)
+        grid = _simplex_grid(3, 0.25)
+        values = [np.dot(g, bayes_class_risks(spec, Prior(g)).estimates) for g in grid]
+        best = int(np.argmax(values))
+        np.testing.assert_array_equal(result.prior.p, grid[best])
+        assert result.risk == values[best]
+        assert result.iterations == len(grid)
+        expected = bayes_class_risks(spec, result.prior)
+        np.testing.assert_array_equal(result.risks.estimates, expected.estimates)
+
+    @pytest.mark.parametrize(
+        "spec, kwargs",
+        [
+            (circle_mixture(4), {"method": "ascent", "iterations": 6}),
+            (three_gaussians_1d(), {"method": "grid", "resolution": 0.01}),
+            (three_gaussians_1d(), {"method": "ascent", "iterations": 50}),
+        ],
+        ids=["mc-ascent", "exact-grid", "exact-ascent"],
+    )
+    def test_result_carries_risks_at_prior(self, spec, kwargs):
+        result = adversarial_prior_search(spec, mc_samples=10_000, seed=2, **kwargs)
+        expected = bayes_class_risks(spec, result.prior, mc_samples=10_000, seed=2)
+        np.testing.assert_array_equal(result.risks.estimates, expected.estimates)
+        total = float(np.dot(result.prior.p, expected.estimates))
+        assert result.risk == pytest.approx(total, abs=1e-12)
+
+    def test_ascent_rejects_zero_iterations(self):
+        with pytest.raises(ValueError, match="iterations"):
+            adversarial_prior_search(three_gaussians_1d(), method="ascent", iterations=0)
