@@ -123,14 +123,16 @@ def minimax_config(config: dict) -> MinimaxConfig:
     )
 
 
+# The seeds of one training run; eval.seed is not one: all runs share one eval set.
+RUN_SEEDS = ("dataset.seed", "model.seed", "minimax.partition_seed", "ascent.tie_seed")
+
+
 def _reseed(config: dict, seed: int) -> dict:
     """One repetition seed drives every stochastic choice of a run."""
     out = json.loads(json.dumps(config))
-    out["dataset"]["seed"] = seed
-    out["model"]["seed"] = seed
-    out["minimax"]["partition_seed"] = seed
-    out["ascent"]["tie_seed"] = seed
-    out["eval"]["seed"] = config["eval"]["seed"]  # evaluation set stays shared
+    for dotted in RUN_SEEDS:
+        section, key = dotted.split(".")
+        out[section][key] = seed
     return out
 
 
@@ -239,10 +241,7 @@ def run_mc(config: dict, out_dir: Path) -> None:
 
 
 def run_oracle(config: dict, out_dir: Path) -> None:
-    ds_cfg = config["dataset"]
-    if ds_cfg["source"] != "synthetic":
-        raise ConfigError("oracle.search: dataset.source must be 'synthetic'")
-    spec = build_mixture(ds_cfg)
+    spec = build_mixture(config["dataset"])
     o = config["oracle"]
     result = adversarial_prior_search(
         spec,
@@ -345,11 +344,10 @@ def main(argv=None) -> int:
         overrides = {"experiment": args.command}
         if args.trials is not None:
             overrides["mc.trials"] = args.trials
-        config = load_config(args.config, preset=args.preset, overrides=overrides)
         if args.seed is not None:
-            config = _reseed(config, args.seed)
-            config["mc"]["master_seed"] = args.seed
-            config["oracle"]["seed"] = args.seed
+            for field in RUN_SEEDS + ("mc.master_seed", "oracle.seed"):
+                overrides[field] = args.seed
+        config = load_config(args.config, preset=args.preset, overrides=overrides)
         out = run_experiment(config, args.out)
         print(out)
         return 0

@@ -1,9 +1,11 @@
-"""Run configuration: JSON schema, validation, presets, seed policy.
+"""Run configuration: one field table, validation, presets, seed policy.
 
 A config is a nested dict with sections ``dataset / model / loss / ascent /
-minimax / eval`` plus per-experiment sections. Validation errors always name
-the offending field. Presets are complete config templates; a user config
-referencing one is deep-merged on top of it.
+minimax / eval`` plus per-experiment sections. ``SCHEMA`` gives every leaf
+field its default and the rule a valid value satisfies; ``DEFAULT_CONFIG`` is
+derived from it. Validation errors always name the offending field. Presets
+are complete config templates; a user config referencing one is deep-merged
+on top of it.
 """
 
 from __future__ import annotations
@@ -11,14 +13,21 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import operator
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .losses import VARIANTS
+from .mc import MIN_TRIALS
 from .oracle import MIN_MC_SAMPLES
+from .priors import SIMPLEX_ATOL
 
 SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("train", "ablate", "theory", "mc", "oracle")
-BENCHMARKS = ("two_gaussians_1d", "three_gaussians_1d", "circle")
+# class count K of each synthetic benchmark; None takes dataset.class_count
+BENCHMARKS = {"two_gaussians_1d": 2, "three_gaussians_1d": 3, "circle": None}
 
 # Error rates of a vanilla-trained 10-class model under strong step imbalance;
 # the default curve input for the theory/MC validation experiments.
@@ -29,75 +38,143 @@ class ConfigError(ValueError):
     """A config field is missing, unknown, or has an invalid value."""
 
 
-DEFAULT_CONFIG = {
-    "experiment": "train",
-    "name": "run",
+class Rule(NamedTuple):
+    """What a valid value of one field is: a predicate and its wording."""
+
+    ok: Callable[[object], bool]
+    text: str
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(low: int) -> Rule:
+    return Rule(lambda v: _is_int(v) and v >= low, f"an integer >= {low}")
+
+
+def _number(interval: str) -> Rule:
+    """A number in an interval written as in maths, e.g. "(0, 1]" or
+    "[0, inf)". An infinite end is always open, so NaN and +-inf never pass."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = operator.le if interval[0] == "[" else operator.lt
+    below = operator.le if interval[-1] == "]" else operator.lt
+    return Rule(
+        lambda v: (_is_int(v) or isinstance(v, float)) and above(low, v) and below(v, high),
+        f"a finite number in {interval}",
+    )
+
+
+def _one_of(*choices: str) -> Rule:
+    return Rule(lambda v: v in choices, f"one of {choices}")
+
+
+def _list(item: Rule, min_len: int = 0) -> Rule:
+    return Rule(
+        lambda v: isinstance(v, list) and len(v) >= min_len and all(map(item.ok, v)),
+        f"a list of {min_len} or more entries, each {item.text}",
+    )
+
+
+def _nullable(rule: Rule) -> Rule:
+    return Rule(lambda v: v is None or rule.ok(v), f"{rule.text}, or null")
+
+
+_TEXT = Rule(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_BOOL = Rule(lambda v: isinstance(v, bool), "true or false")
+_SEED = _int(0)
+_POSITIVE = _number("(0, inf)")
+# The input of both curve experiments, theory and mc.
+_CURVE = {
+    "error_vector": (DEFAULT_ERROR_VECTOR, _list(_number("[0, 1]"), 2)),
+    "m_worst": (3, _int(1)),
+    "sample_sizes": ([2, 4, 8, 16, 32, 64], _list(_int(1))),
+}
+
+# Every leaf field of a config as (default, rule); a nested dict is a section.
+SCHEMA = {
+    "experiment": ("train", _one_of(*EXPERIMENTS)),
+    "name": ("run", _TEXT),
     "dataset": {
-        "source": "synthetic",
-        "benchmark": "circle",
-        "class_count": 10,
-        "radius": 2.0,
-        "separation": 1.0,
-        "spacing": 2.0,
-        "sigma": 1.0,
-        "imbalance": None,
-        "counts": None,
-        "seed": 0,
-        "csv_path": None,
-        "csv_header": False,
+        "source": ("synthetic", _one_of("synthetic", "csv")),
+        "benchmark": ("circle", _one_of(*BENCHMARKS)),
+        "class_count": (10, _int(2)),
+        "radius": (2.0, _POSITIVE),
+        "separation": (1.0, _POSITIVE),
+        "spacing": (2.0, _POSITIVE),
+        "sigma": (1.0, _POSITIVE),
+        # an object checked field by field against IMBALANCE
+        "imbalance": (None, _nullable(Rule(lambda v: isinstance(v, dict), "an object"))),
+        # the prior split keeps at least one sample of a class with two
+        "counts": (None, _nullable(_list(_int(2)))),
+        "seed": (0, _SEED),
+        "csv_path": (None, _nullable(_TEXT)),
+        "csv_header": (False, _BOOL),
     },
     "model": {
-        "architecture": "linear",
-        "hidden_width": 64,
-        "learning_rate": 0.1,
-        "momentum": 0.9,
-        "weight_decay": 2e-4,
-        "batch_size": 128,
-        "lr_warmup_epochs": 5,
-        "decay_epochs": [60, 110],
-        "decay_factor": 0.01,
-        "seed": 0,
+        "architecture": ("linear", _one_of("linear", "mlp")),
+        "hidden_width": (64, _int(1)),
+        "learning_rate": (0.1, _POSITIVE),
+        "momentum": (0.9, _number("[0, 1)")),
+        "weight_decay": (2e-4, _number("[0, inf)")),
+        "batch_size": (128, _int(1)),
+        "lr_warmup_epochs": (5, _int(0)),
+        "decay_epochs": ([60, 110], _list(_int(1))),
+        "decay_factor": (0.01, _number("(0, 1]")),
+        "seed": (0, _SEED),
     },
-    "loss": {"variant": "TLA", "tau": 1.0, "gamma": 0.15, "drw_epoch": None},
+    "loss": {
+        "variant": ("TLA", _one_of(*VARIANTS)),
+        "tau": (1.0, _POSITIVE),
+        "gamma": (0.15, _number("[0, inf)")),
+        "drw_epoch": (None, _nullable(_int(1))),
+    },
     "ascent": {
-        "method": "linear",
-        "alpha": None,
-        "m_worst": 1,
-        "auto_m": False,
-        "tie_seed": 0,
+        "method": ("linear", _one_of("linear", "ega")),
+        # null takes the method's default; 0 freezes the target prior
+        "alpha": (None, _nullable(_number("[0, inf)"))),
+        "m_worst": (1, _int(1)),
+        "auto_m": (False, _BOOL),
+        "tie_seed": (0, _SEED),
     },
     "minimax": {
-        "warmup_epochs": 5,
-        "minimax_epochs": 95,
-        "finetune_epochs": 20,
-        "model_fraction": 0.8,
-        "partition_seed": 0,
-        "fixed_target": None,
+        "warmup_epochs": (5, _int(0)),
+        "minimax_epochs": (95, _int(0)),
+        "finetune_epochs": (20, _int(0)),
+        "model_fraction": (0.8, _number("(0, 1)")),
+        "partition_seed": (0, _SEED),
+        # TLA and TWCE need every target class to have positive mass
+        "fixed_target": (None, _nullable(_list(_number("(0, 1]"), 2))),
     },
-    "eval": {"per_class": 1000, "seed": 7777},
-    "ablate": {"seeds": [0, 1, 2, 3, 4]},
-    "mc": {
-        "error_vector": DEFAULT_ERROR_VECTOR,
-        "m_worst": 3,
-        "sample_sizes": [2, 4, 8, 16, 32, 64],
-        "trials": 100_000,
-        "master_seed": 0,
-    },
-    "theory": {
-        "error_vector": DEFAULT_ERROR_VECTOR,
-        "m_worst": 3,
-        "sample_sizes": [2, 4, 8, 16, 32, 64],
-        "mse_probability": None,
-    },
+    "eval": {"per_class": (1000, _int(1)), "seed": (7777, _SEED)},
+    "ablate": {"seeds": ([0, 1, 2, 3, 4], _list(_SEED))},
+    "mc": {**_CURVE, "trials": (100_000, _int(MIN_TRIALS)), "master_seed": (0, _SEED)},
+    "theory": {**_CURVE, "mse_probability": (None, _nullable(_number("[0, 1]")))},
     "oracle": {
-        "method": "auto",
-        "resolution": 1e-3,
-        "iterations": 2000,
-        "step_scale": 0.1,
-        "mc_samples": 100_000,
-        "seed": 0,
+        "method": ("auto", _one_of("auto", "grid", "ascent")),
+        "resolution": (1e-3, _number("(0, 0.5]")),
+        "iterations": (2000, _int(1)),
+        "step_scale": (0.1, _POSITIVE),
+        "mc_samples": (100_000, _int(MIN_MC_SAMPLES)),
+        "seed": (0, _SEED),
     },
 }
+
+# The fields of a non-null dataset.imbalance; each is required.
+IMBALANCE = {
+    "kind": _one_of("long_tail", "step"),
+    "ratio": _number("(0, 1]"),
+    "base_count": _int(1),
+}
+
+
+def _column(schema: dict, index: int) -> dict:
+    """One column of a field table as a nested dict: 0 defaults, 1 rules."""
+    return {k: _column(e, index) if isinstance(e, dict) else e[index] for k, e in schema.items()}
+
+
+DEFAULT_CONFIG = _column(SCHEMA, 0)
+_RULES = _column(SCHEMA, 1)
 
 PRESETS = {
     # 10-class circle benchmark under strong step imbalance; the five minor
@@ -180,17 +257,24 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _require(cond: bool, field: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{field}: {message}")
+def _check(rule: Rule, value, field: str) -> None:
+    if not rule.ok(value):
+        raise ConfigError(f"{field}: got {value!r}, expected {rule.text}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _walk(rules: dict, node, prefix: str = "") -> None:
+    """Check ``node`` against a nested dict of rules; ``prefix`` is the
+    dotted path of ``node`` with a trailing dot, "" at the root."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{prefix[:-1]}: expected an object")
+    for key in node:
+        if key not in rules:
+            raise ConfigError(f"unknown config field {prefix + key!r}")
+    for key, rule in rules.items():
+        if isinstance(rule, dict):
+            _walk(rule, node.get(key), f"{prefix}{key}.")
+        else:
+            _check(rule, node.get(key), prefix + key)
 
 
 def validate_config(config: dict) -> dict:
@@ -201,128 +285,37 @@ def validate_config(config: dict) -> dict:
     preset = config.pop("preset", None)
     base = DEFAULT_CONFIG
     if preset is not None:
-        _require(preset in PRESETS, "preset", f"got {preset!r}, expected one of {sorted(PRESETS)}")
+        _check(_one_of(*PRESETS), preset, "preset")
         base = _merge(DEFAULT_CONFIG, PRESETS[preset])
     resolved = _merge(base, config)
+    _walk(_RULES, resolved)
 
-    _require(
-        resolved["experiment"] in EXPERIMENTS,
-        "experiment",
-        f"got {resolved['experiment']!r}, expected one of {EXPERIMENTS}",
-    )
-    ds = resolved["dataset"]
-    _require(ds["source"] in ("synthetic", "csv"), "dataset.source", "expected 'synthetic' or 'csv'")
-    if ds["source"] == "synthetic":
-        _require(
-            ds["benchmark"] in BENCHMARKS,
-            "dataset.benchmark",
-            f"got {ds['benchmark']!r}, expected one of {BENCHMARKS}",
-        )
-        imb = ds["imbalance"]
-        if imb is not None:
-            _require(isinstance(imb, dict), "dataset.imbalance", "expected an object or null")
-            for key in imb:
-                _require(
-                    key in ("kind", "ratio", "base_count"),
-                    f"dataset.imbalance.{key}",
-                    "unknown field",
-                )
-            _require(
-                imb.get("kind") in ("long_tail", "step"),
-                "dataset.imbalance.kind",
-                "expected 'long_tail' or 'step'",
-            )
-            _require(
-                isinstance(imb.get("ratio"), (int, float)) and 0 < imb["ratio"] <= 1,
-                "dataset.imbalance.ratio",
-                "expected a number in (0, 1]",
-            )
-            _require(
-                isinstance(imb.get("base_count"), int) and imb["base_count"] >= 1,
-                "dataset.imbalance.base_count",
-                "expected a positive integer",
-            )
+    # cross-field checks, on values the walk has typed
+    ds, asc, target = resolved["dataset"], resolved["ascent"], resolved["minimax"]["fixed_target"]
+    if ds["imbalance"] is not None:
+        _walk(IMBALANCE, ds["imbalance"], "dataset.imbalance.")
+    if ds["source"] == "csv":
+        # the class count K is known only once the file is read
+        if ds["csv_path"] is None:
+            raise ConfigError("dataset.csv_path: required when source is 'csv'")
+        if resolved["experiment"] == "oracle":
+            raise ConfigError("dataset.source: the oracle needs a synthetic mixture, not 'csv'")
     else:
-        _require(bool(ds["csv_path"]), "dataset.csv_path", "required when source is 'csv'")
-
-    model = resolved["model"]
-    _require(
-        model["architecture"] in ("linear", "mlp"),
-        "model.architecture",
-        "expected 'linear' or 'mlp'",
-    )
-    _require(model["learning_rate"] > 0, "model.learning_rate", "must be positive")
-    _require(0 <= model["momentum"] < 1, "model.momentum", "must be in [0, 1)")
-    _require(0 < model["decay_factor"] <= 1, "model.decay_factor", "must be in (0, 1]")
-    _require(model["batch_size"] >= 1, "model.batch_size", "must be a positive integer")
-
-    loss = resolved["loss"]
-    _require(
-        loss["variant"] in VARIANTS,
-        "loss.variant",
-        f"got {loss['variant']!r}, expected one of {VARIANTS}",
-    )
-    _require(loss["tau"] > 0, "loss.tau", "must be positive")
-    _require(loss["gamma"] >= 0, "loss.gamma", "must be nonnegative")
-    if loss["drw_epoch"] is not None:
-        _require(
-            isinstance(loss["drw_epoch"], int) and loss["drw_epoch"] >= 1,
-            "loss.drw_epoch",
-            "must be a positive integer or null",
-        )
-
-    asc = resolved["ascent"]
-    _require(asc["method"] in ("linear", "ega"), "ascent.method", "expected 'linear' or 'ega'")
-    if asc["alpha"] is not None:
-        # alpha = 0 freezes the target prior (no ascent)
-        _require(asc["alpha"] >= 0, "ascent.alpha", "must be nonnegative")
-        if asc["method"] == "linear":
-            _require(asc["alpha"] < 1, "ascent.alpha", "linear ascent needs alpha < 1")
-    _require(asc["m_worst"] >= 1, "ascent.m_worst", "must be a positive integer")
-
-    mm = resolved["minimax"]
-    for key in ("warmup_epochs", "minimax_epochs", "finetune_epochs"):
-        _require(isinstance(mm[key], int) and mm[key] >= 0, f"minimax.{key}", "must be >= 0")
-    _require(0 < mm["model_fraction"] < 1, "minimax.model_fraction", "must be in (0, 1)")
-
-    mc = resolved["mc"]
-    _require(
-        all(0 <= v <= 1 for v in mc["error_vector"]),
-        "mc.error_vector",
-        "entries must lie in [0, 1]",
-    )
-    _require(mc["trials"] >= 10_000, "mc.trials", "need at least 10000 trials")
-    _require(
-        all(n >= 1 for n in mc["sample_sizes"]), "mc.sample_sizes", "entries must be >= 1"
-    )
-
-    orc = resolved["oracle"]
-    _require(
-        orc["method"] in ("auto", "grid", "ascent"),
-        "oracle.method",
-        "expected 'auto', 'grid' or 'ascent'",
-    )
-    _require(
-        _is_number(orc["resolution"]) and 0 < orc["resolution"] <= 0.5,
-        "oracle.resolution",
-        "must be a number in (0, 0.5]",
-    )
-    _require(
-        _is_int(orc["iterations"]) and orc["iterations"] >= 1,
-        "oracle.iterations",
-        "must be an integer >= 1",
-    )
-    _require(
-        _is_number(orc["step_scale"]) and orc["step_scale"] > 0,
-        "oracle.step_scale",
-        "must be a positive number",
-    )
-    _require(
-        _is_int(orc["mc_samples"]) and orc["mc_samples"] >= MIN_MC_SAMPLES,
-        "oracle.mc_samples",
-        f"must be an integer >= {MIN_MC_SAMPLES}",
-    )
-    _require(_is_int(orc["seed"]) and orc["seed"] >= 0, "oracle.seed", "must be an integer >= 0")
+        k = BENCHMARKS[ds["benchmark"]] or ds["class_count"]
+        for field, value in (("dataset.counts", ds["counts"]), ("minimax.fixed_target", target)):
+            if value is not None and len(value) != k:
+                raise ConfigError(f"{field}: got {len(value)} entries, expected {k}, one per class")
+        if asc["m_worst"] > k:
+            raise ConfigError(f"ascent.m_worst: got {asc['m_worst']}, expected at most K = {k}")
+        if resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid" and k > 3:
+            raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
+    if target is not None and abs(float(np.sum(target)) - 1.0) > SIMPLEX_ATOL:
+        raise ConfigError(f"minimax.fixed_target: entries must sum to 1 within {SIMPLEX_ATOL}")
+    if asc["method"] == "linear" and asc["alpha"] is not None and asc["alpha"] >= 1:
+        raise ConfigError("ascent.alpha: linear ascent needs alpha < 1")
+    for name in ("mc", "theory"):
+        if resolved[name]["m_worst"] > len(resolved[name]["error_vector"]):
+            raise ConfigError(f"{name}.m_worst: must be at most the length of {name}.error_vector")
     return resolved
 
 
@@ -337,6 +330,8 @@ def load_config(path=None, preset=None, overrides=None) -> dict:
                 loaded = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"{path}: not valid JSON ({err})")
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: config root must be an object")
         if "preset" in loaded and preset is not None:
             loaded.pop("preset")
         config.update(loaded)
@@ -345,6 +340,8 @@ def load_config(path=None, preset=None, overrides=None) -> dict:
         keys = dotted.split(".")
         for key in keys[:-1]:
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{key}: expected an object")
         node[keys[-1]] = value
     return validate_config(config)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _CHUNK = 1 << 14
-_MIN_TRIALS = 10_000
+MIN_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ def _check(probabilities: np.ndarray, trials: int) -> np.ndarray:
     p = np.asarray(probabilities, dtype=np.float64)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("error probabilities must lie in [0, 1]")
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"need at least {_MIN_TRIALS} trials for a usable interval")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a usable interval")
     return p
 
 

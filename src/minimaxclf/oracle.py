@@ -238,11 +238,14 @@ def adversarial_prior_search(
     Grid search enumerates the simplex at ``resolution`` (K <= 3 only);
     supergradient ascent iterates pi <- project(pi + (c/sqrt t) risks(pi)),
     valid because the risk vector is a supergradient of R. One
-    ``BayesOracle`` serves every risk evaluation of the search.
+    ``BayesOracle`` serves every risk evaluation of the search. ``auto``
+    takes the grid only where the risks have a closed form (K <= 3, 1-d,
+    shared variance); elsewhere each grid point would be a Monte Carlo
+    argmax, so it takes the ascent.
     """
     k = spec.class_count
     if method == AUTO:
-        method = GRID if k <= 3 else ASCENT
+        method = GRID if k <= 3 and _shared_sigma_1d(spec) is not None else ASCENT
     if method == GRID:
         if k > 3:
             raise ValueError("grid search supports K <= 3; use method='ascent'")

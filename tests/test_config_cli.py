@@ -1,9 +1,13 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minimaxclf.cli import main, run_experiment
+from minimaxclf.cli import RUN_SEEDS, main, run_experiment
 from minimaxclf.config import ConfigError, config_hash, load_config, validate_config
 from minimaxclf.minimax import RunReport
 from minimaxclf.reports import trajectory_csv
@@ -23,6 +27,9 @@ class TestValidation:
             validate_config({"losss": {}})
         with pytest.raises(ConfigError, match=r"model\.widht"):
             validate_config({"model": {"widht": 3}})
+        imbalance = {"kind": "step", "ratio": 0.1, "base_count": 10, "size": 3}
+        with pytest.raises(ConfigError, match=r"dataset\.imbalance\.size"):
+            validate_config({"dataset": {"imbalance": imbalance}})
 
     def test_bad_imbalance_kind(self):
         with pytest.raises(ConfigError, match=r"dataset\.imbalance\.kind"):
@@ -39,29 +46,81 @@ class TestValidation:
         assert resolved["model"]["architecture"] == "mlp"
 
     @pytest.mark.parametrize(
-        "field, value",
+        "config, field",
         [
-            ("iterations", 0),
-            ("iterations", "3"),
-            ("iterations", 2.5),
-            ("iterations", True),
-            ("step_scale", -1),
-            ("step_scale", 0),
-            ("step_scale", "0.1"),
-            ("step_scale", True),
-            ("mc_samples", 100),
-            ("mc_samples", 20_000.0),
-            ("mc_samples", True),
-            ("seed", "1"),
-            ("seed", 1.5),
-            ("seed", False),
-            ("seed", -1),
-            ("resolution", "0.1"),
+            pytest.param({"experiment": "oracle", "oracle": {key: value}}, f"oracle.{key}",
+                         id=f"{key}-{value}")
+            for key, value in [
+                ("iterations", 0),
+                ("iterations", "3"),
+                ("iterations", 2.5),
+                ("iterations", True),
+                ("step_scale", -1),
+                ("step_scale", 0),
+                ("step_scale", "0.1"),
+                ("step_scale", True),
+                ("mc_samples", 100),
+                ("mc_samples", 20_000.0),
+                ("mc_samples", True),
+                ("seed", "1"),
+                ("seed", 1.5),
+                ("seed", False),
+                ("seed", -1),
+                ("resolution", "0.1"),
+            ]
+        ]
+        + [
+            pytest.param(config, field, id=name)
+            for name, config, field in [
+                ("learning_rate-str", {"model": {"learning_rate": "0.1"}}, "model.learning_rate"),
+                ("learning_rate-inf", {"model": {"learning_rate": float("inf")}},
+                 "model.learning_rate"),
+                ("learning_rate-nan", {"model": {"learning_rate": float("nan")}},
+                 "model.learning_rate"),
+                ("decay_epochs-str", {"model": {"decay_epochs": "40"}}, "model.decay_epochs"),
+                ("batch_size-1.5", {"model": {"batch_size": 1.5}}, "model.batch_size"),
+                ("m_worst-True", {"ascent": {"m_worst": True}}, "ascent.m_worst"),
+                ("weight_decay--1", {"model": {"weight_decay": -1}}, "model.weight_decay"),
+                ("m_worst-above-K", {"dataset": {"benchmark": "two_gaussians_1d"},
+                                     "ascent": {"m_worst": 5}}, "ascent.m_worst"),
+                ("counts-negative", {"dataset": {"benchmark": "two_gaussians_1d",
+                                                 "counts": [10, -1]}}, "dataset.counts"),
+                ("counts-length", {"dataset": {"benchmark": "two_gaussians_1d",
+                                               "counts": [10, 10, 10]}}, "dataset.counts"),
+                ("fixed_target-sum", {"dataset": {"benchmark": "two_gaussians_1d"},
+                                      "minimax": {"fixed_target": [0.6, 0.5]}},
+                 "minimax.fixed_target"),
+                ("fixed_target-length", {"dataset": {"benchmark": "two_gaussians_1d"},
+                                         "minimax": {"fixed_target": [0.2, 0.3, 0.5]}},
+                 "minimax.fixed_target"),
+                ("sigma-0", {"dataset": {"sigma": 0}}, "dataset.sigma"),
+                ("per_class-0", {"eval": {"per_class": 0}}, "eval.per_class"),
+                ("hidden_width-0", {"model": {"hidden_width": 0}}, "model.hidden_width"),
+                ("name-5", {"name": 5}, "name"),
+            ]
         ],
     )
-    def test_bad_oracle_field_named(self, field, value):
-        with pytest.raises(ConfigError, match=rf"oracle\.{field}"):
-            validate_config({"experiment": "oracle", "oracle": {field: value}})
+    def test_bad_oracle_field_named(self, config, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}:"):
+            validate_config(config)
+
+    @pytest.mark.parametrize(
+        "preset, expected",
+        [
+            (None, "39c88badb19835c4ce38c0be46b6df87e530beea68307c3e1ee5208b0b6f6751"),
+            ("step10-desk", "f9638b99ff2abe3acaeb10899dc1442e27738070e3ebb3394f26f3e60f5c80c1"),
+            ("lt10-desk", "727afced6c94971daebddc5fd4f5dcbbf626d52f3e56a3765043717802be8349"),
+            ("two-class-1d", "f9fc2aea266cc726c3870a6950016d1773450e7578d73f379efc9af5d1ac6ef7"),
+            ("three-class-oracle",
+             "fde53921e70f333bdbf4a6ea52ea8ffd646b4231e80ae341e7fc13fcceec8770"),
+            ("figure-validation",
+             "52e5890ec2a01771630571ccb6341c02ee11ce569c4590cdf2c7ab68bb3e2ac0"),
+        ],
+    )
+    def test_resolved_config_hash_pinned(self, preset, expected):
+        # the manifest carries this hash, so a changed default changes artifacts
+        config = {} if preset is None else {"preset": preset}
+        assert config_hash(validate_config(config)) == expected
 
     def test_preset_merge_and_override(self):
         config = validate_config({"preset": "step10-desk", "loss": {"tau": 0.5}})
@@ -100,6 +159,36 @@ def _tiny_train_config(**extra):
     }
     config.update(extra)
     return validate_config(config)
+
+
+def _leaves(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(sorted(_leaves(_tiny_train_config()))),
+    value=st.sampled_from(["x", True, -1, 0, 1.5, None, [], {}, float("inf")]),
+)
+def test_any_leaf_either_named_or_runs(tmp_path_factory, field, value):
+    """Replacing one leaf of a valid config either fails validation with a
+    ConfigError naming that leaf, or leaves a config that runs to the end."""
+    config = copy.deepcopy(_tiny_train_config())
+    *sections, key = field.split(".")
+    node = config
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    try:
+        resolved = validate_config(config)
+    except ConfigError as err:
+        assert field in str(err)
+        return
+    run_experiment(resolved, tmp_path_factory.mktemp("run"))
 
 
 class TestExperiments:
@@ -215,6 +304,28 @@ class TestCliEntry:
         record = json.loads(capsys.readouterr().err.strip())
         assert code == 2
         assert "oracle.iterations" in record["error"]["message"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, fields",
+        [
+            (["mc", "--preset", "figure-validation", "--seed", "-1"], {},
+             RUN_SEEDS + ("mc.master_seed", "oracle.seed")),
+            (["oracle"], {"dataset": {"source": "csv", "csv_path": "data.csv",
+                                      "benchmark": "two_gaussians_1d"}},
+             ("dataset.source",)),
+            (["mc", "--trials", "20000"], {"mc": 5}, ("mc",)),
+            (["mc"], [], ("c.json",)),
+        ],
+        ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object"],
+    )
+    def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        code = main(argv + ["--config", str(config_path), "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert code == 2
+        assert record["error"]["message"].split(": ")[0].endswith(fields)
         assert not (tmp_path / "x").exists()
 
     def test_report_command(self, tmp_path, capsys):

@@ -236,6 +236,15 @@ class TestAdversarialSearch:
         total = float(np.dot(result.prior.p, expected.estimates))
         assert result.risk == pytest.approx(total, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [(three_gaussians_1d(), "grid"), (circle_mixture(3), "ascent"), (circle_mixture(4), "ascent")],
+        ids=["exact-3", "mc-3", "mc-4"],
+    )
+    def test_auto_takes_grid_only_with_closed_form(self, spec, expected):
+        result = adversarial_prior_search(spec, resolution=0.25, iterations=5, mc_samples=10_000)
+        assert result.method == expected
+
     def test_ascent_rejects_zero_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
             adversarial_prior_search(three_gaussians_1d(), method="ascent", iterations=0)
