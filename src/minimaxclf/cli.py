@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import multiprocessing.connection
+import os
 import statistics
 import sys
+import threading
 import time
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +42,7 @@ from .data import (
 )
 from .mc import mc_ega_mse, mc_worst_class_failure
 from .metrics import inter_intra_ratio
-from .minimax import AscentConfig, MinimaxConfig, run_minimax, swap_components
+from .minimax import AscentConfig, MinimaxConfig, RunReport, run_minimax, swap_components
 from .model import TrainConfig, extract_features, save_checkpoint
 from .oracle import adversarial_prior_search
 from .reports import (
@@ -70,9 +75,7 @@ def build_dataset(ds_cfg: dict):
     if ds_cfg["counts"] is not None:
         counts = np.asarray(ds_cfg["counts"], dtype=np.int64)
     elif ds_cfg["imbalance"] is not None:
-        imb = ds_cfg["imbalance"]
-        profile = ImbalanceProfile(imb["kind"], imb["ratio"], imb["base_count"])
-        counts = make_imbalance_counts(profile, spec.class_count)
+        counts = make_imbalance_counts(ImbalanceProfile(**ds_cfg["imbalance"]), spec.class_count)
     else:
         counts = np.full(spec.class_count, 1000, dtype=np.int64)
     return sample_mixture(spec, counts, ds_cfg["seed"]), spec
@@ -163,17 +166,75 @@ def run_train(config: dict, out_dir: Path) -> None:
     save_checkpoint(out_dir / "checkpoint.npz", report.params, config_hash(config), config["model"]["seed"])
 
 
+# Read by OpenBLAS and OpenMP when numpy loads: one thread per pool worker.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; ``taskset -c 0`` makes it 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _single_blas_thread():
+    """Set the BLAS thread variables to 1 for processes started inside;
+    afterwards ``os.environ`` holds exactly what it held before."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: the worker exits as soon as its parent process
+    ends, even by SIGKILL, instead of running the cells still queued."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _run_cell(task: tuple) -> RunReport:
+    """One (seed, cell) run of the ablation from ``(per-seed config, cell
+    key)``. The data are rebuilt from their seeds, so no array crosses a
+    process boundary."""
+    run_cfg, key = task
+    dataset, spec = build_dataset(run_cfg["dataset"])
+    eval_set = build_eval_set(spec, run_cfg["eval"]) if spec is not None else None
+    return run_minimax(swap_components(minimax_config(run_cfg))[key], dataset, eval_set)
+
+
 def run_ablate(config: dict, out_dir: Path) -> None:
     """{TLA, TWCE} x {linear, ega} over the repetition seeds. All four cells
-    of one repetition share the same dataset, partition, init and tie seeds."""
+    of one repetition share the same dataset, partition, init and tie seeds.
+
+    The (seed, cell) runs spread over a pool of one worker per usable CPU,
+    each with one BLAS thread; on one CPU they run in this process. Either
+    way this process writes every artifact, in (seed, cell) order."""
     seeds = config["ablate"]["seeds"]
     results = {key: [] for key in swap_components(minimax_config(config))}
-    for seed in seeds:
-        run_cfg = _reseed(config, seed)
-        dataset, spec = build_dataset(run_cfg["dataset"])
-        eval_set = build_eval_set(spec, run_cfg["eval"]) if spec is not None else None
-        for (variant, method), cell in swap_components(minimax_config(run_cfg)).items():
-            report = run_minimax(cell, dataset, eval_set)
+    tasks = [(seed, key) for seed in seeds for key in results]
+    args = [(_reseed(config, seed), key) for seed, key in tasks]
+    workers = min(_usable_cpus(), len(tasks))
+    with ExitStack() as stack:
+        reports = map(_run_cell, args)
+        if workers > 1:
+            stack.enter_context(_single_blas_thread())
+            spawn = multiprocessing.get_context("spawn")
+            pool = stack.enter_context(spawn.Pool(workers, _exit_with_parent))
+            reports = pool.imap(_run_cell, args)
+        for (seed, (variant, method)), report in zip(tasks, reports):
             cell_dir = out_dir / f"cell-{variant}-{method}" / f"seed-{seed}"
             epochs_csv(report, cell_dir / "epochs.csv")
             trajectory_csv(report, cell_dir / "trajectory.csv")

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .data import ImbalanceProfile, make_imbalance_counts
 from .losses import VARIANTS
 from .mc import MIN_TRIALS
 from .oracle import MIN_MC_SAMPLES
@@ -69,10 +70,11 @@ def _one_of(*choices: str) -> Rule:
     return Rule(lambda v: v in choices, f"one of {choices}")
 
 
-def _list(item: Rule, min_len: int = 0) -> Rule:
+def _list(item: Rule, min_len: int = 0, distinct: bool = False) -> Rule:
     return Rule(
-        lambda v: isinstance(v, list) and len(v) >= min_len and all(map(item.ok, v)),
-        f"a list of {min_len} or more entries, each {item.text}",
+        lambda v: isinstance(v, list) and len(v) >= min_len and all(map(item.ok, v))
+        and (not distinct or len(set(v)) == len(v)),
+        f"a list of {min_len} or more {'distinct ' if distinct else ''}entries, each {item.text}",
     )
 
 
@@ -147,7 +149,8 @@ SCHEMA = {
         "fixed_target": (None, _nullable(_list(_number("(0, 1]"), 2))),
     },
     "eval": {"per_class": (1000, _int(1)), "seed": (7777, _SEED)},
-    "ablate": {"seeds": ([0, 1, 2, 3, 4], _list(_SEED))},
+    # one cell directory per seed, and at least one run for the medians
+    "ablate": {"seeds": ([0, 1, 2, 3, 4], _list(_SEED, 1, distinct=True))},
     "mc": {**_CURVE, "trials": (100_000, _int(MIN_TRIALS)), "master_seed": (0, _SEED)},
     "theory": {**_CURVE, "mse_probability": (None, _nullable(_number("[0, 1]")))},
     "oracle": {
@@ -305,6 +308,15 @@ def validate_config(config: dict) -> dict:
         for field, value in (("dataset.counts", ds["counts"]), ("minimax.fixed_target", target)):
             if value is not None and len(value) != k:
                 raise ConfigError(f"{field}: got {len(value)} entries, expected {k}, one per class")
+        if ds["counts"] is None and ds["imbalance"] is not None:
+            try:
+                counts = make_imbalance_counts(ImbalanceProfile(**ds["imbalance"]), k).tolist()
+            except ValueError as err:  # a class with no samples
+                raise ConfigError(f"dataset.imbalance: {err}") from None
+            if min(counts) < 2:
+                raise ConfigError(
+                    f"dataset.imbalance: gives counts {counts}, expected at least 2 per class"
+                )
         if asc["m_worst"] > k:
             raise ConfigError(f"ascent.m_worst: got {asc['m_worst']}, expected at most K = {k}")
         if resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid" and k > 3:

@@ -1,12 +1,20 @@
 import copy
+import hashlib
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minimaxclf import cli
 from minimaxclf.cli import RUN_SEEDS, main, run_experiment
 from minimaxclf.config import ConfigError, config_hash, load_config, validate_config
 from minimaxclf.minimax import RunReport
@@ -97,6 +105,13 @@ class TestValidation:
                 ("per_class-0", {"eval": {"per_class": 0}}, "eval.per_class"),
                 ("hidden_width-0", {"model": {"hidden_width": 0}}, "model.hidden_width"),
                 ("name-5", {"name": 5}, "name"),
+                ("seeds-empty", {"ablate": {"seeds": []}}, "ablate.seeds"),
+                ("seeds-repeated", {"ablate": {"seeds": [0, 0]}}, "ablate.seeds"),
+                ("imbalance-one-sample", {"dataset": {"class_count": 4, "imbalance": {
+                    "kind": "step", "ratio": 0.01, "base_count": 100}}}, "dataset.imbalance"),
+                ("imbalance-no-sample", {"dataset": {"imbalance": {
+                    "kind": "long_tail", "ratio": 0.001, "base_count": 100}}},
+                 "dataset.imbalance"),
             ]
         ],
     )
@@ -159,6 +174,55 @@ def _tiny_train_config(**extra):
     }
     config.update(extra)
     return validate_config(config)
+
+
+def _tiny_ablate_config():
+    return validate_config(
+        {
+            "experiment": "ablate",
+            "dataset": {"benchmark": "two_gaussians_1d", "counts": [80, 40], "seed": 0},
+            "model": {"architecture": "linear", "batch_size": 32,
+                      "lr_warmup_epochs": 1, "decay_epochs": []},
+            "minimax": {"warmup_epochs": 1, "minimax_epochs": 2, "finetune_epochs": 0},
+            "eval": {"per_class": 30, "seed": 5},
+            "ablate": {"seeds": [0, 1]},
+        }
+    )
+
+
+def _blas_environ() -> dict:
+    return {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS}
+
+
+def _artifact_digests(out) -> dict:
+    """SHA-256 of every CSV and JSON file under ``out``, by relative path."""
+    return {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.suffix in (".csv", ".json")
+    }
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _spawned_workers(session: int) -> list:
+    """Pids of the pool workers in one session, read from /proc."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+            cmdline = (stat.parent / "cmdline").read_bytes()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(fields[3]) == session and b"spawn_main" in cmdline:
+            pids.append(int(stat.parent.name))
+    return pids
 
 
 def _leaves(node: dict, prefix: str = ""):
@@ -257,23 +321,33 @@ class TestExperiments:
         assert record["experiment"] == "train"
 
     def test_ablate_comparison_table(self, tmp_path):
-        config = validate_config(
-            {
-                "experiment": "ablate",
-                "dataset": {"benchmark": "two_gaussians_1d", "counts": [80, 40], "seed": 0},
-                "model": {"architecture": "linear", "batch_size": 32,
-                          "lr_warmup_epochs": 1, "decay_epochs": []},
-                "minimax": {"warmup_epochs": 1, "minimax_epochs": 2, "finetune_epochs": 0},
-                "eval": {"per_class": 30, "seed": 5},
-                "ablate": {"seeds": [0, 1]},
-            }
-        )
-        out = run_experiment(config, tmp_path / "g")
+        out = run_experiment(_tiny_ablate_config(), tmp_path / "g")
         lines = (out / "comparison.csv").read_text().splitlines()
         assert len(lines) == 5  # header + 4 cells
         cells = (out / "cells.csv").read_text().splitlines()
         assert len(cells) == 1 + 4 * 2
         assert (out / "cell-TLA-linear" / "seed-0" / "summary.json").exists()
+
+    def test_ablate_pool_matches_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        environ = _blas_environ()
+
+        def refuse(*args):
+            raise AssertionError("a cell ran in the parent process")
+
+        # two usable CPUs: a pool of two spawned workers runs the 8 cell runs
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(cli, "run_minimax", refuse)
+            pooled = _artifact_digests(run_experiment(_tiny_ablate_config(), tmp_path / "pool"))
+        assert _blas_environ() == environ
+        # one usable CPU: the cell runs take turns in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = _artifact_digests(run_experiment(_tiny_ablate_config(), tmp_path / "serial"))
+        assert _blas_environ() == environ
+        assert len(pooled) == 3 + 3 * 8  # manifest, cells, comparison; 3 files per cell run
+        assert pooled == serial
 
 
 class TestCliEntry:
@@ -316,8 +390,11 @@ class TestCliEntry:
              ("dataset.source",)),
             (["mc", "--trials", "20000"], {"mc": 5}, ("mc",)),
             (["mc"], [], ("c.json",)),
+            (["train"], {"dataset": {"benchmark": "circle", "class_count": 4, "imbalance": {
+                "kind": "step", "ratio": 0.01, "base_count": 100}}}, ("dataset.imbalance",)),
         ],
-        ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object"],
+        ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
+             "imbalance-below-two"],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
@@ -327,6 +404,54 @@ class TestCliEntry:
         assert code == 2
         assert record["error"]["message"].split(": ")[0].endswith(fields)
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pool"])
+    def test_ablate_failure_recorded(self, tmp_path, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        environ = _blas_environ()
+        missing = tmp_path / "missing.csv"
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(
+            {"dataset": {"source": "csv", "csv_path": str(missing)}, "ablate": {"seeds": [0, 1]}}
+        ))
+        code = main(["ablate", "--config", str(config_path), "--out", str(tmp_path / "x")])
+        assert code == 1
+        record = json.loads((tmp_path / "x" / "failure.json").read_text())
+        assert record == {
+            "error": f"[Errno 2] No such file or directory: {str(missing)!r}",
+            "type": "FileNotFoundError",
+            "experiment": "ablate",
+        }
+        assert multiprocessing.active_children() == []
+        assert _blas_environ() == environ
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists() or len(os.sched_getaffinity(0)) < 2,
+        reason="reads /proc; the pool needs two usable CPUs",
+    )
+    def test_ablate_workers_end_with_killed_parent(self, tmp_path):
+        config = _tiny_ablate_config()
+        config["minimax"]["minimax_epochs"] = 10_000  # seconds per cell run
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "minimaxclf.cli", "ablate", "--config", str(config_path),
+             "--out", str(tmp_path / "x")],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers := _spawned_workers(parent.pid)) < 2:
+                assert time.monotonic() < deadline, "the pool never started"
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)):
+            assert time.monotonic() < deadline, "a worker outlived its parent"
+            time.sleep(0.05)
 
     def test_report_command(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
