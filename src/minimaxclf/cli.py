@@ -195,7 +195,7 @@ def _single_blas_thread():
 
 def _exit_with_parent() -> None:
     """Pool initializer: the worker exits as soon as its parent process
-    ends, even by SIGKILL, instead of running the cells still queued."""
+    ends, even by SIGKILL, instead of running the tasks still queued."""
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
@@ -203,6 +203,25 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
+
+
+@contextmanager
+def _pool_map(fn, tasks: list):
+    """Yield the results of ``fn`` over ``tasks``, in input order.
+
+    ``fn`` runs on a ``spawn`` pool of one worker per usable CPU (at most
+    one per task), each with one BLAS thread; with one worker, in this
+    process. An error or Ctrl-C in the ``with`` block or in a task
+    terminates the workers and propagates as raised."""
+    workers = min(_usable_cpus(), len(tasks))
+    with ExitStack() as stack:
+        results = map(fn, tasks)
+        if workers > 1:
+            stack.enter_context(_single_blas_thread())
+            spawn = multiprocessing.get_context("spawn")
+            pool = stack.enter_context(spawn.Pool(workers, _exit_with_parent))
+            results = pool.imap(fn, tasks)
+        yield results
 
 
 def _run_cell(task: tuple) -> RunReport:
@@ -226,14 +245,7 @@ def run_ablate(config: dict, out_dir: Path) -> None:
     results = {key: [] for key in swap_components(minimax_config(config))}
     tasks = [(seed, key) for seed in seeds for key in results]
     args = [(_reseed(config, seed), key) for seed, key in tasks]
-    workers = min(_usable_cpus(), len(tasks))
-    with ExitStack() as stack:
-        reports = map(_run_cell, args)
-        if workers > 1:
-            stack.enter_context(_single_blas_thread())
-            spawn = multiprocessing.get_context("spawn")
-            pool = stack.enter_context(spawn.Pool(workers, _exit_with_parent))
-            reports = pool.imap(_run_cell, args)
+    with _pool_map(_run_cell, args) as reports:
         for (seed, (variant, method)), report in zip(tasks, reports):
             cell_dir = out_dir / f"cell-{variant}-{method}" / f"seed-{seed}"
             epochs_csv(report, cell_dir / "epochs.csv")
@@ -264,39 +276,53 @@ def run_ablate(config: dict, out_dir: Path) -> None:
     )
 
 
+def _exact_curve_point(sorted_vec: np.ndarray, m: int, n: int, p_mse: float) -> tuple:
+    """The analytic values at sample size N: the product-form failure
+    1 - prob_find_worst, and the MSE of the exponentiated estimate of p_mse."""
+    return 1.0 - prob_find_worst(sorted_vec, m, n), ega_estimate_mse(p_mse, n)
+
+
 def run_theory(config: dict, out_dir: Path) -> None:
     t_cfg = config["theory"]
     vec = np.sort(np.asarray(t_cfg["error_vector"], dtype=np.float64))[::-1]
-    m = t_cfg["m_worst"]
     p_mse = t_cfg["mse_probability"]
     if p_mse is None:
         p_mse = float(vec[0])
     failure_rows = []
     mse_rows = []
     for n in t_cfg["sample_sizes"]:
-        failure_rows.append([n, 1.0 - prob_find_worst(vec, m, n)])
-        mse_rows.append([n, ega_estimate_mse(p_mse, n)])
+        failure, mse = _exact_curve_point(vec, t_cfg["m_worst"], n, p_mse)
+        failure_rows.append([n, failure])
+        mse_rows.append([n, mse])
     value_table_csv(out_dir / "failure_bound.csv", failure_rows)
     value_table_csv(out_dir / "mse.csv", mse_rows)
 
 
-def run_mc(config: dict, out_dir: Path) -> None:
-    mc_cfg = config["mc"]
-    vec = np.asarray(mc_cfg["error_vector"], dtype=np.float64)
-    sorted_vec = np.sort(vec)[::-1]
-    m = mc_cfg["m_worst"]
-    trials = mc_cfg["trials"]
-    seed = mc_cfg["master_seed"]
+def _curve_point(task: tuple) -> tuple:
+    """The ``failure_curve.csv`` and ``mse_curve.csv`` rows at one sample
+    size N, from ``(error_vector, m_worst, N, trials, master_seed)``."""
+    error_vector, m, n, trials, seed = task
+    vec = np.asarray(error_vector, dtype=np.float64)
     p_worst = float(vec.max())
-    failure_rows = []
-    mse_rows = []
-    for n in mc_cfg["sample_sizes"]:
-        bound = 1.0 - prob_find_worst(sorted_vec, m, n)
-        est = mc_worst_class_failure(vec, m, n, trials, seed)
-        failure_rows.append([n, bound, est.value, est.ci_low, est.ci_high])
-        exact = ega_estimate_mse(p_worst, n)
-        mse_est = mc_ega_mse(p_worst, n, trials, seed)
-        mse_rows.append([n, exact, mse_est.value, mse_est.ci_low, mse_est.ci_high])
+    failure, mse = _exact_curve_point(np.sort(vec)[::-1], m, n, p_worst)
+    est = mc_worst_class_failure(vec, m, n, trials, seed)
+    mse_est = mc_ega_mse(p_worst, n, trials, seed)
+    return (
+        [n, failure, est.value, est.ci_low, est.ci_high],
+        [n, mse, mse_est.value, mse_est.ci_low, mse_est.ci_high],
+    )
+
+
+def run_mc(config: dict, out_dir: Path) -> None:
+    """Theory-vs-Monte-Carlo curves, one task per sample size on the
+    ``_pool_map`` workers; this process writes both CSVs in config order."""
+    mc_cfg = config["mc"]
+    tasks = [
+        (mc_cfg["error_vector"], mc_cfg["m_worst"], n, mc_cfg["trials"], mc_cfg["master_seed"])
+        for n in mc_cfg["sample_sizes"]
+    ]
+    with _pool_map(_curve_point, tasks) as points:
+        failure_rows, mse_rows = zip(*points)
     curve_csv(out_dir / "failure_curve.csv", failure_rows)
     curve_csv(out_dir / "mse_curve.csv", mse_rows)
 

@@ -90,7 +90,7 @@ _POSITIVE = _number("(0, inf)")
 _CURVE = {
     "error_vector": (DEFAULT_ERROR_VECTOR, _list(_number("[0, 1]"), 2)),
     "m_worst": (3, _int(1)),
-    "sample_sizes": ([2, 4, 8, 16, 32, 64], _list(_int(1))),
+    "sample_sizes": ([2, 4, 8, 16, 32, 64], _list(_int(1), 1, distinct=True)),
 }
 
 # Every leaf field of a config as (default, rule); a nested dict is a section.

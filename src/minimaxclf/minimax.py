@@ -198,7 +198,12 @@ def run_minimax(
             EpochRecord(epoch, phase, loss, prior_used, risks, *_evaluate(params, eval_set))
         )
 
-    final_worst, final_worst_acc, final_bal = _evaluate(params, eval_set)
+    if records:  # the last epoch evaluated the final parameters already
+        last = records[-1]
+        final = (last.worst_class, last.worst_class_acc, last.balanced_acc)
+    else:  # no epochs: the initial parameters are the final ones
+        final = _evaluate(params, eval_set)
+    final_worst, final_worst_acc, final_bal = final
     return RunReport(
         records=records,
         final_prior=ascent_state.prior,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from minimaxclf import cli
 from minimaxclf.cli import RUN_SEEDS, main, run_experiment
 from minimaxclf.config import ConfigError, config_hash, load_config, validate_config
+from minimaxclf.mc import mc_worst_class_failure
 from minimaxclf.minimax import RunReport
 from minimaxclf.reports import trajectory_csv
 
@@ -107,6 +108,9 @@ class TestValidation:
                 ("name-5", {"name": 5}, "name"),
                 ("seeds-empty", {"ablate": {"seeds": []}}, "ablate.seeds"),
                 ("seeds-repeated", {"ablate": {"seeds": [0, 0]}}, "ablate.seeds"),
+                ("mc-sample_sizes-empty", {"mc": {"sample_sizes": []}}, "mc.sample_sizes"),
+                ("theory-sample_sizes-repeated", {"theory": {"sample_sizes": [2, 2]}},
+                 "theory.sample_sizes"),
                 ("imbalance-one-sample", {"dataset": {"class_count": 4, "imbalance": {
                     "kind": "step", "ratio": 0.01, "base_count": 100}}}, "dataset.imbalance"),
                 ("imbalance-no-sample", {"dataset": {"imbalance": {
@@ -186,6 +190,16 @@ def _tiny_ablate_config():
             "minimax": {"warmup_epochs": 1, "minimax_epochs": 2, "finetune_epochs": 0},
             "eval": {"per_class": 30, "seed": 5},
             "ablate": {"seeds": [0, 1]},
+        }
+    )
+
+
+def _tiny_mc_config(sample_sizes):
+    return validate_config(
+        {
+            "experiment": "mc",
+            "mc": {"sample_sizes": sample_sizes, "trials": 10_000,
+                   "error_vector": [0.9, 0.5, 0.4, 0.1], "m_worst": 2},
         }
     )
 
@@ -349,6 +363,44 @@ class TestExperiments:
         assert len(pooled) == 3 + 3 * 8  # manifest, cells, comparison; 3 files per cell run
         assert pooled == serial
 
+    def test_mc_pool_matches_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        environ = _blas_environ()
+        config = _tiny_mc_config([2, 4, 8])
+
+        def refuse(*args):
+            raise AssertionError("a curve point ran in the parent process")
+
+        # two usable CPUs: a pool of two spawned workers runs the 3 curve points
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(cli, "mc_worst_class_failure", refuse)
+            pooled = _artifact_digests(run_experiment(config, tmp_path / "pool"))
+        assert _blas_environ() == environ
+        # one usable CPU: the curve points take turns in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = _artifact_digests(run_experiment(config, tmp_path / "serial"))
+        assert _blas_environ() == environ
+        assert sorted(pooled) == ["failure_curve.csv", "manifest.json", "mse_curve.csv"]
+        assert pooled == serial
+
+    def test_mc_single_sample_size_runs_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen = []
+
+        def in_parent(*args):
+            seen.append(os.environ["OPENBLAS_NUM_THREADS"])
+            return mc_worst_class_failure(*args)
+
+        # two usable CPUs but one task: no pool starts, nor a BLAS thread switch
+        monkeypatch.setattr(cli, "mc_worst_class_failure", in_parent)
+        out = run_experiment(_tiny_mc_config([4]), tmp_path / "one")
+        assert seen == ["2"]
+        lines = (out / "failure_curve.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["N", "4"]
+
 
 class TestCliEntry:
     def test_train_command(self, tmp_path, capsys):
@@ -392,9 +444,11 @@ class TestCliEntry:
             (["mc"], [], ("c.json",)),
             (["train"], {"dataset": {"benchmark": "circle", "class_count": 4, "imbalance": {
                 "kind": "step", "ratio": 0.01, "base_count": 100}}}, ("dataset.imbalance",)),
+            (["mc"], {"mc": {"sample_sizes": []}}, ("mc.sample_sizes",)),
+            (["theory"], {"theory": {"sample_sizes": [2, 2]}}, ("theory.sample_sizes",)),
         ],
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
-             "imbalance-below-two"],
+             "imbalance-below-two", "no-sample-size", "repeated-sample-size"],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
@@ -429,13 +483,18 @@ class TestCliEntry:
         not Path("/proc/self/stat").exists() or len(os.sched_getaffinity(0)) < 2,
         reason="reads /proc; the pool needs two usable CPUs",
     )
-    def test_ablate_workers_end_with_killed_parent(self, tmp_path):
-        config = _tiny_ablate_config()
-        config["minimax"]["minimax_epochs"] = 10_000  # seconds per cell run
+    @pytest.mark.parametrize("command", ["ablate", "mc"])
+    def test_pool_workers_end_with_killed_parent(self, tmp_path, command):
+        if command == "ablate":
+            config = _tiny_ablate_config()
+            config["minimax"]["minimax_epochs"] = 10_000  # seconds per cell run
+        else:
+            config = _tiny_mc_config([2, 4])
+            config["mc"]["trials"] = 10**9  # minutes per curve point
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
         parent = subprocess.Popen(
-            [sys.executable, "-m", "minimaxclf.cli", "ablate", "--config", str(config_path),
+            [sys.executable, "-m", "minimaxclf.cli", command, "--config", str(config_path),
              "--out", str(tmp_path / "x")],
             env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
             start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from minimaxclf import minimax
 from minimaxclf.ascent import estimate_class_risks
 from minimaxclf.data import partition_dataset, sample_mixture, two_gaussians_1d
-from minimaxclf.metrics import balanced_accuracy, worst_class_accuracy
+from minimaxclf.metrics import balanced_accuracy, per_class_accuracies, worst_class_accuracy
 from minimaxclf.minimax import (
     AscentConfig,
     MinimaxConfig,
@@ -143,6 +144,29 @@ class TestPhases:
         risks = estimate_class_risks(report.params, split.prior_part)
         np.testing.assert_array_equal(last.risks.estimates, risks.estimates)
         np.testing.assert_array_equal(last.risks.counts, risks.counts)
+
+    @pytest.mark.parametrize("phases", [(2, 4, 2), (0, 0, 0)], ids=["three-phase", "no-epochs"])
+    def test_eval_set_predicted_once_per_epoch(self, monkeypatch, phases):
+        calls = []
+
+        def counted(params, eval_set):
+            calls.append(params)
+            return per_class_accuracies(params, eval_set)
+
+        monkeypatch.setattr(minimax, "per_class_accuracies", counted)
+        warmup, minimax_epochs, finetune = phases
+        config = _small_config(
+            warmup_epochs=warmup, minimax_epochs=minimax_epochs, finetune_epochs=finetune
+        )
+        eval_set = sample_mixture(two_gaussians_1d(), [100, 100], seed=9)
+        report = run_minimax(config, _dataset(), eval_set)
+        # the final metrics reuse the last epoch's; with no epochs, the initial
+        # parameters are evaluated once
+        assert len(calls) == max(config.total_epochs, 1)
+        assert calls[-1] is report.params
+        worst, worst_acc = worst_class_accuracy(report.params, eval_set)
+        assert (report.final_worst_class, report.final_worst_class_acc) == (worst, worst_acc)
+        assert report.final_balanced_acc == balanced_accuracy(report.params, eval_set)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_phase_error_context(self):
