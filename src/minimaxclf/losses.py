@@ -186,12 +186,26 @@ def loss_and_grad(spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndar
         raise ValueError("non-finite logits")
     if y.shape != (f.shape[0],) or y.min() < 0 or y.max() >= k:
         raise ValueError("labels must be a vector of class indices matching the batch")
+    offsets = None if spec.true_class_offsets is None else spec.true_class_offsets[y]
+    return _loss_and_grad(spec, f, y, spec.weights[y], offsets)
+
+
+def _loss_and_grad(
+    spec: GeneralizedLossSpec,
+    f: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    offsets: Optional[np.ndarray],
+) -> tuple:
+    """The arithmetic of :func:`loss_and_grad`, without its checks. ``w`` and
+    ``offsets`` are the spec's weights and true-class offsets at the labels
+    (``offsets`` None when the spec has none)."""
     n = y.size
     rows = np.arange(n)
-    onehot = np.zeros_like(f)
-    onehot[rows, y] = 1.0
-
     if spec.variant == "GML":
+        k = spec.class_count
+        onehot = np.zeros_like(f)
+        onehot[rows, y] = 1.0
         counts = np.bincount(y, minlength=k).astype(np.float64)
         e = np.exp(f - f.max(axis=1, keepdims=True))
         ratio = e / (e * counts[None, :]).sum(axis=1)[:, None]  # exp(f_k) / sum_k' n_k' exp(f_k')
@@ -205,30 +219,32 @@ def loss_and_grad(spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndar
         return loss, -dt / (np.count_nonzero(present) * p_class[y][:, None])
 
     z = spec.delta * f + spec.ell
-    if spec.true_class_offsets is not None:
-        z[rows, y] += spec.true_class_offsets[y]
+    if offsets is not None:
+        z[rows, y] += offsets
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     logp_true = shifted[rows, y] - np.log(total[:, 0])
     p = e / total
-    w = spec.weights[y]
+    # np.add.reduce(a) / n is np.mean(a) without its Python-level wrapper
     if spec.focal_gamma is None:
-        loss = float(np.mean(w * -logp_true))
-        return loss, w[:, None] * spec.delta[None, :] * (p - onehot) / n
+        loss = float(np.add.reduce(w * -logp_true) / n)
+        p[rows, y] -= 1.0  # p - onehot
+        return loss, w[:, None] * spec.delta[None, :] * p / n
     gamma = spec.focal_gamma
     # the loss takes p_y as exp(log p_y), the gradient as the softmax entry; they
     # can differ in the last bit, and each keeps its form so runs stay bit-identical
-    loss = float(np.mean(w * (1.0 - np.exp(logp_true)) ** gamma * -logp_true))
+    loss = float(np.add.reduce(w * (1.0 - np.exp(logp_true)) ** gamma * -logp_true) / n)
     p_true = p[rows, y]
     ce = -np.log(p_true)
     focal = (1.0 - p_true) ** gamma
+    p[rows, y] -= 1.0  # p - onehot; 0.0 - p is then onehot - p to the bit
     # d/df of (1-p_y)^gamma * ce: product rule, with
     # dp_y/df_k = delta_k * p_y * (1[k=y] - p_k)
-    dp_true = spec.delta[None, :] * (p_true[:, None] * (onehot - p))
+    dp_true = spec.delta[None, :] * (p_true[:, None] * (0.0 - p))
     grad = (
         -gamma * (1.0 - p_true)[:, None] ** (gamma - 1.0) * ce[:, None] * dp_true
-        + focal[:, None] * spec.delta[None, :] * (p - onehot)
+        + focal[:, None] * spec.delta[None, :] * p
     )
     return loss, w[:, None] * grad / n
 

@@ -163,16 +163,15 @@ def run_minimax(
     )
     opt_state = init_optimizer(params)
     alpha = config.ascent.resolved_alpha()
-    ascent_state = AscentState(
-        prior=target,
-        method=config.ascent.method,
-        # alpha = 0 degenerates to "never move the prior"; the step operation
-        # itself rejects 0, so the loop skips it instead
-        alpha=alpha if alpha > 0 else DEFAULT_ALPHA[config.ascent.method],
-        m_worst=config.ascent.m_worst,
-        tie_rng=np.random.default_rng(config.ascent.tie_seed),
-    )
-    move_prior = config.fixed_target is None and alpha > 0
+    ascent_state = None  # the prior stays frozen at the target
+    if config.fixed_target is None and alpha > 0:
+        ascent_state = AscentState(
+            prior=target,
+            method=config.ascent.method,
+            alpha=alpha,
+            m_worst=config.ascent.m_worst,
+            tie_rng=np.random.default_rng(config.ascent.tie_seed),
+        )
 
     phases = (
         [WARMUP] * config.warmup_epochs
@@ -181,7 +180,7 @@ def run_minimax(
     )
     records = []
     for epoch, phase in enumerate(phases, start=1):
-        prior_used = ascent_state.prior
+        prior_used = target
         spec = _loss_spec(config, pi_train, prior_used, counts, epoch)
         # fine-tuning trains on the full data, the earlier phases on the model split
         data = dataset if phase == FINETUNE else split.model_part
@@ -190,10 +189,11 @@ def run_minimax(
         except Exception as err:
             raise RuntimeError(f"{phase} epoch {epoch} failed: {err}") from err
         risks = estimate_class_risks(params, split.prior_part)
-        if phase == MINIMAX and move_prior:
+        if phase == MINIMAX and ascent_state is not None:
             if config.ascent.use_auto_m:
                 ascent_state.m_worst = auto_m(risks)
             ascent_step(ascent_state, risks)
+            target = ascent_state.prior
         records.append(
             EpochRecord(epoch, phase, loss, prior_used, risks, *_evaluate(params, eval_set))
         )
@@ -206,8 +206,8 @@ def run_minimax(
     final_worst, final_worst_acc, final_bal = final
     return RunReport(
         records=records,
-        final_prior=ascent_state.prior,
-        prior_trajectory=list(ascent_state.trajectory),
+        final_prior=target,
+        prior_trajectory=[target] if ascent_state is None else list(ascent_state.trajectory),
         params=params,
         train_prior=pi_train,
         train_counts=counts,

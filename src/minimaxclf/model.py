@@ -8,13 +8,14 @@ sets the layer widths.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .data import LabeledDataset
-from .losses import GeneralizedLossSpec, loss_and_grad
+from .losses import GeneralizedLossSpec, _loss_and_grad
 
 LINEAR = "linear"
 MLP = "mlp"
@@ -99,21 +100,58 @@ def init_optimizer(params: ModelParams) -> OptimizerState:
     return OptimizerState(velocities=vel, epoch=0)
 
 
-def _layer_inputs(params: ModelParams, instances: np.ndarray) -> list:
-    """The input of every layer: the instances, then each hidden activation."""
-    x = np.asarray(instances, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ValueError(f"instances must be (N, {params.dim}), got {x.shape}")
+def _shapes(params: ModelParams) -> list:
+    return [t.shape for _, t in params.tensors()]
+
+
+def _flat(tensors) -> np.ndarray:
+    """One new contiguous buffer holding the tensors back to back."""
+    return np.concatenate([np.ravel(t) for t in tensors])
+
+
+def _views(flat: np.ndarray, shapes: list) -> list:
+    """Views of a flat buffer, one per shape, in order."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[start : start + size].reshape(shape))
+        start += size
+    return out
+
+
+def _activations(weights: tuple, biases: tuple, x: np.ndarray) -> list:
+    """The input of every layer: x, then each hidden activation. No checks."""
     inputs = [x]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+    for w, b in zip(weights[:-1], biases[:-1]):
         h = inputs[-1] @ w + b
         np.maximum(h, 0.0, out=h)  # in place: the pre-activation is not kept
         inputs.append(h)
     return inputs
 
 
+def _layer_inputs(params: ModelParams, instances: np.ndarray) -> list:
+    x = np.asarray(instances, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.dim:
+        raise ValueError(f"instances must be (N, {params.dim}), got {x.shape}")
+    return _activations(params.weights, params.biases, x)
+
+
 def forward_logits(params: ModelParams, instances: np.ndarray) -> np.ndarray:
     return _layer_inputs(params, instances)[-1] @ params.weights[-1] + params.biases[-1]
+
+
+def _backward_into(grads: list, weights: tuple, inputs: list, g: np.ndarray, weight_decay) -> None:
+    """Write the gradient of every tensor into ``grads`` (tensors() order),
+    from the layer inputs of the forward pass and the logit gradient ``g``."""
+    decay = 2.0 * weight_decay
+    for i in reversed(range(len(weights))):
+        w = weights[i]
+        np.matmul(inputs[i].T, g, out=grads[2 * i])
+        grads[2 * i] += decay * w
+        np.add.reduce(g, axis=0, out=grads[2 * i + 1])
+        if i > 0:
+            # ReLU passes the gradient where its output is positive
+            g = (g @ w.T) * (inputs[i] > 0.0)
 
 
 def backward(
@@ -131,13 +169,8 @@ def backward(
     g = np.asarray(upstream_logit_grad, dtype=np.float64)
     if g.shape != (inputs[0].shape[0], params.class_count):
         raise ValueError(f"upstream gradient must be (N, {params.class_count}), got {g.shape}")
-    grads = []
-    for i in reversed(range(len(params.weights))):
-        w = params.weights[i]
-        grads[:0] = [inputs[i].T @ g + 2.0 * weight_decay * w, g.sum(axis=0)]
-        if i > 0:
-            # ReLU passes the gradient where its output is positive
-            g = (g @ w.T) * (inputs[i] > 0.0)
+    grads = _views(np.empty(sum(t.size for _, t in params.tensors())), _shapes(params))
+    _backward_into(grads, params.weights, inputs, g, weight_decay)
     return grads
 
 
@@ -154,6 +187,29 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
     return lr
 
 
+def _momentum_update(theta: np.ndarray, velocity: np.ndarray, grad, momentum, lr) -> None:
+    """v <- momentum v + g; theta <- theta - lr v, both in place."""
+    velocity *= momentum
+    velocity += grad
+    theta -= lr * velocity
+
+
+def _unpack(
+    params: ModelParams, opt_state: OptimizerState, theta: np.ndarray, velocity: np.ndarray, shapes
+) -> ModelParams:
+    """Fresh copies of the tensors in the flat buffers: the velocities go to
+    opt_state, the parameters are returned."""
+    opt_state.velocities = [v.copy() for v in _views(velocity, shapes)]
+    new = [t.copy() for t in _views(theta, shapes)]
+    return ModelParams(params.architecture, tuple(new[0::2]), tuple(new[1::2]))
+
+
+def _flat_velocity(opt_state: OptimizerState, shapes: list) -> np.ndarray:
+    if [np.shape(v) for v in opt_state.velocities] != shapes:
+        raise ValueError("optimizer velocities do not match the parameter shapes")
+    return _flat(opt_state.velocities)
+
+
 def sgd_step(
     params: ModelParams, opt_state: OptimizerState, grads: list, config: TrainConfig
 ) -> ModelParams:
@@ -161,16 +217,17 @@ def sgd_step(
     tensors = params.tensors()
     if len(grads) != len(tensors):
         raise ValueError(f"expected {len(tensors)} gradient tensors, got {len(grads)}")
-    lr = lr_schedule(max(opt_state.epoch, 1), config)
-    new = []
-    for i, ((name, t), g) in enumerate(zip(tensors, grads)):
+    for (name, t), g in zip(tensors, grads):
         if g.shape != t.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient in tensor {name}")
-        opt_state.velocities[i] = config.momentum * opt_state.velocities[i] + g
-        new.append(t - lr * opt_state.velocities[i])
-    return ModelParams(params.architecture, tuple(new[0::2]), tuple(new[1::2]))
+    shapes = _shapes(params)
+    theta = _flat(t for _, t in tensors)
+    velocity = _flat_velocity(opt_state, shapes)
+    lr = lr_schedule(max(opt_state.epoch, 1), config)
+    _momentum_update(theta, velocity, _flat(grads), config.momentum, lr)
+    return _unpack(params, opt_state, theta, velocity, shapes)
 
 
 def train_epoch(
@@ -184,27 +241,65 @@ def train_epoch(
 
     The shuffle is keyed by (config.seed, epoch index) so reruns are
     bit-identical. The returned loss is the per-sample mean over the epoch.
+
+    The epoch trains on flat copies of the parameters and velocities,
+    through views shaped like the tensors, with the arithmetic of
+    forward_logits, loss_and_grad, backward and sgd_step: the backward pass
+    reuses the forward activations, and one momentum update covers the whole
+    flat buffer. Shapes, the label range, the learning rate and the
+    per-sample loss weights and offsets are checked or gathered once per
+    epoch; the logits, the loss and the gradients are checked every batch.
     """
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    k = spec.class_count
+    if params.class_count != k:
+        raise ValueError(f"the loss has {k} classes, the model {params.class_count}")
+    if dataset.dim != params.dim:
+        raise ValueError(f"instances must be (N, {params.dim}), got {dataset.instances.shape}")
+    if dataset.labels.min() < 0 or dataset.labels.max() >= k:
+        raise ValueError(f"labels must lie in [0, {k})")
+    shapes = _shapes(params)
+    theta = _flat(t for _, t in params.tensors())
+    velocity = _flat_velocity(opt_state, shapes)
+    grad = np.empty_like(theta)
     opt_state.epoch += 1
+    lr = lr_schedule(opt_state.epoch, config)
+
     rng = np.random.default_rng([config.seed, opt_state.epoch])
-    order = rng.permutation(len(dataset))
+    order = rng.permutation(n)
     x = dataset.instances[order]
     y = dataset.labels[order]
+    sample_weights = spec.weights[y]
+    offsets = None if spec.true_class_offsets is None else spec.true_class_offsets[y]
+
+    views = _views(theta, shapes)
+    weights, biases = tuple(views[0::2]), tuple(views[1::2])
+    grads = _views(grad, shapes)
+    names = [name for name, _ in params.tensors()]
     total = 0.0
-    for start in range(0, len(dataset), config.batch_size):
-        xb = x[start : start + config.batch_size]
-        yb = y[start : start + config.batch_size]
-        loss, g = loss_and_grad(spec, forward_logits(params, xb), yb)
+    for start in range(0, n, config.batch_size):
+        batch = slice(start, start + config.batch_size)
+        inputs = _activations(weights, biases, x[batch])
+        logits = inputs[-1] @ weights[-1] + biases[-1]
+        if not np.isfinite(logits).all():
+            raise ValueError("non-finite logits")
+        yb = y[batch]
+        loss, g = _loss_and_grad(
+            spec, logits, yb, sample_weights[batch], None if offsets is None else offsets[batch]
+        )
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite loss {loss} at epoch {opt_state.epoch}, batch offset {start}"
             )
         total += loss * len(yb)
-        grads = backward(params, xb, g, weight_decay=config.weight_decay)
-        params = sgd_step(params, opt_state, grads, config)
-    return params, total / len(dataset)
+        _backward_into(grads, weights, inputs, g, config.weight_decay)
+        if not np.isfinite(grad).all():
+            bad = next(nm for nm, gv in zip(names, grads) if not np.isfinite(gv).all())
+            raise ValueError(f"non-finite gradient in tensor {bad}")
+        _momentum_update(theta, velocity, grad, config.momentum, lr)
+    return _unpack(params, opt_state, theta, velocity, shapes), total / n
 
 
 def predict(params: ModelParams, instances: np.ndarray) -> np.ndarray:

@@ -107,6 +107,22 @@ class TestPhases:
         assert [r.risks is not None for r in report.records if r.phase == "minimax"] == [True] * 4
         assert len(report.prior_trajectory) == 1
 
+    @pytest.mark.parametrize(
+        "frozen",
+        [dict(fixed_target=(0.3, 0.7)), dict(ascent=AscentConfig(method="ega", alpha=0.0))],
+        ids=["fixed-target", "zero-alpha"],
+    )
+    def test_frozen_prior_builds_no_ascent_state(self, monkeypatch, frozen):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frozen prior needs no ascent state")
+
+        monkeypatch.setattr(minimax, "AscentState", refuse)
+        report = run_minimax(_small_config(**frozen), _dataset())
+        target = report.records[0].prior
+        assert report.final_prior == target
+        assert report.prior_trajectory == [target]
+        assert all(r.prior == target for r in report.records)
+
     def test_drw_switch_changes_training(self):
         # same run with and without the deferred re-weighting switch must
         # diverge only after the switch epoch
@@ -176,6 +192,22 @@ class TestPhases:
         )
         with pytest.raises(RuntimeError, match="epoch"):
             run_minimax(config, _dataset())
+
+    @pytest.mark.parametrize(
+        "phases, phase",
+        [((2, 4, 2), "warmup"), ((0, 2, 2), "minimax"), ((0, 0, 2), "finetune")],
+    )
+    def test_train_epoch_check_wrapped(self, phases, phase):
+        # 2 * lambda * W overflows in the first gradient of the first phase
+        warmup, minimax_epochs, finetune = phases
+        config = _small_config(
+            warmup_epochs=warmup, minimax_epochs=minimax_epochs, finetune_epochs=finetune,
+            train=TrainConfig(weight_decay=1e308, batch_size=32, seed=0),
+        )
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError) as info:
+            run_minimax(config, _dataset())
+        assert str(info.value) == f"{phase} epoch 1 failed: non-finite gradient in tensor W1"
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestSwapComponents:

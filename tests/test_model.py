@@ -1,8 +1,16 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from minimaxclf.data import LabeledDataset
-from minimaxclf.losses import spec_from_variant
+from minimaxclf.losses import (
+    VARIANTS,
+    GeneralizedLossSpec,
+    deferred_reweighting_weights,
+    loss_and_grad,
+    spec_from_variant,
+)
 from minimaxclf.model import (
     ModelParams,
     TrainConfig,
@@ -105,6 +113,27 @@ class TestBackward:
         np.testing.assert_array_equal(grads[0], 0.0)  # dW1
         np.testing.assert_array_equal(grads[1], 0.0)  # db1
 
+    @pytest.mark.parametrize("architecture", ["linear", "mlp"])
+    def test_matches_unfused_arithmetic(self, architecture):
+        # each hidden layer recomputed, then W.T-chained gradients with the
+        # decay term added as one 2 * lambda * W product, bit for bit
+        rng = np.random.default_rng(4)
+        params = init_params(architecture, 3, 4, seed=2, hidden_width=6)
+        x = rng.normal(size=(9, 3))
+        g = rng.normal(size=(9, 4))
+        inputs = [x]
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+        expected, up = [], g
+        for i in reversed(range(len(params.weights))):
+            w = params.weights[i]
+            expected[:0] = [inputs[i].T @ up + 2.0 * 0.3 * w, up.sum(axis=0)]
+            up = (up @ w.T) * (inputs[i] > 0.0)
+        got = backward(params, x, g, weight_decay=0.3)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
     def test_weight_decay_term(self):
         params = init_params("linear", 2, 2, seed=0)
         no_decay = backward(params, np.ones((1, 2)), np.zeros((1, 2)))
@@ -140,6 +169,26 @@ class TestSgd:
         params = sgd_step(params, state, g, config)
         params = sgd_step(params, state, g, config)
         assert params.weights[0][0, 0] == pytest.approx(-0.5 * 2.9)
+
+    def test_matches_unfused_arithmetic(self):
+        # v <- momentum * v + g, then theta - lr * v, per tensor, bit for bit
+        rng = np.random.default_rng(6)
+        params = init_params("mlp", 3, 4, seed=2, hidden_width=5)
+        state = init_optimizer(params)
+        state.epoch = 2
+        config = self._config(learning_rate=0.3, momentum=0.9, warmup_epochs=3)
+        lr = lr_schedule(2, config)
+        tensors = [t for _, t in params.tensors()]
+        vel = [np.zeros_like(t) for t in tensors]
+        for _ in range(3):
+            grads = [rng.normal(size=t.shape) for t in tensors]
+            params = sgd_step(params, state, grads, config)
+            vel = [0.9 * v + g for v, g in zip(vel, grads)]
+            tensors = [t - lr * v for t, v in zip(tensors, vel)]
+            for a, b in zip([t for _, t in params.tensors()], tensors):
+                assert np.array_equal(a, b)
+            for a, b in zip(state.velocities, vel):
+                assert np.array_equal(a, b)
 
     def test_zero_lr_fixed_point(self):
         params = init_params("linear", 2, 2, seed=0)
@@ -254,6 +303,144 @@ class TestTrainEpoch:
         with pytest.raises(ValueError, match="empty"):
             train_epoch(params, init_optimizer(params), ds,
                         spec_from_variant("CE", Prior.uniform(2)), TrainConfig(seed=0))
+
+
+def _public_epoch(params, state, dataset, spec, config):
+    """One epoch as the public per-batch composition: forward_logits, then
+    loss_and_grad, backward and sgd_step, with every check on every batch."""
+    state.epoch += 1
+    order = np.random.default_rng([config.seed, state.epoch]).permutation(len(dataset))
+    x, y = dataset.instances[order], dataset.labels[order]
+    total = 0.0
+    for start in range(0, len(dataset), config.batch_size):
+        xb, yb = x[start : start + config.batch_size], y[start : start + config.batch_size]
+        loss, g = loss_and_grad(spec, forward_logits(params, xb), yb)
+        total += loss * len(yb)
+        grads = backward(params, xb, g, weight_decay=config.weight_decay)
+        params = sgd_step(params, state, grads, config)
+    return params, total / len(dataset)
+
+
+def _three_class_data(seed=0, n=70):
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([np.arange(3), rng.integers(0, 3, size=n - 3)])
+    x = rng.normal(size=(n, 2)) + y[:, None]
+    return LabeledDataset(x, y, class_count=3)
+
+
+def _epoch_spec(variant, dataset):
+    counts = dataset.per_class_counts
+    pi_train = dataset.train_prior()
+    spec = spec_from_variant(
+        variant.split("+")[0], pi_train, Prior(np.array([0.5, 0.3, 0.2])),
+        counts=counts, tau=1.3, gamma=0.2,
+    )
+    if variant.endswith("+DRW"):
+        spec = spec.with_weights(deferred_reweighting_weights(counts))
+    return spec
+
+
+# 70 samples in batches of 16 leave a short last batch of 6; epoch 1 is in
+# the warmup ramp, epoch 2 ends it, and epochs 3-4 are decayed
+_EPOCH_CONFIG = TrainConfig(learning_rate=0.2, momentum=0.9, weight_decay=1e-2,
+                            batch_size=16, warmup_epochs=2, decay_epochs=(3,),
+                            decay_factor=0.5, seed=7)
+
+
+class TestFusedEpoch:
+    @pytest.mark.parametrize("architecture", ["linear", "mlp"])
+    @pytest.mark.parametrize("variant", VARIANTS + ("LDAM+DRW", "VS+DRW"))
+    def test_equals_public_composition(self, variant, architecture):
+        ds = _three_class_data()
+        spec = _epoch_spec(variant, ds)
+        fused = init_params(architecture, 2, 3, seed=3, hidden_width=5)
+        ref = fused
+        fused_state, ref_state = init_optimizer(fused), init_optimizer(ref)
+        for _ in range(4):
+            fused, fused_loss = train_epoch(fused, fused_state, ds, spec, _EPOCH_CONFIG)
+            ref, ref_loss = _public_epoch(ref, ref_state, ds, spec, _EPOCH_CONFIG)
+            assert fused_loss == ref_loss
+            assert fused_state.epoch == ref_state.epoch
+            for (_, a), (_, b) in zip(fused.tensors(), ref.tensors()):
+                assert np.array_equal(a, b)
+            for a, b in zip(fused_state.velocities, ref_state.velocities):
+                assert np.array_equal(a, b)
+        assert np.any(fused_state.velocities[0] != 0.0)
+
+    def test_inputs_left_alone_and_outputs_unshared(self):
+        ds = _three_class_data()
+        spec = _epoch_spec("TLA", ds)
+        params0 = init_params("mlp", 2, 3, seed=3, hidden_width=5)
+        state = init_optimizer(params0)
+        seen = []  # (arrays a call received, copies of them at that time)
+        outputs = []
+        for _ in range(2):
+            received = [t for _, t in params0.tensors()] + list(state.velocities)
+            seen.append((received, [a.copy() for a in received]))
+            params0, _ = train_epoch(params0, state, ds, spec, _EPOCH_CONFIG)
+            outputs += [t for _, t in params0.tensors()] + list(state.velocities)
+        for received, copies in seen:
+            for a, b in zip(received, copies):
+                assert np.array_equal(a, b)
+        for a, b in combinations(outputs, 2):
+            assert not np.shares_memory(a, b)
+        assert all(a.flags.owndata for a in outputs)  # no view keeps a flat buffer alive
+
+    def _run(self, params, spec, config=_EPOCH_CONFIG, ds=None, state=None):
+        ds = _three_class_data() if ds is None else ds
+        state = init_optimizer(params) if state is None else state
+        with np.errstate(all="ignore"):
+            return train_epoch(params, state, ds, spec, config)
+
+    def test_non_finite_logits(self):
+        params = init_params("linear", 2, 3, seed=3)
+        params.weights[0][0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite logits"):
+            self._run(params, _epoch_spec("CE", _three_class_data()))
+
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        # each per-sample loss is finite, but their sum overflows
+        spec = GeneralizedLossSpec("WCE", np.full(3, 1e308), np.ones(3), np.zeros(3))
+        with pytest.raises(FloatingPointError, match="epoch 1, batch offset 0"):
+            self._run(init_params("linear", 2, 3, seed=3), spec)
+
+    @pytest.mark.parametrize("architecture", ["linear", "mlp"])
+    def test_non_finite_gradient_names_tensor(self, architecture):
+        # the loss is finite; 2 * lambda * W overflows in every weight gradient
+        config = TrainConfig(weight_decay=1e308, batch_size=16, seed=0)
+        params = init_params(architecture, 2, 3, seed=3, hidden_width=5)
+        with pytest.raises(ValueError, match="non-finite gradient in tensor W1"):
+            self._run(params, _epoch_spec("CE", _three_class_data()), config)
+
+    def test_non_finite_gradient_names_later_tensor(self):
+        # 2 * lambda * W is finite for W1 (entries below 0.75) and not for W2
+        config = TrainConfig(weight_decay=1e307, batch_size=16, seed=0)
+        params = init_params("mlp", 2, 3, seed=3, hidden_width=5)
+        params.weights[1][...] *= 100.0
+        with pytest.raises(ValueError, match="non-finite gradient in tensor W2"):
+            self._run(params, _epoch_spec("CE", _three_class_data()), config)
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_spec_class_count_mismatch_before_any_update(self, classes):
+        params = init_params("mlp", 2, 3, seed=3, hidden_width=5)
+        state = init_optimizer(params)
+        velocities = list(state.velocities)
+        spec = spec_from_variant("CE", Prior.uniform(classes))
+        with pytest.raises(ValueError, match="classes"):
+            self._run(params, spec, state=state)
+        assert state.epoch == 0
+        assert all(a is b for a, b in zip(state.velocities, velocities))
+
+    def test_labels_outside_spec_rejected(self):
+        ds = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 2, 3]), class_count=4)
+        params = init_params("linear", 2, 3, seed=0)
+        with pytest.raises(ValueError, match="labels"):
+            self._run(params, spec_from_variant("CE", Prior.uniform(3)), ds=ds)
+
+    def test_instance_width_mismatch(self):
+        params = init_params("linear", 3, 3, seed=0)
+        with pytest.raises(ValueError, match="instances"):
+            self._run(params, spec_from_variant("CE", Prior.uniform(3)))
 
 
 class TestPredictAndFeatures:
