@@ -81,9 +81,8 @@ def estimate_class_risks(params: ModelParams, dataset: LabeledDataset) -> ClassR
         missing = np.flatnonzero(counts < 1).tolist()
         raise ValueError(f"classes {missing} absent from dataset, risks undefined")
     predictions = predict(params, dataset.instances)
-    errors = np.zeros(dataset.class_count, dtype=np.int64)
     wrong = predictions != dataset.labels
-    np.add.at(errors, dataset.labels[wrong], 1)
+    errors = np.bincount(dataset.labels[wrong], minlength=dataset.class_count)
     return ClassRisks(errors / counts, counts)
 
 

@@ -250,12 +250,10 @@ def run_ablate(config: dict, out_dir: Path) -> None:
             cell_dir = out_dir / f"cell-{variant}-{method}" / f"seed-{seed}"
             epochs_csv(report, cell_dir / "epochs.csv")
             trajectory_csv(report, cell_dir / "trajectory.csv")
-            write_json(cell_dir / "summary.json", summary_dict(report))
-            worst = report.final_worst_class
-            prior_val = float(report.final_prior.p[worst]) if worst is not None else None
-            results[(variant, method)].append(
-                [seed, report.final_worst_class_acc, prior_val, report.final_balanced_acc]
-            )
+            summary = summary_dict(report)
+            write_json(cell_dir / "summary.json", summary)
+            keys = ("worst_class_acc", "worst_class_prior_value", "balanced_acc")
+            results[(variant, method)].append([seed] + [summary.get(key) for key in keys])
     cell_rows = []
     median_rows = []
     for (variant, method), rows in results.items():

@@ -43,6 +43,14 @@ def _check(probabilities: np.ndarray, trials: int) -> np.ndarray:
     return p
 
 
+def _chunks(trials: int, master_seed: int):
+    """Yield (n, generator) per chunk of at most ``_CHUNK`` trials; chunk i
+    draws from ``SeedSequence([master_seed, i])``."""
+    for i, start in enumerate(range(0, trials, _CHUNK)):
+        seed = np.random.SeedSequence([master_seed, i])
+        yield min(_CHUNK, trials - start), np.random.default_rng(seed)
+
+
 def mc_worst_class_failure(
     error_vector, m_worst: int, n_samples: int, trials: int, master_seed: int
 ) -> McEstimate:
@@ -59,18 +67,12 @@ def mc_worst_class_failure(
         raise ValueError(f"m_worst must be in [1, {k}]")
     true_worst = int(np.argmax(p))
     failures = 0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(_CHUNK, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, chunk_index]))
+    for n, rng in _chunks(trials, master_seed):
         counts = rng.binomial(n_samples, p, size=(n, k)).astype(np.float64)
         # integer counts differ by >= 1, so jitter in [0, 0.5) only breaks ties
         keyed = counts + 0.5 * rng.random((n, k))
         top = np.argpartition(-keyed, m_worst - 1, axis=1)[:, :m_worst]
         failures += int(np.sum(~np.any(top == true_worst, axis=1)))
-        done += n
-        chunk_index += 1
     rate = failures / trials
     lo, hi = _wilson_interval(failures, trials)
     se = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
@@ -86,17 +88,11 @@ def mc_ega_mse(
     target = math.exp(p)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(_CHUNK, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, chunk_index]))
+    for n, rng in _chunks(trials, master_seed):
         counts = rng.binomial(n_samples, p, size=n)
         values = (target - np.exp(counts / n_samples)) ** 2
         total += float(values.sum())
         total_sq += float((values**2).sum())
-        done += n
-        chunk_index += 1
     mean = total / trials
     variance = max(total_sq / trials - mean**2, 0.0)
     se = math.sqrt(variance / trials)

@@ -15,9 +15,8 @@ def per_class_accuracies(params: ModelParams, dataset: LabeledDataset) -> np.nda
         missing = np.flatnonzero(counts < 1).tolist()
         raise ValueError(f"classes {missing} absent from dataset")
     predictions = predict(params, dataset.instances)
-    correct = np.zeros(dataset.class_count, dtype=np.int64)
     hit = predictions == dataset.labels
-    np.add.at(correct, dataset.labels[hit], 1)
+    correct = np.bincount(dataset.labels[hit], minlength=dataset.class_count)
     return correct / counts
 
 

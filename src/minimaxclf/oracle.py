@@ -67,49 +67,37 @@ def _shared_sigma_1d(spec: MixtureSpec):
     return None
 
 
-def _exact_risks_1d(means: np.ndarray, sigma: float, pi: Prior) -> np.ndarray:
-    """Per-class Bayes risks for a 1-d shared-variance mixture.
+def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarray:
+    """(G, K) per-class Bayes risks at each row of the (G, K) priors ``p``,
+    for a 1-d shared-variance mixture.
 
-    The class scores are lines a_y x + c_y with a_y = mu_y / sigma^2; the
-    upper envelope assigns an interval (possibly empty) to each class.
-    A class that never wins has risk 1.
+    The class scores are lines a_y x + c_y with a_y = mu_y / sigma^2, so
+    class y wins on an interval: right of its crossing with every line of
+    smaller slope, left of its crossing with every line of larger slope. Of
+    two parallel lines the larger intercept wins everywhere, the smaller
+    index on an exact tie (as in ``bayes_predict``). A class with zero prior
+    mass or an empty interval has risk 1.
     """
     k = means.size
-    logp = _log_prior(pi)
-    active = [y for y in range(k) if pi.p[y] > 0]
     slopes = means / sigma**2
-    intercepts = logp - means**2 / (2.0 * sigma**2)
-    # envelope sweep over classes sorted by slope (ascending); for equal
-    # slopes only the best intercept can win (smallest index on exact ties,
-    # matching bayes_predict)
-    order = sorted(active, key=lambda y: (slopes[y], -intercepts[y], y))
-    filtered = []
-    for y in order:
-        if filtered and slopes[y] == slopes[filtered[-1]]:
-            continue  # same slope, worse or equal intercept
-        filtered.append(y)
-    hull = []        # class indices on the envelope, slope ascending
-    breaks = []      # breaks[i] = x where hull[i+1] overtakes hull[i]
-    for y in filtered:
-        while hull:
-            prev = hull[-1]
-            bx = (intercepts[prev] - intercepts[y]) / (slopes[y] - slopes[prev])
-            if breaks and bx <= breaks[-1]:
-                # prev never wins once y exists: drop it and retry
-                hull.pop()
-                breaks.pop()
-            else:
-                breaks.append(bx)
-                break
-        hull.append(y)
-    risks = np.ones(k)
-    lo = -np.inf
-    for i, y in enumerate(hull):
-        hi = breaks[i] if i < len(breaks) else np.inf
-        mass = ndtr((hi - means[y]) / sigma) - ndtr((lo - means[y]) / sigma)
-        risks[y] = 1.0 - mass
-        lo = hi
-    return risks
+    # one contiguous row per class, so each update below is over the G priors
+    p = np.ascontiguousarray(p.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.log(p) - (means**2 / (2.0 * sigma**2))[:, None]
+        lo = np.full(p.shape, -np.inf)
+        hi = np.full(p.shape, np.inf)
+        wins = p > 0
+        for y in range(k):
+            for j in range(k):
+                if slopes[j] < slopes[y]:
+                    np.maximum(lo[y], (c[j] - c[y]) / (slopes[y] - slopes[j]), out=lo[y])
+                elif slopes[j] > slopes[y]:
+                    np.minimum(hi[y], (c[y] - c[j]) / (slopes[j] - slopes[y]), out=hi[y])
+                elif j != y:
+                    wins[y] &= (c[y] > c[j]) if j < y else (c[y] >= c[j])
+        mu = means[:, None]
+        mass = ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)
+        return np.where(wins & (lo < hi), 1.0 - mass, 1.0).T
 
 
 class BayesOracle:
@@ -140,7 +128,7 @@ class BayesOracle:
         if pi.class_count != k:
             raise ValueError("prior does not match the mixture's class count")
         if self.sigma is not None:
-            risks = _exact_risks_1d(self.spec.means[:, 0], self.sigma, pi)
+            risks = _exact_risks_1d(self.spec.means[:, 0], self.sigma, pi.p[None, :])[0]
             return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
         predictions = np.argmax(self.log_densities + _log_prior(pi), axis=1)
         errors = np.bincount(self.labels[predictions != self.labels], minlength=k)
@@ -164,41 +152,6 @@ def bayes_total_risk(
 ) -> float:
     """R(pi) = sum_y pi_y P_e(y) for the Bayes rule at pi."""
     return BayesOracle(spec, mc_samples, seed).total_risk(pi)
-
-
-def _exact_total_risk_grid_1d(means: np.ndarray, sigma: float, pis: np.ndarray) -> np.ndarray:
-    """Vectorized R(pi) over an array of priors, for K in {2, 3} 1-d
-    shared-variance mixtures (used by the grid search)."""
-    k = means.size
-    order = np.argsort(means)
-    mu = means[order]
-    p = pis[:, order]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
-
-        def threshold(i, j):
-            return (mu[i] + mu[j]) / 2.0 + sigma**2 * (logp[:, i] - logp[:, j]) / (mu[j] - mu[i])
-
-        if k == 2:
-            t = threshold(0, 1)
-            r0 = 1.0 - ndtr((t - mu[0]) / sigma)
-            r1 = ndtr((t - mu[1]) / sigma)
-            risks = np.stack([r0, r1], axis=1)
-        elif k == 3:
-            t01 = threshold(0, 1)
-            t12 = threshold(1, 2)
-            t02 = threshold(0, 2)
-            mid = (p[:, 1] > 0) & (t01 < t12)
-            b_low = np.where(mid, t01, t02)   # upper edge of class 0's region
-            b_high = np.where(mid, t12, t02)  # lower edge of class 2's region
-            r0 = 1.0 - ndtr((b_low - mu[0]) / sigma)
-            r2 = ndtr((b_high - mu[2]) / sigma)
-            r1 = np.where(mid, 1.0 - (ndtr((t12 - mu[1]) / sigma) - ndtr((t01 - mu[1]) / sigma)), 1.0)
-            risks = np.stack([r0, r1, r2], axis=1)
-        else:
-            raise ValueError("vectorized grid evaluation supports K <= 3 only")
-        risks = np.where(p > 0, risks, 1.0)
-    return np.einsum("gk,gk->g", p, np.nan_to_num(risks, nan=1.0))
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
@@ -252,14 +205,15 @@ def adversarial_prior_search(
         oracle = BayesOracle(spec, mc_samples, seed)
         grid = _simplex_grid(k, resolution)
         if oracle.sigma is not None:
-            values = _exact_total_risk_grid_1d(spec.means[:, 0], oracle.sigma, grid)
+            risks = _exact_risks_1d(spec.means[:, 0], oracle.sigma, grid)
+            values = np.einsum("gk,gk->g", grid, risks)
         else:
             values = np.array([oracle.total_risk(Prior(g)) for g in grid])
         best = int(np.argmax(values))
         prior = Prior(grid[best])
         return SearchResult(
             prior=prior,
-            risk=float(values[best]),
+            risk=oracle.total_risk(prior),
             method=GRID,
             converged=True,
             iterations=len(grid),

@@ -101,8 +101,9 @@ def prob_mth_worst(error_vector, m: int, n_samples: int) -> float:
 
 
 def prob_find_worst(error_vector, m_worst: int, n_samples: int) -> float:
-    """Lower bound on the probability that the true worst class lands in the
-    selected M worst classes: sum over ranks m = 1..M."""
+    """Product-form value of the probability that the true worst class lands
+    in the selected M worst classes: sum over ranks m = 1..M. It is a lower
+    bound only for M = 1 (see :func:`exact_find_worst_probability`)."""
     return float(
         sum(prob_mth_worst(error_vector, m, n_samples) for m in range(1, m_worst + 1))
     )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from minimaxclf import oracle
 from minimaxclf.data import (
@@ -11,6 +12,7 @@ from minimaxclf.data import (
 )
 from minimaxclf.oracle import (
     BayesOracle,
+    _log_prior,
     _simplex_grid,
     adversarial_prior_search,
     bayes_class_risks,
@@ -136,6 +138,66 @@ class TestBayesOracle:
         assert calls == [30_000]
 
 
+def _envelope_sweep_risks(means, sigma, pi):
+    """Reference: the upper envelope of the class lines, built by a sweep
+    over slopes, one prior at a time."""
+    k = means.size
+    logp = _log_prior(pi)
+    active = [y for y in range(k) if pi.p[y] > 0]
+    slopes = means / sigma**2
+    intercepts = logp - means**2 / (2.0 * sigma**2)
+    # for equal slopes only the best intercept can win, the smallest index
+    # on an exact tie
+    order = sorted(active, key=lambda y: (slopes[y], -intercepts[y], y))
+    filtered = []
+    for y in order:
+        if filtered and slopes[y] == slopes[filtered[-1]]:
+            continue
+        filtered.append(y)
+    hull = []    # class indices on the envelope, slope ascending
+    breaks = []  # breaks[i] = x where hull[i+1] overtakes hull[i]
+    for y in filtered:
+        while hull:
+            prev = hull[-1]
+            bx = (intercepts[prev] - intercepts[y]) / (slopes[y] - slopes[prev])
+            if breaks and bx <= breaks[-1]:
+                hull.pop()
+                breaks.pop()
+            else:
+                breaks.append(bx)
+                break
+        hull.append(y)
+    risks = np.ones(k)
+    lo = -np.inf
+    for i, y in enumerate(hull):
+        hi = breaks[i] if i < len(breaks) else np.inf
+        mass = ndtr((hi - means[y]) / sigma) - ndtr((lo - means[y]) / sigma)
+        risks[y] = 1.0 - mass
+        lo = hi
+    return risks
+
+
+class TestExactRisks:
+    def test_matches_envelope_sweep(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            k = int(rng.integers(2, 8))
+            means = rng.normal(scale=3, size=k)  # unsorted
+            if trial % 2 == 0:
+                means[rng.integers(k)] = means[rng.integers(k)]
+            sigma = float(rng.uniform(0.5, 2.0))
+            spec = MixtureSpec(means[:, None], np.full((k, 1, 1), sigma**2))
+            cached = BayesOracle(spec)
+            for _ in range(10):
+                p = rng.dirichlet(np.ones(k))
+                if rng.random() < 0.5:
+                    p[rng.integers(k)] = 0.0
+                    p = p / p.sum()
+                pi = Prior(p)
+                expected = _envelope_sweep_risks(means, sigma, pi)
+                assert np.array_equal(cached.risks(pi).estimates, expected)
+
+
 class TestEnvelopeAgainstQuadrature:
     def test_random_mixtures(self):
         # independent oracle: integrate each class density over the regions
@@ -203,6 +265,23 @@ class TestAdversarialSearch:
         grid = adversarial_prior_search(spec, method="grid", resolution=1e-3)
         ascent = adversarial_prior_search(spec, method="ascent", iterations=3000)
         assert ascent.risk == pytest.approx(grid.risk, abs=2e-3)
+
+    @pytest.mark.parametrize(
+        "spec", [three_gaussians_1d(), two_gaussians_1d()], ids=["three-class", "two-class"]
+    )
+    def test_exact_grid_risk_is_dot_of_risks(self, spec):
+        result = adversarial_prior_search(spec, method="grid", resolution=1e-3)
+        assert result.risk == float(np.dot(result.prior.p, result.risks.estimates))
+
+    def test_identical_classes(self):
+        # at the tie prior the smaller index wins everywhere: risks (0, 1)
+        spec = MixtureSpec([[0.0], [0.0]], np.ones((2, 1, 1)))
+        grid = adversarial_prior_search(spec, method="grid", resolution=1e-2)
+        ascent = adversarial_prior_search(spec, method="ascent", iterations=50)
+        np.testing.assert_array_equal(grid.prior.p, [0.5, 0.5])
+        np.testing.assert_array_equal(grid.risks.estimates, [0.0, 1.0])
+        assert grid.risk == 0.5
+        assert ascent.risk == 0.5
 
     def test_grid_rejects_large_k(self):
         with pytest.raises(ValueError, match="K <= 3"):
