@@ -31,7 +31,6 @@ from .config import (
 )
 from .data import (
     ImbalanceProfile,
-    LabeledDataset,
     MixtureSpec,
     circle_mixture,
     load_csv_dataset,
@@ -45,16 +44,7 @@ from .metrics import inter_intra_ratio
 from .minimax import AscentConfig, MinimaxConfig, RunReport, run_minimax, swap_components
 from .model import TrainConfig, extract_features, save_checkpoint
 from .oracle import adversarial_prior_search
-from .reports import (
-    curve_csv,
-    epochs_csv,
-    fmt,
-    summary_dict,
-    trajectory_csv,
-    value_table_csv,
-    write_csv,
-    write_json,
-)
+from .reports import curve_csv, fmt, value_table_csv, write_csv, write_json, write_run
 from .theory import ega_estimate_mse, prob_find_worst
 
 
@@ -67,8 +57,10 @@ def build_mixture(ds_cfg: dict) -> MixtureSpec:
     return circle_mixture(ds_cfg["class_count"], ds_cfg["radius"])
 
 
-def build_dataset(ds_cfg: dict):
-    """Returns (dataset, mixture-or-None). CSV datasets have no oracle."""
+def build_data(config: dict) -> tuple:
+    """(dataset, eval set) of one run. A CSV source has no mixture to draw
+    an eval set from, so its eval set is None."""
+    ds_cfg, eval_cfg = config["dataset"], config["eval"]
     if ds_cfg["source"] == "csv":
         return load_csv_dataset(ds_cfg["csv_path"], ds_cfg["csv_header"]), None
     spec = build_mixture(ds_cfg)
@@ -78,12 +70,9 @@ def build_dataset(ds_cfg: dict):
         counts = make_imbalance_counts(ImbalanceProfile(**ds_cfg["imbalance"]), spec.class_count)
     else:
         counts = np.full(spec.class_count, 1000, dtype=np.int64)
-    return sample_mixture(spec, counts, ds_cfg["seed"]), spec
-
-
-def build_eval_set(spec: MixtureSpec, eval_cfg: dict) -> LabeledDataset:
-    counts = np.full(spec.class_count, eval_cfg["per_class"], dtype=np.int64)
-    return sample_mixture(spec, counts, eval_cfg["seed"])
+    eval_counts = np.full(spec.class_count, eval_cfg["per_class"], dtype=np.int64)
+    dataset = sample_mixture(spec, counts, ds_cfg["seed"])
+    return dataset, sample_mixture(spec, eval_counts, eval_cfg["seed"])
 
 
 def minimax_config(config: dict) -> MinimaxConfig:
@@ -152,17 +141,13 @@ def _write_manifest(out_dir: Path, config: dict) -> None:
 
 
 def run_train(config: dict, out_dir: Path) -> None:
-    dataset, spec = build_dataset(config["dataset"])
-    eval_set = build_eval_set(spec, config["eval"]) if spec is not None else None
+    dataset, eval_set = build_data(config)
     report = run_minimax(minimax_config(config), dataset, eval_set)
-    epochs_csv(report, out_dir / "epochs.csv")
-    trajectory_csv(report, out_dir / "trajectory.csv")
-    summary = summary_dict(report)
+    extra = {}
     if eval_set is not None:
         features = extract_features(report.params, eval_set.instances)
-        ratios = inter_intra_ratio(features, eval_set.labels)
-        summary["inter_intra_ratio"] = [float(v) for v in ratios]
-    write_json(out_dir / "summary.json", summary)
+        extra["inter_intra_ratio"] = [float(v) for v in inter_intra_ratio(features, eval_set.labels)]
+    write_run(report, out_dir, **extra)
     save_checkpoint(out_dir / "checkpoint.npz", report.params, config_hash(config), config["model"]["seed"])
 
 
@@ -229,9 +214,7 @@ def _run_cell(task: tuple) -> RunReport:
     key)``. The data are rebuilt from their seeds, so no array crosses a
     process boundary."""
     run_cfg, key = task
-    dataset, spec = build_dataset(run_cfg["dataset"])
-    eval_set = build_eval_set(spec, run_cfg["eval"]) if spec is not None else None
-    return run_minimax(swap_components(minimax_config(run_cfg))[key], dataset, eval_set)
+    return run_minimax(swap_components(minimax_config(run_cfg))[key], *build_data(run_cfg))
 
 
 def run_ablate(config: dict, out_dir: Path) -> None:
@@ -242,36 +225,26 @@ def run_ablate(config: dict, out_dir: Path) -> None:
     each with one BLAS thread; on one CPU they run in this process. Either
     way this process writes every artifact, in (seed, cell) order."""
     seeds = config["ablate"]["seeds"]
-    results = {key: [] for key in swap_components(minimax_config(config))}
-    tasks = [(seed, key) for seed in seeds for key in results]
+    summaries = {key: [] for key in swap_components(minimax_config(config))}
+    tasks = [(seed, key) for seed in seeds for key in summaries]
     args = [(_reseed(config, seed), key) for seed, key in tasks]
     with _pool_map(_run_cell, args) as reports:
         for (seed, (variant, method)), report in zip(tasks, reports):
             cell_dir = out_dir / f"cell-{variant}-{method}" / f"seed-{seed}"
-            epochs_csv(report, cell_dir / "epochs.csv")
-            trajectory_csv(report, cell_dir / "trajectory.csv")
-            summary = summary_dict(report)
-            write_json(cell_dir / "summary.json", summary)
-            keys = ("worst_class_acc", "worst_class_prior_value", "balanced_acc")
-            results[(variant, method)].append([seed] + [summary.get(key) for key in keys])
-    cell_rows = []
-    median_rows = []
-    for (variant, method), rows in results.items():
-        for seed, acc, prior_val, bal in rows:
-            cell_rows.append([variant, method, seed, acc, prior_val, bal])
-        cols = list(zip(*[(acc, prior_val, bal) for _, acc, prior_val, bal in rows if acc is not None]))
-        medians = [statistics.median(c) for c in cols] if cols else [None, None, None]
-        median_rows.append([variant, method] + medians)
-    write_csv(
-        out_dir / "cells.csv",
-        ["loss", "ascent", "seed", "worst_class_acc", "worst_class_prior_value", "balanced_acc"],
-        cell_rows,
-    )
-    write_csv(
-        out_dir / "comparison.csv",
-        ["loss", "ascent", "worst_class_acc_median", "worst_class_prior_value_median", "balanced_acc_median"],
-        median_rows,
-    )
+            summaries[(variant, method)].append(write_run(report, cell_dir))
+    # cells.csv holds these summary values of every run, comparison.csv their medians
+    names = ("worst_class_acc", "worst_class_prior_value", "balanced_acc")
+    cell_rows, median_rows = [], []
+    for cell, runs in summaries.items():
+        values = [[summary.get(name) for name in names] for summary in runs]
+        cell_rows += [[*cell, seed, *row] for seed, row in zip(seeds, values)]
+        # without an eval set every value is None, and so is every median
+        scored = [row for row in values if row[0] is not None]
+        medians = [statistics.median(col) for col in zip(*scored)] or [None] * len(names)
+        median_rows.append([*cell, *medians])
+    write_csv(out_dir / "cells.csv", ["loss", "ascent", "seed", *names], cell_rows)
+    median_names = [f"{name}_median" for name in names]
+    write_csv(out_dir / "comparison.csv", ["loss", "ascent", *median_names], median_rows)
 
 
 def _exact_curve_point(sorted_vec: np.ndarray, m: int, n: int, p_mse: float) -> tuple:
@@ -326,17 +299,8 @@ def run_mc(config: dict, out_dir: Path) -> None:
 
 
 def run_oracle(config: dict, out_dir: Path) -> None:
-    spec = build_mixture(config["dataset"])
-    o = config["oracle"]
-    result = adversarial_prior_search(
-        spec,
-        method=o["method"],
-        resolution=o["resolution"],
-        iterations=o["iterations"],
-        step_scale=o["step_scale"],
-        mc_samples=o["mc_samples"],
-        seed=o["seed"],
-    )
+    # the oracle section's fields are the search's keyword parameters
+    result = adversarial_prior_search(build_mixture(config["dataset"]), **config["oracle"])
     write_json(
         out_dir / "adversarial_prior.json",
         {

@@ -148,7 +148,8 @@ SCHEMA = {
         # TLA and TWCE need every target class to have positive mass
         "fixed_target": (None, _nullable(_list(_number("(0, 1]"), 2))),
     },
-    "eval": {"per_class": (1000, _int(1)), "seed": (7777, _SEED)},
+    # the inter-intra feature ratio of a train run needs two samples of every class
+    "eval": {"per_class": (1000, _int(2)), "seed": (7777, _SEED)},
     # one cell directory per seed, and at least one run for the medians
     "ablate": {"seeds": ([0, 1, 2, 3, 4], _list(_SEED, 1, distinct=True))},
     "mc": {**_CURVE, "trials": (100_000, _int(MIN_TRIALS)), "master_seed": (0, _SEED)},

@@ -1,4 +1,4 @@
-"""Artifact emission: run reports and plot-ready CSV files.
+"""Artifact emission: a run's artifact set (write_run) and plot-ready CSVs.
 
 All floats are printed with 17 significant digits and '.' as the decimal
 separator so reruns with the same config produce byte-identical files.
@@ -89,25 +89,32 @@ def value_table_csv(path, rows: list) -> None:
     write_csv(path, ["N", "value"], rows)
 
 
-def summary_dict(report: RunReport) -> dict:
-    out = {
+def write_json(path, payload: dict) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_run(report: RunReport, run_dir, **extra) -> dict:
+    """Write one training run's epochs.csv, trajectory.csv and summary.json;
+    ``extra`` adds keys to the summary. Returns the summary."""
+    run_dir = Path(run_dir)
+    epochs_csv(report, run_dir / "epochs.csv")
+    trajectory_csv(report, run_dir / "trajectory.csv")
+    summary = {
         "final_prior": [float(v) for v in report.final_prior.p],
         "train_prior": [float(v) for v in report.train_prior.p],
         "train_counts": [int(v) for v in report.train_counts],
         "epochs": len(report.records),
         "loss_variant": report.config.loss_variant,
         "ascent_method": report.config.ascent.method,
+        **extra,
     }
     if report.final_worst_class is not None:
-        out["worst_class"] = int(report.final_worst_class) + 1
-        out["worst_class_acc"] = float(report.final_worst_class_acc)
-        out["balanced_acc"] = float(report.final_balanced_acc)
-        out["worst_class_prior_value"] = float(report.final_prior.p[report.final_worst_class])
-    return out
-
-
-def write_json(path, payload: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        summary["worst_class"] = int(report.final_worst_class) + 1
+        summary["worst_class_acc"] = float(report.final_worst_class_acc)
+        summary["balanced_acc"] = float(report.final_balanced_acc)
+        summary["worst_class_prior_value"] = float(report.final_prior.p[report.final_worst_class])
+    write_json(run_dir / "summary.json", summary)
+    return summary
 

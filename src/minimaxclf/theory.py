@@ -138,36 +138,28 @@ def exact_find_worst_probability(
     worst = int(np.argmax(p))
     others = np.delete(p, worst)
     pmf_worst = binomial_pmf(n_samples, p[worst])
-    pmf_others = [binomial_pmf(n_samples, q) for q in others]
+    pmf_others = np.array([binomial_pmf(n_samples, q) for q in others]).reshape(k - 1, -1)
+    # above[j, c]: P(other class j counts more than c errors)
+    above = np.zeros_like(pmf_others)
+    above[:, :-1] = np.cumsum(pmf_others[:, :0:-1], axis=1)[:, ::-1]
+    # share[B, T]: P(the worst class is selected | B others strictly above it, T tied)
+    b, t = np.ogrid[:k, :k]
+    room = m_worst - b
+    share = {"fair": np.clip(room / (t + 1), 0.0, 1.0), "adversarial": t < room,
+             "favorable": room > 0}[tie_rule]
     total = 0.0
     for c in range(n_samples + 1):
         if pmf_worst[c] == 0.0:
             continue
         dp = np.zeros((k, k))  # dp[B, T]: B others strictly above count c, T tied
         dp[0, 0] = 1.0
-        for pmf in pmf_others:
-            above = pmf[c + 1 :].sum()
-            tied = pmf[c]
-            below = 1.0 - above - tied
+        for up, tied in zip(above[:, c], pmf_others[:, c]):
+            below = 1.0 - up - tied
             new = dp * below
-            new[1:, :] += dp[:-1, :] * above
+            new[1:, :] += dp[:-1, :] * up
             new[:, 1:] += dp[:, :-1] * tied
             dp = new
-        select = 0.0
-        for b in range(k):
-            room = m_worst - b
-            if room <= 0:
-                continue
-            for t in range(k - b):
-                if dp[b, t] == 0.0:
-                    continue
-                if tie_rule == "fair":
-                    select += dp[b, t] * min(room / (t + 1), 1.0)
-                elif tie_rule == "adversarial":
-                    select += dp[b, t] * (1.0 if t < room else 0.0)
-                else:
-                    select += dp[b, t]
-        total += pmf_worst[c] * select
+        total += pmf_worst[c] * (dp * share).sum()
     return float(total)
 
 

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 from minimaxclf import cli
 from minimaxclf.cli import RUN_SEEDS, main, run_experiment
-from minimaxclf.config import ConfigError, config_hash, load_config, validate_config
+from minimaxclf.config import SCHEMA, ConfigError, config_hash, load_config, validate_config
+from minimaxclf.data import circle_mixture, sample_mixture, save_csv_dataset
 from minimaxclf.mc import mc_worst_class_failure
 from minimaxclf.minimax import RunReport
+from minimaxclf.oracle import adversarial_prior_search
 from minimaxclf.reports import trajectory_csv
 
 
@@ -104,6 +107,7 @@ class TestValidation:
                  "minimax.fixed_target"),
                 ("sigma-0", {"dataset": {"sigma": 0}}, "dataset.sigma"),
                 ("per_class-0", {"eval": {"per_class": 0}}, "eval.per_class"),
+                ("per_class-1", {"eval": {"per_class": 1}}, "eval.per_class"),
                 ("hidden_width-0", {"model": {"hidden_width": 0}}, "model.hidden_width"),
                 ("name-5", {"name": 5}, "name"),
                 ("seeds-empty", {"ablate": {"seeds": []}}, "ablate.seeds"),
@@ -192,6 +196,14 @@ def _tiny_ablate_config():
             "ablate": {"seeds": [0, 1]},
         }
     )
+
+
+def _csv_dataset(tmp_path) -> dict:
+    """The dataset section of a config reading a small 3-class circle sample
+    from CSV."""
+    path = tmp_path / "data.csv"
+    save_csv_dataset(path, sample_mixture(circle_mixture(3), [40, 24, 16], seed=0))
+    return {"source": "csv", "csv_path": str(path)}
 
 
 def _tiny_mc_config(sample_sizes):
@@ -342,6 +354,40 @@ class TestExperiments:
         assert len(cells) == 1 + 4 * 2
         assert (out / "cell-TLA-linear" / "seed-0" / "summary.json").exists()
 
+    def test_train_run_matches_its_ablation_cell(self, tmp_path):
+        # a train run and the ablation cell with its loss and ascent get
+        # their data from build_data and their artifacts from write_run
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**_tiny_train_config(), "ablate": {"seeds": [3]}}))
+        argv = ["--config", str(config_path), "--out"]
+        assert main(["train", *argv, str(tmp_path / "train"), "--seed", "3"]) == 0
+        assert main(["ablate", *argv, str(tmp_path / "ablate")]) == 0
+        run, cell = tmp_path / "train", tmp_path / "ablate" / "cell-TLA-linear" / "seed-3"
+        for name in ("epochs.csv", "trajectory.csv"):
+            assert (run / name).read_bytes() == (cell / name).read_bytes(), name
+        run_summary = json.loads((run / "summary.json").read_text())
+        assert len(run_summary.pop("inter_intra_ratio")) == 2
+        assert run_summary == json.loads((cell / "summary.json").read_text())
+
+    def test_csv_source_train(self, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(_tiny_train_config(dataset=_csv_dataset(tmp_path))))
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["train_counts"] == [40, 24, 16]
+        assert not [key for key in summary if key.startswith("worst_class")]
+        assert "inter_intra_ratio" not in summary
+
+    def test_csv_source_ablate(self, tmp_path, capsys):
+        config = _tiny_train_config(dataset=_csv_dataset(tmp_path), ablate={"seeds": [0, 1]})
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["ablate", "--config", str(config_path), "--out", str(tmp_path / "g")]) == 0
+        cells = (tmp_path / "g" / "cells.csv").read_text().splitlines()
+        assert [row.split(",")[3:] for row in cells[1:]] == [["", "", ""]] * 8
+        medians = (tmp_path / "g" / "comparison.csv").read_text().splitlines()
+        assert [row.split(",")[2:] for row in medians[1:]] == [["", "", ""]] * 4
+
     def test_ablate_pool_matches_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -446,9 +492,12 @@ class TestCliEntry:
                 "kind": "step", "ratio": 0.01, "base_count": 100}}}, ("dataset.imbalance",)),
             (["mc"], {"mc": {"sample_sizes": []}}, ("mc.sample_sizes",)),
             (["theory"], {"theory": {"sample_sizes": [2, 2]}}, ("theory.sample_sizes",)),
+            (["train"], {"dataset": {"benchmark": "two_gaussians_1d"}, "eval": {"per_class": 1}},
+             ("eval.per_class",)),
         ],
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
-             "imbalance-below-two", "no-sample-size", "repeated-sample-size"],
+             "imbalance-below-two", "no-sample-size", "repeated-sample-size",
+             "eval-one-per-class"],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
@@ -536,6 +585,13 @@ class TestCliEntry:
                      "--out", str(tmp_path / "s7")]) == 0
         manifest = json.loads((tmp_path / "s7" / "manifest.json").read_text())
         assert manifest["config"]["dataset"]["seed"] == 7
+
+
+def test_oracle_section_is_search_keywords():
+    # run_oracle passes the oracle section to the search as keyword arguments
+    spec, *keywords = inspect.signature(adversarial_prior_search).parameters
+    assert spec == "spec"
+    assert set(SCHEMA["oracle"]) == set(keywords)
 
 
 def test_empty_trajectory_is_header_only(tmp_path):

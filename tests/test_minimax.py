@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from minimaxclf import minimax
-from minimaxclf.ascent import estimate_class_risks
-from minimaxclf.data import partition_dataset, sample_mixture, two_gaussians_1d
+from minimaxclf.ascent import auto_m, estimate_class_risks
+from minimaxclf.data import circle_mixture, partition_dataset, sample_mixture, two_gaussians_1d
 from minimaxclf.metrics import balanced_accuracy, per_class_accuracies, worst_class_accuracy
 from minimaxclf.minimax import (
     AscentConfig,
@@ -67,6 +67,26 @@ class TestPhases:
             # the implied target is a valid worst-M indicator: 1/M on M classes
             np.testing.assert_allclose(np.sort(move)[-1:], 1.0, atol=1e-9)
             np.testing.assert_allclose(np.sort(move)[:-1], 0.0, atol=1e-9)
+
+    def test_auto_m_sets_each_step_worst_set(self):
+        # each linear step gives indicator mass to exactly auto_m(risks)
+        # coordinates, whichever way ties break; the rest shrink by 1 - alpha
+        alpha = 0.1
+        config = _small_config(
+            minimax_epochs=8,
+            ascent=AscentConfig(method="linear", alpha=alpha, m_worst=1, use_auto_m=True),
+        )
+        dataset = sample_mixture(circle_mixture(4, 1.0), [120, 60, 30, 30], seed=0)
+        report = run_minimax(config, dataset)
+        minimax_records = [rec for rec in report.records if rec.phase == minimax.MINIMAX]
+        traj = report.prior_trajectory
+        sizes = []
+        for rec, before, after in zip(minimax_records, traj, traj[1:]):
+            raised = np.count_nonzero(after.p > (1.0 - alpha) * before.p + 1e-12)
+            assert raised == auto_m(rec.risks)
+            sizes.append(raised)
+        assert len(sizes) == 8
+        assert max(sizes) > 1  # the worst set grew past the configured m_worst
 
     def test_deterministic(self):
         a = run_minimax(_small_config(), _dataset())

@@ -149,6 +149,60 @@ class TestExactFindWorst:
         with pytest.raises(ValueError, match="tie rule"):
             exact_find_worst_probability(ERROR_VECTOR, 3, 4, "lucky")
 
+    def test_matches_per_count_loop(self):
+        # the share matrix and tail table against the per-(B, T) loop they replace
+        rng = np.random.default_rng(2024)
+        for case in range(40):
+            k = int(rng.integers(2, 9))
+            n = int(rng.integers(1, 71))
+            p = rng.uniform(0.0, 1.0, size=k)
+            if case % 4 == 0:  # certain counts and a repeated probability
+                p[rng.integers(k)] = rng.choice([0.0, 1.0])
+                p[-1] = p[0]
+            for m in range(1, k + 1):
+                for rule in ("fair", "adversarial", "favorable"):
+                    expected = _per_count_loop(p, m, n, rule)
+                    assert exact_find_worst_probability(p, m, n, rule) == pytest.approx(
+                        expected, rel=0, abs=1e-15
+                    ), (k, n, m, rule)
+
+
+def _per_count_loop(p, m_worst, n_samples, tie_rule):
+    """The tie rule applied count by count, as a Python loop over (B, T)."""
+    k = p.size
+    worst = int(np.argmax(p))
+    pmf_worst = binomial_pmf(n_samples, p[worst])
+    pmf_others = [binomial_pmf(n_samples, q) for q in np.delete(p, worst)]
+    total = 0.0
+    for c in range(n_samples + 1):
+        if pmf_worst[c] == 0.0:
+            continue
+        dp = np.zeros((k, k))
+        dp[0, 0] = 1.0
+        for pmf in pmf_others:
+            above = pmf[c + 1 :].sum()
+            tied = pmf[c]
+            new = dp * (1.0 - above - tied)
+            new[1:, :] += dp[:-1, :] * above
+            new[:, 1:] += dp[:, :-1] * tied
+            dp = new
+        select = 0.0
+        for b in range(k):
+            room = m_worst - b
+            if room <= 0:
+                continue
+            for t in range(k - b):
+                if dp[b, t] == 0.0:
+                    continue
+                if tie_rule == "fair":
+                    select += dp[b, t] * min(room / (t + 1), 1.0)
+                elif tie_rule == "adversarial":
+                    select += dp[b, t] * (1.0 if t < room else 0.0)
+                else:
+                    select += dp[b, t]
+        total += pmf_worst[c] * select
+    return float(total)
+
 
 class TestEgaMse:
     def test_degenerate_endpoints(self):
