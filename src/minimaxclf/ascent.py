@@ -15,6 +15,7 @@ from .priors import Prior
 
 LINEAR_ASCENT = "linear"
 EGA = "ega"
+_AUTO_M_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,11 @@ def worst_m_indicator(risks: ClassRisks, m_worst: int, rng: np.random.Generator)
     return Prior(indicator)
 
 
-def auto_m(risks: ClassRisks, margin: float = 0.05) -> int:
-    """Smallest M covering every class whose estimated risk is within
-    ``margin`` of the worst one."""
+def auto_m(risks: ClassRisks) -> int:
+    """Smallest M covering every class whose estimated risk is within 0.05
+    of the worst one."""
     worst = float(risks.estimates.max())
-    return int(np.count_nonzero(risks.estimates >= worst - margin))
+    return int(np.count_nonzero(risks.estimates >= worst - _AUTO_M_MARGIN))
 
 
 def linear_ascent_step(state: AscentState, indicator: Prior) -> Prior:

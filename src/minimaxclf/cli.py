@@ -26,6 +26,7 @@ from . import __version__
 from .config import (
     SCHEMA_VERSION,
     ConfigError,
+    check_class_count,
     config_hash,
     load_config,
 )
@@ -59,10 +60,12 @@ def build_mixture(ds_cfg: dict) -> MixtureSpec:
 
 def build_data(config: dict) -> tuple:
     """(dataset, eval set) of one run. A CSV source has no mixture to draw
-    an eval set from, so its eval set is None."""
+    an eval set from, so its eval set is None; its K is checked once read."""
     ds_cfg, eval_cfg = config["dataset"], config["eval"]
     if ds_cfg["source"] == "csv":
-        return load_csv_dataset(ds_cfg["csv_path"], ds_cfg["csv_header"]), None
+        dataset = load_csv_dataset(ds_cfg["csv_path"], ds_cfg["csv_header"])
+        check_class_count(config, dataset.class_count)
+        return dataset, None
     spec = build_mixture(ds_cfg)
     if ds_cfg["counts"] is not None:
         counts = np.asarray(ds_cfg["counts"], dtype=np.int64)
@@ -318,6 +321,23 @@ def run_oracle(config: dict, out_dir: Path) -> None:
     )
 
 
+# The config fields each override flag sets.
+OVERRIDE_FLAGS = {
+    "--seed": RUN_SEEDS + ("mc.master_seed", "oracle.seed"),
+    "--trials": ("mc.trials",),
+}
+
+# Every experiment: its runner, its help text and the override flags it reads.
+COMMANDS = {
+    "train": (run_train, "one minimax training run", ("--seed",)),
+    "ablate": (run_ablate, "the 4-way loss x ascent ablation grid", ()),
+    "theory": (run_theory, "analytic failure-bound and MSE tables", ()),
+    "mc": (run_mc, "Monte Carlo validation curves against the analytic values",
+           ("--seed", "--trials")),
+    "oracle": (run_oracle, "adversarial prior search with the Bayes oracle", ("--seed",)),
+}
+
+
 def run_experiment(config: dict, out_dir=None) -> Path:
     """Dispatch one validated config; returns the artifact directory."""
     name = config.get("name", "run")
@@ -327,13 +347,7 @@ def run_experiment(config: dict, out_dir=None) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, config)
-    runner = {
-        "train": run_train,
-        "ablate": run_ablate,
-        "theory": run_theory,
-        "mc": run_mc,
-        "oracle": run_oracle,
-    }[config["experiment"]]
+    runner = COMMANDS[config["experiment"]][0]
     try:
         runner(config, out_dir)
     except Exception as err:
@@ -366,18 +380,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("train", "one minimax training run"),
-        ("ablate", "the 4-way loss x ascent ablation grid"),
-        ("theory", "analytic failure-bound and MSE tables"),
-        ("mc", "Monte Carlo validation curves against the analytic values"),
-        ("oracle", "adversarial prior search with the Bayes oracle"),
-    ):
+    for name, (_, help_text, flags) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=Path, default=None, help="JSON config file")
         cmd.add_argument("--preset", default=None, help="named preset to start from")
-        cmd.add_argument("--seed", type=int, default=None, help="override every run seed")
-        cmd.add_argument("--trials", type=int, default=None, help="override mc.trials")
+        for flag in flags:
+            fields = OVERRIDE_FLAGS[flag]
+            cmd.add_argument(flag, type=int, default=None, help="set " + ", ".join(fields))
         cmd.add_argument("--out", type=Path, default=None, help="artifact directory")
     rep = sub.add_parser("report", help="print the summary of a run directory")
     rep.add_argument("run_dir", type=Path)
@@ -391,11 +400,10 @@ def main(argv=None) -> int:
             run_report(args.run_dir)
             return 0
         overrides = {"experiment": args.command}
-        if args.trials is not None:
-            overrides["mc.trials"] = args.trials
-        if args.seed is not None:
-            for field in RUN_SEEDS + ("mc.master_seed", "oracle.seed"):
-                overrides[field] = args.seed
+        for flag in COMMANDS[args.command][2]:
+            value = getattr(args, flag[2:])
+            if value is not None:
+                overrides.update(dict.fromkeys(OVERRIDE_FLAGS[flag], value))
         config = load_config(args.config, preset=args.preset, overrides=overrides)
         out = run_experiment(config, args.out)
         print(out)

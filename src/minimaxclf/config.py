@@ -281,6 +281,19 @@ def _walk(rules: dict, node, prefix: str = "") -> None:
             _check(rule, node.get(key), prefix + key)
 
 
+def check_class_count(config: dict, k: int) -> None:
+    """The checks that need the class count K: one ``dataset.counts`` and
+    ``minimax.fixed_target`` entry per class, and ``ascent.m_worst`` <= K.
+    A CSV source's K is known, and these checks run, once its file is read."""
+    counts, target = config["dataset"]["counts"], config["minimax"]["fixed_target"]
+    for field, value in (("dataset.counts", counts), ("minimax.fixed_target", target)):
+        if value is not None and len(value) != k:
+            raise ConfigError(f"{field}: got {len(value)} entries, expected {k}, one per class")
+    m_worst = config["ascent"]["m_worst"]
+    if m_worst > k:
+        raise ConfigError(f"ascent.m_worst: got {m_worst}, expected at most K = {k}")
+
+
 def validate_config(config: dict) -> dict:
     """Fill defaults, then check every field; returns the resolved config."""
     if not isinstance(config, dict):
@@ -298,18 +311,20 @@ def validate_config(config: dict) -> dict:
     ds, asc, target = resolved["dataset"], resolved["ascent"], resolved["minimax"]["fixed_target"]
     if ds["imbalance"] is not None:
         _walk(IMBALANCE, ds["imbalance"], "dataset.imbalance.")
+        if ds["counts"] is not None:
+            raise ConfigError("dataset.imbalance: dataset.counts sets the class counts too")
     if ds["source"] == "csv":
-        # the class count K is known only once the file is read
+        for field in ("counts", "imbalance"):
+            if ds[field] is not None:
+                raise ConfigError(f"dataset.{field}: a CSV file gives its own class counts")
         if ds["csv_path"] is None:
             raise ConfigError("dataset.csv_path: required when source is 'csv'")
         if resolved["experiment"] == "oracle":
             raise ConfigError("dataset.source: the oracle needs a synthetic mixture, not 'csv'")
     else:
         k = BENCHMARKS[ds["benchmark"]] or ds["class_count"]
-        for field, value in (("dataset.counts", ds["counts"]), ("minimax.fixed_target", target)):
-            if value is not None and len(value) != k:
-                raise ConfigError(f"{field}: got {len(value)} entries, expected {k}, one per class")
-        if ds["counts"] is None and ds["imbalance"] is not None:
+        check_class_count(resolved, k)
+        if ds["imbalance"] is not None:
             try:
                 counts = make_imbalance_counts(ImbalanceProfile(**ds["imbalance"]), k).tolist()
             except ValueError as err:  # a class with no samples
@@ -318,8 +333,6 @@ def validate_config(config: dict) -> dict:
                 raise ConfigError(
                     f"dataset.imbalance: gives counts {counts}, expected at least 2 per class"
                 )
-        if asc["m_worst"] > k:
-            raise ConfigError(f"ascent.m_worst: got {asc['m_worst']}, expected at most K = {k}")
         if resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid" and k > 3:
             raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
     if target is not None and abs(float(np.sum(target)) - 1.0) > SIMPLEX_ATOL:

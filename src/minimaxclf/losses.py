@@ -23,6 +23,8 @@ from .priors import Prior
 VARIANTS = ("CE", "WCE", "Focal", "FocalAlpha", "LDAM", "LA", "VS", "TWCE", "TLA", "GML")
 
 _FOCAL_GAMMA = 2.0
+_LDAM_MAX_MARGIN = 0.5  # the largest margin of Cao et al., arXiv:1906.07413
+_DRW_BETA = 0.9999  # the effective-number beta of Cui et al., arXiv:1901.05555
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,13 @@ def tla_offsets(pi_train: Prior, pi_target: Prior, tau: float) -> np.ndarray:
     return tau * (np.log(pt) - np.log(pg))
 
 
-def deferred_reweighting_weights(counts, beta: float = 0.9999) -> np.ndarray:
-    """Effective-number class weights (1 - beta) / (1 - beta^N_y) used when a
-    re-weighting switch is scheduled late in training."""
+def deferred_reweighting_weights(counts) -> np.ndarray:
+    """Effective-number class weights (1 - beta) / (1 - beta^N_y), beta =
+    0.9999, used when a re-weighting switch is scheduled late in training."""
     counts = np.asarray(counts, dtype=np.float64)
     if np.any(counts < 1):
         raise ValueError("all classes need at least one sample")
-    return (1.0 - beta) / (1.0 - beta**counts)
+    return (1.0 - _DRW_BETA) / (1.0 - _DRW_BETA**counts)
 
 
 def spec_from_variant(
@@ -99,7 +101,6 @@ def spec_from_variant(
     counts=None,
     tau: float = 1.0,
     gamma: float = 0.15,
-    ldam_max_margin: float = 0.5,
 ) -> GeneralizedLossSpec:
     """Instantiate one of the named variants.
 
@@ -138,9 +139,9 @@ def spec_from_variant(
         )
     if variant == "LDAM":
         c = need_counts()
-        # margin C * N_y^(-1/4) with C chosen so the largest margin is ldam_max_margin
+        # margin C * N_y^(-1/4) with C chosen so the largest margin is _LDAM_MAX_MARGIN
         raw = c**-0.25
-        margins = ldam_max_margin * raw / raw.max()
+        margins = _LDAM_MAX_MARGIN * raw / raw.max()
         return GeneralizedLossSpec(variant, ones, ones, zeros, true_class_offsets=-margins)
     if variant == "LA":
         if tau <= 0:

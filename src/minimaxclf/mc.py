@@ -15,6 +15,7 @@ import numpy as np
 
 _CHUNK = 1 << 14
 MIN_TRIALS = 10_000
+_Z95 = 1.959963984540054  # the z of a two-sided 95% normal interval
 
 
 @dataclass(frozen=True)
@@ -26,11 +27,11 @@ class McEstimate:
     standard_error: float
 
 
-def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple:
+def _wilson_interval(successes: int, trials: int) -> tuple:
     p = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (p + z**2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
+    denom = 1.0 + _Z95**2 / trials
+    center = (p + _Z95**2 / (2 * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1 - p) / trials + _Z95**2 / (4 * trials**2)) / denom
     return center - half, center + half
 
 
@@ -96,5 +97,4 @@ def mc_ega_mse(
     mean = total / trials
     variance = max(total_sq / trials - mean**2, 0.0)
     se = math.sqrt(variance / trials)
-    z = 1.959963984540054
-    return McEstimate(mean, mean - z * se, mean + z * se, trials, se)
+    return McEstimate(mean, mean - _Z95 * se, mean + _Z95 * se, trials, se)

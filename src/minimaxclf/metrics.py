@@ -8,6 +8,8 @@ import numpy as np
 from .data import LabeledDataset
 from .model import ModelParams, predict
 
+_NEIGHBOR_COUNT = 3
+
 
 def per_class_accuracies(params: ModelParams, dataset: LabeledDataset) -> np.ndarray:
     counts = dataset.per_class_counts
@@ -32,14 +34,12 @@ def balanced_accuracy(params: ModelParams, dataset: LabeledDataset) -> float:
     return float(per_class_accuracies(params, dataset).mean())
 
 
-def inter_intra_ratio(
-    features: np.ndarray, labels: np.ndarray, neighbor_count: int = 3
-) -> np.ndarray:
-    """Per-class ratio of the mean distance to the nearest other class
+def inter_intra_ratio(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-class ratio of the mean distance to the 3 nearest other class
     centers over the mean within-class distance to the own center.
 
-    A class whose samples coincide exactly gets an infinite ratio.
-    ``neighbor_count`` is clipped to K - 1 for small class counts.
+    A class whose samples coincide exactly gets an infinite ratio. The
+    neighbor count is clipped to K - 1 for small class counts.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -52,7 +52,7 @@ def inter_intra_ratio(
     counts = np.array([(y == c).sum() for c in classes])
     if np.any(counts < 2):
         raise ValueError("every class needs at least 2 samples")
-    neighbors = min(neighbor_count, k - 1)
+    neighbors = min(_NEIGHBOR_COUNT, k - 1)
     centers = np.stack([x[y == c].mean(axis=0) for c in classes])
     pairwise = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     ratios = np.empty(k)

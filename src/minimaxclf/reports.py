@@ -20,8 +20,7 @@ def fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
+    # a bool is an int and an np.bool_ a float here: both print 1 or 0
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return "%.17g" % float(value)
@@ -33,50 +32,6 @@ def write_csv(path, header: list, rows: list) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def epochs_csv(report: RunReport, path) -> None:
-    """One record per epoch: loss, target prior, held-out risks, eval metrics."""
-    k = report.train_prior.class_count
-    header = (
-        ["epoch", "phase", "mean_loss"]
-        + [f"pi_{y}" for y in range(1, k + 1)]
-        + [f"risk_{y}" for y in range(1, k + 1)]
-        + ["worst_class", "worst_class_acc", "balanced_acc"]
-    )
-    rows = []
-    for rec in report.records:
-        row = [rec.epoch, rec.phase, rec.mean_loss]
-        row += list(rec.prior.p)
-        row += list(rec.risks.estimates) if rec.risks is not None else [None] * k
-        row += [
-            None if rec.worst_class is None else rec.worst_class + 1,
-            rec.worst_class_acc,
-            rec.balanced_acc,
-        ]
-        rows.append(row)
-    write_csv(path, header, rows)
-
-
-def trajectory_csv(report: RunReport, path) -> None:
-    """Plot schema: epoch, pi_1..pi_K, worst_class, worst_risk (K+3 columns).
-
-    worst_class/worst_risk are the largest held-out risk each epoch.
-    """
-    k = report.train_prior.class_count
-    header = ["epoch"] + [f"pi_{y}" for y in range(1, k + 1)] + ["worst_class", "worst_risk"]
-    rows = []
-    for rec in report.records:
-        worst = int(np.argmax(rec.risks.estimates)) if rec.risks is not None else None
-        rows.append(
-            [rec.epoch]
-            + list(rec.prior.p)
-            + [
-                None if worst is None else worst + 1,
-                None if worst is None else rec.risks.estimates[worst],
-            ]
-        )
-    write_csv(path, header, rows)
 
 
 def curve_csv(path, rows: list) -> None:
@@ -97,10 +52,37 @@ def write_json(path, payload: dict) -> None:
 
 def write_run(report: RunReport, run_dir, **extra) -> dict:
     """Write one training run's epochs.csv, trajectory.csv and summary.json;
-    ``extra`` adds keys to the summary. Returns the summary."""
+    ``extra`` adds keys to the summary. Returns the summary.
+
+    epochs.csv has one record per epoch: loss, target prior, held-out risks
+    and eval metrics. trajectory.csv is the plot schema: epoch, pi_1..pi_K,
+    and the class and value of the largest held-out risk (K+3 columns).
+    """
     run_dir = Path(run_dir)
-    epochs_csv(report, run_dir / "epochs.csv")
-    trajectory_csv(report, run_dir / "trajectory.csv")
+    k = report.train_prior.class_count
+    pis = [f"pi_{y}" for y in range(1, k + 1)]
+    epoch_rows, trajectory_rows = [], []
+    for rec in report.records:
+        if rec.risks is None:
+            risks, worst = [None] * k, [None, None]
+        else:
+            risks = list(rec.risks.estimates)
+            y = int(np.argmax(rec.risks.estimates))
+            worst = [y + 1, risks[y]]
+        worst_class = None if rec.worst_class is None else rec.worst_class + 1
+        epoch_rows.append(
+            [rec.epoch, rec.phase, rec.mean_loss, *rec.prior.p, *risks]
+            + [worst_class, rec.worst_class_acc, rec.balanced_acc]
+        )
+        trajectory_rows.append([rec.epoch, *rec.prior.p, *worst])
+    epochs_header = (
+        ["epoch", "phase", "mean_loss", *pis]
+        + [f"risk_{y}" for y in range(1, k + 1)]
+        + ["worst_class", "worst_class_acc", "balanced_acc"]
+    )
+    write_csv(run_dir / "epochs.csv", epochs_header, epoch_rows)
+    trajectory_header = ["epoch", *pis, "worst_class", "worst_risk"]
+    write_csv(run_dir / "trajectory.csv", trajectory_header, trajectory_rows)
     summary = {
         "final_prior": [float(v) for v in report.final_prior.p],
         "train_prior": [float(v) for v in report.train_prior.p],

@@ -163,20 +163,13 @@ def exact_find_worst_probability(
     return float(total)
 
 
-def ega_estimate_mse(p_error: float, n_samples: int, include_zero_term: bool = True) -> float:
-    """MSE of exp(Phat) around exp(P) for an N-sample estimate.
-
-    ``include_zero_term`` keeps the n = 0 term of the expectation, which the
-    derivation includes; disabling it reproduces the variant that starts the
-    sum at n = 1.
-    """
-    if not (0.0 <= p_error <= 1.0):
-        raise ValueError(f"probability must lie in [0, 1], got {p_error}")
+def ega_estimate_mse(p_error: float, n_samples: int) -> float:
+    """MSE of exp(Phat) around exp(P) for an N-sample estimate: the
+    expectation over every error count n = 0..N."""
     pmf = binomial_pmf(n_samples, p_error)
     n = np.arange(n_samples + 1)
     terms = pmf * (np.exp(p_error) - np.exp(n / n_samples)) ** 2
-    start = 0 if include_zero_term else 1
-    return float(terms[start:].sum())
+    return float(terms.sum())
 
 
 @dataclass(frozen=True)

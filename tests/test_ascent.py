@@ -180,3 +180,31 @@ def test_both_steps_stay_on_simplex(raw, risks, alpha, method):
         out = ega_step(state, ClassRisks(risk_values, np.full(k, 5)))
     assert abs(out.p.sum() - 1.0) <= 1e-12
     assert np.all(out.p >= 0.0)
+
+
+def _state(method, k=2):
+    return AscentState(Prior.uniform(k), method, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: ClassRisks([0.1, 0.2], [10]), "equal length", id="risks-length"),
+        pytest.param(lambda: ClassRisks([1.5, 0.2], [10, 10]), r"lie in \[0, 1\]",
+                     id="risks-range"),
+        pytest.param(lambda: ClassRisks([0.1, 0.2], [10, 0]), "at least one sample",
+                     id="risks-count"),
+        pytest.param(lambda: _state("sgd"), "unknown ascent method", id="state-method"),
+        pytest.param(lambda: AscentState(Prior.uniform(2), "linear", 0.1, m_worst=3),
+                     r"m_worst must be in \[1, 2\]", id="state-m_worst"),
+        pytest.param(lambda: linear_ascent_step(_state("ega"), Prior.uniform(2)), "not linear",
+                     id="linear-step-on-ega"),
+        pytest.param(lambda: ega_step(_state("linear"), _risks(0.1, 0.2)), "not ega",
+                     id="ega-step-on-linear"),
+        pytest.param(lambda: ega_step(_state("ega"), _risks(0.1, 0.2, 0.3)), "class count",
+                     id="ega-step-class-count"),
+    ],
+)
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

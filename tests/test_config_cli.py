@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import inspect
@@ -17,12 +18,30 @@ from hypothesis import strategies as st
 
 from minimaxclf import cli
 from minimaxclf.cli import RUN_SEEDS, main, run_experiment
-from minimaxclf.config import SCHEMA, ConfigError, config_hash, load_config, validate_config
-from minimaxclf.data import circle_mixture, sample_mixture, save_csv_dataset
+from minimaxclf.config import (
+    BENCHMARKS,
+    EXPERIMENTS,
+    SCHEMA,
+    ConfigError,
+    config_hash,
+    load_config,
+    validate_config,
+)
+from minimaxclf.data import (
+    ImbalanceProfile,
+    circle_mixture,
+    make_imbalance_counts,
+    sample_mixture,
+    save_csv_dataset,
+)
 from minimaxclf.mc import mc_worst_class_failure
 from minimaxclf.minimax import RunReport
 from minimaxclf.oracle import adversarial_prior_search
-from minimaxclf.reports import trajectory_csv
+from minimaxclf.reports import fmt, write_run
+
+
+_STEP = {"kind": "step", "ratio": 0.5, "base_count": 10}
+_CSV = {"source": "csv", "csv_path": "data.csv"}
 
 
 class TestValidation:
@@ -120,6 +139,18 @@ class TestValidation:
                 ("imbalance-no-sample", {"dataset": {"imbalance": {
                     "kind": "long_tail", "ratio": 0.001, "base_count": 100}}},
                  "dataset.imbalance"),
+                ("counts-and-imbalance", {"dataset": {"benchmark": "two_gaussians_1d",
+                                                      "counts": [10, 10], "imbalance": _STEP}},
+                 "dataset.imbalance"),
+                ("csv-counts", {"dataset": {**_CSV, "counts": [10, 10]}}, "dataset.counts"),
+                ("csv-imbalance", {"dataset": {**_CSV, "imbalance": _STEP}}, "dataset.imbalance"),
+                ("csv-no-path", {"dataset": {"source": "csv"}}, "dataset.csv_path"),
+                ("grid-k10", {"experiment": "oracle", "oracle": {"method": "grid"}},
+                 "oracle.method"),
+                ("mc-m_worst-above-vector", {"mc": {"error_vector": [0.5, 0.2], "m_worst": 3}},
+                 "mc.m_worst"),
+                ("section-not-object", {"loss": 5}, "loss"),
+                ("linear-alpha-1", {"ascent": {"alpha": 1.0}}, "ascent.alpha"),
             ]
         ],
     )
@@ -494,10 +525,14 @@ class TestCliEntry:
             (["theory"], {"theory": {"sample_sizes": [2, 2]}}, ("theory.sample_sizes",)),
             (["train"], {"dataset": {"benchmark": "two_gaussians_1d"}, "eval": {"per_class": 1}},
              ("eval.per_class",)),
+            (["train"], {"dataset": {"counts": [10] * 10, "imbalance": _STEP}},
+             ("dataset.imbalance",)),
+            (["ablate"], {"dataset": {**_CSV, "counts": [10, 10]}}, ("dataset.counts",)),
+            (["train"], {"dataset": {**_CSV, "imbalance": _STEP}}, ("dataset.imbalance",)),
         ],
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
              "imbalance-below-two", "no-sample-size", "repeated-sample-size",
-             "eval-one-per-class"],
+             "eval-one-per-class", "counts-and-imbalance", "csv-counts", "csv-imbalance"],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
@@ -584,7 +619,9 @@ class TestCliEntry:
         assert main(["train", "--config", str(config_path), "--seed", "7",
                      "--out", str(tmp_path / "s7")]) == 0
         manifest = json.loads((tmp_path / "s7" / "manifest.json").read_text())
-        assert manifest["config"]["dataset"]["seed"] == 7
+        for field in RUN_SEEDS + ("mc.master_seed", "oracle.seed"):
+            section, key = field.split(".")
+            assert manifest["config"][section][key] == 7, field
 
 
 def test_oracle_section_is_search_keywords():
@@ -607,8 +644,107 @@ def test_empty_trajectory_is_header_only(tmp_path):
         train_counts=np.array([1, 1, 1]),
         config=MinimaxConfig(),
     )
-    path = tmp_path / "empty.csv"
-    trajectory_csv(report, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    assert len(lines[0].split(",")) == 3 + 3
+    write_run(report, tmp_path)
+    k = 3
+    for name, width in (("epochs.csv", 3 + 2 * k + 3), ("trajectory.csv", k + 3)):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) == 1, name
+        assert len(lines[0].split(",")) == width, name
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_fmt_prints_bools_as_digits(value):
+    assert fmt(value) == ("1" if value else "0")
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: validate_config([]), ConfigError, "config root must be an object",
+                     id="root-not-object"),
+        pytest.param(lambda: cli.run_report(Path("no-such-run")), FileNotFoundError,
+                     "summary.json not found", id="report-without-summary"),
+    ],
+)
+def test_bad_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_each_command_takes_the_flags_it_reads():
+    assert tuple(cli.COMMANDS) == EXPERIMENTS
+    base = {"--config", "--preset", "--out"}
+    expected = {
+        "train": base | {"--seed"},
+        "oracle": base | {"--seed"},
+        "ablate": base,
+        "theory": base,
+        "mc": base | {"--seed", "--trials"},
+    }
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, flags in expected.items():
+        options = {opt for action in sub.choices[name]._actions for opt in action.option_strings}
+        assert options - {"-h", "--help"} == flags, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ablate", "--seed", "5"], ["theory", "--seed", "1"]]
+    + [[command, "--trials", "20000"] for command in ("train", "ablate", "theory", "oracle")],
+    ids=lambda argv: f"{argv[0]}{argv[1]}",
+)
+def test_unread_flag_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command, cpus",
+    [("train", {0}), ("ablate", {0}), ("ablate", {0, 1})],
+    ids=["train", "ablate-in-process", "ablate-pool"],
+)
+@pytest.mark.parametrize(
+    "section, field",
+    [({"minimax": {"fixed_target": [0.5, 0.5]}}, "minimax.fixed_target"),
+     ({"ascent": {"m_worst": 5}}, "ascent.m_worst")],
+    ids=["fixed_target", "m_worst"],
+)
+def test_csv_class_count_checked_once_read(tmp_path, capsys, monkeypatch, command, cpus,
+                                           section, field):
+    # the 3-class file makes both fields invalid; K is known only once it is read
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    config = _tiny_train_config(dataset=_csv_dataset(tmp_path), ablate={"seeds": [0, 1]})
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({**config, **section}))
+    out = tmp_path / "x"
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["kind"] == "config"
+    assert record["error"]["message"].startswith(f"{field}: ")
+    assert json.loads((out / "failure.json").read_text())["type"] == "ConfigError"
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+@pytest.mark.parametrize("source", ["counts", "imbalance", "neither"])
+def test_build_data(name, source):
+    k = BENCHMARKS[name] or 4
+    dataset_cfg = {"benchmark": name, "class_count": 4}
+    expected = {
+        "counts": np.arange(5, 5 + k),
+        "imbalance": make_imbalance_counts(ImbalanceProfile(**_STEP), k),
+        "neither": np.full(k, 1000),
+    }[source]
+    if source != "neither":
+        dataset_cfg[source] = expected.tolist() if source == "counts" else _STEP
+    config = validate_config({"dataset": dataset_cfg, "eval": {"per_class": 30}})
+    dataset, eval_set = cli.build_data(config)
+    assert dataset.per_class_counts.tolist() == expected.tolist()
+    assert eval_set.per_class_counts.tolist() == [30] * k
+    again, eval_again = cli.build_data(config)
+    for a, b in ((dataset, again), (eval_set, eval_again)):
+        assert np.array_equal(a.instances, b.instances)
+        assert np.array_equal(a.labels, b.labels)

@@ -172,3 +172,43 @@ class TestCsv:
 def test_train_prior_from_realized_counts():
     ds = LabeledDataset(np.zeros((4, 1)), np.array([0, 0, 0, 1]), class_count=2)
     assert np.allclose(ds.train_prior().p, [0.75, 0.25])
+
+
+def _load(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return load_csv_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda tmp: MixtureSpec(np.zeros((1, 1)), np.eye(1)), "at least 2 classes",
+                     id="mixture-one-class"),
+        pytest.param(lambda tmp: MixtureSpec(np.zeros((2, 2)), np.ones((3, 2, 2))),
+                     "inconsistent", id="mixture-covariance-shape"),
+        pytest.param(lambda tmp: MixtureSpec(np.zeros((2, 2)), [[1.0, 0.5], [0.0, 1.0]]),
+                     "not symmetric", id="mixture-asymmetric"),
+        pytest.param(lambda tmp: ImbalanceProfile("step", 0.5, 0), "base_count",
+                     id="profile-base_count"),
+        pytest.param(lambda tmp: make_imbalance_counts(ImbalanceProfile("step", 0.5, 10), 1),
+                     "at least 2 classes", id="imbalance-one-class"),
+        pytest.param(lambda tmp: LabeledDataset(np.zeros(3), np.zeros(3), 2), "2-d",
+                     id="dataset-1d-instances"),
+        pytest.param(lambda tmp: LabeledDataset(np.zeros((3, 1)), np.zeros(2), 2),
+                     "labels shape", id="dataset-label-count"),
+        pytest.param(lambda tmp: LabeledDataset(np.zeros((2, 1)), [0, 2], 2),
+                     r"lie in \[0, 2\)", id="dataset-label-range"),
+        pytest.param(lambda tmp: sample_mixture(two_gaussians_1d(), [1, -1], 0), "nonnegative",
+                     id="sample-negative-count"),
+        pytest.param(lambda tmp: _load(tmp, "1.0\n2.0\n"), "row 1: need at least one feature",
+                     id="csv-one-column"),
+        pytest.param(lambda tmp: _load(tmp, "1.0,1\n2.0,3.0,2\n"),
+                     "row 2: expected 2 columns, found 3", id="csv-ragged-row"),
+        pytest.param(lambda tmp: _load(tmp, "1.0,1.5\n"), "row 1: non-integer label",
+                     id="csv-non-integer-label"),
+    ],
+)
+def test_bad_input_rejected(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path)

@@ -205,7 +205,7 @@ class TestSpecFromVariant:
             spec_from_variant("WCE", _prior(0.5, 0.5))
 
     def test_drw_weights(self):
-        w = deferred_reweighting_weights([1, 10**6], beta=0.9999)
+        w = deferred_reweighting_weights([1, 10**6])
         assert w[0] == pytest.approx(1.0)
         assert w[1] == pytest.approx(1e-4, rel=1e-3)
 
@@ -371,3 +371,44 @@ class TestGml:
     def test_empty_batch(self):
         with pytest.raises(ValueError, match="empty"):
             batch_loss(_gml_spec(2), np.empty((0, 2)), np.empty(0, dtype=int))
+
+
+_ONES, _ZEROS = np.ones(2), np.zeros(2)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: GeneralizedLossSpec("XENT", _ONES, _ONES, _ZEROS),
+                     "unknown loss variant", id="spec-variant"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", _ONES, np.ones(3), _ZEROS),
+                     "equal length", id="spec-length"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", [1.0, 0.0], _ONES, _ZEROS),
+                     "weights must be positive", id="spec-weights"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", _ONES, [1.0, 0.0], _ZEROS),
+                     "multiplicative logits", id="spec-delta"),
+        pytest.param(lambda: GeneralizedLossSpec("LDAM", _ONES, _ONES, _ZEROS, np.zeros(3)),
+                     "true_class_offsets", id="spec-offsets"),
+        pytest.param(lambda: tla_offsets(_prior(0.5, 0.5), _prior(0.5, 0.5), 0.0),
+                     "tau must be positive", id="tla-tau"),
+        pytest.param(lambda: tla_offsets(_prior(0.5, 0.5), Prior.uniform(3), 1.0),
+                     "different class counts", id="tla-class-count"),
+        pytest.param(lambda: deferred_reweighting_weights([0, 5]), "at least one sample",
+                     id="drw-empty-class"),
+        pytest.param(lambda: spec_from_variant("WCE", _prior(0.5, 0.5), counts=[1, 2, 3]),
+                     "match the class count", id="counts-length"),
+        pytest.param(lambda: spec_from_variant("TLA", _prior(0.5, 0.5)), "needs a target prior",
+                     id="missing-target"),
+        pytest.param(lambda: spec_from_variant("VS", _prior(0.5, 0.5), counts=[1, 2], gamma=-1),
+                     "invalid VS", id="vs-gamma"),
+        pytest.param(lambda: spec_from_variant("TWCE", _prior(1.0, 0.0), _prior(0.5, 0.5)),
+                     "zero coordinate", id="twce-zero-train"),
+        pytest.param(lambda: loss_and_grad(_make_spec("CE", 2), np.zeros((3, 3)), [0, 0, 0]),
+                     r"logits must be \(N, 2\)", id="logits-shape"),
+        pytest.param(lambda: loss_and_grad(_make_spec("CE", 2), np.zeros((3, 2)), [0, 2, 0]),
+                     "labels must be", id="label-range"),
+    ],
+)
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

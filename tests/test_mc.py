@@ -86,3 +86,18 @@ class TestEgaMseMc:
         a = mc_ega_mse(0.3, 8, trials=20_000, master_seed=11)
         b = mc_ega_mse(0.3, 8, trials=20_000, master_seed=11)
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: mc_worst_class_failure([1.5, 0.2], 1, 4, 10_000, 0),
+                     r"lie in \[0, 1\]", id="failure-range"),
+        pytest.param(lambda: mc_worst_class_failure([0.5, 0.2], 3, 4, 10_000, 0),
+                     r"m_worst must be in \[1, 2\]", id="failure-m_worst"),
+        pytest.param(lambda: mc_ega_mse(1.5, 4, 10_000, 0), r"lie in \[0, 1\]", id="mse-range"),
+    ],
+)
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

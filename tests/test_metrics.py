@@ -110,7 +110,7 @@ class TestInterIntraRatio:
         feats = rng.normal(size=(20, 2))
         labels = rng.integers(0, 2, size=20)
         labels[:2] = [0, 1]
-        ratios = inter_intra_ratio(feats, labels, neighbor_count=3)
+        ratios = inter_intra_ratio(feats, labels)
         assert ratios.shape == (2,)
 
     def test_single_sample_class_rejected(self):
@@ -118,3 +118,17 @@ class TestInterIntraRatio:
         labels = np.array([0, 0, 1])
         with pytest.raises(ValueError, match="2 samples"):
             inter_intra_ratio(feats, labels)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: inter_intra_ratio(np.zeros((4, 2)), np.zeros(3)),
+                     "matching labels", id="ratio-label-count"),
+        pytest.param(lambda: inter_intra_ratio(np.zeros((4, 2)), np.zeros(4)),
+                     "at least 2 classes", id="ratio-one-class"),
+    ],
+)
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -294,3 +294,16 @@ class TestMinimaxDirection:
         )
         assert report.final_prior.p[1] > report.train_prior.p[1]
         assert report.final_worst_class_acc > baseline.final_worst_class_acc
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: MinimaxConfig(warmup_epochs=-1), "nonnegative", id="epochs"),
+        pytest.param(lambda: MinimaxConfig(model_fraction=1.0), "model_fraction",
+                     id="model_fraction"),
+    ],
+)
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from minimaxclf.losses import (
 )
 from minimaxclf.model import (
     ModelParams,
+    OptimizerState,
     TrainConfig,
     backward,
     extract_features,
@@ -484,3 +486,44 @@ class TestCheckpoint:
         assert meta["seed"] == 9
         for (_, a), (_, b) in zip(params.tensors(), loaded.tensors()):
             np.testing.assert_array_equal(a, b)
+
+
+def _linear_2x2():
+    return init_params("linear", 2, 2, seed=0)
+
+
+def _old_checkpoint(tmp_path):
+    path = tmp_path / "old.npz"
+    meta = json.dumps({"version": 0, "architecture": "linear", "layers": 1}).encode()
+    np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda tmp: TrainConfig(learning_rate=0.0), "learning rate", id="lr"),
+        pytest.param(lambda tmp: TrainConfig(momentum=1.0), "momentum", id="momentum"),
+        pytest.param(lambda tmp: TrainConfig(decay_factor=0.0), "decay factor",
+                     id="decay_factor"),
+        pytest.param(lambda tmp: TrainConfig(batch_size=0), "batch_size", id="batch_size"),
+        pytest.param(lambda tmp: init_params("cnn", 2, 2, seed=0), "unknown architecture",
+                     id="architecture"),
+        pytest.param(lambda tmp: backward(_linear_2x2(), np.zeros((3, 2)), np.zeros((3, 3))),
+                     r"upstream gradient must be \(N, 2\)", id="backward-shape"),
+        pytest.param(lambda tmp: sgd_step(_linear_2x2(), init_optimizer(_linear_2x2()),
+                                          [np.zeros((2, 2))], TrainConfig()),
+                     "expected 2 gradient tensors", id="sgd-tensor-count"),
+        pytest.param(lambda tmp: sgd_step(_linear_2x2(), init_optimizer(_linear_2x2()),
+                                          [np.zeros((2, 2)), np.zeros(3)], TrainConfig()),
+                     "gradient shape mismatch for b1", id="sgd-tensor-shape"),
+        pytest.param(lambda tmp: sgd_step(_linear_2x2(), OptimizerState([]),
+                                          [np.zeros((2, 2)), np.zeros(2)], TrainConfig()),
+                     "optimizer velocities", id="sgd-velocities"),
+        pytest.param(lambda tmp: load_checkpoint(_old_checkpoint(tmp)),
+                     "unsupported checkpoint version 0", id="checkpoint-version"),
+    ],
+)
+def test_bad_input_rejected(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path)

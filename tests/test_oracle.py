@@ -327,3 +327,18 @@ class TestAdversarialSearch:
     def test_ascent_rejects_zero_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
             adversarial_prior_search(three_gaussians_1d(), method="ascent", iterations=0)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: oracle.class_log_densities(two_gaussians_1d(), np.zeros((3, 2))),
+                     r"instances must be \(N, 1\)", id="densities-dim"),
+        pytest.param(lambda: adversarial_prior_search(two_gaussians_1d(), method="x"),
+                     "unknown search method", id="search-method"),
+        pytest.param(lambda: _simplex_grid(4, 0.1), "K <= 3", id="grid-k4"),
+    ],
+)
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -58,3 +58,19 @@ class TestProjection:
             corner = np.zeros(v.size)
             corner[i] = 1.0
             assert np.linalg.norm(v - out) <= np.linalg.norm(v - corner) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: Prior([1.0]), "at least 2 classes", id="one-class"),
+        pytest.param(lambda: Prior([np.nan, 1.0]), "non-finite", id="nan"),
+        pytest.param(lambda: Prior.from_counts([0, 0]), "sum to zero", id="no-counts"),
+        pytest.param(lambda: Prior.from_vector([-1.0, 2.0]), "cannot normalize",
+                     id="negative-vector"),
+        pytest.param(lambda: project_to_simplex(np.zeros((2, 2))), "1-d", id="project-2d"),
+    ],
+)
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -213,12 +213,6 @@ class TestEgaMse:
         # 0.5 (e^0.5 - 1)^2 + 0.5 (e^0.5 - e)^2, 40-digit evaluation
         assert ega_estimate_mse(0.5, 1) == pytest.approx(0.782399536886, abs=1e-10)
 
-    def test_zero_term_flag(self):
-        # dropping n=0 removes 0.5 (e^0.5 - 1)^2
-        with_zero = ega_estimate_mse(0.5, 1)
-        without = ega_estimate_mse(0.5, 1, include_zero_term=False)
-        assert with_zero - without == pytest.approx(0.5 * (np.exp(0.5) - 1.0) ** 2, rel=1e-12)
-
     def test_vanishes_with_n(self):
         values = [ega_estimate_mse(0.5, 2**k) for k in range(1, 11)]
         assert np.all(np.diff(values) < 0)
@@ -286,3 +280,26 @@ class TestBoundTerms:
         spec = spec_from_variant("CE", Prior.uniform(2))
         with pytest.raises(ValueError, match="no samples"):
             bound_terms(spec, params, ds, Prior.uniform(2))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: binomial_pmf(3, 1.5), "probability must lie", id="pmf-p"),
+        pytest.param(lambda: binomial_pmf(0, 0.5), "at least one trial", id="pmf-trials"),
+        pytest.param(lambda: prob_mth_worst([0.5], 1, 4), "at least 2 classes",
+                     id="mth-one-class"),
+        pytest.param(lambda: prob_mth_worst([1.5, 0.2], 1, 4), "error probabilities must lie",
+                     id="mth-range"),
+        pytest.param(lambda: prob_mth_worst([0.5, 0.2], 3, 4), r"m must be in \[1, 2\]",
+                     id="mth-m"),
+        pytest.param(lambda: exact_find_worst_probability([1.5, 0.2], 1, 4),
+                     "error probabilities must lie", id="exact-range"),
+        pytest.param(lambda: exact_find_worst_probability([0.5, 0.2], 3, 4),
+                     r"m_worst must be in \[1, 2\]", id="exact-m_worst"),
+        pytest.param(lambda: ega_estimate_mse(1.5, 4), "probability must lie", id="mse-p"),
+    ],
+)
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
