@@ -284,7 +284,9 @@ def _walk(rules: dict, node, prefix: str = "") -> None:
 def check_class_count(config: dict, k: int) -> None:
     """The checks that need the class count K: one ``dataset.counts`` and
     ``minimax.fixed_target`` entry per class, and ``ascent.m_worst`` <= K.
-    A CSV source's K is known, and these checks run, once its file is read."""
+    Only ``train`` and ``ablate`` read these fields, so only they run the
+    checks. A CSV source's K is known, and the checks run, once its file is
+    read."""
     counts, target = config["dataset"]["counts"], config["minimax"]["fixed_target"]
     for field, value in (("dataset.counts", counts), ("minimax.fixed_target", target)):
         if value is not None and len(value) != k:
@@ -323,7 +325,8 @@ def validate_config(config: dict) -> dict:
             raise ConfigError("dataset.source: the oracle needs a synthetic mixture, not 'csv'")
     else:
         k = BENCHMARKS[ds["benchmark"]] or ds["class_count"]
-        check_class_count(resolved, k)
+        if resolved["experiment"] in ("train", "ablate"):
+            check_class_count(resolved, k)
         if ds["imbalance"] is not None:
             try:
                 counts = make_imbalance_counts(ImbalanceProfile(**ds["imbalance"]), k).tolist()

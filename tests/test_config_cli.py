@@ -728,6 +728,28 @@ def test_csv_class_count_checked_once_read(tmp_path, capsys, monkeypatch, comman
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize(
+    "section, field",
+    [({"dataset": {"benchmark": "two_gaussians_1d", "counts": [10, 10, 10]}}, "dataset.counts"),
+     ({"dataset": {"benchmark": "two_gaussians_1d"},
+       "minimax": {"fixed_target": [0.2, 0.3, 0.5]}}, "minimax.fixed_target"),
+     ({"dataset": {"benchmark": "two_gaussians_1d"}, "ascent": {"m_worst": 5}},
+      "ascent.m_worst")],
+    ids=["counts", "fixed_target", "m_worst"],
+)
+def test_class_count_checked_only_where_read(experiment, section, field):
+    # only train and ablate read these fields; a wrong K there stops the run
+    config = {"experiment": experiment, **section}
+    if experiment in ("train", "ablate"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+            validate_config(config)
+    else:
+        resolved = validate_config(config)
+        section_name, leaf = field.split(".")
+        assert resolved[section_name][leaf] == section[section_name][leaf]
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 @pytest.mark.parametrize("source", ["counts", "imbalance", "neither"])
 def test_build_data(name, source):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -136,6 +139,103 @@ class TestBayesOracle:
         monkeypatch.setattr(oracle, "class_log_densities", counting)
         adversarial_prior_search(circle_mixture(3), mc_samples=10_000, seed=1, **kwargs)
         assert calls == [30_000]
+
+
+def _full_log_densities(spec, x):
+    """Reference: the one-pass density matrix, every class over all rows."""
+    out = np.empty((len(x), spec.class_count))
+    const = spec.dim * math.log(2.0 * math.pi)
+    for y in range(spec.class_count):
+        chol = np.linalg.cholesky(spec.covariances[y])
+        diff = x - spec.means[y]
+        sol = np.linalg.solve(chol, diff.T)
+        maha = np.sum(sol**2, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, y] = -0.5 * (const + logdet + maha)
+    return out
+
+
+def _full_risks(log_densities, labels, counts, pi):
+    """Reference: the argmax of the whole N x K score matrix."""
+    predictions = np.argmax(log_densities + _log_prior(pi), axis=1)
+    errors = np.bincount(labels[predictions != labels], minlength=len(counts))
+    return errors / counts
+
+
+def _test_priors(k, seed):
+    rng = np.random.default_rng(seed)
+    priors = [rng.dirichlet(np.ones(k)) for _ in range(3)]
+    priors.append(np.r_[0.0, np.full(k - 1, 1.0 / (k - 1))])  # a zero-mass class
+    priors.append(np.eye(k)[k - 1])  # one-hot
+    return [Prior(p) for p in priors]
+
+
+def _rotated_covariances(k, rng):
+    covs = []
+    for _ in range(k):
+        a = rng.normal(size=(2, 2))
+        covs.append(a @ a.T + 0.3 * np.eye(2))
+    return np.stack(covs)
+
+
+class TestBlockedOracle:
+    """The densities and the argmax run in row blocks; every value must equal
+    the one-pass computation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, per_class",
+        [
+            # 100,070 rows: not a multiple of the block
+            (circle_mixture(10, 3.0), 10_007),
+            (MixtureSpec(np.array([[0.0, 0.0], [1.5, 0.5], [-0.5, 1.0]]),
+                         _rotated_covariances(3, np.random.default_rng(8))), 10_000),
+        ],
+        ids=["circle-10", "rotated-2d"],
+    )
+    def test_matches_one_pass(self, spec, per_class):
+        k = spec.class_count
+        counts = np.full(k, per_class)
+        ds = sample_mixture(spec, counts, 3)
+        expected = _full_log_densities(spec, ds.instances)
+        got = oracle.class_log_densities(spec, ds.instances)
+        assert got.shape == (per_class * k, k)
+        assert np.array_equal(got, expected)
+        cached = BayesOracle(spec, per_class, 3)
+        for pi in _test_priors(k, 4):
+            risks = cached.risks(pi)
+            assert np.array_equal(risks.estimates, _full_risks(expected, ds.labels, counts, pi))
+            full = np.argmax(expected + _log_prior(pi), axis=1)
+            assert np.array_equal(bayes_predict(spec, pi, ds.instances), full)
+
+    def test_tie_goes_to_smaller_index(self):
+        # points on x = 0 are equidistant from both means; some sit at the
+        # edges of a block
+        spec = MixtureSpec(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.stack([np.eye(2)] * 2))
+        x = np.random.default_rng(0).normal(size=(20_000, 2))
+        ties = [0, 8191, 8192, 16_383, 19_999]
+        x[ties, 0] = 0.0
+        predictions = bayes_predict(spec, Prior.uniform(2), x)
+        assert np.all(predictions[ties] == 0)
+        full = np.argmax(_full_log_densities(spec, x) + _log_prior(Prior.uniform(2)), axis=1)
+        assert np.array_equal(predictions, full)
+
+    def test_scratch_memory_is_one_block(self):
+        # circle-10 at 20,000 samples per class: the density matrix is 16 MB
+        spec = circle_mixture(10, 3.0)
+        matrix_bytes = 8 * 200_000 * 10
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cached = BayesOracle(spec, 20_000, 1)
+            build_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            cached.risks(Prior.uniform(10))
+            risks_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 1.5 * matrix_bytes
+        assert risks_peak <= 0.25 * matrix_bytes
 
 
 def _envelope_sweep_risks(means, sigma, pi):
@@ -298,6 +398,21 @@ class TestAdversarialSearch:
         assert result.iterations == len(grid)
         expected = bayes_class_risks(spec, result.prior)
         np.testing.assert_array_equal(result.risks.estimates, expected.estimates)
+
+    def test_grid_evaluates_chosen_prior_once(self, monkeypatch):
+        calls = []
+        original = BayesOracle.risks
+
+        def counting(self, pi):
+            calls.append(pi.p.copy())
+            return original(self, pi)
+
+        monkeypatch.setattr(BayesOracle, "risks", counting)
+        result = adversarial_prior_search(circle_mixture(3), method="grid", resolution=0.25,
+                                          mc_samples=10_000)
+        assert len(calls) == result.iterations + 1
+        np.testing.assert_array_equal(calls[-1], result.prior.p)
+        assert result.risk == float(np.dot(result.prior.p, result.risks.estimates))
 
     @pytest.mark.parametrize(
         "spec, kwargs",
