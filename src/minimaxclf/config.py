@@ -283,17 +283,26 @@ def _walk(rules: dict, node, prefix: str = "") -> None:
 
 def check_class_count(config: dict, k: int) -> None:
     """The checks that need the class count K: one ``dataset.counts`` and
-    ``minimax.fixed_target`` entry per class, and ``ascent.m_worst`` <= K.
-    Only ``train`` and ``ablate`` read these fields, so only they run the
-    checks. A CSV source's K is known, and the checks run, once its file is
-    read."""
-    counts, target = config["dataset"]["counts"], config["minimax"]["fixed_target"]
-    for field, value in (("dataset.counts", counts), ("minimax.fixed_target", target)):
+    ``minimax.fixed_target`` entry per class, ``ascent.m_worst`` <= K, and at
+    least 2 samples per class from ``dataset.imbalance``. Only ``train`` and
+    ``ablate`` read these fields, so only they run the checks. A CSV source's
+    K is known, and the checks run, once its file is read."""
+    ds, target = config["dataset"], config["minimax"]["fixed_target"]
+    for field, value in (("dataset.counts", ds["counts"]), ("minimax.fixed_target", target)):
         if value is not None and len(value) != k:
             raise ConfigError(f"{field}: got {len(value)} entries, expected {k}, one per class")
     m_worst = config["ascent"]["m_worst"]
     if m_worst > k:
         raise ConfigError(f"ascent.m_worst: got {m_worst}, expected at most K = {k}")
+    if ds["imbalance"] is not None:
+        try:
+            counts = make_imbalance_counts(ImbalanceProfile(**ds["imbalance"]), k).tolist()
+        except ValueError as err:  # a class with no samples
+            raise ConfigError(f"dataset.imbalance: {err}") from None
+        if min(counts) < 2:
+            raise ConfigError(
+                f"dataset.imbalance: gives counts {counts}, expected at least 2 per class"
+            )
 
 
 def validate_config(config: dict) -> dict:
@@ -324,18 +333,12 @@ def validate_config(config: dict) -> dict:
         if resolved["experiment"] == "oracle":
             raise ConfigError("dataset.source: the oracle needs a synthetic mixture, not 'csv'")
     else:
+        for field, value in (("csv_path", ds["csv_path"]), ("csv_header", ds["csv_header"])):
+            if value not in (None, False):
+                raise ConfigError(f"dataset.{field}: only a CSV source reads it, not 'synthetic'")
         k = BENCHMARKS[ds["benchmark"]] or ds["class_count"]
         if resolved["experiment"] in ("train", "ablate"):
             check_class_count(resolved, k)
-        if ds["imbalance"] is not None:
-            try:
-                counts = make_imbalance_counts(ImbalanceProfile(**ds["imbalance"]), k).tolist()
-            except ValueError as err:  # a class with no samples
-                raise ConfigError(f"dataset.imbalance: {err}") from None
-            if min(counts) < 2:
-                raise ConfigError(
-                    f"dataset.imbalance: gives counts {counts}, expected at least 2 per class"
-                )
         if resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid" and k > 3:
             raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
     if target is not None and abs(float(np.sum(target)) - 1.0) > SIMPLEX_ATOL:

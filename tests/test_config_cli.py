@@ -145,6 +145,8 @@ class TestValidation:
                 ("csv-counts", {"dataset": {**_CSV, "counts": [10, 10]}}, "dataset.counts"),
                 ("csv-imbalance", {"dataset": {**_CSV, "imbalance": _STEP}}, "dataset.imbalance"),
                 ("csv-no-path", {"dataset": {"source": "csv"}}, "dataset.csv_path"),
+                ("synthetic-csv_path", {"dataset": {"csv_path": "nope.csv"}}, "dataset.csv_path"),
+                ("synthetic-csv_header", {"dataset": {"csv_header": True}}, "dataset.csv_header"),
                 ("grid-k10", {"experiment": "oracle", "oracle": {"method": "grid"}},
                  "oracle.method"),
                 ("mc-m_worst-above-vector", {"mc": {"error_vector": [0.5, 0.2], "m_worst": 3}},
@@ -735,8 +737,10 @@ def test_csv_class_count_checked_once_read(tmp_path, capsys, monkeypatch, comman
      ({"dataset": {"benchmark": "two_gaussians_1d"},
        "minimax": {"fixed_target": [0.2, 0.3, 0.5]}}, "minimax.fixed_target"),
      ({"dataset": {"benchmark": "two_gaussians_1d"}, "ascent": {"m_worst": 5}},
-      "ascent.m_worst")],
-    ids=["counts", "fixed_target", "m_worst"],
+      "ascent.m_worst"),
+     ({"dataset": {"benchmark": "circle", "class_count": 4, "imbalance": {
+         "kind": "step", "ratio": 0.01, "base_count": 100}}}, "dataset.imbalance")],
+    ids=["counts", "fixed_target", "m_worst", "imbalance"],
 )
 def test_class_count_checked_only_where_read(experiment, section, field):
     # only train and ablate read these fields; a wrong K there stops the run

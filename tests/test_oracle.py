@@ -141,14 +141,16 @@ class TestBayesOracle:
         assert calls == [30_000]
 
 
-def _full_log_densities(spec, x):
-    """Reference: the one-pass density matrix, every class over all rows."""
+def _full_log_densities(spec, x, solve=False):
+    """Reference: the one-pass density matrix, every class over all rows,
+    whitened by the inverse Cholesky factor, or with ``solve`` by an LU
+    solve against the factor."""
     out = np.empty((len(x), spec.class_count))
     const = spec.dim * math.log(2.0 * math.pi)
     for y in range(spec.class_count):
         chol = np.linalg.cholesky(spec.covariances[y])
-        diff = x - spec.means[y]
-        sol = np.linalg.solve(chol, diff.T)
+        diff = x.T - spec.means[y][:, None]
+        sol = np.linalg.solve(chol, diff) if solve else np.linalg.inv(chol) @ diff
         maha = np.sum(sol**2, axis=0)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         out[:, y] = -0.5 * (const + logdet + maha)
@@ -206,6 +208,27 @@ class TestBlockedOracle:
             assert np.array_equal(risks.estimates, _full_risks(expected, ds.labels, counts, pi))
             full = np.argmax(expected + _log_prior(pi), axis=1)
             assert np.array_equal(bayes_predict(spec, pi, ds.instances), full)
+
+    def test_identity_covariance_matches_solve(self):
+        # the circle's covariances are the identity, whose whitening is exact:
+        # the densities equal the solve-based formula's, so the Monte Carlo
+        # oracle artifacts do not move
+        spec = circle_mixture(10, 3.0)
+        x = sample_mixture(spec, np.full(10, 2_000), 6).instances
+        expected = _full_log_densities(spec, x, solve=True)
+        assert np.array_equal(oracle.class_log_densities(spec, x), expected)
+
+    def test_rotated_covariances_match_scipy(self):
+        from scipy.stats import multivariate_normal
+
+        rng = np.random.default_rng(9)
+        spec = MixtureSpec(rng.normal(size=(3, 2)), _rotated_covariances(3, rng))
+        x = 2.0 * rng.normal(size=(20_000, 2))
+        expected = np.stack(
+            [multivariate_normal(spec.means[y], spec.covariances[y]).logpdf(x) for y in range(3)],
+            axis=1,
+        )
+        assert np.max(np.abs(oracle.class_log_densities(spec, x) - expected)) <= 1e-12
 
     def test_tie_goes_to_smaller_index(self):
         # points on x = 0 are equidistant from both means; some sit at the
