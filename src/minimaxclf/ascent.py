@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .model import ModelParams, predict
+from .metrics import _class_hits
+from .model import ModelParams
 from .priors import Prior
 
 LINEAR_ASCENT = "linear"
@@ -77,14 +78,8 @@ class AscentState:
 
 def estimate_class_risks(params: ModelParams, dataset: LabeledDataset) -> ClassRisks:
     """Empirical per-class error rates of the model on the dataset."""
-    counts = dataset.per_class_counts
-    if np.any(counts < 1):
-        missing = np.flatnonzero(counts < 1).tolist()
-        raise ValueError(f"classes {missing} absent from dataset, risks undefined")
-    predictions = predict(params, dataset.instances)
-    wrong = predictions != dataset.labels
-    errors = np.bincount(dataset.labels[wrong], minlength=dataset.class_count)
-    return ClassRisks(errors / counts, counts)
+    correct, counts = _class_hits(params, dataset)
+    return ClassRisks((counts - correct) / counts, counts)
 
 
 def worst_m_indicator(risks: ClassRisks, m_worst: int, rng: np.random.Generator) -> Prior:

@@ -11,14 +11,19 @@ from .model import ModelParams, predict
 _NEIGHBOR_COUNT = 3
 
 
-def per_class_accuracies(params: ModelParams, dataset: LabeledDataset) -> np.ndarray:
+def _class_hits(params: ModelParams, dataset: LabeledDataset) -> tuple:
+    """(correct predictions, samples) per class, both (K,) integer vectors;
+    every class must be present."""
     counts = dataset.per_class_counts
     if np.any(counts < 1):
         missing = np.flatnonzero(counts < 1).tolist()
         raise ValueError(f"classes {missing} absent from dataset")
-    predictions = predict(params, dataset.instances)
-    hit = predictions == dataset.labels
-    correct = np.bincount(dataset.labels[hit], minlength=dataset.class_count)
+    hit = predict(params, dataset.instances) == dataset.labels
+    return np.bincount(dataset.labels[hit], minlength=dataset.class_count), counts
+
+
+def per_class_accuracies(params: ModelParams, dataset: LabeledDataset) -> np.ndarray:
+    correct, counts = _class_hits(params, dataset)
     return correct / counts
 
 

@@ -119,11 +119,18 @@ def _views(flat: np.ndarray, shapes: list) -> list:
     return out
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in place: one new array per layer, not two."""
+    out = x @ w
+    out += b
+    return out
+
+
 def _activations(weights: tuple, biases: tuple, x: np.ndarray) -> list:
     """The input of every layer: x, then each hidden activation. No checks."""
     inputs = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = inputs[-1] @ w + b
+        h = _affine(inputs[-1], w, b)
         np.maximum(h, 0.0, out=h)  # in place: the pre-activation is not kept
         inputs.append(h)
     return inputs
@@ -137,7 +144,7 @@ def _layer_inputs(params: ModelParams, instances: np.ndarray) -> list:
 
 
 def forward_logits(params: ModelParams, instances: np.ndarray) -> np.ndarray:
-    return _layer_inputs(params, instances)[-1] @ params.weights[-1] + params.biases[-1]
+    return _affine(_layer_inputs(params, instances)[-1], params.weights[-1], params.biases[-1])
 
 
 def _backward_into(grads: list, weights: tuple, inputs: list, g: np.ndarray, weight_decay) -> None:
@@ -282,7 +289,7 @@ def train_epoch(
     for start in range(0, n, config.batch_size):
         batch = slice(start, start + config.batch_size)
         inputs = _activations(weights, biases, x[batch])
-        logits = inputs[-1] @ weights[-1] + biases[-1]
+        logits = _affine(inputs[-1], weights[-1], biases[-1])
         if not np.isfinite(logits).all():
             raise ValueError("non-finite logits")
         yb = y[batch]

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .ascent import ClassRisks
 from .data import MixtureSpec, sample_mixture
@@ -129,6 +128,9 @@ def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarra
     index on an exact tie (as in ``bayes_predict``). A class with zero prior
     mass or an empty interval has risk 1.
     """
+    # imported here so that only the exact 1-d risks pay for loading scipy
+    from scipy.special import ndtr
+
     k = means.size
     slopes = means / sigma**2
     # one contiguous row per class, so each update below is over the G priors
@@ -185,7 +187,11 @@ class BayesOracle:
             risks = _exact_risks_1d(self.spec.means[:, 0], self.sigma, pi.p[None, :])[0]
             return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
         predictions = _bayes_argmax(self.log_densities, pi)
-        errors = np.bincount(self.labels[predictions != self.labels], minlength=k)
+        # sample_mixture lays the classes out in order, each a contiguous run
+        # of mc_samples rows, so row y of this (K, mc_samples) view holds
+        # exactly class y's comparisons
+        wrong = (predictions != self.labels).reshape(k, -1)
+        errors = np.count_nonzero(wrong, axis=1)
         return ClassRisks(errors / self.counts, self.counts)
 
     def total_risk(self, pi: Prior) -> float:

@@ -14,7 +14,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .data import LabeledDataset
 from .losses import GeneralizedLossSpec, softmax, tla_offsets
@@ -26,6 +25,9 @@ _TERM_GUARD = 1_000_000
 
 def binomial_pmf(n_trials: int, p: float) -> np.ndarray:
     """Vector of Bin(k; n_trials, p) masses for k = 0..n_trials."""
+    # imported here so that only the commands that need these masses load scipy
+    from scipy.special import gammaln, xlog1py, xlogy
+
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     if n_trials < 1:

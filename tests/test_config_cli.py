@@ -774,3 +774,47 @@ def test_build_data(name, source):
     for a, b in ((dataset, again), (eval_set, eval_again)):
         assert np.array_equal(a.instances, b.instances)
         assert np.array_equal(a.labels, b.labels)
+
+
+# Run in a fresh interpreter, since this one has loaded scipy already: which
+# scipy modules are loaded after the imports, and after one CLI command.
+_SCIPY_PROBE = """
+import json, sys
+import minimaxclf, minimaxclf.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+at_import = scipy_modules()
+code = minimaxclf.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "at_import": at_import, "after_run": scipy_modules()}))
+"""
+
+
+@pytest.mark.parametrize(
+    "config, loads_scipy",
+    [
+        (_tiny_train_config(), False),
+        ({"experiment": "oracle", "dataset": {"class_count": 3},
+          "oracle": {"iterations": 2, "mc_samples": 10_000}}, False),
+        ({"experiment": "oracle", "dataset": {"benchmark": "two_gaussians_1d"},
+          "oracle": {"resolution": 0.1}}, True),
+        ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, True),
+    ],
+    ids=["train", "oracle-monte-carlo", "oracle-exact-1d", "theory"],
+)
+def test_scipy_loaded_only_where_used(tmp_path, config, loads_scipy):
+    # only the binomial masses of the theory and the exact 1-d Bayes risks
+    # need scipy; importing the package and the CLI loads none of it
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = [config["experiment"], "--config", str(config_path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, check=True,
+    )
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["code"] == 0
+    assert record["at_import"] == []
+    assert bool(record["after_run"]) == loads_scipy

@@ -81,6 +81,21 @@ class TestForward:
         with pytest.raises(ValueError, match="instances"):
             forward_logits(params, np.ones((2, 4)))
 
+    @pytest.mark.parametrize("rows", [7, 10_000])
+    @pytest.mark.parametrize("architecture", ["linear", "mlp"])
+    def test_matches_unfused_formula(self, architecture, rows):
+        # the bias is added in place, and each logit is still the sum of
+        # x @ W + b, bit for bit; nonzero biases, so the addition shows
+        rng = np.random.default_rng(5)
+        weights = init_params(architecture, 2, 10, seed=4, hidden_width=64).weights
+        biases = tuple(rng.normal(size=w.shape[1]) for w in weights)
+        params = ModelParams(architecture, weights, biases)
+        x = rng.normal(size=(rows, 2))
+        h = x
+        for w, b in zip(weights[:-1], biases[:-1]):
+            h = np.maximum(h @ w + b, 0.0)
+        assert np.array_equal(forward_logits(params, x), h @ weights[-1] + biases[-1])
+
 
 class TestBackward:
     @pytest.mark.parametrize("architecture", ["linear", "mlp"])

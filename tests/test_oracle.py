@@ -260,6 +260,33 @@ class TestBlockedOracle:
         assert build_peak <= 1.5 * matrix_bytes
         assert risks_peak <= 0.25 * matrix_bytes
 
+    def test_error_counts_match_gather(self):
+        # each class's errors are counted on its own run of rows; the counts
+        # must equal a bincount of the labels of the wrong rows
+        spec = circle_mixture(10, 3.0)
+        cached = BayesOracle(spec, 10_007, 2)
+        labels = sample_mixture(spec, cached.counts, 2).labels
+        zero_mass = Prior(np.r_[0.0, np.full(9, 1.0 / 9)])
+        for pi in (Prior.uniform(10), Prior(np.eye(10)[3]), zero_mass):
+            predictions = oracle._bayes_argmax(cached.log_densities, pi)
+            errors = np.bincount(labels[predictions != labels], minlength=10)
+            assert np.array_equal(cached.risks(pi).estimates, errors / cached.counts)
+
+    def test_error_count_gathers_no_labels(self):
+        # besides the argmax's block scratch, a risks call holds the N
+        # predictions and one comparison byte per row; a gather of the wrong
+        # rows' labels would add 8 bytes per error, 90% of the rows here
+        rows = 200_000
+        cached = BayesOracle(circle_mixture(10, 3.0), rows // 10, 1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cached.risks(Prior(np.eye(10)[9]))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * rows + 3 * 8 * oracle._BLOCK_ROWS + 64_000
+
 
 def _envelope_sweep_risks(means, sigma, pi):
     """Reference: the upper envelope of the class lines, built by a sweep
