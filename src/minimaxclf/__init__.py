@@ -34,7 +34,7 @@ from .losses import (
     tla_offsets,
 )
 from .mc import mc_ega_mse, mc_worst_class_failure
-from .metrics import balanced_accuracy, inter_intra_ratio, worst_class_accuracy
+from .metrics import inter_intra_ratio
 from .minimax import AscentConfig, MinimaxConfig, RunReport, run_minimax, swap_components
 from .model import (
     ModelParams,
@@ -64,5 +64,4 @@ from .theory import (
     prob_find_worst,
     prob_greater,
     prob_leq,
-    prob_mth_worst,
 )

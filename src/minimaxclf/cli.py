@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    BENCHMARK_READS,
     SCHEMA_VERSION,
     ConfigError,
     check_class_count,
@@ -49,13 +50,14 @@ from .reports import curve_csv, fmt, value_table_csv, write_csv, write_json, wri
 from .theory import ega_estimate_mse, prob_find_worst
 
 
+_MIXTURES = {"two_gaussians_1d": two_gaussians_1d, "three_gaussians_1d": three_gaussians_1d,
+             "circle": circle_mixture}
+
+
 def build_mixture(ds_cfg: dict) -> MixtureSpec:
+    """The benchmark's mixture, from the dataset fields that it reads."""
     benchmark = ds_cfg["benchmark"]
-    if benchmark == "two_gaussians_1d":
-        return two_gaussians_1d(ds_cfg["separation"], ds_cfg["sigma"])
-    if benchmark == "three_gaussians_1d":
-        return three_gaussians_1d(ds_cfg["spacing"], ds_cfg["sigma"])
-    return circle_mixture(ds_cfg["class_count"], ds_cfg["radius"])
+    return _MIXTURES[benchmark](**{field: ds_cfg[field] for field in BENCHMARK_READS[benchmark]})
 
 
 def build_data(config: dict) -> tuple:
@@ -250,18 +252,18 @@ def run_ablate(config: dict, out_dir: Path) -> None:
     write_csv(out_dir / "comparison.csv", ["loss", "ascent", *median_names], median_rows)
 
 
-def _exact_curve_point(sorted_vec: np.ndarray, m: int, n: int, p_mse: float) -> tuple:
+def _exact_curve_point(error_vector, m: int, n: int, p_mse: float) -> tuple:
     """The analytic values at sample size N: the product-form failure
     1 - prob_find_worst, and the MSE of the exponentiated estimate of p_mse."""
-    return 1.0 - prob_find_worst(sorted_vec, m, n), ega_estimate_mse(p_mse, n)
+    return 1.0 - prob_find_worst(error_vector, m, n), ega_estimate_mse(p_mse, n)
 
 
 def run_theory(config: dict, out_dir: Path) -> None:
     t_cfg = config["theory"]
-    vec = np.sort(np.asarray(t_cfg["error_vector"], dtype=np.float64))[::-1]
+    vec = t_cfg["error_vector"]
     p_mse = t_cfg["mse_probability"]
     if p_mse is None:
-        p_mse = float(vec[0])
+        p_mse = float(max(vec))
     failure_rows = []
     mse_rows = []
     for n in t_cfg["sample_sizes"]:
@@ -276,10 +278,9 @@ def _curve_point(task: tuple) -> tuple:
     """The ``failure_curve.csv`` and ``mse_curve.csv`` rows at one sample
     size N, from ``(error_vector, m_worst, N, trials, master_seed)``."""
     error_vector, m, n, trials, seed = task
-    vec = np.asarray(error_vector, dtype=np.float64)
-    p_worst = float(vec.max())
-    failure, mse = _exact_curve_point(np.sort(vec)[::-1], m, n, p_worst)
-    est = mc_worst_class_failure(vec, m, n, trials, seed)
+    p_worst = float(max(error_vector))
+    failure, mse = _exact_curve_point(error_vector, m, n, p_worst)
+    est = mc_worst_class_failure(error_vector, m, n, trials, seed)
     mse_est = mc_ega_mse(p_worst, n, trials, seed)
     return (
         [n, failure, est.value, est.ci_low, est.ci_high],

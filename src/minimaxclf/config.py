@@ -29,6 +29,13 @@ SCHEMA_VERSION = 1
 EXPERIMENTS = ("train", "ablate", "theory", "mc", "oracle")
 # class count K of each synthetic benchmark; None takes dataset.class_count
 BENCHMARKS = {"two_gaussians_1d": 2, "three_gaussians_1d": 3, "circle": None}
+# the mixture fields of dataset, and the ones each benchmark's constructor takes
+MIXTURE_FIELDS = ("class_count", "radius", "separation", "spacing", "sigma")
+BENCHMARK_READS = {
+    "two_gaussians_1d": ("separation", "sigma"),
+    "three_gaussians_1d": ("spacing", "sigma"),
+    "circle": ("class_count", "radius"),
+}
 
 # Error rates of a vanilla-trained 10-class model under strong step imbalance;
 # the default curve input for the theory/MC validation experiments.
@@ -336,6 +343,14 @@ def validate_config(config: dict) -> dict:
         for field, value in (("csv_path", ds["csv_path"]), ("csv_header", ds["csv_header"])):
             if value not in (None, False):
                 raise ConfigError(f"dataset.{field}: only a CSV source reads it, not 'synthetic'")
+        # a field at its default leaves the manifest as it is, and keeps a
+        # resolved config a valid input
+        for field in MIXTURE_FIELDS:
+            unread = field not in BENCHMARK_READS[ds["benchmark"]]
+            if unread and ds[field] != DEFAULT_CONFIG["dataset"][field]:
+                raise ConfigError(
+                    f"dataset.{field}: the {ds['benchmark']!r} benchmark does not read it"
+                )
         k = BENCHMARKS[ds["benchmark"]] or ds["class_count"]
         if resolved["experiment"] in ("train", "ablate"):
             check_class_count(resolved, k)

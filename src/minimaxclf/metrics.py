@@ -1,5 +1,6 @@
-"""Evaluation metrics: worst-class accuracy, balanced accuracy, and the
-inter/intra feature-cluster ratio."""
+"""Evaluation metrics: per-class accuracies (from which a run takes its
+worst-class and balanced accuracy) and the inter/intra feature-cluster
+ratio."""
 
 from __future__ import annotations
 
@@ -25,18 +26,6 @@ def _class_hits(params: ModelParams, dataset: LabeledDataset) -> tuple:
 def per_class_accuracies(params: ModelParams, dataset: LabeledDataset) -> np.ndarray:
     correct, counts = _class_hits(params, dataset)
     return correct / counts
-
-
-def worst_class_accuracy(params: ModelParams, dataset: LabeledDataset) -> tuple:
-    """(worst class index, its accuracy); ties go to the smallest index."""
-    acc = per_class_accuracies(params, dataset)
-    worst = int(np.argmin(acc))
-    return worst, float(acc[worst])
-
-
-def balanced_accuracy(params: ModelParams, dataset: LabeledDataset) -> float:
-    """Unweighted mean of per-class accuracies."""
-    return float(per_class_accuracies(params, dataset).mean())
 
 
 def inter_intra_ratio(features: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -4,14 +4,14 @@ the MSE of the exponentiated risk estimate, and the per-class summands of the
 prior-dependent generalization bound.
 
 Binomial masses are evaluated in log space via log-gamma so sample sizes up
-to 10^4 stay stable.
+to 10^4 stay stable. Both ranking probabilities come from one
+Poisson-binomial recursion over the other classes (:func:`_rank_table`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from math import lgamma, log, log1p
 
 import numpy as np
 
@@ -20,21 +20,22 @@ from .losses import GeneralizedLossSpec, softmax, tla_offsets
 from .model import ModelParams, forward_logits
 from .priors import Prior
 
-_TERM_GUARD = 1_000_000
-
 
 def binomial_pmf(n_trials: int, p: float) -> np.ndarray:
-    """Vector of Bin(k; n_trials, p) masses for k = 0..n_trials."""
-    # imported here so that only the commands that need these masses load scipy
-    from scipy.special import gammaln, xlog1py, xlogy
-
+    """Vector of Bin(k; n_trials, p) masses for k = 0..n_trials; the exact
+    unit vector at p = 0 or 1."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if p in (0.0, 1.0):
+        pmf = np.zeros(n_trials + 1)
+        pmf[n_trials if p == 1.0 else 0] = 1.0
+        return pmf
     k = np.arange(n_trials + 1)
-    log_comb = gammaln(n_trials + 1) - gammaln(k + 1) - gammaln(n_trials - k + 1)
-    return np.exp(log_comb + xlogy(k, p) + xlog1py(n_trials - k, -p))
+    log_fact = np.array([lgamma(i + 1) for i in range(n_trials + 1)])  # log k!
+    log_comb = log_fact[-1] - log_fact - log_fact[::-1]
+    return np.exp(log_comb + k * log(p) + (n_trials - k) * log1p(-p))
 
 
 def prob_greater(p_y: float, p_y2: float, n_samples: int) -> float:
@@ -62,53 +63,46 @@ def prob_leq(p_y: float, p_y2: float, n_samples: int) -> float:
     return float(total)
 
 
-def _check_sorted_desc(error_vector: np.ndarray) -> np.ndarray:
+def _check_error_vector(error_vector, m_worst: int) -> np.ndarray:
+    """The error vector as a float array, in its given order."""
     p = np.asarray(error_vector, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("error vector must be 1-d with at least 2 classes")
     if np.any((p < 0) | (p > 1)):
         raise ValueError("error probabilities must lie in [0, 1]")
-    if np.any(np.diff(p) > 0):
-        raise ValueError("error vector must be sorted in descending order (class 0 worst)")
+    if not (1 <= m_worst <= p.size):
+        raise ValueError(f"m_worst must be in [1, {p.size}]")
     return p
 
 
-def prob_mth_worst(error_vector, m: int, n_samples: int) -> float:
-    """Probability that the worst class is ranked exactly m-th by the
-    estimates, under the tie rule that always ranks it behind a tied class.
-
-    The event is determined by which subset of the other classes ties or
-    beats the worst class's estimate, so the sum runs over the
-    (m-1)-element subsets; pairwise comparisons are independent.
-    """
-    p = _check_sorted_desc(error_vector)
-    k = p.size
-    if not (1 <= m <= k):
-        raise ValueError(f"m must be in [1, {k}]")
-    n_terms = comb(k - 1, m - 1)
-    if n_terms > _TERM_GUARD:
-        raise ValueError(
-            f"{n_terms} subset terms exceed the {_TERM_GUARD} guard; "
-            "estimate the ranking probability by Monte Carlo instead"
-        )
-    greater = np.array([prob_greater(p[0], p[y], n_samples) for y in range(1, k)])
-    leq = np.array([prob_leq(p[0], p[y], n_samples) for y in range(1, k)])
-    total = 0.0
-    for subset in combinations(range(k - 1), m - 1):
-        term = 1.0
-        for j in range(k - 1):
-            term *= leq[j] if j in subset else greater[j]
-        total += term
-    return float(total)
+def _rank_table(up, tied, below) -> np.ndarray:
+    """The (K, K) table dp[B, T]: the probability that B of the K - 1 other
+    classes rank strictly above the worst class and T tie with it, when
+    other class j independently ranks above with probability up[j], ties
+    with tied[j] and ranks below with below[j]."""
+    k = len(up) + 1
+    dp = np.zeros((k, k))
+    dp[0, 0] = 1.0
+    for u, t, b in zip(up, tied, below):
+        new = dp * b
+        new[1:, :] += dp[:-1, :] * u
+        new[:, 1:] += dp[:, :-1] * t
+        dp = new
+    return dp
 
 
 def prob_find_worst(error_vector, m_worst: int, n_samples: int) -> float:
     """Product-form value of the probability that the true worst class lands
-    in the selected M worst classes: sum over ranks m = 1..M. It is a lower
-    bound only for M = 1 (see :func:`exact_find_worst_probability`)."""
-    return float(
-        sum(prob_mth_worst(error_vector, m, n_samples) for m in range(1, m_worst + 1))
-    )
+    in the selected M worst classes, under the tie rule that always ranks it
+    behind a tied class: each other class ties or beats the worst class's
+    estimate with probability :func:`prob_leq`, as if the comparisons were
+    independent. It is a lower bound only for M = 1 (see
+    :func:`exact_find_worst_probability`). The vector may come in any order.
+    """
+    p = np.sort(_check_error_vector(error_vector, m_worst))[::-1]
+    greater = np.array([prob_greater(p[0], q, n_samples) for q in p[1:]])
+    leq = np.array([prob_leq(p[0], q, n_samples) for q in p[1:]])
+    return float(_rank_table(leq, np.zeros_like(leq), greater)[:m_worst, 0].sum())
 
 
 def exact_find_worst_probability(
@@ -120,8 +114,8 @@ def exact_find_worst_probability(
     Unlike :func:`prob_find_worst`, which multiplies the pairwise comparison
     probabilities as if they were independent, this accounts for their
     coupling through the worst class's shared estimate (conditioned on that
-    count, the other classes' comparisons really are independent, so a
-    Poisson-binomial recursion over (#strictly-greater, #tied) is exact).
+    count, the other classes' comparisons really are independent, so the
+    recursion over (#strictly-greater, #tied) is exact).
     The product form understates the failure probability at large N, where
     the coupling dominates.
 
@@ -129,18 +123,14 @@ def exact_find_worst_probability(
     'adversarial' always ranks the worst class behind a tied class,
     'favorable' always ranks it ahead.
     """
-    p = np.asarray(error_vector, dtype=np.float64)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("error probabilities must lie in [0, 1]")
+    p = _check_error_vector(error_vector, m_worst)
     if tie_rule not in ("fair", "adversarial", "favorable"):
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     k = p.size
-    if not (1 <= m_worst <= k):
-        raise ValueError(f"m_worst must be in [1, {k}]")
     worst = int(np.argmax(p))
     others = np.delete(p, worst)
     pmf_worst = binomial_pmf(n_samples, p[worst])
-    pmf_others = np.array([binomial_pmf(n_samples, q) for q in others]).reshape(k - 1, -1)
+    pmf_others = np.array([binomial_pmf(n_samples, q) for q in others])
     # above[j, c]: P(other class j counts more than c errors)
     above = np.zeros_like(pmf_others)
     above[:, :-1] = np.cumsum(pmf_others[:, :0:-1], axis=1)[:, ::-1]
@@ -153,15 +143,8 @@ def exact_find_worst_probability(
     for c in range(n_samples + 1):
         if pmf_worst[c] == 0.0:
             continue
-        dp = np.zeros((k, k))  # dp[B, T]: B others strictly above count c, T tied
-        dp[0, 0] = 1.0
-        for up, tied in zip(above[:, c], pmf_others[:, c]):
-            below = 1.0 - up - tied
-            new = dp * below
-            new[1:, :] += dp[:-1, :] * up
-            new[:, 1:] += dp[:, :-1] * tied
-            dp = new
-        total += pmf_worst[c] * (dp * share).sum()
+        up, tied = above[:, c], pmf_others[:, c]
+        total += pmf_worst[c] * (_rank_table(up, tied, 1.0 - up - tied) * share).sum()
     return float(total)
 
 

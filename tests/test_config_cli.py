@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from minimaxclf import cli
 from minimaxclf.cli import RUN_SEEDS, main, run_experiment
 from minimaxclf.config import (
+    BENCHMARK_READS,
     BENCHMARKS,
     EXPERIMENTS,
     SCHEMA,
@@ -147,6 +148,19 @@ class TestValidation:
                 ("csv-no-path", {"dataset": {"source": "csv"}}, "dataset.csv_path"),
                 ("synthetic-csv_path", {"dataset": {"csv_path": "nope.csv"}}, "dataset.csv_path"),
                 ("synthetic-csv_header", {"dataset": {"csv_header": True}}, "dataset.csv_header"),
+                ("unread-class_count", {"dataset": {"benchmark": "two_gaussians_1d",
+                                                    "class_count": 7, "radius": 9.0}},
+                 "dataset.class_count"),
+                ("unread-radius", {"dataset": {"benchmark": "three_gaussians_1d", "radius": 9.0}},
+                 "dataset.radius"),
+                ("unread-separation", {"dataset": {"benchmark": "three_gaussians_1d",
+                                                   "separation": 2.0}}, "dataset.separation"),
+                ("unread-spacing", {"dataset": {"benchmark": "two_gaussians_1d", "spacing": 3.0}},
+                 "dataset.spacing"),
+                ("unread-sigma", {"dataset": {"sigma": 2.0}}, "dataset.sigma"),
+                ("unread-preset-radius", {"preset": "step10-desk",
+                                          "dataset": {"benchmark": "two_gaussians_1d"}},
+                 "dataset.radius"),
                 ("grid-k10", {"experiment": "oracle", "oracle": {"method": "grid"}},
                  "oracle.method"),
                 ("mc-m_worst-above-vector", {"mc": {"error_vector": [0.5, 0.2], "m_worst": 3}},
@@ -531,10 +545,13 @@ class TestCliEntry:
              ("dataset.imbalance",)),
             (["ablate"], {"dataset": {**_CSV, "counts": [10, 10]}}, ("dataset.counts",)),
             (["train"], {"dataset": {**_CSV, "imbalance": _STEP}}, ("dataset.imbalance",)),
+            (["train"], {"dataset": {"benchmark": "two_gaussians_1d", "class_count": 7,
+                                     "radius": 9.0}}, ("dataset.class_count",)),
         ],
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
              "imbalance-below-two", "no-sample-size", "repeated-sample-size",
-             "eval-one-per-class", "counts-and-imbalance", "csv-counts", "csv-imbalance"],
+             "eval-one-per-class", "counts-and-imbalance", "csv-counts", "csv-imbalance",
+             "unread-mixture-field"],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
@@ -758,7 +775,7 @@ def test_class_count_checked_only_where_read(experiment, section, field):
 @pytest.mark.parametrize("source", ["counts", "imbalance", "neither"])
 def test_build_data(name, source):
     k = BENCHMARKS[name] or 4
-    dataset_cfg = {"benchmark": name, "class_count": 4}
+    dataset_cfg = {"benchmark": name, **({"class_count": 4} if name == "circle" else {})}
     expected = {
         "counts": np.arange(5, 5 + k),
         "imbalance": make_imbalance_counts(ImbalanceProfile(**_STEP), k),
@@ -774,6 +791,15 @@ def test_build_data(name, source):
     for a, b in ((dataset, again), (eval_set, eval_again)):
         assert np.array_equal(a.instances, b.instances)
         assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_READS))
+def test_read_mixture_fields_accepted(name):
+    given = {field: 3 for field in BENCHMARK_READS[name]}
+    resolved = validate_config({"dataset": {"benchmark": name, **given}})
+    assert {field: resolved["dataset"][field] for field in given} == given
+    # a resolved config carries every unread field at its default
+    assert validate_config(resolved) == resolved
 
 
 # Run in a fresh interpreter, since this one has loaded scipy already: which
@@ -799,13 +825,15 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": scipy_modul
           "oracle": {"iterations": 2, "mc_samples": 10_000}}, False),
         ({"experiment": "oracle", "dataset": {"benchmark": "two_gaussians_1d"},
           "oracle": {"resolution": 0.1}}, True),
-        ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, True),
+        ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, False),
+        # one sample size runs its curve point in this process, not on a pool worker
+        ({"experiment": "mc", "mc": {"sample_sizes": [4], "trials": 10_000}}, False),
     ],
-    ids=["train", "oracle-monte-carlo", "oracle-exact-1d", "theory"],
+    ids=["train", "oracle-monte-carlo", "oracle-exact-1d", "theory", "mc"],
 )
 def test_scipy_loaded_only_where_used(tmp_path, config, loads_scipy):
-    # only the binomial masses of the theory and the exact 1-d Bayes risks
-    # need scipy; importing the package and the CLI loads none of it
+    # only the exact 1-d Bayes risks need scipy; importing the package and
+    # the CLI loads none of it
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     argv = [config["experiment"], "--config", str(config_path), "--out", str(tmp_path / "out")]

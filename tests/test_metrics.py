@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from minimaxclf.data import LabeledDataset
-from minimaxclf.metrics import (
-    balanced_accuracy,
-    inter_intra_ratio,
-    per_class_accuracies,
-    worst_class_accuracy,
-)
+from minimaxclf.metrics import inter_intra_ratio, per_class_accuracies
 from minimaxclf.model import ModelParams
 
 
@@ -20,18 +15,17 @@ class TestAccuracies:
     def test_perfect(self):
         x = np.array([[-5.0], [5.0]])
         ds = LabeledDataset(x, np.array([0, 1]), 2)
-        worst, acc = worst_class_accuracy(_threshold_model(), ds)
-        assert acc == 1.0
-        assert balanced_accuracy(_threshold_model(), ds) == 1.0
+        assert per_class_accuracies(_threshold_model(), ds).tolist() == [1.0, 1.0]
 
     def test_forced_arithmetic(self):
         # class 0: 1 of 5 right; class 1: 4 of 5 right
         x0 = np.array([[-1.0]] * 1 + [[1.0]] * 4)
         x1 = np.array([[1.0]] * 4 + [[-1.0]] * 1)
         ds = LabeledDataset(np.vstack([x0, x1]), np.repeat([0, 1], 5), 2)
-        worst, acc = worst_class_accuracy(_threshold_model(), ds)
-        assert (worst, acc) == (0, pytest.approx(0.2))
-        assert balanced_accuracy(_threshold_model(), ds) == pytest.approx(0.5)
+        acc = per_class_accuracies(_threshold_model(), ds)
+        np.testing.assert_allclose(acc, [0.2, 0.8])
+        assert int(np.argmin(acc)) == 0
+        assert acc.mean() == pytest.approx(0.5)
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(0)
@@ -42,8 +36,9 @@ class TestAccuracies:
         doubled = LabeledDataset(
             np.vstack([x, x[y == 0]]), np.concatenate([y, y[y == 0]]), 2
         )
-        assert balanced_accuracy(_threshold_model(), ds) == pytest.approx(
-            balanced_accuracy(_threshold_model(), doubled)
+        np.testing.assert_allclose(
+            per_class_accuracies(_threshold_model(), ds),
+            per_class_accuracies(_threshold_model(), doubled),
         )
 
     def test_worst_at_most_balanced_at_most_best(self):
@@ -52,9 +47,7 @@ class TestAccuracies:
         y = rng.integers(0, 2, size=200)
         ds = LabeledDataset(x, y, 2)
         accs = per_class_accuracies(_threshold_model(), ds)
-        _, worst = worst_class_accuracy(_threshold_model(), ds)
-        bal = balanced_accuracy(_threshold_model(), ds)
-        assert worst <= bal <= accs.max()
+        assert accs.min() <= accs.mean() <= accs.max()
 
     def test_random_predictor_hits_one_over_k(self):
         rng = np.random.default_rng(2)
@@ -63,14 +56,14 @@ class TestAccuracies:
         y = rng.integers(0, k, size=n)
         params = ModelParams("linear", (rng.normal(size=(8, k)),), (np.zeros(k),))
         ds = LabeledDataset(x, y, k)
-        bal = balanced_accuracy(params, ds)
+        bal = per_class_accuracies(params, ds).mean()
         se = np.sqrt(0.25 / (n / k))
         assert abs(bal - 1.0 / k) < 3 * se
 
     def test_missing_class_rejected(self):
         ds = LabeledDataset(np.zeros((3, 1)), np.zeros(3, dtype=int), 2)
         with pytest.raises(ValueError, match="absent"):
-            balanced_accuracy(_threshold_model(), ds)
+            per_class_accuracies(_threshold_model(), ds)
 
 
 class TestInterIntraRatio:

@@ -3,15 +3,21 @@ import pytest
 
 from minimaxclf import minimax
 from minimaxclf.ascent import auto_m, estimate_class_risks
-from minimaxclf.data import circle_mixture, partition_dataset, sample_mixture, two_gaussians_1d
-from minimaxclf.metrics import balanced_accuracy, per_class_accuracies, worst_class_accuracy
+from minimaxclf.data import (
+    LabeledDataset,
+    circle_mixture,
+    partition_dataset,
+    sample_mixture,
+    two_gaussians_1d,
+)
+from minimaxclf.metrics import per_class_accuracies
 from minimaxclf.minimax import (
     AscentConfig,
     MinimaxConfig,
     run_minimax,
     swap_components,
 )
-from minimaxclf.model import TrainConfig
+from minimaxclf.model import ModelParams, TrainConfig
 
 
 def _small_config(**kw):
@@ -168,13 +174,14 @@ class TestPhases:
         dataset = _dataset()
         eval_set = sample_mixture(two_gaussians_1d(), [100, 100], seed=9)
         report = run_minimax(config, dataset, eval_set)
-        worst, worst_acc = worst_class_accuracy(report.params, eval_set)
+        acc = per_class_accuracies(report.params, eval_set)
+        worst = int(np.argmin(acc))
         assert report.final_worst_class == worst
-        assert report.final_worst_class_acc == worst_acc
-        assert report.final_balanced_acc == balanced_accuracy(report.params, eval_set)
+        assert report.final_worst_class_acc == acc[worst]
+        assert report.final_balanced_acc == acc.mean()
         last = report.records[-1]
         assert (last.worst_class, last.worst_class_acc, last.balanced_acc) == (
-            worst, worst_acc, report.final_balanced_acc
+            worst, acc[worst], report.final_balanced_acc
         )
         split = partition_dataset(dataset, config.model_fraction, config.partition_seed)
         risks = estimate_class_risks(report.params, split.prior_part)
@@ -200,9 +207,17 @@ class TestPhases:
         # parameters are evaluated once
         assert len(calls) == max(config.total_epochs, 1)
         assert calls[-1] is report.params
-        worst, worst_acc = worst_class_accuracy(report.params, eval_set)
-        assert (report.final_worst_class, report.final_worst_class_acc) == (worst, worst_acc)
-        assert report.final_balanced_acc == balanced_accuracy(report.params, eval_set)
+        acc = per_class_accuracies(report.params, eval_set)
+        worst = int(np.argmin(acc))
+        assert (report.final_worst_class, report.final_worst_class_acc) == (worst, acc[worst])
+        assert report.final_balanced_acc == acc.mean()
+
+    def test_tied_worst_class_is_smallest_index(self):
+        # a threshold at 0 gets each class half right
+        params = ModelParams("linear", (np.array([[-1.0, 1.0]]),), (np.zeros(2),))
+        x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+        eval_set = LabeledDataset(x, np.array([0, 0, 1, 1]), 2)
+        assert minimax._evaluate(params, eval_set) == (0, 0.5, 0.5)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_phase_error_context(self):

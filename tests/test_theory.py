@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, xlog1py, xlogy
 
 from minimaxclf.data import LabeledDataset
 from minimaxclf.losses import spec_from_variant
@@ -15,7 +18,6 @@ from minimaxclf.theory import (
     prob_find_worst,
     prob_greater,
     prob_leq,
-    prob_mth_worst,
 )
 
 # Worst-first ordering of the 10-class step-imbalance error profile used for
@@ -61,6 +63,17 @@ class TestPairwiseProbabilities:
             n = int(rng.integers(1, 10_000))
             assert abs(binomial_pmf(n, p).sum() - 1.0) < 1e-10
 
+    def test_pmf_matches_scipy(self):
+        for n in [*range(1, 65), 1000, 10_000]:
+            k = np.arange(n + 1)
+            for p in np.linspace(0.0, 1.0, 37):
+                log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                expected = np.exp(log_comb + xlogy(k, p) + xlog1py(n - k, -p))
+                np.testing.assert_allclose(binomial_pmf(n, p), expected, rtol=0, atol=1e-12)
+            # a certain outcome gives the exact unit vector
+            assert binomial_pmf(n, 0.0).tolist() == [1.0] + [0.0] * n
+            assert binomial_pmf(n, 1.0).tolist() == [0.0] * n + [1.0]
+
     def test_large_n_stable(self):
         value = prob_greater(0.51, 0.5, 10_000)
         assert 0.9 < value < 1.0
@@ -69,28 +82,42 @@ class TestPairwiseProbabilities:
 class TestRankProbabilities:
     def test_m1_is_product_of_greaters(self):
         p = SORTED_VECTOR
-        direct = prob_mth_worst(p, 1, 8)
+        direct = prob_find_worst(p, 1, 8)
         product = np.prod([prob_greater(p[0], q, 8) for q in p[1:]])
         assert direct == pytest.approx(product, rel=1e-12)
 
     def test_two_class_single_sample(self):
         p = np.array([0.8, 0.5])
-        assert prob_mth_worst(p, 1, 1) == pytest.approx(0.4, abs=1e-12)
-        assert prob_mth_worst(p, 2, 1) == pytest.approx(0.6, abs=1e-12)
+        assert prob_find_worst(p, 1, 1) == pytest.approx(0.4, abs=1e-12)
+        assert prob_find_worst(p, 2, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_sub_distribution(self):
         p = np.array([0.9, 0.5, 0.3, 0.1])
-        total = sum(prob_mth_worst(p, m, 3) for m in range(1, 5))
-        assert total <= 1.0 + 1e-10
+        assert prob_find_worst(p, 4, 3) <= 1.0 + 1e-10
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="descending"):
-            prob_mth_worst(np.array([0.1, 0.9]), 1, 4)
+    def test_any_order(self):
+        shuffled = np.random.default_rng(5).permutation(ERROR_VECTOR)
+        for m in (1, 3, 10):
+            assert prob_find_worst(shuffled, m, 16) == prob_find_worst(SORTED_VECTOR, m, 16)
 
-    def test_term_guard(self):
-        p = np.linspace(0.99, 0.01, 30)
-        with pytest.raises(ValueError, match="guard"):
-            prob_mth_worst(p, 12, 2)
+    def test_many_classes(self):
+        # rank 5 alone has C(99, 4) = 3,764,376 subsets of the other classes
+        value = prob_find_worst(np.linspace(0.99, 0.01, 100), 5, 16)
+        assert 0.0 < value < 1.0
+
+    def test_matches_subset_sum(self):
+        rng = np.random.default_rng(16)
+        for case in range(30):
+            k = int(rng.integers(2, 11))
+            n = int(rng.integers(1, 65))
+            p = rng.uniform(0.0, 1.0, size=k)
+            if case % 5 == 0:  # certain counts and a repeated probability
+                p[rng.integers(k)] = rng.choice([0.0, 1.0])
+                p[-1] = p[0]
+            for m in range(1, k + 1):
+                assert prob_find_worst(p, m, n) == pytest.approx(
+                    _subset_sum(p, m, n), rel=0, abs=1e-13
+                ), (k, n, m)
 
     def test_find_worst_frozen_grid(self):
         for n, ref in FIND_WORST_REFERENCE.items():
@@ -106,6 +133,23 @@ class TestRankProbabilities:
 
     def test_k2_single_sample(self):
         assert prob_find_worst(np.array([0.8, 0.5]), 1, 1) == pytest.approx(0.4, abs=1e-12)
+
+
+def _subset_sum(error_vector, m_worst, n_samples):
+    """The product form by enumeration: for each rank m = 1..M, the sum over
+    the (m-1)-subsets of the other classes that tie or beat the worst class
+    of the product of the pairwise probabilities."""
+    p = np.sort(error_vector)[::-1]
+    greater = [prob_greater(p[0], q, n_samples) for q in p[1:]]
+    leq = [prob_leq(p[0], q, n_samples) for q in p[1:]]
+    total = 0.0
+    for m in range(1, m_worst + 1):
+        for subset in combinations(range(p.size - 1), m - 1):
+            term = 1.0
+            for j in range(p.size - 1):
+                term *= leq[j] if j in subset else greater[j]
+            total += term
+    return total
 
 
 class TestExactFindWorst:
@@ -287,12 +331,14 @@ class TestBoundTerms:
     [
         pytest.param(lambda: binomial_pmf(3, 1.5), "probability must lie", id="pmf-p"),
         pytest.param(lambda: binomial_pmf(0, 0.5), "at least one trial", id="pmf-trials"),
-        pytest.param(lambda: prob_mth_worst([0.5], 1, 4), "at least 2 classes",
+        pytest.param(lambda: prob_find_worst([0.5], 1, 4), "at least 2 classes",
                      id="mth-one-class"),
-        pytest.param(lambda: prob_mth_worst([1.5, 0.2], 1, 4), "error probabilities must lie",
+        pytest.param(lambda: prob_find_worst([1.5, 0.2], 1, 4), "error probabilities must lie",
                      id="mth-range"),
-        pytest.param(lambda: prob_mth_worst([0.5, 0.2], 3, 4), r"m must be in \[1, 2\]",
+        pytest.param(lambda: prob_find_worst([0.5, 0.2], 3, 4), r"m_worst must be in \[1, 2\]",
                      id="mth-m"),
+        pytest.param(lambda: exact_find_worst_probability([0.5], 1, 4), "at least 2 classes",
+                     id="exact-one-class"),
         pytest.param(lambda: exact_find_worst_probability([1.5, 0.2], 1, 4),
                      "error probabilities must lie", id="exact-range"),
         pytest.param(lambda: exact_find_worst_probability([0.5, 0.2], 3, 4),
