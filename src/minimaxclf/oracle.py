@@ -1,8 +1,12 @@
 """Bayes-optimal reference machinery for Gaussian mixtures.
 
-For one-dimensional mixtures with a shared variance the class scores are
-lines in x, so decision regions are intervals and per-class risks reduce to
-normal CDF differences; everything else falls back to seeded Monte Carlo.
+The per-class risks are exact where the Bayes regions have a simple shape.
+For 1-d mixtures with a shared variance the class scores are lines in x, so
+the regions are intervals and the risks are normal CDF differences. For 2-d
+mixtures whose covariances are all the identity (every circle benchmark) the
+scores are linear in x, so each region is a convex polygon and its Gaussian
+mass a sum of one-dimensional integrals, one per edge. Every other mixture
+falls back to seeded Monte Carlo.
 The total risk of the Bayes rule is concave in the prior, and its
 supergradient at pi is the vector of per-class risks, which drives the
 projected-ascent search for the adversarial prior.
@@ -10,6 +14,7 @@ projected-ascent search for the adversarial prior.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,12 +34,21 @@ MIN_MC_SAMPLES = 10_000
 # memory is one block's, whatever the sample size.
 _BLOCK_ROWS = 8192
 
+# The exact 2-d risks: each Bayes polygon is clipped to a square of
+# half-width _BOX about its class mean (the N(0, I) mass outside it
+# underflows), and each edge is integrated by _PANEL_NODES-point
+# Gauss-Legendre panels split at +-_PANEL_BREAKS within |s| <= _TAIL.
+_BOX = 40.0
+_PANEL_BREAKS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0)
+_PANEL_NODES = 20
+_TAIL = _PANEL_BREAKS[-1]
+
 
 def class_log_densities(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
     """(N, K) matrix of log N(x; mu_y, Sigma_y).
 
-    The result, one N x K float64 matrix (80 MB for the circle-10 oracle
-    search), is the only N-sized allocation: each class fills its row of a
+    The result, one N x K float64 matrix (80 MB at 10^6 rows and K = 10),
+    is the only N-sized allocation: each class fills its row of a
     class-major (K, N) buffer one block of ``_BLOCK_ROWS`` instances at a
     time, so the scratch memory is one block's. The returned matrix is the
     transpose of that buffer.
@@ -153,15 +167,135 @@ def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarra
         return np.where(wins & (lo < hi), 1.0 - mass, 1.0).T
 
 
+def _identity_2d(spec: MixtureSpec) -> bool:
+    """Whether the mixture is 2-d with every covariance the identity."""
+    return spec.dim == 2 and bool(np.all(spec.covariances == np.eye(2)))
+
+
+@functools.cache
+def _panel_rule():
+    """Panel breakpoints along an edge, and the Gauss-Legendre nodes and
+    weights on [-1, 1]; numpy.polynomial is loaded on first use only."""
+    from numpy.polynomial.legendre import leggauss
+
+    half = np.array(_PANEL_BREAKS)
+    return np.concatenate([-half[:0:-1], half]), *leggauss(_PANEL_NODES)
+
+
+def _fan_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(E,) N(0, I) masses of the triangles (0, a_e, b_e), each signed:
+    positive where the triangle turns counter-clockwise.
+
+    With s the coordinate along the edge's line, from the foot of the
+    perpendicular from 0, and h the signed distance of that line, the mass
+    is the integral of h (1 - exp(-(h^2 + s^2) / 2)) / (h^2 + s^2) / (2 pi)
+    over the edge's s-interval. The integrand is smooth in s even where the
+    line passes close to 0, which a rule in the angle is not. Within
+    |s| <= ``_TAIL`` it is integrated by Gauss-Legendre panels; beyond, the
+    radial CDF is 1 to double precision and the integral is the angle the
+    edge subtends.
+    """
+    breaks, nodes, weights = _panel_rule()
+    edge = b - a
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    # a zero-length edge (a clipped vertex counted twice) gets h = 0: no mass
+    u = edge / np.where(length > 0, length, 1.0)[:, None]
+    h = a[:, 0] * u[:, 1] - a[:, 1] * u[:, 0]
+    lo = a[:, 0] * u[:, 0] + a[:, 1] * u[:, 1]
+    hi = lo + length
+    # the part of [lo, hi] inside each panel, (E, P)
+    left = np.clip(lo[:, None], breaks[:-1], breaks[1:])
+    half = 0.5 * (np.clip(hi[:, None], breaks[:-1], breaks[1:]) - left)
+    s = (left + half)[..., None] + half[..., None] * nodes
+    q = h[:, None, None] ** 2 + s**2
+    radial = np.divide(-np.expm1(-0.5 * q), q, out=np.full(q.shape, 0.5), where=q > 0)
+    near = h * np.sum((radial @ weights) * half, axis=1)
+    # atan(t / h) - atan(lo / h) for lo, t on one side of the tail cut-off
+    below, above = np.minimum(hi, -_TAIL), np.maximum(lo, _TAIL)
+    far = np.where(lo < -_TAIL, np.arctan2(h * (below - lo), h * h + lo * below), 0.0)
+    far += np.where(hi > _TAIL, np.arctan2(h * (hi - above), h * h + hi * above), 0.0)
+    return (near + far) / (2.0 * math.pi)
+
+
+def _clip(polygon: list, nx: float, ny: float, c: float) -> list:
+    """The part of a convex polygon (a vertex list) where nx x + ny y <= c."""
+    out = []
+    prev = polygon[-1]
+    f_prev = nx * prev[0] + ny * prev[1] - c
+    for cur in polygon:
+        f = nx * cur[0] + ny * cur[1] - c
+        if (f <= 0) != (f_prev <= 0):
+            t = f_prev / (f_prev - f)
+            out.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+        if f <= 0:
+            out.append(cur)
+        prev, f_prev = cur, f
+    return out
+
+
+def _bayes_region(means: list, log_prior: list, y: int) -> list:
+    """Class y's Bayes region of a 2-d identity-covariance mixture: its
+    vertices, counter-clockwise, in coordinates centred on mu_y.
+
+    The score of class j is linear, mu_j . x - |mu_j|^2 / 2 + ln pi_j, so y
+    wins on the half-planes d . x <= |d|^2 / 2 + ln pi_y - ln pi_j, with
+    d = mu_j - mu_y and x measured from mu_y, over every class j of nonzero
+    prior: a convex polygon, clipped to the square of half-width ``_BOX``.
+    Where d = 0 the half-plane is the whole plane or empty, and on an exact
+    tie the smaller index wins, as in ``bayes_predict``.
+    """
+    polygon = [(-_BOX, -_BOX), (_BOX, -_BOX), (_BOX, _BOX), (-_BOX, _BOX)]
+    mx, my = means[y]
+    for j, (jx, jy) in enumerate(means):
+        if j == y or log_prior[j] == -math.inf:
+            continue
+        dx, dy = jx - mx, jy - my
+        c = 0.5 * (dx * dx + dy * dy) + log_prior[y] - log_prior[j]
+        if dx == 0.0 and dy == 0.0:
+            if c < 0 or (c == 0 and j < y):
+                return []
+            continue
+        polygon = _clip(polygon, dx, dy, c)
+        if not polygon:
+            return []
+    return polygon
+
+
+def _exact_risks_2d(means: np.ndarray, pi: Prior) -> np.ndarray:
+    """(K,) per-class Bayes risks at prior ``pi`` of a 2-d mixture whose
+    covariances are all the identity: 1 minus the N(mu_y, I) mass of class
+    y's polygon, a fan of triangles from mu_y, one per edge. A class with
+    zero prior mass or an empty polygon has risk 1. Masses summed to 1 plus
+    a rounding error are clipped, so a risk stays in [0, 1].
+    """
+    k = len(means)
+    points = means.tolist()
+    log_prior = _log_prior(pi).tolist()
+    vertices, owner = [], []
+    for y in range(k):
+        if pi.p[y] > 0:
+            region = _bayes_region(points, log_prior, y)
+            vertices.append(np.array(region).reshape(-1, 2))
+            owner += [y] * len(region)
+    a = np.concatenate(vertices)
+    # each polygon's vertices rotated by one: the edges' end points
+    b = np.concatenate([np.roll(v, -1, axis=0) for v in vertices])
+    mass = np.bincount(np.array(owner, dtype=np.intp), _fan_masses(a, b), minlength=k)
+    return np.clip(1.0 - mass, 0.0, 1.0)
+
+
 class BayesOracle:
     """Per-class Bayes risks of one mixture at any prior.
 
-    Exact (normal CDF) for 1-d shared-variance mixtures. Otherwise the
-    seeded Monte Carlo sample, with ``mc_samples`` points per class and
-    independent seed streams, and its (N, K) class log-density matrix are
-    built once here; they do not depend on the prior, so each ``risks``
-    call is one argmax. The oracle holds that one N x K float64 matrix for
-    its lifetime (80 MB for the circle-10 search: 10^6 rows, K = 10).
+    The path is chosen from the spec alone. Exact (normal CDF) for 1-d
+    shared-variance mixtures; exact (polygon masses) for 2-d mixtures whose
+    covariances all equal the identity. On these two paths ``mc_samples``
+    and ``seed`` are not read, and no sample or density matrix is built.
+    Otherwise the seeded Monte Carlo sample, with ``mc_samples`` points per
+    class and independent seed streams, and its (N, K) class log-density
+    matrix are built once here; they do not depend on the prior, so each
+    ``risks`` call is one argmax. The oracle holds that one N x K float64
+    matrix for its lifetime (80 MB at 10^6 rows and K = 10).
     Building it and each ``risks`` call need scratch memory for one block
     of ``_BLOCK_ROWS`` rows only, besides one N-length prediction vector.
     """
@@ -169,7 +303,8 @@ class BayesOracle:
     def __init__(self, spec: MixtureSpec, mc_samples: int = 100_000, seed: int = 0) -> None:
         self.spec = spec
         self.sigma = _shared_sigma_1d(spec)
-        if self.sigma is not None:
+        self.polygons = _identity_2d(spec)
+        if self.sigma is not None or self.polygons:
             return
         if mc_samples < MIN_MC_SAMPLES:
             raise ValueError(f"no closed form for this mixture; need mc_samples >= {MIN_MC_SAMPLES}")
@@ -185,6 +320,9 @@ class BayesOracle:
             raise ValueError("prior does not match the mixture's class count")
         if self.sigma is not None:
             risks = _exact_risks_1d(self.spec.means[:, 0], self.sigma, pi.p[None, :])[0]
+            return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
+        if self.polygons:
+            risks = _exact_risks_2d(self.spec.means, pi)
             return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
         predictions = _bayes_argmax(self.log_densities, pi)
         # sample_mixture lays the classes out in order, each a contiguous run
@@ -252,9 +390,10 @@ def adversarial_prior_search(
     supergradient ascent iterates pi <- project(pi + (c/sqrt t) risks(pi)),
     valid because the risk vector is a supergradient of R. One
     ``BayesOracle`` serves every risk evaluation of the search. ``auto``
-    takes the grid only where the risks have a closed form (K <= 3, 1-d,
-    shared variance); elsewhere each grid point would be a Monte Carlo
-    argmax, so it takes the ascent.
+    takes the grid only where one vectorized call gives the risks of the
+    whole grid (K <= 3, 1-d, shared variance); elsewhere each grid point
+    would be one polygon evaluation or one Monte Carlo argmax, so it takes
+    the ascent.
     """
     k = spec.class_count
     if method == AUTO:

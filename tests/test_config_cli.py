@@ -829,11 +829,11 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": scipy_modul
         # one sample size runs its curve point in this process, not on a pool worker
         ({"experiment": "mc", "mc": {"sample_sizes": [4], "trials": 10_000}}, False),
     ],
-    ids=["train", "oracle-monte-carlo", "oracle-exact-1d", "theory", "mc"],
+    ids=["train", "oracle-polygon", "oracle-exact-1d", "theory", "mc"],
 )
 def test_scipy_loaded_only_where_used(tmp_path, config, loads_scipy):
-    # only the exact 1-d Bayes risks need scipy; importing the package and
-    # the CLI loads none of it
+    # only the exact 1-d Bayes risks need scipy (the 2-d polygon path does
+    # not); importing the package and the CLI loads none of it
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     argv = [config["experiment"], "--config", str(config_path), "--out", str(tmp_path / "out")]

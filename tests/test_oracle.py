@@ -31,6 +31,14 @@ def _prior(*values):
     return Prior(np.array(values, dtype=np.float64))
 
 
+def _circle_3d(k, radius=2.0):
+    """``circle_mixture(k, radius)`` with a zero third coordinate: the same
+    Bayes rule, but no exact path, so the oracle takes the Monte Carlo one."""
+    spec = circle_mixture(k, radius)
+    means = np.hstack([spec.means, np.zeros((k, 1))])
+    return MixtureSpec(means, np.repeat(np.eye(3)[None], k, axis=0))
+
+
 class TestBayesPredict:
     def test_symmetric_threshold_at_zero(self):
         spec = two_gaussians_1d()
@@ -85,7 +93,7 @@ class TestBayesRisks:
 
     def test_mc_sample_floor_enforced(self):
         with pytest.raises(ValueError, match="mc_samples"):
-            bayes_class_risks(circle_mixture(3), Prior.uniform(3), mc_samples=100)
+            bayes_class_risks(_circle_3d(3), Prior.uniform(3), mc_samples=100)
 
     def test_total_risk_properties(self):
         spec = two_gaussians_1d()
@@ -102,7 +110,7 @@ class TestBayesRisks:
 class TestBayesOracle:
     def test_matches_per_call_monte_carlo(self):
         # reference: redraw the sample and predict it at every prior
-        spec = circle_mixture(10, 3.0)
+        spec = _circle_3d(10, 3.0)
         counts = np.full(10, 10_000)
         seed = 5
         ds = sample_mixture(spec, counts, seed)
@@ -137,7 +145,7 @@ class TestBayesOracle:
             return original(spec, x)
 
         monkeypatch.setattr(oracle, "class_log_densities", counting)
-        adversarial_prior_search(circle_mixture(3), mc_samples=10_000, seed=1, **kwargs)
+        adversarial_prior_search(_circle_3d(3), mc_samples=10_000, seed=1, **kwargs)
         assert calls == [30_000]
 
 
@@ -188,7 +196,7 @@ class TestBlockedOracle:
         "spec, per_class",
         [
             # 100,070 rows: not a multiple of the block
-            (circle_mixture(10, 3.0), 10_007),
+            (_circle_3d(10, 3.0), 10_007),
             (MixtureSpec(np.array([[0.0, 0.0], [1.5, 0.5], [-0.5, 1.0]]),
                          _rotated_covariances(3, np.random.default_rng(8))), 10_000),
         ],
@@ -244,7 +252,7 @@ class TestBlockedOracle:
 
     def test_scratch_memory_is_one_block(self):
         # circle-10 at 20,000 samples per class: the density matrix is 16 MB
-        spec = circle_mixture(10, 3.0)
+        spec = _circle_3d(10, 3.0)
         matrix_bytes = 8 * 200_000 * 10
         tracemalloc.start()
         try:
@@ -263,7 +271,7 @@ class TestBlockedOracle:
     def test_error_counts_match_gather(self):
         # each class's errors are counted on its own run of rows; the counts
         # must equal a bincount of the labels of the wrong rows
-        spec = circle_mixture(10, 3.0)
+        spec = _circle_3d(10, 3.0)
         cached = BayesOracle(spec, 10_007, 2)
         labels = sample_mixture(spec, cached.counts, 2).labels
         zero_mass = Prior(np.r_[0.0, np.full(9, 1.0 / 9)])
@@ -277,7 +285,7 @@ class TestBlockedOracle:
         # predictions and one comparison byte per row; a gather of the wrong
         # rows' labels would add 8 bytes per error, 90% of the rows here
         rows = 200_000
-        cached = BayesOracle(circle_mixture(10, 3.0), rows // 10, 1)
+        cached = BayesOracle(_circle_3d(10, 3.0), rows // 10, 1)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -374,6 +382,148 @@ class TestEnvelopeAgainstQuadrature:
                 assert exact[y] == pytest.approx(1.0 - mass, abs=5e-4)
 
 
+def _identity_spec(means):
+    means = np.asarray(means, dtype=np.float64)
+    return MixtureSpec(means, np.repeat(np.eye(2)[None], len(means), axis=0))
+
+
+def _region_masses(spec, pi):
+    """(K, K) N(mu_y, I) mass of class j's Bayes polygon at [y, j]."""
+    k = spec.class_count
+    points = spec.means.tolist()
+    log_prior = _log_prior(pi).tolist()
+    masses = np.zeros((k, k))
+    for j in range(k):
+        if pi.p[j] == 0:
+            continue
+        region = np.array(oracle._bayes_region(points, log_prior, j)).reshape(-1, 2)
+        for y in range(k):
+            # the polygon is centred on mu_j; shift it to be centred on mu_y
+            a = region + spec.means[j] - spec.means[y]
+            masses[y, j] = oracle._fan_masses(a, np.roll(a, -1, axis=0)).sum()
+    return masses
+
+
+class TestExactPolygons:
+    """2-d identity-covariance mixtures: each Bayes region is a convex
+    polygon, and its Gaussian mass a fan of edge integrals."""
+
+    @pytest.mark.parametrize("angle", [0.0, 2.0], ids=["axis", "rotated"])
+    def test_two_class_closed_form(self, angle):
+        # the risk is a normal CDF along the mean difference:
+        # P_e(0) = Phi(-(d/2 + ln(pi_0/pi_1)/d)), P_e(1) = Phi(-(d/2 - ln(pi_0/pi_1)/d))
+        u = np.array([math.cos(angle), math.sin(angle)])
+        for d in (1e-6, 1e-3, 1e-2, 0.3, 1.0, 3.0, 6.0):
+            spec = _identity_spec([[0.4, -1.1], [0.4, -1.1] + d * u])
+            gap = float(np.linalg.norm(spec.means[1] - spec.means[0]))
+            cached = BayesOracle(spec)
+            for p0 in (0.5, 0.2, 0.9, 1e-6):
+                risks = cached.risks(_prior(p0, 1.0 - p0))
+                shift = math.log(p0 / (1.0 - p0)) / gap
+                expected = ndtr([-(gap / 2 + shift), -(gap / 2 - shift)])
+                assert risks.exact
+                np.testing.assert_allclose(risks.estimates, expected, rtol=0, atol=1e-9)
+
+    def test_region_masses_sum_to_one(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            k = int(rng.integers(3, 13))
+            spec = circle_mixture(k, float(rng.uniform(1.0, 4.0)))
+            pi = Prior(rng.dirichlet(np.full(k, 0.5)))
+            masses = _region_masses(spec, pi)
+            np.testing.assert_allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            risks = BayesOracle(spec).risks(pi).estimates
+            np.testing.assert_allclose(risks, 1.0 - np.diag(masses), rtol=0, atol=1e-14)
+
+    def test_agrees_with_monte_carlo(self):
+        rng = np.random.default_rng(13)
+        n = 20_000
+        for trial in range(6):
+            k = int(rng.integers(3, 13))
+            radius = float(rng.uniform(1.0, 4.0))
+            exact = BayesOracle(circle_mixture(k, radius))
+            mc = BayesOracle(_circle_3d(k, radius), n, trial)
+            for _ in range(3):
+                pi = Prior(rng.dirichlet(np.full(k, 0.5)))
+                r = exact.risks(pi).estimates
+                # the SE of the exact risk: a class the sample never reached
+                # has an estimate of 0 or 1 and no SE of its own
+                se = np.sqrt(r * (1.0 - r) / n)
+                assert np.all(np.abs(mc.risks(pi).estimates - r) <= 4 * se + 1e-12)
+
+    def test_agrees_with_1d_rule(self):
+        # a 1-d unit-variance mixture laid on the x axis has the same risks
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            k = int(rng.integers(2, 6))
+            means = rng.normal(scale=2, size=k)
+            planar = BayesOracle(_identity_spec(np.stack([means, np.zeros(k)], axis=1)))
+            line = BayesOracle(MixtureSpec(means[:, None], np.ones((k, 1, 1))))
+            pi = Prior(rng.dirichlet(np.ones(k)))
+            np.testing.assert_allclose(
+                planar.risks(pi).estimates, line.risks(pi).estimates, rtol=0, atol=1e-9
+            )
+
+    def test_coincident_means_tie_to_smaller_index(self):
+        # where the half-plane normal is 0, an exact tie goes to the smaller
+        # index, as in test_identical_classes
+        spec = _identity_spec([[0.5, 0.5], [0.5, 0.5], [2.5, 0.5]])
+        risks = BayesOracle(spec).risks(Prior.uniform(3)).estimates
+        phi = 1.0 - PHI_1  # the boundary between classes 0 and 2 is 1 from each
+        np.testing.assert_allclose(risks, [phi, 1.0, phi], rtol=0, atol=1e-9)
+        # a strictly larger prior wins whatever the index
+        risks = BayesOracle(spec).risks(_prior(0.3, 0.4, 0.3)).estimates
+        assert risks[0] == 1.0 and risks[1] < 1.0
+        pair = _identity_spec([[0.0, 0.0], [0.0, 0.0]])
+        grid = adversarial_prior_search(pair, method="grid", resolution=1e-2)
+        ascent = adversarial_prior_search(pair, method="ascent", iterations=50)
+        np.testing.assert_array_equal(grid.prior.p, [0.5, 0.5])
+        np.testing.assert_array_equal(grid.risks.estimates, [0.0, 1.0])
+        assert grid.risk == 0.5
+        assert ascent.risk == 0.5
+
+    def test_zero_prior_and_one_hot(self):
+        spec = circle_mixture(4, 2.0)
+        cached = BayesOracle(spec)
+        risks = cached.risks(_prior(0.0, 1 / 3, 1 / 3, 1 / 3)).estimates
+        # class 0 never wins; the other three split the plane as a
+        # three-class mixture of their means does
+        rest = BayesOracle(_identity_spec(spec.means[1:])).risks(Prior.uniform(3)).estimates
+        assert risks[0] == 1.0
+        np.testing.assert_allclose(risks[1:], rest, rtol=0, atol=1e-12)
+        for y in range(4):
+            risks = cached.risks(Prior(np.eye(4)[y])).estimates
+            assert risks[y] == pytest.approx(0.0, abs=1e-12)
+            assert np.all(np.delete(risks, y) == 1.0)
+
+    def test_circle10_uniform_value(self):
+        risks = BayesOracle(circle_mixture(10, 3.0)).risks(Prior.uniform(10))
+        assert risks.exact
+        np.testing.assert_array_equal(risks.counts, np.ones(10))
+        np.testing.assert_allclose(risks.estimates, 0.3538016817, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec, kwargs",
+        [
+            (circle_mixture(10, 3.0), {"method": "ascent", "iterations": 8}),
+            (circle_mixture(3), {"method": "grid", "resolution": 0.25}),
+        ],
+        ids=["ascent", "grid"],
+    )
+    def test_search_draws_no_sample(self, monkeypatch, spec, kwargs):
+        calls = []
+        original = oracle.class_log_densities
+
+        def counting(spec, x):
+            calls.append(len(x))
+            return original(spec, x)
+
+        monkeypatch.setattr(oracle, "class_log_densities", counting)
+        result = adversarial_prior_search(spec, **kwargs)
+        assert calls == []
+        assert result.risks.exact
+
+
 class TestConcavity:
     def test_midpoint_dominates_chord(self):
         spec = three_gaussians_1d()
@@ -438,7 +588,7 @@ class TestAdversarialSearch:
             adversarial_prior_search(circle_mixture(5), method="grid")
 
     def test_mc_grid_is_argmax_of_total_risk(self):
-        spec = circle_mixture(3)
+        spec = _circle_3d(3)
         result = adversarial_prior_search(spec, method="grid", resolution=0.25)
         grid = _simplex_grid(3, 0.25)
         values = [np.dot(g, bayes_class_risks(spec, Prior(g)).estimates) for g in grid]
@@ -467,7 +617,7 @@ class TestAdversarialSearch:
     @pytest.mark.parametrize(
         "spec, kwargs",
         [
-            (circle_mixture(4), {"method": "ascent", "iterations": 6}),
+            (_circle_3d(4), {"method": "ascent", "iterations": 6}),
             (three_gaussians_1d(), {"method": "grid", "resolution": 0.01}),
             (three_gaussians_1d(), {"method": "ascent", "iterations": 50}),
         ],
@@ -486,6 +636,8 @@ class TestAdversarialSearch:
         ids=["exact-3", "mc-3", "mc-4"],
     )
     def test_auto_takes_grid_only_with_closed_form(self, spec, expected):
+        # the circle's risks are exact too, but one polygon evaluation per
+        # point: a grid at the default resolution would be 501,501 of them
         result = adversarial_prior_search(spec, resolution=0.25, iterations=5, mc_samples=10_000)
         assert result.method == expected
 
