@@ -324,7 +324,7 @@ def run_oracle(config: dict, out_dir: Path) -> None:
 
 # The config fields each override flag sets.
 OVERRIDE_FLAGS = {
-    "--seed": RUN_SEEDS + ("mc.master_seed", "oracle.seed"),
+    "--seed": RUN_SEEDS + ("mc.master_seed",),
     "--trials": ("mc.trials",),
 }
 

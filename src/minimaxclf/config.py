@@ -21,7 +21,6 @@ import numpy as np
 from .data import ImbalanceProfile, make_imbalance_counts
 from .losses import VARIANTS
 from .mc import MIN_TRIALS
-from .oracle import MIN_MC_SAMPLES
 from .priors import SIMPLEX_ATOL
 
 SCHEMA_VERSION = 1
@@ -166,8 +165,6 @@ SCHEMA = {
         "resolution": (1e-3, _number("(0, 0.5]")),
         "iterations": (2000, _int(1)),
         "step_scale": (0.1, _POSITIVE),
-        "mc_samples": (100_000, _int(MIN_MC_SAMPLES)),
-        "seed": (0, _SEED),
     },
 }
 

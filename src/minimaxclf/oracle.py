@@ -1,12 +1,12 @@
 """Bayes-optimal reference machinery for Gaussian mixtures.
 
-The per-class risks are exact where the Bayes regions have a simple shape.
-For 1-d mixtures with a shared variance the class scores are lines in x, so
-the regions are intervals and the risks are normal CDF differences. For 2-d
-mixtures whose covariances are all the identity (every circle benchmark) the
-scores are linear in x, so each region is a convex polygon and its Gaussian
-mass a sum of one-dimensional integrals, one per edge. Every other mixture
-falls back to seeded Monte Carlo.
+The per-class risks are exact, for the two mixture shapes whose Bayes
+regions have a simple shape. For 1-d mixtures with a shared variance the
+class scores are lines in x, so the regions are intervals and the risks are
+normal CDF differences. For 2-d mixtures whose covariances are all the
+identity (every circle benchmark) the scores are linear in x, so each region
+is a convex polygon and its Gaussian mass a sum of one-dimensional
+integrals, one per edge. Every other mixture is rejected.
 The total risk of the Bayes rule is concave in the prior, and its
 supergradient at pi is the vector of per-class risks, which drives the
 projected-ascent search for the adversarial prior.
@@ -21,18 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import ClassRisks
-from .data import MixtureSpec, sample_mixture
+from .data import MixtureSpec
 from .priors import Prior, project_to_simplex
 
 GRID = "grid"
 ASCENT = "ascent"
 AUTO = "auto"
-
-MIN_MC_SAMPLES = 10_000
-
-# Instances per block of the density and argmax passes; their scratch
-# memory is one block's, whatever the sample size.
-_BLOCK_ROWS = 8192
 
 # The exact 2-d risks: each Bayes polygon is clipped to a square of
 # half-width _BOX about its class mean (the N(0, I) mass outside it
@@ -44,80 +38,24 @@ _PANEL_NODES = 20
 _TAIL = _PANEL_BREAKS[-1]
 
 
-def class_log_densities(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of log N(x; mu_y, Sigma_y).
-
-    The result, one N x K float64 matrix (80 MB at 10^6 rows and K = 10),
-    is the only N-sized allocation: each class fills its row of a
-    class-major (K, N) buffer one block of ``_BLOCK_ROWS`` instances at a
-    time, so the scratch memory is one block's. The returned matrix is the
-    transpose of that buffer.
-
-    Each class is whitened once, by the inverse of its Cholesky factor L,
-    and a block's Mahalanobis terms are the squared norms of
-    ``inv(L) @ (x - mu)``. For an identity covariance ``inv(L)`` is exactly
-    the identity and the product adds no rounding, so the densities equal
-    those of a solve against L bit for bit; for other covariances they
-    agree with an exact evaluation to about 1e-13.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != spec.dim:
-        raise ValueError(f"instances must be (N, {spec.dim}), got {x.shape}")
-    n = x.shape[0]
-    out = np.empty((spec.class_count, n))
-    const = spec.dim * math.log(2.0 * math.pi)
-    for y in range(spec.class_count):
-        chol = np.linalg.cholesky(spec.covariances[y])
-        whiten = np.linalg.inv(chol)
-        mean = spec.means[y][:, None]
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        for start in range(0, n, _BLOCK_ROWS):
-            sol = whiten @ (x[start : start + _BLOCK_ROWS].T - mean)
-            maha = np.sum(sol**2, axis=0)
-            out[y, start : start + _BLOCK_ROWS] = -0.5 * (const + logdet + maha)
-    return out.T
-
-
 def _log_prior(pi: Prior) -> np.ndarray:
     p = pi.p
     return np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
 
 
-def _bayes_argmax(log_densities: np.ndarray, pi: Prior) -> np.ndarray:
-    """argmax_y [ln pi_y + ln p(x|y)] of each row of the (N, K) log
-    densities, smallest index on a tie, one block of rows at a time.
-
-    The scores are walked class by class along ``log_densities.T``, the
-    class-major buffer of ``class_log_densities``, keeping a running best;
-    a class takes a row only if it scores strictly higher, as ``np.argmax``
-    decides. Each score is the same sum as in the full score matrix, so the
-    predictions equal its argmax exactly. The scratch is three block-length
-    vectors.
-    """
-    n, k = log_densities.shape
-    by_class = log_densities.T
-    log_prior = _log_prior(pi)
-    predictions = np.zeros(n, dtype=np.intp)
-    rows = min(n, _BLOCK_ROWS)
-    best, score, wins = np.empty(rows), np.empty(rows), np.empty(rows, dtype=np.intp)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        block = predictions[start:stop]
-        top, cand, won = best[: stop - start], score[: stop - start], wins[: stop - start]
-        np.add(by_class[0, start:stop], log_prior[0], out=top)
-        for y in range(1, k):
-            np.add(by_class[y, start:stop], log_prior[y], out=cand)
-            np.greater(cand, top, out=won)
-            # every index in the block is below y, so this sets y where it won
-            np.multiply(won, y, out=won)
-            np.maximum(block, won, out=block)
-            np.maximum(top, cand, out=top)
-    return predictions
-
-
 def bayes_predict(spec: MixtureSpec, pi: Prior, x: np.ndarray) -> np.ndarray:
-    """argmax_y [ln pi_y + ln p(x|y)] with smallest-index tie-break."""
-    return _bayes_argmax(class_log_densities(spec, x), pi)
+    """argmax_y [ln pi_y + ln N(x; mu_y, Sigma_y)] of each row of the (N, d)
+    instances ``x``, the smallest index on a tie."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != spec.dim:
+        raise ValueError(f"instances must be (N, {spec.dim}), got {x.shape}")
+    const = spec.dim * math.log(2.0 * math.pi)
+    scores = np.empty((x.shape[0], spec.class_count))
+    for y in range(spec.class_count):
+        chol = np.linalg.cholesky(spec.covariances[y])
+        maha = np.sum((np.linalg.inv(chol) @ (x - spec.means[y]).T) ** 2, axis=0)
+        scores[:, y] = -0.5 * (const + 2.0 * np.sum(np.log(np.diag(chol))) + maha)
+    return np.argmax(scores + _log_prior(pi), axis=1)
 
 
 def _shared_sigma_1d(spec: MixtureSpec):
@@ -285,33 +223,22 @@ def _exact_risks_2d(means: np.ndarray, pi: Prior) -> np.ndarray:
 
 
 class BayesOracle:
-    """Per-class Bayes risks of one mixture at any prior.
+    """Per-class Bayes risks of one mixture at any prior, exact.
 
-    The path is chosen from the spec alone. Exact (normal CDF) for 1-d
-    shared-variance mixtures; exact (polygon masses) for 2-d mixtures whose
-    covariances all equal the identity. On these two paths ``mc_samples``
-    and ``seed`` are not read, and no sample or density matrix is built.
-    Otherwise the seeded Monte Carlo sample, with ``mc_samples`` points per
-    class and independent seed streams, and its (N, K) class log-density
-    matrix are built once here; they do not depend on the prior, so each
-    ``risks`` call is one argmax. The oracle holds that one N x K float64
-    matrix for its lifetime (80 MB at 10^6 rows and K = 10).
-    Building it and each ``risks`` call need scratch memory for one block
-    of ``_BLOCK_ROWS`` rows only, besides one N-length prediction vector.
+    The path is chosen from the spec alone: normal CDFs over intervals for
+    a 1-d mixture with one shared variance, polygon masses for a 2-d
+    mixture whose covariances all equal the identity. No other mixture has
+    an exact path here, so any other raises ``ValueError``.
     """
 
-    def __init__(self, spec: MixtureSpec, mc_samples: int = 100_000, seed: int = 0) -> None:
+    def __init__(self, spec: MixtureSpec) -> None:
         self.spec = spec
         self.sigma = _shared_sigma_1d(spec)
-        self.polygons = _identity_2d(spec)
-        if self.sigma is not None or self.polygons:
-            return
-        if mc_samples < MIN_MC_SAMPLES:
-            raise ValueError(f"no closed form for this mixture; need mc_samples >= {MIN_MC_SAMPLES}")
-        self.counts = np.full(spec.class_count, int(mc_samples), dtype=np.int64)
-        ds = sample_mixture(spec, self.counts, seed)
-        self.labels = ds.labels
-        self.log_densities = class_log_densities(spec, ds.instances)
+        if self.sigma is None and not _identity_2d(spec):
+            raise ValueError(
+                "no exact Bayes risks for this mixture: the oracle needs a 1-d mixture"
+                " with one shared variance or a 2-d mixture with identity covariances"
+            )
 
     def risks(self, pi: Prior) -> ClassRisks:
         """Per-class error rates of the Bayes rule at prior ``pi``."""
@@ -320,36 +247,24 @@ class BayesOracle:
             raise ValueError("prior does not match the mixture's class count")
         if self.sigma is not None:
             risks = _exact_risks_1d(self.spec.means[:, 0], self.sigma, pi.p[None, :])[0]
-            return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
-        if self.polygons:
+        else:
             risks = _exact_risks_2d(self.spec.means, pi)
-            return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
-        predictions = _bayes_argmax(self.log_densities, pi)
-        # sample_mixture lays the classes out in order, each a contiguous run
-        # of mc_samples rows, so row y of this (K, mc_samples) view holds
-        # exactly class y's comparisons
-        wrong = (predictions != self.labels).reshape(k, -1)
-        errors = np.count_nonzero(wrong, axis=1)
-        return ClassRisks(errors / self.counts, self.counts)
+        return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
 
     def total_risk(self, pi: Prior) -> float:
         """R(pi) = sum_y pi_y P_e(y) for the Bayes rule at pi."""
         return float(np.dot(pi.p, self.risks(pi).estimates))
 
 
-def bayes_class_risks(
-    spec: MixtureSpec, pi: Prior, mc_samples: int = 100_000, seed: int = 0
-) -> ClassRisks:
+def bayes_class_risks(spec: MixtureSpec, pi: Prior) -> ClassRisks:
     """Per-class error rates of the Bayes rule at prior ``pi`` (see
     ``BayesOracle``)."""
-    return BayesOracle(spec, mc_samples, seed).risks(pi)
+    return BayesOracle(spec).risks(pi)
 
 
-def bayes_total_risk(
-    spec: MixtureSpec, pi: Prior, mc_samples: int = 100_000, seed: int = 0
-) -> float:
+def bayes_total_risk(spec: MixtureSpec, pi: Prior) -> float:
     """R(pi) = sum_y pi_y P_e(y) for the Bayes rule at pi."""
-    return BayesOracle(spec, mc_samples, seed).total_risk(pi)
+    return BayesOracle(spec).total_risk(pi)
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
@@ -381,8 +296,6 @@ def adversarial_prior_search(
     resolution: float = 1e-3,
     iterations: int = 2000,
     step_scale: float = 0.1,
-    mc_samples: int = 100_000,
-    seed: int = 0,
 ) -> SearchResult:
     """Maximize the concave R(pi) over the simplex.
 
@@ -392,16 +305,15 @@ def adversarial_prior_search(
     ``BayesOracle`` serves every risk evaluation of the search. ``auto``
     takes the grid only where one vectorized call gives the risks of the
     whole grid (K <= 3, 1-d, shared variance); elsewhere each grid point
-    would be one polygon evaluation or one Monte Carlo argmax, so it takes
-    the ascent.
+    would be one polygon evaluation, so it takes the ascent.
     """
     k = spec.class_count
+    oracle = BayesOracle(spec)
     if method == AUTO:
-        method = GRID if k <= 3 and _shared_sigma_1d(spec) is not None else ASCENT
+        method = GRID if k <= 3 and oracle.sigma is not None else ASCENT
     if method == GRID:
         if k > 3:
             raise ValueError("grid search supports K <= 3; use method='ascent'")
-        oracle = BayesOracle(spec, mc_samples, seed)
         grid = _simplex_grid(k, resolution)
         if oracle.sigma is not None:
             risks = _exact_risks_1d(spec.means[:, 0], oracle.sigma, grid)
@@ -423,7 +335,6 @@ def adversarial_prior_search(
         raise ValueError(f"unknown search method {method!r}")
     if iterations < 1:
         raise ValueError(f"ascent needs iterations >= 1, got {iterations}")
-    oracle = BayesOracle(spec, mc_samples, seed)
     pi = np.full(k, 1.0 / k)
     best_risk = -np.inf
     last_improvement = 0

@@ -62,6 +62,9 @@ class TestValidation:
         imbalance = {"kind": "step", "ratio": 0.1, "base_count": 10, "size": 3}
         with pytest.raises(ConfigError, match=r"dataset\.imbalance\.size"):
             validate_config({"dataset": {"imbalance": imbalance}})
+        # the Monte Carlo oracle's fields are gone, so an old config naming them exits 2
+        with pytest.raises(ConfigError, match=r"unknown config field 'oracle\.mc_samples'"):
+            validate_config({"oracle": {"mc_samples": 100000}})
 
     def test_bad_imbalance_kind(self):
         with pytest.raises(ConfigError, match=r"dataset\.imbalance\.kind"):
@@ -91,13 +94,6 @@ class TestValidation:
                 ("step_scale", 0),
                 ("step_scale", "0.1"),
                 ("step_scale", True),
-                ("mc_samples", 100),
-                ("mc_samples", 20_000.0),
-                ("mc_samples", True),
-                ("seed", "1"),
-                ("seed", 1.5),
-                ("seed", False),
-                ("seed", -1),
                 ("resolution", "0.1"),
             ]
         ]
@@ -177,15 +173,18 @@ class TestValidation:
     @pytest.mark.parametrize(
         "preset, expected",
         [
-            (None, "39c88badb19835c4ce38c0be46b6df87e530beea68307c3e1ee5208b0b6f6751"),
-            ("step10-desk", "f9638b99ff2abe3acaeb10899dc1442e27738070e3ebb3394f26f3e60f5c80c1"),
-            ("lt10-desk", "727afced6c94971daebddc5fd4f5dcbbf626d52f3e56a3765043717802be8349"),
-            ("two-class-1d", "f9fc2aea266cc726c3870a6950016d1773450e7578d73f379efc9af5d1ac6ef7"),
+            (None, "1edb5e0528631d728a881703491bb78f866ef58d37d2c64af19611a53a2a973e"),
+            ("step10-desk", "d2442ccc0cdd7771fd520c96abad25b37efced7c4e92669859c71922d11024c0"),
+            ("lt10-desk", "9716662bfc44fd3baae7a59c52861d7b1ac1ef2eb9a32df3ff0f6b8134d075e4"),
+            ("two-class-1d", "c3aecccc70c30004ab9e056caff77e0ee5a297a8b1f8f62eb2ba1d4bcb703317"),
             ("three-class-oracle",
-             "fde53921e70f333bdbf4a6ea52ea8ffd646b4231e80ae341e7fc13fcceec8770"),
+             "5af72e24b96d4dd36d498a5d95aa51a43c3a5f2ead52b2139be7be64133feae0"),
             ("figure-validation",
-             "52e5890ec2a01771630571ccb6341c02ee11ce569c4590cdf2c7ab68bb3e2ac0"),
+             "bd1fda294b57e19c248c0dad5081deacce4f1e124f1725a478f4420020238d95"),
         ],
+        # named by preset, so re-pinning a hash does not rename the test
+        ids=["default", "step10-desk", "lt10-desk", "two-class-1d", "three-class-oracle",
+             "figure-validation"],
     )
     def test_resolved_config_hash_pinned(self, preset, expected):
         # the manifest carries this hash, so a changed default changes artifacts
@@ -529,7 +528,7 @@ class TestCliEntry:
         "argv, config, fields",
         [
             (["mc", "--preset", "figure-validation", "--seed", "-1"], {},
-             RUN_SEEDS + ("mc.master_seed", "oracle.seed")),
+             RUN_SEEDS + ("mc.master_seed",)),
             (["oracle"], {"dataset": {"source": "csv", "csv_path": "data.csv",
                                       "benchmark": "two_gaussians_1d"}},
              ("dataset.source",)),
@@ -638,7 +637,7 @@ class TestCliEntry:
         assert main(["train", "--config", str(config_path), "--seed", "7",
                      "--out", str(tmp_path / "s7")]) == 0
         manifest = json.loads((tmp_path / "s7" / "manifest.json").read_text())
-        for field in RUN_SEEDS + ("mc.master_seed", "oracle.seed"):
+        for field in RUN_SEEDS + ("mc.master_seed",):
             section, key = field.split(".")
             assert manifest["config"][section][key] == 7, field
 
@@ -822,7 +821,7 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": scipy_modul
     [
         (_tiny_train_config(), False),
         ({"experiment": "oracle", "dataset": {"class_count": 3},
-          "oracle": {"iterations": 2, "mc_samples": 10_000}}, False),
+          "oracle": {"iterations": 2}}, False),
         ({"experiment": "oracle", "dataset": {"benchmark": "two_gaussians_1d"},
           "oracle": {"resolution": 0.1}}, True),
         ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, False),

@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from minimaxclf import oracle
+from minimaxclf.ascent import ClassRisks
 from minimaxclf.data import (
     MixtureSpec,
     circle_mixture,
@@ -31,12 +31,27 @@ def _prior(*values):
     return Prior(np.array(values, dtype=np.float64))
 
 
-def _circle_3d(k, radius=2.0):
-    """``circle_mixture(k, radius)`` with a zero third coordinate: the same
-    Bayes rule, but no exact path, so the oracle takes the Monte Carlo one."""
-    spec = circle_mixture(k, radius)
-    means = np.hstack([spec.means, np.zeros((k, 1))])
-    return MixtureSpec(means, np.repeat(np.eye(3)[None], k, axis=0))
+def _sample_risks(spec, pi, ds):
+    """Reference: the per-class error rates of ``bayes_predict`` on the
+    sample ``ds``, with their counts."""
+    pred = bayes_predict(spec, pi, ds.instances)
+    counts = ds.per_class_counts
+    estimates = np.array([np.mean(pred[ds.class_indices(y)] != y) for y in range(len(counts))])
+    return ClassRisks(estimates, counts)
+
+
+def _full_log_densities(spec, x):
+    """Reference: the (N, K) class log-density matrix, every class whitened
+    by the inverse of its Cholesky factor."""
+    out = np.empty((len(x), spec.class_count))
+    const = spec.dim * math.log(2.0 * math.pi)
+    for y in range(spec.class_count):
+        chol = np.linalg.cholesky(spec.covariances[y])
+        sol = np.linalg.inv(chol) @ (x.T - spec.means[y][:, None])
+        maha = np.sum(sol**2, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, y] = -0.5 * (const + logdet + maha)
+    return out
 
 
 class TestBayesPredict:
@@ -68,6 +83,18 @@ class TestBayesPredict:
             bayes_predict(spec, base, x), bayes_predict(spec, same, x)
         )
 
+    def test_tie_goes_to_smaller_index(self):
+        # points on x = 0 are equidistant from both means; some sit at the
+        # edges of a block
+        spec = MixtureSpec(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.stack([np.eye(2)] * 2))
+        x = np.random.default_rng(0).normal(size=(20_000, 2))
+        ties = [0, 8191, 8192, 16_383, 19_999]
+        x[ties, 0] = 0.0
+        predictions = bayes_predict(spec, Prior.uniform(2), x)
+        assert np.all(predictions[ties] == 0)
+        full = np.argmax(_full_log_densities(spec, x) + _log_prior(Prior.uniform(2)), axis=1)
+        assert np.array_equal(predictions, full)
+
 
 class TestBayesRisks:
     def test_symmetric_closed_form(self):
@@ -84,16 +111,12 @@ class TestBayesRisks:
         spec = two_gaussians_1d()
         pi = _prior(0.7, 0.3)
         exact = bayes_class_risks(spec, pi)
-        # force the MC path through an equivalent 2-d embedding
+        # the Bayes rule's error rates on a sample of an equivalent 2-d embedding
         means = np.hstack([spec.means, np.zeros((2, 1))])
-        covs = np.stack([np.eye(2), np.eye(2)])
-        mc = bayes_class_risks(MixtureSpec(means, covs), pi, mc_samples=100_000, seed=4)
+        planar = MixtureSpec(means, np.stack([np.eye(2), np.eye(2)]))
+        mc = _sample_risks(planar, pi, sample_mixture(planar, np.full(2, 100_000), 4))
         se = mc.standard_errors()
         assert np.all(np.abs(mc.estimates - exact.estimates) <= 4 * se + 1e-12)
-
-    def test_mc_sample_floor_enforced(self):
-        with pytest.raises(ValueError, match="mc_samples"):
-            bayes_class_risks(_circle_3d(3), Prior.uniform(3), mc_samples=100)
 
     def test_total_risk_properties(self):
         spec = two_gaussians_1d()
@@ -108,192 +131,9 @@ class TestBayesRisks:
 
 
 class TestBayesOracle:
-    def test_matches_per_call_monte_carlo(self):
-        # reference: redraw the sample and predict it at every prior
-        spec = _circle_3d(10, 3.0)
-        counts = np.full(10, 10_000)
-        seed = 5
-        ds = sample_mixture(spec, counts, seed)
-        cached = BayesOracle(spec, 10_000, seed)
-        rng = np.random.default_rng(2)
-        priors = [rng.dirichlet(np.ones(10)) for _ in range(5)]
-        priors.append(np.r_[0.0, np.full(9, 1.0 / 9)])
-        for p in priors:
-            pi = Prior(p)
-            pred = bayes_predict(spec, pi, ds.instances)
-            expected = np.array([np.mean(pred[ds.class_indices(y)] != y) for y in range(10)])
-            risks = cached.risks(pi)
-            assert np.array_equal(risks.estimates, expected)
-            assert np.array_equal(risks.counts, counts)
-            assert not risks.exact
-
     def test_prior_length_checked(self):
         with pytest.raises(ValueError, match="class count"):
             BayesOracle(two_gaussians_1d()).risks(Prior.uniform(3))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"method": "ascent", "iterations": 4}, {"method": "grid", "resolution": 0.5}],
-        ids=["ascent", "mc-grid"],
-    )
-    def test_densities_built_once_per_search(self, monkeypatch, kwargs):
-        calls = []
-        original = oracle.class_log_densities
-
-        def counting(spec, x):
-            calls.append(len(x))
-            return original(spec, x)
-
-        monkeypatch.setattr(oracle, "class_log_densities", counting)
-        adversarial_prior_search(_circle_3d(3), mc_samples=10_000, seed=1, **kwargs)
-        assert calls == [30_000]
-
-
-def _full_log_densities(spec, x, solve=False):
-    """Reference: the one-pass density matrix, every class over all rows,
-    whitened by the inverse Cholesky factor, or with ``solve`` by an LU
-    solve against the factor."""
-    out = np.empty((len(x), spec.class_count))
-    const = spec.dim * math.log(2.0 * math.pi)
-    for y in range(spec.class_count):
-        chol = np.linalg.cholesky(spec.covariances[y])
-        diff = x.T - spec.means[y][:, None]
-        sol = np.linalg.solve(chol, diff) if solve else np.linalg.inv(chol) @ diff
-        maha = np.sum(sol**2, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, y] = -0.5 * (const + logdet + maha)
-    return out
-
-
-def _full_risks(log_densities, labels, counts, pi):
-    """Reference: the argmax of the whole N x K score matrix."""
-    predictions = np.argmax(log_densities + _log_prior(pi), axis=1)
-    errors = np.bincount(labels[predictions != labels], minlength=len(counts))
-    return errors / counts
-
-
-def _test_priors(k, seed):
-    rng = np.random.default_rng(seed)
-    priors = [rng.dirichlet(np.ones(k)) for _ in range(3)]
-    priors.append(np.r_[0.0, np.full(k - 1, 1.0 / (k - 1))])  # a zero-mass class
-    priors.append(np.eye(k)[k - 1])  # one-hot
-    return [Prior(p) for p in priors]
-
-
-def _rotated_covariances(k, rng):
-    covs = []
-    for _ in range(k):
-        a = rng.normal(size=(2, 2))
-        covs.append(a @ a.T + 0.3 * np.eye(2))
-    return np.stack(covs)
-
-
-class TestBlockedOracle:
-    """The densities and the argmax run in row blocks; every value must equal
-    the one-pass computation bit for bit."""
-
-    @pytest.mark.parametrize(
-        "spec, per_class",
-        [
-            # 100,070 rows: not a multiple of the block
-            (_circle_3d(10, 3.0), 10_007),
-            (MixtureSpec(np.array([[0.0, 0.0], [1.5, 0.5], [-0.5, 1.0]]),
-                         _rotated_covariances(3, np.random.default_rng(8))), 10_000),
-        ],
-        ids=["circle-10", "rotated-2d"],
-    )
-    def test_matches_one_pass(self, spec, per_class):
-        k = spec.class_count
-        counts = np.full(k, per_class)
-        ds = sample_mixture(spec, counts, 3)
-        expected = _full_log_densities(spec, ds.instances)
-        got = oracle.class_log_densities(spec, ds.instances)
-        assert got.shape == (per_class * k, k)
-        assert np.array_equal(got, expected)
-        cached = BayesOracle(spec, per_class, 3)
-        for pi in _test_priors(k, 4):
-            risks = cached.risks(pi)
-            assert np.array_equal(risks.estimates, _full_risks(expected, ds.labels, counts, pi))
-            full = np.argmax(expected + _log_prior(pi), axis=1)
-            assert np.array_equal(bayes_predict(spec, pi, ds.instances), full)
-
-    def test_identity_covariance_matches_solve(self):
-        # the circle's covariances are the identity, whose whitening is exact:
-        # the densities equal the solve-based formula's, so the Monte Carlo
-        # oracle artifacts do not move
-        spec = circle_mixture(10, 3.0)
-        x = sample_mixture(spec, np.full(10, 2_000), 6).instances
-        expected = _full_log_densities(spec, x, solve=True)
-        assert np.array_equal(oracle.class_log_densities(spec, x), expected)
-
-    def test_rotated_covariances_match_scipy(self):
-        from scipy.stats import multivariate_normal
-
-        rng = np.random.default_rng(9)
-        spec = MixtureSpec(rng.normal(size=(3, 2)), _rotated_covariances(3, rng))
-        x = 2.0 * rng.normal(size=(20_000, 2))
-        expected = np.stack(
-            [multivariate_normal(spec.means[y], spec.covariances[y]).logpdf(x) for y in range(3)],
-            axis=1,
-        )
-        assert np.max(np.abs(oracle.class_log_densities(spec, x) - expected)) <= 1e-12
-
-    def test_tie_goes_to_smaller_index(self):
-        # points on x = 0 are equidistant from both means; some sit at the
-        # edges of a block
-        spec = MixtureSpec(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.stack([np.eye(2)] * 2))
-        x = np.random.default_rng(0).normal(size=(20_000, 2))
-        ties = [0, 8191, 8192, 16_383, 19_999]
-        x[ties, 0] = 0.0
-        predictions = bayes_predict(spec, Prior.uniform(2), x)
-        assert np.all(predictions[ties] == 0)
-        full = np.argmax(_full_log_densities(spec, x) + _log_prior(Prior.uniform(2)), axis=1)
-        assert np.array_equal(predictions, full)
-
-    def test_scratch_memory_is_one_block(self):
-        # circle-10 at 20,000 samples per class: the density matrix is 16 MB
-        spec = _circle_3d(10, 3.0)
-        matrix_bytes = 8 * 200_000 * 10
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            cached = BayesOracle(spec, 20_000, 1)
-            build_peak = tracemalloc.get_traced_memory()[1] - start
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            cached.risks(Prior.uniform(10))
-            risks_peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert build_peak <= 1.5 * matrix_bytes
-        assert risks_peak <= 0.25 * matrix_bytes
-
-    def test_error_counts_match_gather(self):
-        # each class's errors are counted on its own run of rows; the counts
-        # must equal a bincount of the labels of the wrong rows
-        spec = _circle_3d(10, 3.0)
-        cached = BayesOracle(spec, 10_007, 2)
-        labels = sample_mixture(spec, cached.counts, 2).labels
-        zero_mass = Prior(np.r_[0.0, np.full(9, 1.0 / 9)])
-        for pi in (Prior.uniform(10), Prior(np.eye(10)[3]), zero_mass):
-            predictions = oracle._bayes_argmax(cached.log_densities, pi)
-            errors = np.bincount(labels[predictions != labels], minlength=10)
-            assert np.array_equal(cached.risks(pi).estimates, errors / cached.counts)
-
-    def test_error_count_gathers_no_labels(self):
-        # besides the argmax's block scratch, a risks call holds the N
-        # predictions and one comparison byte per row; a gather of the wrong
-        # rows' labels would add 8 bytes per error, 90% of the rows here
-        rows = 200_000
-        cached = BayesOracle(_circle_3d(10, 3.0), rows // 10, 1)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            cached.risks(Prior(np.eye(10)[9]))
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9 * rows + 3 * 8 * oracle._BLOCK_ROWS + 64_000
 
 
 def _envelope_sweep_risks(means, sigma, pi):
@@ -442,14 +282,19 @@ class TestExactPolygons:
             k = int(rng.integers(3, 13))
             radius = float(rng.uniform(1.0, 4.0))
             exact = BayesOracle(circle_mixture(k, radius))
-            mc = BayesOracle(_circle_3d(k, radius), n, trial)
+            # the circle embedded in 3-d with a zero third coordinate: the
+            # same Bayes rule, and the sample this test has always drawn
+            spec = MixtureSpec(np.hstack([exact.spec.means, np.zeros((k, 1))]),
+                               np.repeat(np.eye(3)[None], k, axis=0))
+            ds = sample_mixture(spec, np.full(k, n), trial)
             for _ in range(3):
                 pi = Prior(rng.dirichlet(np.full(k, 0.5)))
                 r = exact.risks(pi).estimates
                 # the SE of the exact risk: a class the sample never reached
                 # has an estimate of 0 or 1 and no SE of its own
                 se = np.sqrt(r * (1.0 - r) / n)
-                assert np.all(np.abs(mc.risks(pi).estimates - r) <= 4 * se + 1e-12)
+                mc = _sample_risks(spec, pi, ds).estimates
+                assert np.all(np.abs(mc - r) <= 4 * se + 1e-12)
 
     def test_agrees_with_1d_rule(self):
         # a 1-d unit-variance mixture laid on the x axis has the same risks
@@ -501,27 +346,6 @@ class TestExactPolygons:
         assert risks.exact
         np.testing.assert_array_equal(risks.counts, np.ones(10))
         np.testing.assert_allclose(risks.estimates, 0.3538016817, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize(
-        "spec, kwargs",
-        [
-            (circle_mixture(10, 3.0), {"method": "ascent", "iterations": 8}),
-            (circle_mixture(3), {"method": "grid", "resolution": 0.25}),
-        ],
-        ids=["ascent", "grid"],
-    )
-    def test_search_draws_no_sample(self, monkeypatch, spec, kwargs):
-        calls = []
-        original = oracle.class_log_densities
-
-        def counting(spec, x):
-            calls.append(len(x))
-            return original(spec, x)
-
-        monkeypatch.setattr(oracle, "class_log_densities", counting)
-        result = adversarial_prior_search(spec, **kwargs)
-        assert calls == []
-        assert result.risks.exact
 
 
 class TestConcavity:
@@ -587,8 +411,8 @@ class TestAdversarialSearch:
         with pytest.raises(ValueError, match="K <= 3"):
             adversarial_prior_search(circle_mixture(5), method="grid")
 
-    def test_mc_grid_is_argmax_of_total_risk(self):
-        spec = _circle_3d(3)
+    def test_polygon_grid_is_argmax_of_total_risk(self):
+        spec = circle_mixture(3)
         result = adversarial_prior_search(spec, method="grid", resolution=0.25)
         grid = _simplex_grid(3, 0.25)
         values = [np.dot(g, bayes_class_risks(spec, Prior(g)).estimates) for g in grid]
@@ -608,8 +432,7 @@ class TestAdversarialSearch:
             return original(self, pi)
 
         monkeypatch.setattr(BayesOracle, "risks", counting)
-        result = adversarial_prior_search(circle_mixture(3), method="grid", resolution=0.25,
-                                          mc_samples=10_000)
+        result = adversarial_prior_search(circle_mixture(3), method="grid", resolution=0.25)
         assert len(calls) == result.iterations + 1
         np.testing.assert_array_equal(calls[-1], result.prior.p)
         assert result.risk == float(np.dot(result.prior.p, result.risks.estimates))
@@ -617,15 +440,15 @@ class TestAdversarialSearch:
     @pytest.mark.parametrize(
         "spec, kwargs",
         [
-            (_circle_3d(4), {"method": "ascent", "iterations": 6}),
+            (circle_mixture(3), {"method": "ascent", "iterations": 6}),
             (three_gaussians_1d(), {"method": "grid", "resolution": 0.01}),
             (three_gaussians_1d(), {"method": "ascent", "iterations": 50}),
         ],
-        ids=["mc-ascent", "exact-grid", "exact-ascent"],
+        ids=["polygon-ascent", "exact-grid", "exact-ascent"],
     )
     def test_result_carries_risks_at_prior(self, spec, kwargs):
-        result = adversarial_prior_search(spec, mc_samples=10_000, seed=2, **kwargs)
-        expected = bayes_class_risks(spec, result.prior, mc_samples=10_000, seed=2)
+        result = adversarial_prior_search(spec, **kwargs)
+        expected = bayes_class_risks(spec, result.prior)
         np.testing.assert_array_equal(result.risks.estimates, expected.estimates)
         total = float(np.dot(result.prior.p, expected.estimates))
         assert result.risk == pytest.approx(total, abs=1e-12)
@@ -638,7 +461,7 @@ class TestAdversarialSearch:
     def test_auto_takes_grid_only_with_closed_form(self, spec, expected):
         # the circle's risks are exact too, but one polygon evaluation per
         # point: a grid at the default resolution would be 501,501 of them
-        result = adversarial_prior_search(spec, resolution=0.25, iterations=5, mc_samples=10_000)
+        result = adversarial_prior_search(spec, resolution=0.25, iterations=5)
         assert result.method == expected
 
     def test_ascent_rejects_zero_iterations(self):
@@ -649,7 +472,7 @@ class TestAdversarialSearch:
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda: oracle.class_log_densities(two_gaussians_1d(), np.zeros((3, 2))),
+        pytest.param(lambda: bayes_predict(two_gaussians_1d(), Prior.uniform(2), np.zeros((3, 2))),
                      r"instances must be \(N, 1\)", id="densities-dim"),
         pytest.param(lambda: adversarial_prior_search(two_gaussians_1d(), method="x"),
                      "unknown search method", id="search-method"),
@@ -659,3 +482,26 @@ class TestAdversarialSearch:
 def test_bad_input_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MixtureSpec(np.eye(3), np.repeat(np.eye(3)[None], 3, axis=0)),
+        MixtureSpec(np.array([[0.0], [1.0]]), np.array([[[1.0]], [[2.0]]])),
+        MixtureSpec(circle_mixture(3).means, np.repeat(4.0 * np.eye(2)[None], 3, axis=0)),
+    ],
+    ids=["3d", "1d-unequal-variances", "2d-scaled-identity"],
+)
+def test_mixture_without_exact_path_rejected(spec):
+    # only the 1-d shared-variance and 2-d identity-covariance shapes have
+    # an exact oracle; every entry point names them
+    pi = Prior.uniform(spec.class_count)
+    match = r"1-d mixture with one shared variance or a 2-d mixture with identity covariances"
+    for call in (
+        lambda: BayesOracle(spec),
+        lambda: bayes_class_risks(spec, pi),
+        lambda: adversarial_prior_search(spec),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
