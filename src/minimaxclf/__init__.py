@@ -50,7 +50,6 @@ from .model import (
     train_epoch,
 )
 from .oracle import (
-    BayesOracle,
     adversarial_prior_search,
     bayes_class_risks,
     bayes_predict,

@@ -32,7 +32,7 @@ class ClassRisks:
         c = np.asarray(self.counts, dtype=np.int64)
         if e.ndim != 1 or c.shape != e.shape:
             raise ValueError("estimates and counts must be 1-d vectors of equal length")
-        if np.any((e < 0) | (e > 1)):
+        if not np.all((e >= 0) & (e <= 1)):
             raise ValueError("risk estimates must lie in [0, 1]")
         if np.any(c < 1):
             raise ValueError("every class needs at least one sample")

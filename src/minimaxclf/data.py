@@ -1,6 +1,9 @@
 """Synthetic Gaussian-mixture datasets, imbalance profiles, CSV I/O, and the
 model/prior split used by the min-max training loop.
 
+A mixture gives every class the same isotropic covariance sigma^2 I, as
+each synthetic benchmark here does.
+
 Labels are 0-based integers internally; the CSV interchange format uses
 1-based labels in the last column.
 """
@@ -20,31 +23,23 @@ STEP = "step"
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Per-class Gaussian class-conditionals: one (mean, covariance) per class."""
+    """Gaussian class-conditionals with one shared isotropic covariance:
+    class y is N(mu_y, sigma^2 I)."""
 
-    means: np.ndarray        # (K, d)
-    covariances: np.ndarray  # (K, d, d), symmetric positive-definite
+    means: np.ndarray  # (K, d)
+    sigma: float = 1.0
 
     def __post_init__(self) -> None:
         means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        covs = np.asarray(self.covariances, dtype=np.float64)
         if means.shape[0] < 2:
             raise ValueError("mixture needs at least 2 classes")
-        if covs.ndim == 2:  # one shared covariance
-            covs = np.repeat(covs[None, :, :], means.shape[0], axis=0)
-        if covs.shape != (means.shape[0], means.shape[1], means.shape[1]):
-            raise ValueError(
-                f"covariance shape {covs.shape} inconsistent with means {means.shape}"
-            )
-        for y, c in enumerate(covs):
-            if not np.allclose(c, c.T):
-                raise ValueError(f"covariance of class {y} is not symmetric")
-            try:
-                np.linalg.cholesky(c)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"covariance of class {y} is not positive-definite")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("mixture means must be finite")
+        sigma = float(self.sigma)
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"mixture sigma must be finite and positive, got {sigma}")
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covariances", covs)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def class_count(self) -> int:
@@ -56,18 +51,16 @@ class MixtureSpec:
 
 
 def two_gaussians_1d(separation: float = 1.0, sigma: float = 1.0) -> MixtureSpec:
-    """Two unit-variance classes on a line at -separation and +separation."""
-    means = np.array([[-separation], [separation]])
-    covs = np.full((2, 1, 1), sigma**2)
-    return MixtureSpec(means, covs)
+    """Two classes of standard deviation sigma on a line at -separation and
+    +separation."""
+    return MixtureSpec(np.array([[-separation], [separation]]), sigma)
 
 
 def three_gaussians_1d(spacing: float = 2.0, sigma: float = 1.0) -> MixtureSpec:
-    """Three classes on a line at -spacing, 0, +spacing; the middle one is
-    squeezed from both sides, so it carries the adversarial prior mass."""
-    means = np.array([[-spacing], [0.0], [spacing]])
-    covs = np.full((3, 1, 1), sigma**2)
-    return MixtureSpec(means, covs)
+    """Three classes of standard deviation sigma on a line at -spacing, 0,
+    +spacing; the middle one is squeezed from both sides, so it carries the
+    adversarial prior mass."""
+    return MixtureSpec(np.array([[-spacing], [0.0], [spacing]]), sigma)
 
 
 def circle_mixture(class_count: int = 10, radius: float = 2.0) -> MixtureSpec:
@@ -77,9 +70,7 @@ def circle_mixture(class_count: int = 10, radius: float = 2.0) -> MixtureSpec:
     dominates the total risk.
     """
     angles = 2.0 * np.pi * np.arange(class_count) / class_count
-    means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    covs = np.repeat(np.eye(2)[None, :, :], class_count, axis=0)
-    return MixtureSpec(means, covs)
+    return MixtureSpec(radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
 
 @dataclass(frozen=True)
@@ -205,9 +196,7 @@ def sample_mixture(spec: MixtureSpec, counts, seed: int) -> LabeledDataset:
         if n == 0:
             continue
         rng = np.random.default_rng([seed, y])
-        chol = np.linalg.cholesky(spec.covariances[y])
-        z = rng.standard_normal((n, spec.dim))
-        blocks.append(spec.means[y] + z @ chol.T)
+        blocks.append(spec.means[y] + spec.sigma * rng.standard_normal((n, spec.dim)))
         labels.append(np.full(n, y, dtype=np.int64))
     if not blocks:
         return LabeledDataset(np.empty((0, spec.dim)), np.empty(0, dtype=np.int64), spec.class_count)

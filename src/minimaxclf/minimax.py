@@ -89,7 +89,7 @@ class EpochRecord:
     phase: str
     mean_loss: float
     prior: Prior                     # target prior used for this epoch's updates
-    risks: Optional[ClassRisks]      # on the prior split
+    risks: ClassRisks                # on the prior split
     worst_class: Optional[int]
     worst_class_acc: Optional[float]
     balanced_acc: Optional[float]

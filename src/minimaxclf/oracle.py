@@ -1,12 +1,11 @@
-"""Bayes-optimal reference machinery for Gaussian mixtures.
+"""Bayes-optimal reference machinery for Gaussian mixtures N(mu_y, sigma^2 I).
 
-The per-class risks are exact, for the two mixture shapes whose Bayes
-regions have a simple shape. For 1-d mixtures with a shared variance the
-class scores are lines in x, so the regions are intervals and the risks are
-normal CDF differences. For 2-d mixtures whose covariances are all the
-identity (every circle benchmark) the scores are linear in x, so each region
-is a convex polygon and its Gaussian mass a sum of one-dimensional
-integrals, one per edge. Every other mixture is rejected.
+The per-class risks are exact. All classes share one covariance, so the
+class scores are linear in x. For a 1-d mixture the Bayes regions are
+intervals and the risks are normal CDF differences. For a 2-d mixture each
+region is a convex polygon and its Gaussian mass a sum of one-dimensional
+integrals, one per edge; dividing the means by sigma turns sigma^2 I into
+the identity without moving a region's mass. Higher dimensions are rejected.
 The total risk of the Bayes rule is concave in the prior, and its
 supergradient at pi is the vector of per-class risks, which drives the
 projected-ascent search for the adversarial prior.
@@ -44,34 +43,20 @@ def _log_prior(pi: Prior) -> np.ndarray:
 
 
 def bayes_predict(spec: MixtureSpec, pi: Prior, x: np.ndarray) -> np.ndarray:
-    """argmax_y [ln pi_y + ln N(x; mu_y, Sigma_y)] of each row of the (N, d)
-    instances ``x``, the smallest index on a tie."""
+    """argmax_y [ln pi_y - |x - mu_y|^2 / (2 sigma^2)] of each row of the
+    (N, d) instances ``x``, the smallest index on a tie."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != spec.dim:
         raise ValueError(f"instances must be (N, {spec.dim}), got {x.shape}")
-    const = spec.dim * math.log(2.0 * math.pi)
     scores = np.empty((x.shape[0], spec.class_count))
     for y in range(spec.class_count):
-        chol = np.linalg.cholesky(spec.covariances[y])
-        maha = np.sum((np.linalg.inv(chol) @ (x - spec.means[y]).T) ** 2, axis=0)
-        scores[:, y] = -0.5 * (const + 2.0 * np.sum(np.log(np.diag(chol))) + maha)
-    return np.argmax(scores + _log_prior(pi), axis=1)
-
-
-def _shared_sigma_1d(spec: MixtureSpec):
-    """Common standard deviation if the mixture is 1-d with one shared
-    variance, else None."""
-    if spec.dim != 1:
-        return None
-    variances = spec.covariances[:, 0, 0]
-    if np.allclose(variances, variances[0], rtol=1e-12, atol=0.0):
-        return float(np.sqrt(variances[0]))
-    return None
+        scores[:, y] = np.sum((x - spec.means[y]) ** 2, axis=1)
+    return np.argmax(-0.5 * scores / spec.sigma**2 + _log_prior(pi), axis=1)
 
 
 def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarray:
     """(G, K) per-class Bayes risks at each row of the (G, K) priors ``p``,
-    for a 1-d shared-variance mixture.
+    for a 1-d mixture of standard deviation ``sigma``.
 
     The class scores are lines a_y x + c_y with a_y = mu_y / sigma^2, so
     class y wins on an interval: right of its crossing with every line of
@@ -103,11 +88,6 @@ def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarra
         mu = means[:, None]
         mass = ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)
         return np.where(wins & (lo < hi), 1.0 - mass, 1.0).T
-
-
-def _identity_2d(spec: MixtureSpec) -> bool:
-    """Whether the mixture is 2-d with every covariance the identity."""
-    return spec.dim == 2 and bool(np.all(spec.covariances == np.eye(2)))
 
 
 @functools.cache
@@ -172,7 +152,7 @@ def _clip(polygon: list, nx: float, ny: float, c: float) -> list:
 
 
 def _bayes_region(means: list, log_prior: list, y: int) -> list:
-    """Class y's Bayes region of a 2-d identity-covariance mixture: its
+    """Class y's Bayes region of a 2-d mixture of unit variance: its
     vertices, counter-clockwise, in coordinates centred on mu_y.
 
     The score of class j is linear, mu_j . x - |mu_j|^2 / 2 + ln pi_j, so y
@@ -200,9 +180,9 @@ def _bayes_region(means: list, log_prior: list, y: int) -> list:
 
 
 def _exact_risks_2d(means: np.ndarray, pi: Prior) -> np.ndarray:
-    """(K,) per-class Bayes risks at prior ``pi`` of a 2-d mixture whose
-    covariances are all the identity: 1 minus the N(mu_y, I) mass of class
-    y's polygon, a fan of triangles from mu_y, one per edge. A class with
+    """(K,) per-class Bayes risks at prior ``pi`` of the 2-d mixture
+    N(mu_y, I) with the (K, 2) ``means``: 1 minus the mass of class y's
+    polygon, a fan of triangles from mu_y, one per edge. A class with
     zero prior mass or an empty polygon has risk 1. Masses summed to 1 plus
     a rounding error are clipped, so a risk stays in [0, 1].
     """
@@ -222,49 +202,27 @@ def _exact_risks_2d(means: np.ndarray, pi: Prior) -> np.ndarray:
     return np.clip(1.0 - mass, 0.0, 1.0)
 
 
-class BayesOracle:
-    """Per-class Bayes risks of one mixture at any prior, exact.
-
-    The path is chosen from the spec alone: normal CDFs over intervals for
-    a 1-d mixture with one shared variance, polygon masses for a 2-d
-    mixture whose covariances all equal the identity. No other mixture has
-    an exact path here, so any other raises ``ValueError``.
-    """
-
-    def __init__(self, spec: MixtureSpec) -> None:
-        self.spec = spec
-        self.sigma = _shared_sigma_1d(spec)
-        if self.sigma is None and not _identity_2d(spec):
-            raise ValueError(
-                "no exact Bayes risks for this mixture: the oracle needs a 1-d mixture"
-                " with one shared variance or a 2-d mixture with identity covariances"
-            )
-
-    def risks(self, pi: Prior) -> ClassRisks:
-        """Per-class error rates of the Bayes rule at prior ``pi``."""
-        k = self.spec.class_count
-        if pi.class_count != k:
-            raise ValueError("prior does not match the mixture's class count")
-        if self.sigma is not None:
-            risks = _exact_risks_1d(self.spec.means[:, 0], self.sigma, pi.p[None, :])[0]
-        else:
-            risks = _exact_risks_2d(self.spec.means, pi)
-        return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
-
-    def total_risk(self, pi: Prior) -> float:
-        """R(pi) = sum_y pi_y P_e(y) for the Bayes rule at pi."""
-        return float(np.dot(pi.p, self.risks(pi).estimates))
-
-
 def bayes_class_risks(spec: MixtureSpec, pi: Prior) -> ClassRisks:
-    """Per-class error rates of the Bayes rule at prior ``pi`` (see
-    ``BayesOracle``)."""
-    return BayesOracle(spec).risks(pi)
+    """Per-class error rates of the Bayes rule at prior ``pi``, exact:
+    normal CDFs over intervals for a 1-d mixture, polygon masses for a 2-d
+    one. A mixture of higher dimension raises ``ValueError``."""
+    k = spec.class_count
+    if pi.class_count != k:
+        raise ValueError("prior does not match the mixture's class count")
+    if spec.dim == 1:
+        risks = _exact_risks_1d(spec.means[:, 0], spec.sigma, pi.p[None, :])[0]
+    elif spec.dim == 2:
+        risks = _exact_risks_2d(spec.means / spec.sigma, pi)
+    else:
+        raise ValueError(
+            f"no exact Bayes risks for a {spec.dim}-d mixture: the oracle needs 1-d or 2-d"
+        )
+    return ClassRisks(risks, np.ones(k, dtype=np.int64), exact=True)
 
 
 def bayes_total_risk(spec: MixtureSpec, pi: Prior) -> float:
     """R(pi) = sum_y pi_y P_e(y) for the Bayes rule at pi."""
-    return BayesOracle(spec).total_risk(pi)
+    return float(np.dot(pi.p, bayes_class_risks(spec, pi).estimates))
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
@@ -301,28 +259,26 @@ def adversarial_prior_search(
 
     Grid search enumerates the simplex at ``resolution`` (K <= 3 only);
     supergradient ascent iterates pi <- project(pi + (c/sqrt t) risks(pi)),
-    valid because the risk vector is a supergradient of R. One
-    ``BayesOracle`` serves every risk evaluation of the search. ``auto``
-    takes the grid only where one vectorized call gives the risks of the
-    whole grid (K <= 3, 1-d, shared variance); elsewhere each grid point
-    would be one polygon evaluation, so it takes the ascent.
+    valid because the risk vector is a supergradient of R. ``auto`` takes
+    the grid only where one vectorized call gives the risks of the whole
+    grid (K <= 3, 1-d); elsewhere each grid point would be one polygon
+    evaluation, so it takes the ascent.
     """
     k = spec.class_count
-    oracle = BayesOracle(spec)
     if method == AUTO:
-        method = GRID if k <= 3 and oracle.sigma is not None else ASCENT
+        method = GRID if k <= 3 and spec.dim == 1 else ASCENT
     if method == GRID:
         if k > 3:
             raise ValueError("grid search supports K <= 3; use method='ascent'")
         grid = _simplex_grid(k, resolution)
-        if oracle.sigma is not None:
-            risks = _exact_risks_1d(spec.means[:, 0], oracle.sigma, grid)
+        if spec.dim == 1:
+            risks = _exact_risks_1d(spec.means[:, 0], spec.sigma, grid)
             values = np.einsum("gk,gk->g", grid, risks)
         else:
-            values = np.array([oracle.total_risk(Prior(g)) for g in grid])
+            values = np.array([bayes_total_risk(spec, Prior(g)) for g in grid])
         best = int(np.argmax(values))
         prior = Prior(grid[best])
-        risks = oracle.risks(prior)
+        risks = bayes_class_risks(spec, prior)
         return SearchResult(
             prior=prior,
             risk=float(np.dot(prior.p, risks.estimates)),
@@ -339,7 +295,7 @@ def adversarial_prior_search(
     best_risk = -np.inf
     last_improvement = 0
     for t in range(1, iterations + 1):
-        risks = oracle.risks(Prior(pi))
+        risks = bayes_class_risks(spec, Prior(pi))
         value = float(np.dot(pi, risks.estimates))
         if value > best_risk:
             best_risk = value

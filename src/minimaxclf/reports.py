@@ -63,12 +63,9 @@ def write_run(report: RunReport, run_dir, **extra) -> dict:
     pis = [f"pi_{y}" for y in range(1, k + 1)]
     epoch_rows, trajectory_rows = [], []
     for rec in report.records:
-        if rec.risks is None:
-            risks, worst = [None] * k, [None, None]
-        else:
-            risks = list(rec.risks.estimates)
-            y = int(np.argmax(rec.risks.estimates))
-            worst = [y + 1, risks[y]]
+        risks = list(rec.risks.estimates)
+        y = int(np.argmax(rec.risks.estimates))
+        worst = [y + 1, risks[y]]
         worst_class = None if rec.worst_class is None else rec.worst_class + 1
         epoch_rows.append(
             [rec.epoch, rec.phase, rec.mean_loss, *rec.prior.p, *risks]

@@ -192,6 +192,8 @@ def _state(method, k=2):
         pytest.param(lambda: ClassRisks([0.1, 0.2], [10]), "equal length", id="risks-length"),
         pytest.param(lambda: ClassRisks([1.5, 0.2], [10, 10]), r"lie in \[0, 1\]",
                      id="risks-range"),
+        pytest.param(lambda: ClassRisks([np.nan, 0.5], [1, 1]), r"lie in \[0, 1\]",
+                     id="risks-nan"),
         pytest.param(lambda: ClassRisks([0.1, 0.2], [10, 0]), "at least one sample",
                      id="risks-count"),
         pytest.param(lambda: _state("sgd"), "unknown ascent method", id="state-method"),

@@ -71,7 +71,7 @@ class TestSampleMixture:
 
     def test_moments_1d(self):
         # standard errors: mean ~ N(0, 1/n), var estimate sd ~ sqrt(2/n)
-        spec = MixtureSpec(np.array([[0.0], [10.0]]), np.full((2, 1, 1), 1.0))
+        spec = MixtureSpec(np.array([[0.0], [10.0]]))
         ds = sample_mixture(spec, [10**6, 1], seed=3)
         x = ds.instances[ds.labels == 0, 0]
         assert abs(x.mean()) < 4e-3
@@ -89,9 +89,13 @@ class TestSampleMixture:
         with pytest.raises(ValueError, match="counts length"):
             sample_mixture(two_gaussians_1d(), [5, 5, 5], seed=0)
 
-    def test_non_pd_covariance_rejected(self):
-        with pytest.raises(ValueError, match="positive-definite"):
-            MixtureSpec(np.array([[0.0], [1.0]]), np.full((2, 1, 1), -1.0))
+    @pytest.mark.parametrize("k, d", [(2, 1), (4, 2), (3, 3)])
+    def test_sigma_scales_draw_exactly(self, k, d):
+        counts = np.arange(5, 5 + k)
+        unit = sample_mixture(MixtureSpec(np.zeros((k, d))), counts, seed=6)
+        wide = sample_mixture(MixtureSpec(np.zeros((k, d)), 2.0), counts, seed=6)
+        assert np.array_equal(wide.instances, 2.0 * unit.instances)
+        assert np.array_equal(wide.labels, unit.labels)
 
 
 class TestPartition:
@@ -183,12 +187,15 @@ def _load(tmp_path, text):
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda tmp: MixtureSpec(np.zeros((1, 1)), np.eye(1)), "at least 2 classes",
+        pytest.param(lambda tmp: MixtureSpec(np.zeros((1, 1))), "at least 2 classes",
                      id="mixture-one-class"),
-        pytest.param(lambda tmp: MixtureSpec(np.zeros((2, 2)), np.ones((3, 2, 2))),
-                     "inconsistent", id="mixture-covariance-shape"),
-        pytest.param(lambda tmp: MixtureSpec(np.zeros((2, 2)), [[1.0, 0.5], [0.0, 1.0]]),
-                     "not symmetric", id="mixture-asymmetric"),
+        pytest.param(lambda tmp: MixtureSpec([[np.nan], [1.0]]), "means must be finite",
+                     id="mixture-nan-mean"),
+        *[
+            pytest.param(lambda tmp, s=s: MixtureSpec(np.zeros((2, 1)), s),
+                         "sigma must be finite and positive", id=f"mixture-sigma-{name}")
+            for name, s in [("zero", 0.0), ("negative", -1.0), ("nan", np.nan), ("inf", np.inf)]
+        ],
         pytest.param(lambda tmp: ImbalanceProfile("step", 0.5, 0), "base_count",
                      id="profile-base_count"),
         pytest.param(lambda tmp: make_imbalance_counts(ImbalanceProfile("step", 0.5, 10), 1),

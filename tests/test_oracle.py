@@ -14,7 +14,6 @@ from minimaxclf.data import (
     two_gaussians_1d,
 )
 from minimaxclf.oracle import (
-    BayesOracle,
     _log_prior,
     _simplex_grid,
     adversarial_prior_search,
@@ -42,11 +41,11 @@ def _sample_risks(spec, pi, ds):
 
 def _full_log_densities(spec, x):
     """Reference: the (N, K) class log-density matrix, every class whitened
-    by the inverse of its Cholesky factor."""
+    by the inverse of the Cholesky factor of its covariance sigma^2 I."""
     out = np.empty((len(x), spec.class_count))
     const = spec.dim * math.log(2.0 * math.pi)
+    chol = np.linalg.cholesky(spec.sigma**2 * np.eye(spec.dim))
     for y in range(spec.class_count):
-        chol = np.linalg.cholesky(spec.covariances[y])
         sol = np.linalg.inv(chol) @ (x.T - spec.means[y][:, None])
         maha = np.sum(sol**2, axis=0)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
@@ -86,7 +85,7 @@ class TestBayesPredict:
     def test_tie_goes_to_smaller_index(self):
         # points on x = 0 are equidistant from both means; some sit at the
         # edges of a block
-        spec = MixtureSpec(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.stack([np.eye(2)] * 2))
+        spec = MixtureSpec(np.array([[-1.0, 0.0], [1.0, 0.0]]))
         x = np.random.default_rng(0).normal(size=(20_000, 2))
         ties = [0, 8191, 8192, 16_383, 19_999]
         x[ties, 0] = 0.0
@@ -113,7 +112,7 @@ class TestBayesRisks:
         exact = bayes_class_risks(spec, pi)
         # the Bayes rule's error rates on a sample of an equivalent 2-d embedding
         means = np.hstack([spec.means, np.zeros((2, 1))])
-        planar = MixtureSpec(means, np.stack([np.eye(2), np.eye(2)]))
+        planar = MixtureSpec(means)
         mc = _sample_risks(planar, pi, sample_mixture(planar, np.full(2, 100_000), 4))
         se = mc.standard_errors()
         assert np.all(np.abs(mc.estimates - exact.estimates) <= 4 * se + 1e-12)
@@ -133,7 +132,7 @@ class TestBayesRisks:
 class TestBayesOracle:
     def test_prior_length_checked(self):
         with pytest.raises(ValueError, match="class count"):
-            BayesOracle(two_gaussians_1d()).risks(Prior.uniform(3))
+            bayes_class_risks(two_gaussians_1d(), Prior.uniform(3))
 
 
 def _envelope_sweep_risks(means, sigma, pi):
@@ -184,8 +183,7 @@ class TestExactRisks:
             if trial % 2 == 0:
                 means[rng.integers(k)] = means[rng.integers(k)]
             sigma = float(rng.uniform(0.5, 2.0))
-            spec = MixtureSpec(means[:, None], np.full((k, 1, 1), sigma**2))
-            cached = BayesOracle(spec)
+            spec = MixtureSpec(means[:, None], sigma)
             for _ in range(10):
                 p = rng.dirichlet(np.ones(k))
                 if rng.random() < 0.5:
@@ -193,7 +191,7 @@ class TestExactRisks:
                     p = p / p.sum()
                 pi = Prior(p)
                 expected = _envelope_sweep_risks(means, sigma, pi)
-                assert np.array_equal(cached.risks(pi).estimates, expected)
+                assert np.array_equal(bayes_class_risks(spec, pi).estimates, expected)
 
 
 class TestEnvelopeAgainstQuadrature:
@@ -207,7 +205,7 @@ class TestEnvelopeAgainstQuadrature:
             k = int(rng.integers(2, 7))
             means = np.sort(rng.normal(scale=3, size=k))
             sigma = float(rng.uniform(0.5, 2.0))
-            spec = MixtureSpec(means[:, None], np.full((k, 1, 1), sigma**2))
+            spec = MixtureSpec(means[:, None], sigma)
             p = rng.dirichlet(np.ones(k))
             if trial % 3 == 0:
                 p[rng.integers(k)] = 0.0
@@ -220,11 +218,6 @@ class TestEnvelopeAgainstQuadrature:
                 dens = norm.pdf(xs, means[y], sigma)
                 mass = np.trapezoid(dens * (pred == y), xs)
                 assert exact[y] == pytest.approx(1.0 - mass, abs=5e-4)
-
-
-def _identity_spec(means):
-    means = np.asarray(means, dtype=np.float64)
-    return MixtureSpec(means, np.repeat(np.eye(2)[None], len(means), axis=0))
 
 
 def _region_masses(spec, pi):
@@ -254,11 +247,10 @@ class TestExactPolygons:
         # P_e(0) = Phi(-(d/2 + ln(pi_0/pi_1)/d)), P_e(1) = Phi(-(d/2 - ln(pi_0/pi_1)/d))
         u = np.array([math.cos(angle), math.sin(angle)])
         for d in (1e-6, 1e-3, 1e-2, 0.3, 1.0, 3.0, 6.0):
-            spec = _identity_spec([[0.4, -1.1], [0.4, -1.1] + d * u])
+            spec = MixtureSpec([[0.4, -1.1], [0.4, -1.1] + d * u])
             gap = float(np.linalg.norm(spec.means[1] - spec.means[0]))
-            cached = BayesOracle(spec)
             for p0 in (0.5, 0.2, 0.9, 1e-6):
-                risks = cached.risks(_prior(p0, 1.0 - p0))
+                risks = bayes_class_risks(spec, _prior(p0, 1.0 - p0))
                 shift = math.log(p0 / (1.0 - p0)) / gap
                 expected = ndtr([-(gap / 2 + shift), -(gap / 2 - shift)])
                 assert risks.exact
@@ -272,7 +264,7 @@ class TestExactPolygons:
             pi = Prior(rng.dirichlet(np.full(k, 0.5)))
             masses = _region_masses(spec, pi)
             np.testing.assert_allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            risks = BayesOracle(spec).risks(pi).estimates
+            risks = bayes_class_risks(spec, pi).estimates
             np.testing.assert_allclose(risks, 1.0 - np.diag(masses), rtol=0, atol=1e-14)
 
     def test_agrees_with_monte_carlo(self):
@@ -281,15 +273,14 @@ class TestExactPolygons:
         for trial in range(6):
             k = int(rng.integers(3, 13))
             radius = float(rng.uniform(1.0, 4.0))
-            exact = BayesOracle(circle_mixture(k, radius))
+            circle = circle_mixture(k, radius)
             # the circle embedded in 3-d with a zero third coordinate: the
             # same Bayes rule, and the sample this test has always drawn
-            spec = MixtureSpec(np.hstack([exact.spec.means, np.zeros((k, 1))]),
-                               np.repeat(np.eye(3)[None], k, axis=0))
+            spec = MixtureSpec(np.hstack([circle.means, np.zeros((k, 1))]))
             ds = sample_mixture(spec, np.full(k, n), trial)
             for _ in range(3):
                 pi = Prior(rng.dirichlet(np.full(k, 0.5)))
-                r = exact.risks(pi).estimates
+                r = bayes_class_risks(circle, pi).estimates
                 # the SE of the exact risk: a class the sample never reached
                 # has an estimate of 0 or 1 and no SE of its own
                 se = np.sqrt(r * (1.0 - r) / n)
@@ -302,24 +293,27 @@ class TestExactPolygons:
         for _ in range(30):
             k = int(rng.integers(2, 6))
             means = rng.normal(scale=2, size=k)
-            planar = BayesOracle(_identity_spec(np.stack([means, np.zeros(k)], axis=1)))
-            line = BayesOracle(MixtureSpec(means[:, None], np.ones((k, 1, 1))))
+            planar = MixtureSpec(np.stack([means, np.zeros(k)], axis=1))
+            line = MixtureSpec(means[:, None])
             pi = Prior(rng.dirichlet(np.ones(k)))
             np.testing.assert_allclose(
-                planar.risks(pi).estimates, line.risks(pi).estimates, rtol=0, atol=1e-9
+                bayes_class_risks(planar, pi).estimates,
+                bayes_class_risks(line, pi).estimates,
+                rtol=0,
+                atol=1e-9,
             )
 
     def test_coincident_means_tie_to_smaller_index(self):
         # where the half-plane normal is 0, an exact tie goes to the smaller
         # index, as in test_identical_classes
-        spec = _identity_spec([[0.5, 0.5], [0.5, 0.5], [2.5, 0.5]])
-        risks = BayesOracle(spec).risks(Prior.uniform(3)).estimates
+        spec = MixtureSpec([[0.5, 0.5], [0.5, 0.5], [2.5, 0.5]])
+        risks = bayes_class_risks(spec, Prior.uniform(3)).estimates
         phi = 1.0 - PHI_1  # the boundary between classes 0 and 2 is 1 from each
         np.testing.assert_allclose(risks, [phi, 1.0, phi], rtol=0, atol=1e-9)
         # a strictly larger prior wins whatever the index
-        risks = BayesOracle(spec).risks(_prior(0.3, 0.4, 0.3)).estimates
+        risks = bayes_class_risks(spec, _prior(0.3, 0.4, 0.3)).estimates
         assert risks[0] == 1.0 and risks[1] < 1.0
-        pair = _identity_spec([[0.0, 0.0], [0.0, 0.0]])
+        pair = MixtureSpec([[0.0, 0.0], [0.0, 0.0]])
         grid = adversarial_prior_search(pair, method="grid", resolution=1e-2)
         ascent = adversarial_prior_search(pair, method="ascent", iterations=50)
         np.testing.assert_array_equal(grid.prior.p, [0.5, 0.5])
@@ -329,20 +323,36 @@ class TestExactPolygons:
 
     def test_zero_prior_and_one_hot(self):
         spec = circle_mixture(4, 2.0)
-        cached = BayesOracle(spec)
-        risks = cached.risks(_prior(0.0, 1 / 3, 1 / 3, 1 / 3)).estimates
+        risks = bayes_class_risks(spec, _prior(0.0, 1 / 3, 1 / 3, 1 / 3)).estimates
         # class 0 never wins; the other three split the plane as a
         # three-class mixture of their means does
-        rest = BayesOracle(_identity_spec(spec.means[1:])).risks(Prior.uniform(3)).estimates
+        rest = bayes_class_risks(MixtureSpec(spec.means[1:]), Prior.uniform(3)).estimates
         assert risks[0] == 1.0
         np.testing.assert_allclose(risks[1:], rest, rtol=0, atol=1e-12)
         for y in range(4):
-            risks = cached.risks(Prior(np.eye(4)[y])).estimates
+            risks = bayes_class_risks(spec, Prior(np.eye(4)[y])).estimates
             assert risks[y] == pytest.approx(0.0, abs=1e-12)
             assert np.all(np.delete(risks, y) == 1.0)
 
+    def test_scaled_circle_agrees_with_sample(self):
+        # a shared sigma^2 I only rescales the means: the exact risks of a
+        # circle with sigma != 1 against bayes_predict on a sample
+        rng = np.random.default_rng(16)
+        n = 20_000
+        for trial in range(6):
+            k = int(rng.integers(3, 11))
+            radius = float(rng.uniform(1.0, 4.0))
+            spec = MixtureSpec(circle_mixture(k, radius).means, float(rng.uniform(0.5, 2.0)))
+            ds = sample_mixture(spec, np.full(k, n), trial)
+            for _ in range(3):
+                pi = Prior(rng.dirichlet(np.full(k, 0.5)))
+                r = bayes_class_risks(spec, pi).estimates
+                se = np.sqrt(r * (1.0 - r) / n)
+                mc = _sample_risks(spec, pi, ds).estimates
+                assert np.all(np.abs(mc - r) <= 4 * se + 1e-12)
+
     def test_circle10_uniform_value(self):
-        risks = BayesOracle(circle_mixture(10, 3.0)).risks(Prior.uniform(10))
+        risks = bayes_class_risks(circle_mixture(10, 3.0), Prior.uniform(10))
         assert risks.exact
         np.testing.assert_array_equal(risks.counts, np.ones(10))
         np.testing.assert_allclose(risks.estimates, 0.3538016817, rtol=0, atol=1e-9)
@@ -399,7 +409,7 @@ class TestAdversarialSearch:
 
     def test_identical_classes(self):
         # at the tie prior the smaller index wins everywhere: risks (0, 1)
-        spec = MixtureSpec([[0.0], [0.0]], np.ones((2, 1, 1)))
+        spec = MixtureSpec([[0.0], [0.0]])
         grid = adversarial_prior_search(spec, method="grid", resolution=1e-2)
         ascent = adversarial_prior_search(spec, method="ascent", iterations=50)
         np.testing.assert_array_equal(grid.prior.p, [0.5, 0.5])
@@ -425,13 +435,13 @@ class TestAdversarialSearch:
 
     def test_grid_evaluates_chosen_prior_once(self, monkeypatch):
         calls = []
-        original = BayesOracle.risks
+        original = oracle.bayes_class_risks
 
-        def counting(self, pi):
+        def counting(spec, pi):
             calls.append(pi.p.copy())
-            return original(self, pi)
+            return original(spec, pi)
 
-        monkeypatch.setattr(BayesOracle, "risks", counting)
+        monkeypatch.setattr(oracle, "bayes_class_risks", counting)
         result = adversarial_prior_search(circle_mixture(3), method="grid", resolution=0.25)
         assert len(calls) == result.iterations + 1
         np.testing.assert_array_equal(calls[-1], result.prior.p)
@@ -484,22 +494,13 @@ def test_bad_input_rejected(call, match):
         call()
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        MixtureSpec(np.eye(3), np.repeat(np.eye(3)[None], 3, axis=0)),
-        MixtureSpec(np.array([[0.0], [1.0]]), np.array([[[1.0]], [[2.0]]])),
-        MixtureSpec(circle_mixture(3).means, np.repeat(4.0 * np.eye(2)[None], 3, axis=0)),
-    ],
-    ids=["3d", "1d-unequal-variances", "2d-scaled-identity"],
-)
+@pytest.mark.parametrize("spec", [MixtureSpec(np.eye(3))], ids=["3d"])
 def test_mixture_without_exact_path_rejected(spec):
-    # only the 1-d shared-variance and 2-d identity-covariance shapes have
-    # an exact oracle; every entry point names them
+    # only 1-d and 2-d mixtures have an exact oracle; every entry point
+    # names the dimension
     pi = Prior.uniform(spec.class_count)
-    match = r"1-d mixture with one shared variance or a 2-d mixture with identity covariances"
+    match = r"no exact Bayes risks for a 3-d mixture: the oracle needs 1-d or 2-d"
     for call in (
-        lambda: BayesOracle(spec),
         lambda: bayes_class_risks(spec, pi),
         lambda: adversarial_prior_search(spec),
     ):
