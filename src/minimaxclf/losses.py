@@ -13,7 +13,7 @@ through batch class counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -35,34 +35,41 @@ class GeneralizedLossSpec:
     ell: np.ndarray                              # (K,), additive logits, all coordinates
     true_class_offsets: Optional[np.ndarray] = None  # (K,), added only at the label coordinate
     focal_gamma: Optional[float] = None
+    # derived: weights / delta exactly all ones, so the loss can skip multiplying by them
+    unit_weights: bool = field(init=False, repr=False, compare=False)
+    unit_delta: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}, expected one of {VARIANTS}")
-        w = np.asarray(self.weights, dtype=np.float64)
-        d = np.asarray(self.delta, dtype=np.float64)
-        e = np.asarray(self.ell, dtype=np.float64)
-        if not (w.shape == d.shape == e.shape) or w.ndim != 1:
+        # read-only copies, so the unit flags stay true to the vectors
+        for name in ("weights", "delta", "ell", "true_class_offsets"):
+            v = getattr(self, name)
+            if v is None:
+                continue
+            v = np.array(v, dtype=np.float64)
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+        w, d = self.weights, self.delta
+        if not (w.shape == d.shape == self.ell.shape) or w.ndim != 1:
             raise ValueError("weights, delta and ell must be 1-d vectors of equal length")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("per-class weights must be positive")
-        if np.any(d <= 0):
+        if not np.all(d > 0):
             raise ValueError("multiplicative logits must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "ell", e)
-        if self.true_class_offsets is not None:
-            t = np.asarray(self.true_class_offsets, dtype=np.float64)
-            if t.shape != w.shape:
-                raise ValueError("true_class_offsets must match the class count")
-            object.__setattr__(self, "true_class_offsets", t)
+        if self.true_class_offsets is not None and self.true_class_offsets.shape != w.shape:
+            raise ValueError("true_class_offsets must match the class count")
+        object.__setattr__(self, "unit_weights", bool(np.all(w == 1.0)))
+        object.__setattr__(self, "unit_delta", bool(np.all(d == 1.0)))
 
     @property
     def class_count(self) -> int:
         return int(self.weights.size)
 
     def with_weights(self, weights: np.ndarray) -> "GeneralizedLossSpec":
-        return replace(self, weights=np.asarray(weights, dtype=np.float64))
+        return replace(self, weights=weights)
 
 
 def tla_offsets(pi_train: Prior, pi_target: Prior, tau: float) -> np.ndarray:
@@ -187,30 +194,48 @@ def loss_and_grad(spec: GeneralizedLossSpec, logits: np.ndarray, labels: np.ndar
         raise ValueError("non-finite logits")
     if y.shape != (f.shape[0],) or y.min() < 0 or y.max() >= k:
         raise ValueError("labels must be a vector of class indices matching the batch")
-    offsets = None if spec.true_class_offsets is None else spec.true_class_offsets[y]
-    return _loss_and_grad(spec, f, y, spec.weights[y], offsets)
+    return _loss_and_grad(spec, np.ascontiguousarray(f), *_label_terms(spec, y, y.size))
+
+
+def _label_terms(spec: GeneralizedLossSpec, labels: np.ndarray, batch_size: int) -> tuple:
+    """The label-dependent inputs of :func:`_loss_and_grad` for ``labels``
+    cut into consecutive batches of ``batch_size``: the flat index
+    ``row_in_batch * K + label`` of each label entry, and the spec's weights
+    and true-class offsets at the labels (offsets None when the spec has
+    none). Training builds them once per epoch and slices them per batch."""
+    idx = np.arange(labels.size) % batch_size * spec.class_count + labels
+    offsets = None if spec.true_class_offsets is None else spec.true_class_offsets[labels]
+    return idx, spec.weights[labels], offsets
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=1) from one class-major reduction: numpy reduces a narrow
+    row in a loop of its own, so across rows is faster, and a maximum does
+    not depend on the order."""
+    return np.ascontiguousarray(z.T).max(axis=0)
 
 
 def _loss_and_grad(
     spec: GeneralizedLossSpec,
     f: np.ndarray,
-    y: np.ndarray,
+    idx: np.ndarray,
     w: np.ndarray,
     offsets: Optional[np.ndarray],
 ) -> tuple:
-    """The arithmetic of :func:`loss_and_grad`, without its checks. ``w`` and
-    ``offsets`` are the spec's weights and true-class offsets at the labels
-    (``offsets`` None when the spec has none)."""
-    n = y.size
-    rows = np.arange(n)
+    """The arithmetic of :func:`loss_and_grad`, without its checks, on
+    C-contiguous logits ``f`` and the batch's slice of :func:`_label_terms`.
+    Each label entry is read and written through the flat index ``idx``, so
+    the arrays it indexes must be C-contiguous."""
+    n = idx.size
     if spec.variant == "GML":
         k = spec.class_count
-        onehot = np.zeros_like(f)
-        onehot[rows, y] = 1.0
+        y = idx % k
+        onehot = np.zeros(f.shape)
+        onehot.reshape(-1)[idx] = 1.0
         counts = np.bincount(y, minlength=k).astype(np.float64)
-        e = np.exp(f - f.max(axis=1, keepdims=True))
+        e = np.exp(f - _row_max(f)[:, None])
         ratio = e / (e * counts[None, :]).sum(axis=1)[:, None]  # exp(f_k) / sum_k' n_k' exp(f_k')
-        t = ratio[rows, y]                  # per-sample contribution to its class score
+        t = np.take(ratio, idx)             # per-sample contribution to its class score
         p_class = np.zeros(k)
         np.add.at(p_class, y, t)
         present = counts > 0
@@ -219,27 +244,34 @@ def _loss_and_grad(
         dt = t[:, None] * (onehot - counts[None, :] * ratio)
         return loss, -dt / (np.count_nonzero(present) * p_class[y][:, None])
 
-    z = spec.delta * f + spec.ell
+    z = (f if spec.unit_delta else spec.delta * f) + spec.ell  # x * 1.0 is x to the bit
     if offsets is not None:
-        z[rows, y] += offsets
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    logp_true = shifted[rows, y] - np.log(total[:, 0])
-    p = e / total
+        z.reshape(-1)[idx] += offsets
+    z -= _row_max(z)[:, None]  # z is now the shifted logits
+    p = np.exp(z)
+    total = p.sum(axis=1)  # pairwise per row: a column-wise sum moves the bits for K >= 8
+    logp_true = np.take(z, idx) - np.log(total)
+    p /= total[:, None]
+    flat = p.reshape(-1)  # a view: p is a fresh C-contiguous array
     # np.add.reduce(a) / n is np.mean(a) without its Python-level wrapper
     if spec.focal_gamma is None:
-        loss = float(np.add.reduce(w * -logp_true) / n)
-        p[rows, y] -= 1.0  # p - onehot
-        return loss, w[:, None] * spec.delta[None, :] * p / n
+        nll = -logp_true
+        loss = float(np.add.reduce(nll if spec.unit_weights else w * nll) / n)
+        flat[idx] -= 1.0  # p - onehot
+        if not spec.unit_weights:
+            p *= w[:, None] if spec.unit_delta else w[:, None] * spec.delta
+        elif not spec.unit_delta:
+            p *= spec.delta
+        p /= n
+        return loss, p
     gamma = spec.focal_gamma
     # the loss takes p_y as exp(log p_y), the gradient as the softmax entry; they
     # can differ in the last bit, and each keeps its form so runs stay bit-identical
     loss = float(np.add.reduce(w * (1.0 - np.exp(logp_true)) ** gamma * -logp_true) / n)
-    p_true = p[rows, y]
+    p_true = np.take(p, idx)
     ce = -np.log(p_true)
     focal = (1.0 - p_true) ** gamma
-    p[rows, y] -= 1.0  # p - onehot; 0.0 - p is then onehot - p to the bit
+    flat[idx] -= 1.0  # p - onehot; 0.0 - p is then onehot - p to the bit
     # d/df of (1-p_y)^gamma * ce: product rule, with
     # dp_y/df_k = delta_k * p_y * (1[k=y] - p_k)
     dp_true = spec.delta[None, :] * (p_true[:, None] * (0.0 - p))

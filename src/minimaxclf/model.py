@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .losses import GeneralizedLossSpec, _loss_and_grad
+from .losses import GeneralizedLossSpec, _label_terms, _loss_and_grad
 
 LINEAR = "linear"
 MLP = "mlp"
@@ -253,9 +253,10 @@ def train_epoch(
     through views shaped like the tensors, with the arithmetic of
     forward_logits, loss_and_grad, backward and sgd_step: the backward pass
     reuses the forward activations, and one momentum update covers the whole
-    flat buffer. Shapes, the label range, the learning rate and the
-    per-sample loss weights and offsets are checked or gathered once per
-    epoch; the logits, the loss and the gradients are checked every batch.
+    flat buffer. Shapes, the label range, the learning rate, the flat label
+    index and the per-sample loss weights and offsets are checked or
+    gathered once per epoch; the logits, the loss and the gradients are
+    checked every batch.
     """
     n = len(dataset)
     if n == 0:
@@ -278,8 +279,7 @@ def train_epoch(
     order = rng.permutation(n)
     x = dataset.instances[order]
     y = dataset.labels[order]
-    sample_weights = spec.weights[y]
-    offsets = None if spec.true_class_offsets is None else spec.true_class_offsets[y]
+    idx, sample_weights, offsets = _label_terms(spec, y, config.batch_size)
 
     views = _views(theta, shapes)
     weights, biases = tuple(views[0::2]), tuple(views[1::2])
@@ -292,15 +292,15 @@ def train_epoch(
         logits = _affine(inputs[-1], weights[-1], biases[-1])
         if not np.isfinite(logits).all():
             raise ValueError("non-finite logits")
-        yb = y[batch]
+        ib = idx[batch]
         loss, g = _loss_and_grad(
-            spec, logits, yb, sample_weights[batch], None if offsets is None else offsets[batch]
+            spec, logits, ib, sample_weights[batch], None if offsets is None else offsets[batch]
         )
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite loss {loss} at epoch {opt_state.epoch}, batch offset {start}"
             )
-        total += loss * len(yb)
+        total += loss * ib.size
         _backward_into(grads, weights, inputs, g, config.weight_decay)
         if not np.isfinite(grad).all():
             bad = next(nm for nm, gv in zip(names, grads) if not np.isfinite(gv).all())

@@ -339,6 +339,99 @@ class TestFusedMatchesReference:
         self._assert_bit_exact(spec, logits, labels)
 
 
+def _indexed_2d_loss_and_grad(spec, f, y):
+    """The loss kernel written with 2-d [rows, y] indexing, a keepdims row
+    maximum and the full w * delta * p / n product. loss_and_grad, with its
+    flat label index, row-max reduction and all-ones skips, must agree with
+    it bit for bit."""
+    n = y.size
+    rows = np.arange(n)
+    w = spec.weights[y]
+    if spec.variant == "GML":
+        k = spec.class_count
+        onehot = np.zeros_like(f)
+        onehot[rows, y] = 1.0
+        counts = np.bincount(y, minlength=k).astype(np.float64)
+        e = np.exp(f - f.max(axis=1, keepdims=True))
+        ratio = e / (e * counts[None, :]).sum(axis=1)[:, None]
+        t = ratio[rows, y]
+        p_class = np.zeros(k)
+        np.add.at(p_class, y, t)
+        present = counts > 0
+        loss = float(-np.mean(np.log(p_class[present])))
+        dt = t[:, None] * (onehot - counts[None, :] * ratio)
+        return loss, -dt / (np.count_nonzero(present) * p_class[y][:, None])
+    z = spec.delta * f + spec.ell
+    if spec.true_class_offsets is not None:
+        z[rows, y] += spec.true_class_offsets[y]
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    logp_true = shifted[rows, y] - np.log(total[:, 0])
+    p = e / total
+    if spec.focal_gamma is None:
+        loss = float(np.add.reduce(w * -logp_true) / n)
+        p[rows, y] -= 1.0
+        return loss, w[:, None] * spec.delta[None, :] * p / n
+    gamma = spec.focal_gamma
+    loss = float(np.add.reduce(w * (1.0 - np.exp(logp_true)) ** gamma * -logp_true) / n)
+    p_true = p[rows, y]
+    ce = -np.log(p_true)
+    focal = (1.0 - p_true) ** gamma
+    p[rows, y] -= 1.0
+    dp_true = spec.delta[None, :] * (p_true[:, None] * (0.0 - p))
+    grad = (
+        -gamma * (1.0 - p_true)[:, None] ** (gamma - 1.0) * ce[:, None] * dp_true
+        + focal[:, None] * spec.delta[None, :] * p
+    )
+    return loss, w[:, None] * grad / n
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestPinnedTo2dIndexedKernel:
+    # K >= 8 is where a column-wise row sum stops matching numpy's pairwise
+    # one; logits up to 1e3 saturate the softmax, underflow exp and, for the
+    # focal and GML variants, reach inf and NaN, which must match too
+    @pytest.mark.parametrize("variant", VARIANTS + ("LDAM+DRW", "VS+DRW"))
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 10, 16])
+    def test_bit_identical(self, variant, k):
+        rng = np.random.default_rng([k, sum(map(ord, variant))])
+        base = variant.split("+")[0]
+        counts = rng.integers(5, 500, size=k)
+        spec = spec_from_variant(
+            base, Prior.from_counts(counts), Prior(rng.dirichlet(np.ones(k))),
+            counts=counts, tau=1.3, gamma=0.2,
+        )
+        if variant.endswith("+DRW"):
+            spec = spec.with_weights(deferred_reweighting_weights(counts))
+        for n in (1, 6, 128):
+            for scale in (1.0, 30.0, 1e3):
+                logits = rng.normal(scale=scale, size=(n, k))
+                labels = rng.integers(0, k, size=n)
+                with np.errstate(all="ignore"):
+                    loss, grad = loss_and_grad(spec, logits, labels)
+                    ref_loss, ref_grad = _indexed_2d_loss_and_grad(spec, logits.copy(), labels)
+                assert _bits(loss) == _bits(ref_loss), (n, scale)
+                assert np.array_equal(_bits(grad), _bits(ref_grad)), (n, scale)
+                assert grad.flags.c_contiguous
+
+    def test_fortran_ordered_logits(self):
+        # the flat label index needs C order; a Fortran-ordered input is copied
+        rng = np.random.default_rng(3)
+        spec = _make_spec("LDAM", k=5)
+        logits = np.asfortranarray(rng.normal(size=(32, 5)))
+        labels = rng.integers(0, 5, size=32)
+        loss, grad = loss_and_grad(spec, logits, labels)
+        ref_loss, ref_grad = _indexed_2d_loss_and_grad(
+            spec, np.ascontiguousarray(logits), labels
+        )
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+
 class TestGml:
     def test_single_class_batch_zero_loss(self):
         logits = np.array([[1.7], [0.3]])
@@ -389,6 +482,25 @@ _ONES, _ZEROS = np.ones(2), np.zeros(2)
                      "multiplicative logits", id="spec-delta"),
         pytest.param(lambda: GeneralizedLossSpec("LDAM", _ONES, _ONES, _ZEROS, np.zeros(3)),
                      "true_class_offsets", id="spec-offsets"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", [np.nan, 1.0], _ONES, _ZEROS),
+                     "weights must be finite", id="spec-weights-nan"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", [np.inf, 1.0], _ONES, _ZEROS),
+                     "weights must be finite", id="spec-weights-inf"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", _ONES, [1.0, np.nan], _ZEROS),
+                     "delta must be finite", id="spec-delta-nan"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", _ONES, [1.0, np.inf], _ZEROS),
+                     "delta must be finite", id="spec-delta-inf"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", _ONES, _ONES, [0.0, np.inf]),
+                     "ell must be finite", id="spec-ell-inf"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", _ONES, _ONES, [np.nan, 0.0]),
+                     "ell must be finite", id="spec-ell-nan"),
+        pytest.param(lambda: GeneralizedLossSpec("LDAM", _ONES, _ONES, _ZEROS, [0.0, np.nan]),
+                     "true_class_offsets must be finite", id="spec-offsets-nan"),
+        pytest.param(lambda: GeneralizedLossSpec("LDAM", _ONES, _ONES, _ZEROS, [-np.inf, 0.0]),
+                     "true_class_offsets must be finite", id="spec-offsets-inf"),
+        pytest.param(lambda: GeneralizedLossSpec("CE", [np.nan, 1.0], [1.0, np.nan],
+                                                 [0.0, np.inf]),
+                     "weights must be finite", id="spec-all-non-finite"),
         pytest.param(lambda: tla_offsets(_prior(0.5, 0.5), _prior(0.5, 0.5), 0.0),
                      "tau must be positive", id="tla-tau"),
         pytest.param(lambda: tla_offsets(_prior(0.5, 0.5), Prior.uniform(3), 1.0),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -383,6 +384,26 @@ class TestFusedEpoch:
             for a, b in zip(fused_state.velocities, ref_state.velocities):
                 assert np.array_equal(a, b)
         assert np.any(fused_state.velocities[0] != 0.0)
+
+    @pytest.mark.parametrize("architecture", ["linear", "mlp"])
+    @pytest.mark.parametrize("variant", ["TLA", "LDAM", "Focal", "GML", "VS+DRW"])
+    @pytest.mark.parametrize(
+        "n, batch_size",
+        [pytest.param(33, 16, id="last-batch-one-row"), pytest.param(70, 128, id="one-batch")],
+    )
+    def test_edge_batch_shapes(self, n, batch_size, variant, architecture):
+        # the per-epoch label index restarts at row 0 in every batch
+        ds = _three_class_data(n=n)
+        spec = _epoch_spec(variant, ds)
+        config = replace(_EPOCH_CONFIG, batch_size=batch_size)
+        fused = ref = init_params(architecture, 2, 3, seed=3, hidden_width=5)
+        fused_state, ref_state = init_optimizer(fused), init_optimizer(ref)
+        for _ in range(3):
+            fused, fused_loss = train_epoch(fused, fused_state, ds, spec, config)
+            ref, ref_loss = _public_epoch(ref, ref_state, ds, spec, config)
+            assert fused_loss == ref_loss
+            for (_, a), (_, b) in zip(fused.tensors(), ref.tensors()):
+                assert np.array_equal(a, b)
 
     def test_inputs_left_alone_and_outputs_unshared(self):
         ds = _three_class_data()
