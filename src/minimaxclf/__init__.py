@@ -55,7 +55,7 @@ from .oracle import (
     bayes_predict,
     bayes_total_risk,
 )
-from .priors import Prior, project_to_simplex
+from .priors import Prior
 from .theory import (
     bound_terms,
     ega_estimate_mse,

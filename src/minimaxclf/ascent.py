@@ -52,7 +52,8 @@ class ClassRisks:
 
 @dataclass
 class AscentState:
-    """Mutable state of one prior-ascent run (single driver)."""
+    """Mutable state of one prior-ascent run (single driver). Without a
+    ``tie_rng`` a tie for the worst class goes to the smaller index."""
 
     prior: Prior
     method: str
@@ -70,8 +71,6 @@ class AscentState:
             raise ValueError(f"EGA needs alpha > 0, got {self.alpha}")
         if not (1 <= self.m_worst <= self.prior.class_count):
             raise ValueError(f"m_worst must be in [1, {self.prior.class_count}]")
-        if self.tie_rng is None:
-            self.tie_rng = np.random.default_rng(0)
         if not self.trajectory:
             self.trajectory.append(self.prior)
 
@@ -82,17 +81,20 @@ def estimate_class_risks(params: ModelParams, dataset: LabeledDataset) -> ClassR
     return ClassRisks((counts - correct) / counts, counts)
 
 
-def worst_m_indicator(risks: ClassRisks, m_worst: int, rng: np.random.Generator) -> Prior:
+def worst_m_indicator(
+    risks: ClassRisks, m_worst: int, rng: Optional[np.random.Generator] = None
+) -> Prior:
     """Uniform mass 1/M on the M classes with the largest risk estimates.
 
-    Ties are broken by a seeded random permutation, so tied classes are
-    selected with equal probability.
+    Ties are broken by a random permutation drawn from ``rng``, so tied
+    classes are selected with equal probability; without an ``rng`` the
+    smaller index wins, as in the Bayes rule, and nothing is drawn.
     """
     k = risks.class_count
     if not (1 <= m_worst <= k):
         raise ValueError(f"m_worst must be in [1, {k}]")
-    tiebreak = rng.permutation(k)
-    # primary key: risk descending; secondary: random permutation position
+    tiebreak = np.arange(k) if rng is None else rng.permutation(k)
+    # primary key: risk descending; secondary: tie-break position
     order = np.lexsort((tiebreak, -risks.estimates))
     indicator = np.zeros(k)
     indicator[order[:m_worst]] = 1.0 / m_worst

@@ -311,7 +311,7 @@ def run_oracle(config: dict, out_dir: Path) -> None:
             "prior": [float(v) for v in result.prior.p],
             "risk": result.risk,
             "method": result.method,
-            "converged": result.converged,
+            "gap": result.gap,
             "iterations": result.iterations,
         },
     )

@@ -3,9 +3,10 @@
 A config is a nested dict with sections ``dataset / model / loss / ascent /
 minimax / eval`` plus per-experiment sections. ``SCHEMA`` gives every leaf
 field its default and the rule a valid value satisfies; ``DEFAULT_CONFIG`` is
-derived from it. Validation errors always name the offending field. Presets
-are complete config templates; a user config referencing one is deep-merged
-on top of it.
+derived from it. A number field is stored as a float, so 1 and 1.0 resolve
+to the same config and hash alike. Validation errors always name the
+offending field. Presets are complete config templates; a user config
+referencing one is deep-merged on top of it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import copy
 import hashlib
 import json
 import operator
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,10 +48,12 @@ class ConfigError(ValueError):
 
 
 class Rule(NamedTuple):
-    """What a valid value of one field is: a predicate and its wording."""
+    """What a valid value of one field is: a predicate, its wording, and the
+    form a valid value is stored in."""
 
     ok: Callable[[object], bool]
     text: str
+    cast: Callable[[object], object] = lambda v: v
 
 
 def _is_int(value) -> bool:
@@ -62,13 +66,16 @@ def _int(low: int) -> Rule:
 
 def _number(interval: str) -> Rule:
     """A number in an interval written as in maths, e.g. "(0, 1]" or
-    "[0, inf)". An infinite end is always open, so NaN and +-inf never pass."""
+    "[0, inf)". An infinite end is always open, so NaN and +-inf never pass,
+    nor an integer too large for a float. A valid value is stored as a float."""
     low, high = (float(end) for end in interval[1:-1].split(","))
     above = operator.le if interval[0] == "[" else operator.lt
     below = operator.le if interval[-1] == "]" else operator.lt
     return Rule(
-        lambda v: (_is_int(v) or isinstance(v, float)) and above(low, v) and below(v, high),
+        lambda v: (_is_int(v) or isinstance(v, float)) and above(low, v) and below(v, high)
+        and abs(v) <= sys.float_info.max,
         f"a finite number in {interval}",
+        float,
     )
 
 
@@ -81,11 +88,16 @@ def _list(item: Rule, min_len: int = 0, distinct: bool = False) -> Rule:
         lambda v: isinstance(v, list) and len(v) >= min_len and all(map(item.ok, v))
         and (not distinct or len(set(v)) == len(v)),
         f"a list of {min_len} or more {'distinct ' if distinct else ''}entries, each {item.text}",
+        lambda v: [item.cast(x) for x in v],
     )
 
 
 def _nullable(rule: Rule) -> Rule:
-    return Rule(lambda v: v is None or rule.ok(v), f"{rule.text}, or null")
+    return Rule(
+        lambda v: v is None or rule.ok(v),
+        f"{rule.text}, or null",
+        lambda v: None if v is None else rule.cast(v),
+    )
 
 
 _TEXT = Rule(lambda v: isinstance(v, str) and v != "", "a non-empty string")
@@ -164,7 +176,6 @@ SCHEMA = {
         "method": ("auto", _one_of("auto", "grid", "ascent")),
         "resolution": (1e-3, _number("(0, 0.5]")),
         "iterations": (2000, _int(1)),
-        "step_scale": (0.1, _POSITIVE),
     },
 }
 
@@ -271,8 +282,9 @@ def _check(rule: Rule, value, field: str) -> None:
 
 
 def _walk(rules: dict, node, prefix: str = "") -> None:
-    """Check ``node`` against a nested dict of rules; ``prefix`` is the
-    dotted path of ``node`` with a trailing dot, "" at the root."""
+    """Check ``node`` against a nested dict of rules, storing each value in
+    its rule's form; ``prefix`` is the dotted path of ``node`` with a
+    trailing dot, "" at the root."""
     if not isinstance(node, dict):
         raise ConfigError(f"{prefix[:-1]}: expected an object")
     for key in node:
@@ -283,6 +295,7 @@ def _walk(rules: dict, node, prefix: str = "") -> None:
             _walk(rule, node.get(key), f"{prefix}{key}.")
         else:
             _check(rule, node.get(key), prefix + key)
+            node[key] = rule.cast(node[key])
 
 
 def check_class_count(config: dict, k: int) -> None:

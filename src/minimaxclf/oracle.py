@@ -6,9 +6,11 @@ intervals and the risks are normal CDF differences. For a 2-d mixture each
 region is a convex polygon and its Gaussian mass a sum of one-dimensional
 integrals, one per edge; dividing the means by sigma turns sigma^2 I into
 the identity without moving a region's mass. Higher dimensions are rejected.
-The total risk of the Bayes rule is concave in the prior, and its
-supergradient at pi is the vector of per-class risks, which drives the
-projected-ascent search for the adversarial prior.
+The total risk R(pi) of the Bayes rule is concave in the prior, and its
+supergradient at pi is the vector r of per-class risks. So the training
+loop's linear ascent toward the worst class is a Frank-Wolfe step on R,
+and it searches for the adversarial prior; the Frank-Wolfe gap
+max_y r_y - R(pi) bounds R* - R(pi) from above.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import ClassRisks
+from .ascent import LINEAR_ASCENT, AscentState, ClassRisks, ascent_step
 from .data import MixtureSpec
-from .priors import Prior, project_to_simplex
+from .priors import Prior
 
 GRID = "grid"
 ASCENT = "ascent"
@@ -243,9 +245,14 @@ class SearchResult:
     prior: Prior
     risk: float
     method: str
-    converged: bool
     iterations: int
     risks: ClassRisks  # per-class Bayes risks at ``prior``
+
+    @property
+    def gap(self) -> float:
+        """The Frank-Wolfe gap max_y r_y - risk at ``prior``: an upper bound
+        on R* - risk."""
+        return float(self.risks.estimates.max()) - self.risk
 
 
 def adversarial_prior_search(
@@ -253,15 +260,15 @@ def adversarial_prior_search(
     method: str = AUTO,
     resolution: float = 1e-3,
     iterations: int = 2000,
-    step_scale: float = 0.1,
 ) -> SearchResult:
     """Maximize the concave R(pi) over the simplex.
 
-    Grid search enumerates the simplex at ``resolution`` (K <= 3 only);
-    supergradient ascent iterates pi <- project(pi + (c/sqrt t) risks(pi)),
-    valid because the risk vector is a supergradient of R. ``auto`` takes
-    the grid only where one vectorized call gives the risks of the whole
-    grid (K <= 3, 1-d); elsewhere each grid point would be one polygon
+    Grid search enumerates the simplex at ``resolution`` (K <= 3 only).
+    The ascent is the training loop's linear ascent toward the worst class,
+    a Frank-Wolfe step, with step 2 / (t + 2) at evaluation t; it returns
+    the best of ``iterations`` evaluated priors. ``auto`` takes the grid
+    only where one vectorized call gives the risks of the whole grid
+    (K <= 3, 1-d); elsewhere each grid point would be one polygon
     evaluation, so it takes the ascent.
     """
     k = spec.class_count
@@ -279,37 +286,19 @@ def adversarial_prior_search(
         best = int(np.argmax(values))
         prior = Prior(grid[best])
         risks = bayes_class_risks(spec, prior)
-        return SearchResult(
-            prior=prior,
-            risk=float(np.dot(prior.p, risks.estimates)),
-            method=GRID,
-            converged=True,
-            iterations=len(grid),
-            risks=risks,
-        )
+        return SearchResult(prior, float(np.dot(prior.p, risks.estimates)), GRID, len(grid), risks)
     if method != ASCENT:
         raise ValueError(f"unknown search method {method!r}")
     if iterations < 1:
         raise ValueError(f"ascent needs iterations >= 1, got {iterations}")
-    pi = np.full(k, 1.0 / k)
+    # the step 2 / (t + 2) is set before each step; 2/3 is its first value
+    state = AscentState(Prior.uniform(k), LINEAR_ASCENT, 2.0 / 3.0)
     best_risk = -np.inf
-    last_improvement = 0
     for t in range(1, iterations + 1):
-        risks = bayes_class_risks(spec, Prior(pi))
-        value = float(np.dot(pi, risks.estimates))
+        risks = bayes_class_risks(spec, state.prior)
+        value = float(np.dot(state.prior.p, risks.estimates))
         if value > best_risk:
-            best_risk = value
-            best_pi = pi.copy()
-            best_risks = risks
-            last_improvement = t
-        pi = project_to_simplex(pi + step_scale / math.sqrt(t) * risks.estimates)
-    # flagged as unconverged if the best point still moved late in the run
-    converged = last_improvement <= max(1, int(0.75 * iterations))
-    return SearchResult(
-        prior=Prior(best_pi),
-        risk=best_risk,
-        method=ASCENT,
-        converged=converged,
-        iterations=iterations,
-        risks=best_risks,
-    )
+            best_risk, best_prior, best_risks = value, state.prior, risks
+        state.alpha = 2.0 / (t + 2)
+        ascent_step(state, risks)
+    return SearchResult(best_prior, best_risk, ASCENT, iterations, best_risks)

@@ -1,4 +1,4 @@
-"""Points on the class-probability simplex and simplex geometry helpers."""
+"""Points on the class-probability simplex."""
 
 from __future__ import annotations
 
@@ -53,14 +53,6 @@ class Prior:
             raise ValueError("counts sum to zero, empirical prior undefined")
         return Prior(c / total)
 
-    @staticmethod
-    def from_vector(values) -> "Prior":
-        """Normalize an arbitrary nonnegative vector onto the simplex."""
-        v = np.asarray(values, dtype=np.float64)
-        if np.any(v < 0):
-            raise ValueError("cannot normalize a vector with negative entries")
-        return Prior(v / v.sum())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prior):
             return NotImplemented
@@ -69,20 +61,3 @@ class Prior:
     def __hash__(self) -> int:
         return hash(self.probabilities.tobytes())
 
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the probability simplex.
-
-    Standard sort-and-threshold procedure: find the largest k such that
-    the shifted top-k entries stay positive, clip the rest to zero.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0
-    k = int(ks[cond][-1])
-    tau = css[k - 1] / k
-    return np.maximum(v - tau, 0.0)

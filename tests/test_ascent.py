@@ -78,6 +78,10 @@ class TestWorstIndicator:
         assert abs(freq[0] - 0.5) < 0.02
         assert abs(freq[1] - 0.5) < 0.02
 
+    def test_tie_without_rng_goes_to_smaller_index(self):
+        ind = worst_m_indicator(_risks(0.2, 0.5, 0.5, 0.5), 2)
+        np.testing.assert_array_equal(ind.p, [0.0, 0.5, 0.5, 0.0])
+
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
             worst_m_indicator(_risks(0.5, 0.5), 3, np.random.default_rng(0))
@@ -168,7 +172,8 @@ class TestEga:
     method=st.sampled_from(["linear", "ega"]),
 )
 def test_both_steps_stay_on_simplex(raw, risks, alpha, method):
-    prior = Prior.from_vector(np.array(raw))
+    v = np.array(raw)
+    prior = Prior(v / v.sum())
     k = prior.class_count
     risk_values = np.array(risks.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
     state = AscentState(prior, method, alpha, m_worst=1)

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from minimaxclf import oracle
@@ -76,8 +82,10 @@ class TestBayesPredict:
         spec = circle_mixture(4)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 2))
-        base = Prior.from_vector(np.array([1.0, 2.0, 3.0, 4.0]))
-        same = Prior.from_vector(np.array([2.0, 4.0, 6.0, 8.0]))
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        w = np.array([2.0, 4.0, 6.0, 8.0])
+        base = Prior(v / v.sum())
+        same = Prior(w / w.sum())
         np.testing.assert_array_equal(
             bayes_predict(spec, base, x), bayes_predict(spec, same, x)
         )
@@ -477,6 +485,85 @@ class TestAdversarialSearch:
     def test_ascent_rejects_zero_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
             adversarial_prior_search(three_gaussians_1d(), method="ascent", iterations=0)
+
+
+class TestFrankWolfeGap:
+    """g(pi) = max_y r_y - R(pi) bounds R(pi') - R(pi) for every prior pi',
+    since the risk vector r is a supergradient of the concave R."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        k=st.integers(2, 6),
+        sigma=st.floats(0.3, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        zero=st.booleans(),
+    )
+    def test_gap_bounds_any_gain(self, dim, k, sigma, seed, zero):
+        rng = np.random.default_rng(seed)
+        spec = MixtureSpec(rng.normal(scale=3, size=(k, dim)), sigma)
+        p = rng.dirichlet(np.ones(k))
+        if zero:
+            p[rng.integers(k)] = 0.0
+            p = p / p.sum()
+        pi, other = Prior(p), Prior(rng.dirichlet(np.ones(k)))
+        risks = bayes_class_risks(spec, pi).estimates
+        total = float(np.dot(pi.p, risks))
+        gap = float(risks.max()) - total
+        assert bayes_total_risk(spec, other) <= total + gap + 1e-12
+
+    @pytest.mark.parametrize("method", ["grid", "ascent"])
+    def test_result_gap_is_worst_risk_less_total(self, method):
+        result = adversarial_prior_search(three_gaussians_1d(), method=method, iterations=50)
+        assert result.gap == float(result.risks.estimates.max()) - result.risk
+        assert result.gap >= 0
+
+    def test_ascent_certifies_grid(self):
+        spec = three_gaussians_1d()
+        grid = adversarial_prior_search(spec, method="grid", resolution=1e-3)
+        ascent = adversarial_prior_search(spec, method="ascent", iterations=2000)
+        assert grid.risk - ascent.risk <= ascent.gap
+        assert ascent.risk >= grid.risk
+        assert ascent.gap <= 2e-4
+
+    def test_circle_optimum_is_uniform(self):
+        # the rotation-symmetric circle's adversarial prior is uniform: the
+        # first evaluation is the best one, and its gap is rounding
+        result = adversarial_prior_search(circle_mixture(10, 3.0), method="ascent", iterations=8)
+        np.testing.assert_array_equal(result.prior.p, np.full(10, 0.1))
+        assert result.iterations == 8
+        assert result.gap <= 1e-12
+        assert result.risk == pytest.approx(0.35380168174086746, abs=1e-12)
+
+    def test_ascent_steps_once_per_evaluation(self, monkeypatch):
+        # the search takes the training loop's ascent step, at 2 / (t + 2)
+        alphas = []
+        original = oracle.ascent_step
+
+        def recording(state, risks):
+            alphas.append(state.alpha)
+            return original(state, risks)
+
+        monkeypatch.setattr(oracle, "ascent_step", recording)
+        adversarial_prior_search(three_gaussians_1d(), method="ascent", iterations=5)
+        assert alphas == [2.0 / (t + 2) for t in range(1, 6)]
+
+    def test_ascent_draws_nothing(self):
+        # a tie for the worst class goes to the smaller index, so the search
+        # never loads numpy.random
+        probe = (
+            "import sys\n"
+            "from minimaxclf.data import circle_mixture\n"
+            "from minimaxclf.oracle import adversarial_prior_search\n"
+            "adversarial_prior_search(circle_mixture(4), method='ascent', iterations=5)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
