@@ -313,6 +313,7 @@ def run_oracle(config: dict, out_dir: Path) -> None:
             "method": result.method,
             "gap": result.gap,
             "iterations": result.iterations,
+            "evaluations": result.evaluations,
         },
     )
     write_csv(

@@ -23,6 +23,7 @@ import numpy as np
 from .data import ImbalanceProfile, make_imbalance_counts
 from .losses import VARIANTS
 from .mc import MIN_TRIALS
+from .oracle import MAX_GRID_STEPS, grid_steps
 from .priors import SIMPLEX_ATOL
 
 SCHEMA_VERSION = 1
@@ -366,6 +367,12 @@ def validate_config(config: dict) -> dict:
             check_class_count(resolved, k)
         if resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid" and k > 3:
             raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
+    resolution = resolved["oracle"]["resolution"]
+    if grid_steps(resolution) is None:
+        raise ConfigError(
+            f"oracle.resolution: got {resolution!r}, expected 1 / n for an integer n"
+            f" <= {MAX_GRID_STEPS}"
+        )
     if target is not None and abs(float(np.sum(target)) - 1.0) > SIMPLEX_ATOL:
         raise ConfigError(f"minimax.fixed_target: entries must sum to 1 within {SIMPLEX_ATOL}")
     if asc["method"] == "linear" and asc["alpha"] is not None and asc["alpha"] >= 1:

@@ -37,7 +37,8 @@ from minimaxclf.data import (
 )
 from minimaxclf.mc import mc_worst_class_failure
 from minimaxclf.minimax import RunReport
-from minimaxclf.oracle import adversarial_prior_search
+from minimaxclf.oracle import adversarial_prior_search, bayes_class_risks
+from minimaxclf.priors import Prior
 from minimaxclf.reports import fmt, write_run
 
 
@@ -91,6 +92,11 @@ class TestValidation:
                 ("iterations", 2.5),
                 ("iterations", True),
                 ("resolution", "0.1"),
+                ("resolution", 0.4),
+                ("resolution", 0.3),
+                ("resolution", 5e-324),
+                ("resolution", 1e-300),
+                ("resolution", 1 / 2001),
             ]
         ]
         + [
@@ -194,6 +200,12 @@ class TestValidation:
         assert config["dataset"]["imbalance"]["kind"] == "step"
         assert config["loss"]["tau"] == 0.5
         assert config["model"]["architecture"] == "mlp"
+
+    @pytest.mark.parametrize("resolution", [1e-3, 5e-3, 1e-2, 0.25, 1 / 3, 5e-4])
+    def test_grid_resolution_accepted(self, resolution):
+        # 1 / resolution is an integer, so the grid steps by exactly it
+        config = validate_config({"experiment": "oracle", "oracle": {"resolution": resolution}})
+        assert config["oracle"]["resolution"] == resolution
 
     @pytest.mark.parametrize(
         "config, same",
@@ -408,6 +420,32 @@ class TestExperiments:
         risks = [float(row.split(",")[1]) for row in rows]
         assert payload["gap"] == max(risks) - payload["risk"]
         assert 0 <= payload["gap"] <= 1e-3
+
+    def test_oracle_artifact_reports_evaluations(self, tmp_path):
+        # the circle's uniform start certifies itself, so the search makes 1
+        # of its 8 evaluations and writes what the best of all 8 was
+        config = validate_config(
+            {
+                "experiment": "oracle",
+                "dataset": {"benchmark": "circle", "class_count": 10, "radius": 3.0},
+                "oracle": {"method": "ascent", "iterations": 8},
+            }
+        )
+        out = run_experiment(config, tmp_path / "o")
+        risks = bayes_class_risks(circle_mixture(10, 3.0), Prior.uniform(10)).estimates
+        risk = float(np.dot(np.full(10, 0.1), risks))
+        assert json.loads((out / "adversarial_prior.json").read_text()) == {
+            "prior": [0.1] * 10,
+            "risk": risk,
+            "method": "ascent",
+            "gap": float(risks.max()) - risk,
+            "iterations": 8,
+            "evaluations": 1,
+        }
+        assert risk == pytest.approx(0.35380168174086707, abs=1e-12)
+        rows = [f"{y + 1},{fmt(r)}" for y, r in enumerate(risks)]
+        csv_text = (out / "risks_at_adversarial_prior.csv").read_text()
+        assert csv_text.splitlines() == ["class,risk", *rows]
 
     def test_failure_record_written(self, tmp_path):
         config = _tiny_train_config()
@@ -676,7 +714,6 @@ def test_oracle_section_is_search_keywords():
 
 def test_empty_trajectory_is_header_only(tmp_path):
     from minimaxclf.minimax import MinimaxConfig
-    from minimaxclf.priors import Prior
 
     report = RunReport(
         records=[],

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from minimaxclf import oracle
-from minimaxclf.ascent import ClassRisks
+from minimaxclf.ascent import LINEAR_ASCENT, AscentState, ClassRisks, ascent_step
 from minimaxclf.data import (
     MixtureSpec,
     circle_mixture,
@@ -437,7 +437,7 @@ class TestAdversarialSearch:
         best = int(np.argmax(values))
         np.testing.assert_array_equal(result.prior.p, grid[best])
         assert result.risk == values[best]
-        assert result.iterations == len(grid)
+        assert result.iterations == result.evaluations == len(grid)
         expected = bayes_class_risks(spec, result.prior)
         np.testing.assert_array_equal(result.risks.estimates, expected.estimates)
 
@@ -458,7 +458,9 @@ class TestAdversarialSearch:
     @pytest.mark.parametrize(
         "spec, kwargs",
         [
-            (circle_mixture(3), {"method": "ascent", "iterations": 6}),
+            # asymmetric, so no gap reaches the tolerance and every step runs
+            (MixtureSpec([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+             {"method": "ascent", "iterations": 6}),
             (three_gaussians_1d(), {"method": "grid", "resolution": 0.01}),
             (three_gaussians_1d(), {"method": "ascent", "iterations": 50}),
         ],
@@ -466,6 +468,7 @@ class TestAdversarialSearch:
     )
     def test_result_carries_risks_at_prior(self, spec, kwargs):
         result = adversarial_prior_search(spec, **kwargs)
+        assert result.evaluations == kwargs.get("iterations", result.iterations)
         expected = bayes_class_risks(spec, result.prior)
         np.testing.assert_array_equal(result.risks.estimates, expected.estimates)
         total = float(np.dot(result.prior.p, expected.estimates))
@@ -485,6 +488,22 @@ class TestAdversarialSearch:
     def test_ascent_rejects_zero_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
             adversarial_prior_search(three_gaussians_1d(), method="ascent", iterations=0)
+
+
+def _uncapped_ascent(spec, iterations):
+    """Reference: the ascent without its stop rule. It evaluates
+    ``iterations`` priors and returns the best one, its total risk and its
+    per-class risks."""
+    state = AscentState(Prior.uniform(spec.class_count), LINEAR_ASCENT, 2.0 / 3.0)
+    best_risk = -np.inf
+    for t in range(1, iterations + 1):
+        risks = bayes_class_risks(spec, state.prior)
+        value = float(np.dot(state.prior.p, risks.estimates))
+        if value > best_risk:
+            best_risk, best_prior, best_risks = value, state.prior, risks
+        state.alpha = 2.0 / (t + 2)
+        ascent_step(state, risks)
+    return best_prior, best_risk, best_risks
 
 
 class TestFrankWolfeGap:
@@ -548,22 +567,60 @@ class TestFrankWolfeGap:
         adversarial_prior_search(three_gaussians_1d(), method="ascent", iterations=5)
         assert alphas == [2.0 / (t + 2) for t in range(1, 6)]
 
+    @pytest.mark.parametrize("k, radius", [(3, 1.0), (4, 2.0), (10, 3.0)])
+    def test_circle_stops_at_first_evaluation(self, monkeypatch, k, radius):
+        # the uniform start's gap is rounding, so it certifies itself
+        calls = []
+        original = oracle.bayes_class_risks
+
+        def counting(spec, pi):
+            calls.append(pi)
+            return original(spec, pi)
+
+        monkeypatch.setattr(oracle, "bayes_class_risks", counting)
+        result = adversarial_prior_search(circle_mixture(k, radius), method="ascent")
+        assert len(calls) == 1
+        np.testing.assert_array_equal(result.prior.p, Prior.uniform(k).p)
+        assert result.evaluations == 1
+        assert result.iterations == 2000
+        assert result.gap <= oracle.GAP_TOLERANCE
+
+    @pytest.mark.parametrize(
+        "spec, iterations",
+        [
+            (three_gaussians_1d(), 50),
+            (three_gaussians_1d(), 2000),
+            (MixtureSpec([[0.0], [0.0]]), 50),
+        ],
+        ids=["three-class-50", "three-class-2000", "identical-pair-50"],
+    )
+    def test_uncertified_search_runs_to_the_cap(self, spec, iterations):
+        # where no gap reaches the tolerance, the search is the uncapped loop
+        result = adversarial_prior_search(spec, method="ascent", iterations=iterations)
+        prior, risk, risks = _uncapped_ascent(spec, iterations)
+        assert result.evaluations == result.iterations == iterations
+        np.testing.assert_array_equal(result.prior.p, prior.p)
+        assert result.risk == risk
+        assert result.gap == float(risks.estimates.max()) - risk
+
     def test_ascent_draws_nothing(self):
         # a tie for the worst class goes to the smaller index, so the search
-        # never loads numpy.random
+        # never loads numpy.random; the asymmetric mixture never meets the
+        # stop rule, so all 5 evaluations and 4 steps run
         probe = (
             "import sys\n"
-            "from minimaxclf.data import circle_mixture\n"
+            "from minimaxclf.data import MixtureSpec\n"
             "from minimaxclf.oracle import adversarial_prior_search\n"
-            "adversarial_prior_search(circle_mixture(4), method='ascent', iterations=5)\n"
-            "print('numpy.random' in sys.modules)\n"
+            "spec = MixtureSpec([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])\n"
+            "result = adversarial_prior_search(spec, method='ascent', iterations=5)\n"
+            "print(result.evaluations, 'numpy.random' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe],
             env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
             capture_output=True, text=True, check=True,
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["5", "False"]
 
 
 @pytest.mark.parametrize(
@@ -574,6 +631,8 @@ class TestFrankWolfeGap:
         pytest.param(lambda: adversarial_prior_search(two_gaussians_1d(), method="x"),
                      "unknown search method", id="search-method"),
         pytest.param(lambda: _simplex_grid(4, 0.1), "K <= 3", id="grid-k4"),
+        pytest.param(lambda: _simplex_grid(3, 0.4), r"1 / n", id="grid-resolution-0.4"),
+        pytest.param(lambda: _simplex_grid(2, 1e-300), r"n <= 2000", id="grid-resolution-1e-300"),
     ],
 )
 def test_bad_input_rejected(call, match):
