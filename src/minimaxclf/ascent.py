@@ -4,7 +4,7 @@ the prior toward the adversary by linear ascent or exponentiated gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,7 +59,6 @@ class AscentState:
     method: str
     alpha: float
     m_worst: int = 1
-    trajectory: list = field(default_factory=list)
     tie_rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
@@ -71,8 +70,6 @@ class AscentState:
             raise ValueError(f"EGA needs alpha > 0, got {self.alpha}")
         if not (1 <= self.m_worst <= self.prior.class_count):
             raise ValueError(f"m_worst must be in [1, {self.prior.class_count}]")
-        if not self.trajectory:
-            self.trajectory.append(self.prior)
 
 
 def estimate_class_risks(params: ModelParams, dataset: LabeledDataset) -> ClassRisks:
@@ -109,13 +106,12 @@ def auto_m(risks: ClassRisks) -> int:
 
 
 def linear_ascent_step(state: AscentState, indicator: Prior) -> Prior:
-    """pi <- pi + alpha (indicator - pi). Appends to the trajectory."""
+    """pi <- pi + alpha (indicator - pi)."""
     if state.method != LINEAR_ASCENT:
         raise ValueError(f"state method is {state.method!r}, not linear")
     p = state.prior.p + state.alpha * (indicator.p - state.prior.p)
     new = Prior(p / p.sum())
     state.prior = new
-    state.trajectory.append(new)
     return new
 
 
@@ -128,7 +124,6 @@ def ega_step(state: AscentState, risks: ClassRisks) -> Prior:
     w = state.prior.p * np.exp(state.alpha * risks.estimates)
     new = Prior(w / w.sum())
     state.prior = new
-    state.trajectory.append(new)
     return new
 
 

@@ -24,57 +24,35 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    BENCHMARK_READS,
     SCHEMA_VERSION,
     ConfigError,
+    build_mixture,
     check_class_count,
     config_hash,
     load_config,
+    synthetic_counts,
 )
-from .data import (
-    ImbalanceProfile,
-    MixtureSpec,
-    circle_mixture,
-    load_csv_dataset,
-    make_imbalance_counts,
-    sample_mixture,
-    three_gaussians_1d,
-    two_gaussians_1d,
-)
+from .data import load_csv_dataset, sample_mixture
 from .mc import mc_ega_mse, mc_worst_class_failure
 from .metrics import inter_intra_ratio
 from .minimax import AscentConfig, MinimaxConfig, RunReport, run_minimax, swap_components
 from .model import TrainConfig, extract_features, save_checkpoint
 from .oracle import adversarial_prior_search
-from .reports import curve_csv, fmt, value_table_csv, write_csv, write_json, write_run
+from .reports import fmt, write_csv, write_json, write_run
 from .theory import ega_estimate_mse, prob_find_worst
-
-
-_MIXTURES = {"two_gaussians_1d": two_gaussians_1d, "three_gaussians_1d": three_gaussians_1d,
-             "circle": circle_mixture}
-
-
-def build_mixture(ds_cfg: dict) -> MixtureSpec:
-    """The benchmark's mixture, from the dataset fields that it reads."""
-    benchmark = ds_cfg["benchmark"]
-    return _MIXTURES[benchmark](**{field: ds_cfg[field] for field in BENCHMARK_READS[benchmark]})
 
 
 def build_data(config: dict) -> tuple:
     """(dataset, eval set) of one run. A CSV source has no mixture to draw
-    an eval set from, so its eval set is None; its K is checked once read."""
+    an eval set from, so its eval set is None; its class counts are checked
+    once read."""
     ds_cfg, eval_cfg = config["dataset"], config["eval"]
     if ds_cfg["source"] == "csv":
         dataset = load_csv_dataset(ds_cfg["csv_path"], ds_cfg["csv_header"])
-        check_class_count(config, dataset.class_count)
+        check_class_count(config, dataset.per_class_counts.tolist())
         return dataset, None
     spec = build_mixture(ds_cfg)
-    if ds_cfg["counts"] is not None:
-        counts = np.asarray(ds_cfg["counts"], dtype=np.int64)
-    elif ds_cfg["imbalance"] is not None:
-        counts = make_imbalance_counts(ImbalanceProfile(**ds_cfg["imbalance"]), spec.class_count)
-    else:
-        counts = np.full(spec.class_count, 1000, dtype=np.int64)
+    counts = synthetic_counts(ds_cfg, spec.class_count)
     eval_counts = np.full(spec.class_count, eval_cfg["per_class"], dtype=np.int64)
     dataset = sample_mixture(spec, counts, ds_cfg["seed"])
     return dataset, sample_mixture(spec, eval_counts, eval_cfg["seed"])
@@ -270,8 +248,8 @@ def run_theory(config: dict, out_dir: Path) -> None:
         failure, mse = _exact_curve_point(vec, t_cfg["m_worst"], n, p_mse)
         failure_rows.append([n, failure])
         mse_rows.append([n, mse])
-    value_table_csv(out_dir / "failure_bound.csv", failure_rows)
-    value_table_csv(out_dir / "mse.csv", mse_rows)
+    write_csv(out_dir / "failure_bound.csv", ["N", "value"], failure_rows)
+    write_csv(out_dir / "mse.csv", ["N", "value"], mse_rows)
 
 
 def _curve_point(task: tuple) -> tuple:
@@ -298,8 +276,9 @@ def run_mc(config: dict, out_dir: Path) -> None:
     ]
     with _pool_map(_curve_point, tasks) as points:
         failure_rows, mse_rows = zip(*points)
-    curve_csv(out_dir / "failure_curve.csv", failure_rows)
-    curve_csv(out_dir / "mse_curve.csv", mse_rows)
+    header = ["N", "theory_value", "mc_value", "ci_low", "ci_high"]
+    write_csv(out_dir / "failure_curve.csv", header, failure_rows)
+    write_csv(out_dir / "mse_curve.csv", header, mse_rows)
 
 
 def run_oracle(config: dict, out_dir: Path) -> None:

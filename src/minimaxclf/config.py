@@ -1,4 +1,5 @@
-"""Run configuration: one field table, validation, presets, seed policy.
+"""Run configuration: one field table, the synthetic benchmarks, validation
+and presets.
 
 A config is a nested dict with sections ``dataset / model / loss / ascent /
 minimax / eval`` plus per-experiment sections. ``SCHEMA`` gives every leaf
@@ -6,7 +7,8 @@ field its default and the rule a valid value satisfies; ``DEFAULT_CONFIG`` is
 derived from it. A number field is stored as a float, so 1 and 1.0 resolve
 to the same config and hash alike. Validation errors always name the
 offending field. Presets are complete config templates; a user config
-referencing one is deep-merged on top of it.
+referencing one is deep-merged on top of it. The seeds of a run, and the
+flags that set them, are defined in ``cli``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import ImbalanceProfile, make_imbalance_counts
+from .data import (
+    ImbalanceProfile,
+    MixtureSpec,
+    circle_mixture,
+    make_imbalance_counts,
+    three_gaussians_1d,
+    two_gaussians_1d,
+)
 from .losses import VARIANTS
 from .mc import MIN_TRIALS
 from .oracle import MAX_GRID_STEPS, grid_steps
@@ -29,15 +38,20 @@ from .priors import SIMPLEX_ATOL
 SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("train", "ablate", "theory", "mc", "oracle")
-# class count K of each synthetic benchmark; None takes dataset.class_count
-BENCHMARKS = {"two_gaussians_1d": 2, "three_gaussians_1d": 3, "circle": None}
-# the mixture fields of dataset, and the ones each benchmark's constructor takes
-MIXTURE_FIELDS = ("class_count", "radius", "separation", "spacing", "sigma")
-BENCHMARK_READS = {
-    "two_gaussians_1d": ("separation", "sigma"),
-    "three_gaussians_1d": ("spacing", "sigma"),
-    "circle": ("class_count", "radius"),
+# Each synthetic benchmark: its mixture's constructor and the dataset fields
+# that it takes.
+BENCHMARKS = {
+    "two_gaussians_1d": (two_gaussians_1d, ("separation", "sigma")),
+    "three_gaussians_1d": (three_gaussians_1d, ("spacing", "sigma")),
+    "circle": (circle_mixture, ("class_count", "radius")),
 }
+
+
+def build_mixture(ds: dict) -> MixtureSpec:
+    """The benchmark's mixture, from the dataset fields that it takes."""
+    make, fields = BENCHMARKS[ds["benchmark"]]
+    return make(**{field: ds[field] for field in fields})
+
 
 # Error rates of a vanilla-trained 10-class model under strong step imbalance;
 # the default curve input for the theory/MC validation experiments.
@@ -225,7 +239,7 @@ PRESETS = {
         },
         "model": {"architecture": "mlp", "hidden_width": 64},
         "loss": {"variant": "TLA", "tau": 1.0},
-        "ascent": {"method": "linear", "m_worst": 3, "auto_m": True},
+        "ascent": {"method": "linear", "auto_m": True},
     },
     # Two balanced 1-d classes; fixed-target training shows the offset loss
     # landing on the target prior's optimal threshold.
@@ -299,28 +313,41 @@ def _walk(rules: dict, node, prefix: str = "") -> None:
             node[key] = rule.cast(node[key])
 
 
-def check_class_count(config: dict, k: int) -> None:
-    """The checks that need the class count K: one ``dataset.counts`` and
-    ``minimax.fixed_target`` entry per class, ``ascent.m_worst`` <= K, and at
-    least 2 samples per class from ``dataset.imbalance``. Only ``train`` and
-    ``ablate`` read these fields, so only they run the checks. A CSV source's
-    K is known, and the checks run, once its file is read."""
-    ds, target = config["dataset"], config["minimax"]["fixed_target"]
-    for field, value in (("dataset.counts", ds["counts"]), ("minimax.fixed_target", target)):
-        if value is not None and len(value) != k:
-            raise ConfigError(f"{field}: got {len(value)} entries, expected {k}, one per class")
+def synthetic_counts(ds: dict, k: int) -> list:
+    """The per-class sample counts of a synthetic dataset of K classes:
+    ``dataset.counts``, else the ``dataset.imbalance`` profile's, else 1000."""
+    if ds["counts"] is not None:
+        if len(ds["counts"]) != k:
+            raise ConfigError(
+                f"dataset.counts: got {len(ds['counts'])} entries, expected {k}, one per class"
+            )
+        return ds["counts"]
+    if ds["imbalance"] is None:
+        return [1000] * k
+    try:
+        return make_imbalance_counts(ImbalanceProfile(**ds["imbalance"]), k).tolist()
+    except ValueError as err:  # a class with no samples
+        raise ConfigError(f"dataset.imbalance: {err}") from None
+
+
+def check_class_count(config: dict, counts: list) -> None:
+    """The checks that need the realized per-class counts, whose length is
+    the class count K: one ``minimax.fixed_target`` entry per class,
+    ``ascent.m_worst`` <= K, and at least 2 samples per class, so the prior
+    split keeps one. Only ``train`` and ``ablate`` read these fields, so only
+    they run the checks. A CSV source's counts are known, and the checks run,
+    once its file is read."""
+    k, target = len(counts), config["minimax"]["fixed_target"]
+    if target is not None and len(target) != k:
+        raise ConfigError(
+            f"minimax.fixed_target: got {len(target)} entries, expected {k}, one per class"
+        )
     m_worst = config["ascent"]["m_worst"]
     if m_worst > k:
         raise ConfigError(f"ascent.m_worst: got {m_worst}, expected at most K = {k}")
-    if ds["imbalance"] is not None:
-        try:
-            counts = make_imbalance_counts(ImbalanceProfile(**ds["imbalance"]), k).tolist()
-        except ValueError as err:  # a class with no samples
-            raise ConfigError(f"dataset.imbalance: {err}") from None
-        if min(counts) < 2:
-            raise ConfigError(
-                f"dataset.imbalance: gives counts {counts}, expected at least 2 per class"
-            )
+    if min(counts) < 2:  # a dataset.counts entry is at least 2 by its rule
+        field = "dataset.csv_path" if config["dataset"]["source"] == "csv" else "dataset.imbalance"
+        raise ConfigError(f"{field}: gives counts {counts}, expected at least 2 per class")
 
 
 def validate_config(config: dict) -> dict:
@@ -356,17 +383,20 @@ def validate_config(config: dict) -> dict:
                 raise ConfigError(f"dataset.{field}: only a CSV source reads it, not 'synthetic'")
         # a field at its default leaves the manifest as it is, and keeps a
         # resolved config a valid input
-        for field in MIXTURE_FIELDS:
-            unread = field not in BENCHMARK_READS[ds["benchmark"]]
-            if unread and ds[field] != DEFAULT_CONFIG["dataset"][field]:
+        unread = {f for _, fields in BENCHMARKS.values() for f in fields}
+        unread -= set(BENCHMARKS[ds["benchmark"]][1])
+        for field, value in ds.items():
+            if field in unread and value != DEFAULT_CONFIG["dataset"][field]:
                 raise ConfigError(
                     f"dataset.{field}: the {ds['benchmark']!r} benchmark does not read it"
                 )
-        k = BENCHMARKS[ds["benchmark"]] or ds["class_count"]
+        # only the experiments that read the dataset build its mixture
         if resolved["experiment"] in ("train", "ablate"):
-            check_class_count(resolved, k)
-        if resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid" and k > 3:
-            raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
+            check_class_count(resolved, synthetic_counts(ds, build_mixture(ds).class_count))
+        if resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid":
+            k = build_mixture(ds).class_count
+            if k > 3:
+                raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
     resolution = resolved["oracle"]["resolution"]
     if grid_steps(resolution) is None:
         raise ConfigError(

@@ -78,10 +78,6 @@ class MinimaxConfig:
         if not (0.0 < self.model_fraction < 1.0):
             raise ValueError("model_fraction must be in (0, 1)")
 
-    @property
-    def total_epochs(self) -> int:
-        return self.warmup_epochs + self.minimax_epochs + self.finetune_epochs
-
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -99,7 +95,6 @@ class EpochRecord:
 class RunReport:
     records: list
     final_prior: Prior
-    prior_trajectory: list
     params: ModelParams
     train_prior: Prior
     train_counts: np.ndarray
@@ -207,7 +202,6 @@ def run_minimax(
     return RunReport(
         records=records,
         final_prior=target,
-        prior_trajectory=[target] if ascent_state is None else list(ascent_state.trajectory),
         params=params,
         train_prior=pi_train,
         train_counts=counts,

@@ -34,16 +34,6 @@ def write_csv(path, header: list, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def curve_csv(path, rows: list) -> None:
-    """Theory-vs-MC curve schema: N, theory_value, mc_value, ci_low, ci_high."""
-    write_csv(path, ["N", "theory_value", "mc_value", "ci_low", "ci_high"], rows)
-
-
-def value_table_csv(path, rows: list) -> None:
-    """(N, value) table for the analytic calculators."""
-    write_csv(path, ["N", "value"], rows)
-
-
 def write_json(path, payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

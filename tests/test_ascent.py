@@ -127,12 +127,6 @@ class TestLinearAscent:
         out = linear_ascent_step(state, Prior(np.array([0.0, 1.0, 0.0])))
         assert out.p[1] > 0.1
 
-    def test_trajectory_records_steps(self):
-        state = self._state([0.5, 0.5])
-        linear_ascent_step(state, Prior(np.array([1.0, 0.0])))
-        linear_ascent_step(state, Prior(np.array([1.0, 0.0])))
-        assert len(state.trajectory) == 3
-
 
 class TestEga:
     def _state(self, prior, alpha=0.1):

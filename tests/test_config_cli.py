@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from minimaxclf import cli
 from minimaxclf.cli import RUN_SEEDS, main, run_experiment
 from minimaxclf.config import (
-    BENCHMARK_READS,
     BENCHMARKS,
     EXPERIMENTS,
     SCHEMA,
@@ -179,7 +178,7 @@ class TestValidation:
         [
             (None, "58ecb41349ee09b14a4365c21bd96847281bcb36f41ec37550ac535b6ac58190"),
             ("step10-desk", "8ed4bd40fa82f881bb39e07fbb352a3a72a1cc18dacaf25b759b2dae3fcbd629"),
-            ("lt10-desk", "f043ecd7d93a6988f1a59da1d1b067078ad4646ab68ac3c688c6d720e6ae3937"),
+            ("lt10-desk", "9c200a357bd4ca790cbe1dd2ffad219e4326b8ff50c33b862a6dc48449d8d024"),
             ("two-class-1d", "284927f3fdd03fa47ea79cfc788cbd87a9899aa38a816f90e2b728ff737dde83"),
             ("three-class-oracle",
              "5952c4dbd7028ee9af06b66a65e67ba67962691e247f7b2192369ceadadbe7fe"),
@@ -277,11 +276,11 @@ def _tiny_ablate_config():
     )
 
 
-def _csv_dataset(tmp_path) -> dict:
-    """The dataset section of a config reading a small 3-class circle sample
-    from CSV."""
+def _csv_dataset(tmp_path, counts=(40, 24, 16)) -> dict:
+    """The dataset section of a config reading a small 3-class circle sample,
+    of the given per-class counts, from CSV."""
     path = tmp_path / "data.csv"
-    save_csv_dataset(path, sample_mixture(circle_mixture(3), [40, 24, 16], seed=0))
+    save_csv_dataset(path, sample_mixture(circle_mixture(3), counts, seed=0))
     return {"source": "csv", "csv_path": str(path)}
 
 
@@ -718,7 +717,6 @@ def test_empty_trajectory_is_header_only(tmp_path):
     report = RunReport(
         records=[],
         final_prior=Prior.uniform(3),
-        prior_trajectory=[],
         params=None,
         train_prior=Prior.uniform(3),
         train_counts=np.array([1, 1, 1]),
@@ -787,16 +785,19 @@ def test_unread_flag_rejected(tmp_path, capsys, argv):
     ids=["train", "ablate-in-process", "ablate-pool"],
 )
 @pytest.mark.parametrize(
-    "section, field",
-    [({"minimax": {"fixed_target": [0.5, 0.5]}}, "minimax.fixed_target"),
-     ({"ascent": {"m_worst": 5}}, "ascent.m_worst")],
-    ids=["fixed_target", "m_worst"],
+    "counts, section, field",
+    [((40, 24, 16), {"minimax": {"fixed_target": [0.5, 0.5]}}, "minimax.fixed_target"),
+     ((40, 24, 16), {"ascent": {"m_worst": 5}}, "ascent.m_worst"),
+     ((50, 1, 50), {}, "dataset.csv_path"),
+     ((50, 0, 50), {}, "dataset.csv_path")],
+    ids=["fixed_target", "m_worst", "one-sample-class", "labels-1-and-3"],
 )
 def test_csv_class_count_checked_once_read(tmp_path, capsys, monkeypatch, command, cpus,
-                                           section, field):
-    # the 3-class file makes both fields invalid; K is known only once it is read
+                                           counts, section, field):
+    # the 3-class file makes both fields invalid, and a class of fewer than 2
+    # samples the file itself; the counts are known only once it is read
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    config = _tiny_train_config(dataset=_csv_dataset(tmp_path), ablate={"seeds": [0, 1]})
+    config = _tiny_train_config(dataset=_csv_dataset(tmp_path, counts), ablate={"seeds": [0, 1]})
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps({**config, **section}))
     out = tmp_path / "x"
@@ -835,7 +836,8 @@ def test_class_count_checked_only_where_read(experiment, section, field):
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 @pytest.mark.parametrize("source", ["counts", "imbalance", "neither"])
 def test_build_data(name, source):
-    k = BENCHMARKS[name] or 4
+    # a circle's K is its class_count; each line benchmark's, its constructor's
+    k = 4 if name == "circle" else BENCHMARKS[name][0]().class_count
     dataset_cfg = {"benchmark": name, **({"class_count": 4} if name == "circle" else {})}
     expected = {
         "counts": np.arange(5, 5 + k),
@@ -854,9 +856,9 @@ def test_build_data(name, source):
         assert np.array_equal(a.labels, b.labels)
 
 
-@pytest.mark.parametrize("name", sorted(BENCHMARK_READS))
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_read_mixture_fields_accepted(name):
-    given = {field: 3 for field in BENCHMARK_READS[name]}
+    given = {field: 3 for field in BENCHMARKS[name][1]}
     resolved = validate_config({"dataset": {"benchmark": name, **given}})
     assert {field: resolved["dataset"][field] for field in given} == given
     # a resolved config carries every unread field at its default

@@ -41,6 +41,16 @@ def _dataset(seed=0):
     return sample_mixture(two_gaussians_1d(), [200, 40], seed=seed)
 
 
+def _total_epochs(config):
+    return config.warmup_epochs + config.minimax_epochs + config.finetune_epochs
+
+
+def _trajectory(report):
+    """The target prior before each minimax step, then the final prior."""
+    minimax_priors = [rec.prior for rec in report.records if rec.phase == minimax.MINIMAX]
+    return minimax_priors + [report.final_prior]
+
+
 class TestPhases:
     def test_epoch_count_and_phase_tags(self):
         report = run_minimax(_small_config(), _dataset())
@@ -65,7 +75,7 @@ class TestPhases:
     def test_trajectory_steps_are_single_ascent_moves(self):
         config = _small_config()
         report = run_minimax(config, _dataset())
-        traj = report.prior_trajectory
+        traj = _trajectory(report)
         assert len(traj) == 5  # initial + one per minimax epoch
         alpha = 0.1
         for before, after in zip(traj, traj[1:]):
@@ -85,7 +95,7 @@ class TestPhases:
         dataset = sample_mixture(circle_mixture(4, 1.0), [120, 60, 30, 30], seed=0)
         report = run_minimax(config, dataset)
         minimax_records = [rec for rec in report.records if rec.phase == minimax.MINIMAX]
-        traj = report.prior_trajectory
+        traj = _trajectory(report)
         sizes = []
         for rec, before, after in zip(minimax_records, traj, traj[1:]):
             raised = np.count_nonzero(after.p > (1.0 - alpha) * before.p + 1e-12)
@@ -131,7 +141,7 @@ class TestPhases:
             assert np.allclose(rec.prior.p, [0.3, 0.7])
         # minimax epochs still estimate held-out risks, but the prior never moves
         assert [r.risks is not None for r in report.records if r.phase == "minimax"] == [True] * 4
-        assert len(report.prior_trajectory) == 1
+        assert all(rec.prior == report.final_prior for rec in report.records)
 
     @pytest.mark.parametrize(
         "frozen",
@@ -146,8 +156,7 @@ class TestPhases:
         report = run_minimax(_small_config(**frozen), _dataset())
         target = report.records[0].prior
         assert report.final_prior == target
-        assert report.prior_trajectory == [target]
-        assert all(r.prior == target for r in report.records)
+        assert all(r.prior == report.final_prior for r in report.records)
 
     def test_drw_switch_changes_training(self):
         # same run with and without the deferred re-weighting switch must
@@ -205,7 +214,7 @@ class TestPhases:
         report = run_minimax(config, _dataset(), eval_set)
         # the final metrics reuse the last epoch's; with no epochs, the initial
         # parameters are evaluated once
-        assert len(calls) == max(config.total_epochs, 1)
+        assert len(calls) == max(_total_epochs(config), 1)
         assert calls[-1] is report.params
         acc = per_class_accuracies(report.params, eval_set)
         worst = int(np.argmin(acc))
@@ -275,7 +284,7 @@ class TestSwapComponents:
             assert cell.loss_variant == variant
             assert cell.ascent.method == method
             assert cell.train == base.train
-            assert cell.total_epochs == base.total_epochs
+            assert _total_epochs(cell) == _total_epochs(base)
 
 
 class TestMinimaxDirection:
