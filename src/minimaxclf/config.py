@@ -333,17 +333,17 @@ def synthetic_counts(ds: dict, k: int) -> list:
 def check_class_count(config: dict, counts: list) -> None:
     """The checks that need the realized per-class counts, whose length is
     the class count K: one ``minimax.fixed_target`` entry per class,
-    ``ascent.m_worst`` <= K, and at least 2 samples per class, so the prior
-    split keeps one. Only ``train`` and ``ablate`` read these fields, so only
-    they run the checks. A CSV source's counts are known, and the checks run,
-    once its file is read."""
+    ``ascent.m_worst`` <= K unless ``ascent.auto_m`` replaces it, and at
+    least 2 samples per class, so the prior split keeps one. Only ``train``
+    and ``ablate`` read these fields, so only they run the checks. A CSV
+    source's counts are known, and the checks run, once its file is read."""
     k, target = len(counts), config["minimax"]["fixed_target"]
     if target is not None and len(target) != k:
         raise ConfigError(
             f"minimax.fixed_target: got {len(target)} entries, expected {k}, one per class"
         )
     m_worst = config["ascent"]["m_worst"]
-    if m_worst > k:
+    if m_worst > k and not config["ascent"]["auto_m"]:
         raise ConfigError(f"ascent.m_worst: got {m_worst}, expected at most K = {k}")
     if min(counts) < 2:  # a dataset.counts entry is at least 2 by its rule
         field = "dataset.csv_path" if config["dataset"]["source"] == "csv" else "dataset.imbalance"

@@ -164,7 +164,8 @@ def run_minimax(
             prior=target,
             method=config.ascent.method,
             alpha=alpha,
-            m_worst=config.ascent.m_worst,
+            # auto_m sets M before every step, and its field may exceed K
+            m_worst=1 if config.ascent.use_auto_m else config.ascent.m_worst,
             tie_rng=np.random.default_rng(config.ascent.tie_seed),
         )
 

@@ -833,6 +833,25 @@ def test_class_count_checked_only_where_read(experiment, section, field):
         assert resolved[section_name][leaf] == section[section_name][leaf]
 
 
+def test_m_worst_unread_under_auto_m(tmp_path, capsys):
+    # auto_m sets M before every ascent step, so m_worst above K is unread
+    validate_config({"preset": "lt10-desk", "ascent": {"m_worst": 11}})
+    config = {
+        "dataset": {"benchmark": "two_gaussians_1d", "counts": [60, 30], "seed": 0},
+        "model": {"architecture": "linear", "batch_size": 32, "lr_warmup_epochs": 1,
+                  "decay_epochs": []},
+        "minimax": {"warmup_epochs": 1, "minimax_epochs": 2, "finetune_epochs": 0},
+        "eval": {"per_class": 50, "seed": 5},
+    }
+    for auto, code in ((True, 0), (False, 2)):
+        config_path = tmp_path / f"{auto}.json"
+        config_path.write_text(json.dumps({**config, "ascent": {"m_worst": 5, "auto_m": auto}}))
+        argv = ["train", "--config", str(config_path), "--out", str(tmp_path / str(auto))]
+        assert main(argv) == code
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["message"].startswith("ascent.m_worst: ")
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 @pytest.mark.parametrize("source", ["counts", "imbalance", "neither"])
 def test_build_data(name, source):

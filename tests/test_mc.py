@@ -1,7 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minimaxclf.mc import mc_ega_mse, mc_worst_class_failure
+from minimaxclf.mc import (
+    McEstimate,
+    _binomial,
+    _chunks,
+    _inverted_counts,
+    _threshold_tables,
+    _wilson_interval,
+    mc_ega_mse,
+    mc_worst_class_failure,
+)
 from minimaxclf.theory import (
     ega_estimate_mse,
     exact_find_worst_probability,
@@ -88,6 +101,119 @@ class TestEgaMseMc:
         assert a == b
 
 
+def _assert_matches_numpy(n, p, seed, size=64):
+    """The table sampler gives Generator.binomial's counts, and leaves its
+    generator where that call leaves an identically seeded one."""
+    p = np.asarray(p, dtype=np.float64)
+    reference, sampled = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference.binomial(n, p, size=(size, p.size)).T
+    assert np.array_equal(_binomial(sampled, n, p, _threshold_tables(n, p), size), expected)
+    assert np.array_equal(sampled.random(5), reference.random(5))
+
+
+class TestSampler:
+    """The counts are numpy's, bit for bit, and so is the stream after them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        p=st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.5, 1.0, 1e-12, 0.97])),
+            min_size=2, max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_generator_binomial(self, n, p, seed):
+        _assert_matches_numpy(n, p, seed)
+
+    @pytest.mark.parametrize(
+        "n, p, inverted",
+        [(60, [0.5, 0.2], True),  # N p = 30: still inversion
+         (8, [0.9, 1.0, 1e-12, 0.3], True),
+         (61, [0.5, 0.2], False),  # N p > 30: BTPE
+         (8, [0.0, 0.3], False)],  # p = 0 draws no uniform
+        ids=["np-30", "flipped-and-edges", "btpe", "p-zero"],
+    )
+    def test_path_and_stream(self, n, p, inverted):
+        assert (_threshold_tables(n, np.array(p)) is not None) == inverted
+        for seed in (0, 1):
+            _assert_matches_numpy(n, p, seed, size=4096)
+
+    @pytest.mark.parametrize("n, p", [(2, 0.5), (16, 0.06), (64, 0.33), (64, 0.96), (200, 0.1)])
+    def test_thresholds_are_the_steps_of_numpy_loop(self, n, p):
+        # a scalar copy of numpy's random_binomial_inversion for one uniform,
+        # returning None where it would draw again
+        def count(u, p):
+            q = 1.0 - p
+            mean = n * p
+            bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+            x, px = 0, math.exp(n * math.log(q))
+            while u > px:
+                x += 1
+                if x > bound:
+                    return None
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+            return x
+
+        table = _threshold_tables(n, np.array([p]))
+        ((thresholds, flipped),) = table
+        inner = 1.0 - p if flipped else p
+        last = thresholds.size
+        for x, t in enumerate(thresholds, start=1):
+            if t < 1.0:  # from t on, the loop reaches x or draws again
+                reached = count(t, inner)
+                assert reached is None if x == last else reached is None or reached >= x
+            below = count(t - 2.0**-53, inner)
+            assert below is not None and below < x
+        # and the sampler reads the count of a uniform on and just below a step
+        steps = thresholds[thresholds < thresholds[-1]]
+        uniforms = np.concatenate([steps, steps - 2.0**-53])
+        expected = [count(u, inner) for u in uniforms]
+        if flipped:
+            expected = [n - x for x in expected]
+        assert _inverted_counts(uniforms[None], n, table)[0].tolist() == expected
+
+    def test_rejected_uniform_replays_numpy(self):
+        # a truncated table makes every uniform past its first step one that
+        # numpy would reject, so the chunk must come from Generator.binomial
+        n, p = 8, np.array([0.3, 0.7, 0.1])
+        tables = _threshold_tables(n, p)
+        tables[1] = (tables[1][0][:2], tables[1][1])
+        reference, sampled = np.random.default_rng(3), np.random.default_rng(3)
+        expected = reference.binomial(n, p, size=(512, 3)).T
+        assert np.array_equal(_binomial(sampled, n, p, tables, 512), expected)
+        assert np.array_equal(sampled.random(5), reference.random(5))
+
+
+def _reference_failure(error_vector, m_worst, n_samples, trials, master_seed):
+    """The estimator as it was written with Generator.binomial and
+    argpartition, for the reference comparison."""
+    p = np.asarray(error_vector, dtype=np.float64)
+    k = p.size
+    true_worst = int(np.argmax(p))
+    failures = 0
+    for n, rng in _chunks(trials, master_seed):
+        counts = rng.binomial(n_samples, p, size=(n, k)).astype(np.float64)
+        keyed = counts + 0.5 * rng.random((n, k))
+        top = np.argpartition(-keyed, m_worst - 1, axis=1)[:, :m_worst]
+        failures += int(np.sum(~np.any(top == true_worst, axis=1)))
+    rate = failures / trials
+    lo, hi = _wilson_interval(failures, trials)
+    se = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
+    return McEstimate(rate, lo, hi, trials, se)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+@pytest.mark.parametrize("m", [1, 3, ERROR_VECTOR.size])
+def test_failure_matches_reference_loop(m, n, seed):
+    trials = 20_000  # two chunks, the second one short
+    assert mc_worst_class_failure(ERROR_VECTOR, m, n, trials, seed) == _reference_failure(
+        ERROR_VECTOR, m, n, trials, seed
+    )
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -96,6 +222,11 @@ class TestEgaMseMc:
         pytest.param(lambda: mc_worst_class_failure([0.5, 0.2], 3, 4, 10_000, 0),
                      r"m_worst must be in \[1, 2\]", id="failure-m_worst"),
         pytest.param(lambda: mc_ega_mse(1.5, 4, 10_000, 0), r"lie in \[0, 1\]", id="mse-range"),
+        pytest.param(lambda: mc_worst_class_failure([0.2, 0.5], 1, 0, 10_000, 0),
+                     "n_samples", id="failure-n_samples"),
+        pytest.param(lambda: mc_ega_mse(0.3, 0, 10_000, 0), "n_samples", id="mse-n_samples"),
+        pytest.param(lambda: mc_worst_class_failure([float("nan"), 0.2], 1, 4, 10_000, 0),
+                     r"lie in \[0, 1\]", id="failure-nan"),
     ],
 )
 def test_bad_input_rejected(call, match):
