@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import operator
 import sys
 from typing import Callable, NamedTuple
@@ -32,6 +33,7 @@ from .data import (
 )
 from .losses import VARIANTS
 from .mc import MIN_TRIALS
+from .minimax import AscentConfig, MinimaxConfig, swap_components
 from .oracle import MAX_GRID_STEPS, grid_steps
 from .priors import SIMPLEX_ATOL
 
@@ -330,12 +332,41 @@ def synthetic_counts(ds: dict, k: int) -> list:
         raise ConfigError(f"dataset.imbalance: {err}") from None
 
 
+_LOG_TINY = math.log(sys.float_info.min)  # the smallest normal float, -708.4
+_ROUNDING_MARGIN = 1.0  # a factor e above it, for the rounding of the steps
+
+
+def max_ascent_alpha(method: str, smallest_prior: float, steps: int) -> float:
+    """The largest ascent step size at which ``steps`` steps keep every prior
+    coordinate, from a start whose smallest is ``smallest_prior``, above the
+    smallest normal float by ``_ROUNDING_MARGIN`` in log. One step lowers a
+    log coordinate by at most alpha for EGA, as risks lie in [0, 1], and
+    multiplies it by at least 1 - alpha - 2**-53 for linear ascent, the
+    2**-53 for the rounding of alpha * pi_y. The margin covers the other
+    roundings, a few units of 2**-53 per class and step. For EGA the bound
+    also keeps exp(alpha * r_y) below overflow."""
+    per_step = (math.log(smallest_prior) - _LOG_TINY - _ROUNDING_MARGIN) / steps
+    return per_step if method == "ega" else -math.expm1(-per_step) - 2.0**-53
+
+
+def _ascents(config: dict) -> set:
+    """(method, alpha) of every prior ascent the experiment runs: one for
+    ``train``, one per ``swap_components`` cell for ``ablate``."""
+    ascent = AscentConfig(method=config["ascent"]["method"], alpha=config["ascent"]["alpha"])
+    cells = [MinimaxConfig(ascent=ascent)]
+    if config["experiment"] == "ablate":
+        cells = swap_components(cells[0]).values()
+    return {(cell.ascent.method, cell.ascent.resolved_alpha()) for cell in cells}
+
+
 def check_class_count(config: dict, counts: list) -> None:
     """The checks that need the realized per-class counts, whose length is
     the class count K: one ``minimax.fixed_target`` entry per class,
-    ``ascent.m_worst`` <= K unless ``ascent.auto_m`` replaces it, and at
-    least 2 samples per class, so the prior split keeps one. Only ``train``
-    and ``ablate`` read these fields, so only they run the checks. A CSV
+    ``ascent.m_worst`` <= K unless ``ascent.auto_m`` replaces it, at least 2
+    samples per class, so the prior split keeps one, and an ``ascent.alpha``
+    whose ascent cannot take a coordinate of the training prior below the
+    smallest normal float (``max_ascent_alpha``). Only ``train`` and
+    ``ablate`` read these fields, so only they run the checks. A CSV
     source's counts are known, and the checks run, once its file is read."""
     k, target = len(counts), config["minimax"]["fixed_target"]
     if target is not None and len(target) != k:
@@ -348,6 +379,17 @@ def check_class_count(config: dict, counts: list) -> None:
     if min(counts) < 2:  # a dataset.counts entry is at least 2 by its rule
         field = "dataset.csv_path" if config["dataset"]["source"] == "csv" else "dataset.imbalance"
         raise ConfigError(f"{field}: gives counts {counts}, expected at least 2 per class")
+    steps = config["minimax"]["minimax_epochs"]
+    if target is not None or steps == 0:
+        return  # no ascent step runs
+    for method, alpha in sorted(_ascents(config)):
+        limit = max_ascent_alpha(method, min(counts) / sum(counts), steps)
+        if alpha > 0 and alpha > limit:  # alpha 0 freezes the prior
+            raise ConfigError(
+                f"ascent.alpha: {method} ascent at alpha = {alpha!r} over {steps} minimax"
+                f" epochs can take a prior coordinate below the smallest normal float;"
+                f" the largest alpha allowed is {limit!r}"
+            )
 
 
 def validate_config(config: dict) -> dict:
@@ -365,6 +407,8 @@ def validate_config(config: dict) -> dict:
 
     # cross-field checks, on values the walk has typed
     ds, asc, target = resolved["dataset"], resolved["ascent"], resolved["minimax"]["fixed_target"]
+    if asc["method"] == "linear" and asc["alpha"] is not None and asc["alpha"] >= 1:
+        raise ConfigError("ascent.alpha: linear ascent needs alpha < 1")
     if ds["imbalance"] is not None:
         _walk(IMBALANCE, ds["imbalance"], "dataset.imbalance.")
         if ds["counts"] is not None:
@@ -405,8 +449,6 @@ def validate_config(config: dict) -> dict:
         )
     if target is not None and abs(float(np.sum(target)) - 1.0) > SIMPLEX_ATOL:
         raise ConfigError(f"minimax.fixed_target: entries must sum to 1 within {SIMPLEX_ATOL}")
-    if asc["method"] == "linear" and asc["alpha"] is not None and asc["alpha"] >= 1:
-        raise ConfigError("ascent.alpha: linear ascent needs alpha < 1")
     for name in ("mc", "theory"):
         if resolved[name]["m_worst"] > len(resolved[name]["error_vector"]):
             raise ConfigError(f"{name}.m_worst: must be at most the length of {name}.error_vector")

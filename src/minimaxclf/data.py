@@ -270,10 +270,3 @@ def load_csv_dataset(path, has_header: bool = False) -> LabeledDataset:
     y = np.asarray(labels, dtype=np.int64)
     return LabeledDataset(x, y, class_count=int(y.max()) + 1)
 
-
-def save_csv_dataset(path, ds: LabeledDataset) -> None:
-    """Write the CSV form read back by :func:`load_csv_dataset`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, label in zip(ds.instances, ds.labels):
-            features = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{features},{int(label) + 1}\n")

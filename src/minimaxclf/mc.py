@@ -14,13 +14,19 @@ mass exceeds what is left, and draws again past a bound it sets. The count
 is then a step function of that uniform. Once per call, each class gets a
 table of the uniforms at which the count steps, found by bisection over the
 2**53 values ``next_double`` returns with numpy's recurrence replayed in
-Python floats; a chunk reads each class's count with one ``searchsorted``.
-The draws fall back to ``Generator.binomial`` itself for a chunk with a
-uniform that numpy would reject and draw again, and for a whole call with a
-class that numpy does not draw by inversion from one uniform: p = 0, which
-draws no uniform, and N * min(p, 1 - p) > 30, drawn by BTPE. The tables
-replay numpy's algorithm and the platform's ``exp`` and ``log``; the module
-tests pin the counts to ``Generator.binomial``, bit for bit.
+Python floats. A guide table over the uniform (indexed search; Chen and
+Asau, 1974; Devroye 1986, ch. III.3) then splits [0, 1) into 2**12 buckets
+per class and stores the count of every bucket that holds no step: a chunk
+reads a count with one gather at ``floor(u * 2**12) + class * 2**12``, the
+class offset added as an integer. A bucket with a step inside it, or one that
+reaches numpy's rejection, holds a sentinel, and its uniforms are read with
+a ``searchsorted`` of the class's thresholds; that is where a uniform that
+numpy would reject and draw again is found. A chunk with such a uniform, and
+a whole call with a class that numpy does not draw by inversion from one
+uniform (p = 0, which draws no uniform, and N * min(p, 1 - p) > 30, drawn by
+BTPE), fall back to ``Generator.binomial`` itself. The tables replay numpy's
+algorithm and the platform's ``exp`` and ``log``; the module tests pin the
+counts to ``Generator.binomial``, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ MIN_TRIALS = 10_000
 _Z95 = 1.959963984540054  # the z of a two-sided 95% normal interval
 _INVERSION_MAX = 30.0  # numpy inverts while N * min(p, 1 - p) is at most this
 _ULP = 2.0**-53  # next_double returns k * 2**-53 for an integer k < 2**53
+_GUIDE = 1 << 12  # buckets per class of the guide table over the uniform
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,13 @@ def _chunks(trials: int, master_seed: int):
     for i, start in enumerate(range(0, trials, _CHUNK)):
         seed = np.random.SeedSequence([master_seed, i])
         yield min(_CHUNK, trials - start), np.random.default_rng(seed)
+
+
+def _buffer(k: int, dtype=np.float64) -> np.ndarray:
+    """A (_CHUNK, K) array that every chunk of a call reuses, sliced to the
+    chunk's rows. Fresh arrays of that size per chunk go back to the system
+    when freed, and every chunk would fault their pages in again."""
+    return np.empty((_CHUNK, k), dtype=dtype)
 
 
 def _inversion_masses(n: int, p: float) -> list:
@@ -118,30 +132,77 @@ def _threshold_tables(n: int, p: np.ndarray) -> Optional[list]:
     return list(zip(np.split(hi * _ULP, splits), flipped))
 
 
-def _inverted_counts(uniforms: np.ndarray, n: int, tables: list) -> Optional[np.ndarray]:
-    """Counts, class-major, from the (K, trials) uniforms; None when numpy
-    would reject one of them."""
-    counts = np.empty(uniforms.shape, dtype=np.int64)
-    for row, u, (thresholds, flipped) in zip(counts, uniforms, tables):
-        x = np.searchsorted(thresholds, u, "right")
+def _guide_table(n: int, tables: list) -> np.ndarray:
+    """The flat (K * _GUIDE) guide over the uniform. Entry ``class * _GUIDE +
+    b`` holds the count of that class for every uniform in
+    [b, b + 1) / _GUIDE, the flip applied, or -1 where a step lies strictly
+    inside the bucket or the bucket reaches the rejection threshold. The
+    thresholds are multiples of 2**-53, as the uniforms are, so the last
+    uniform of a bucket counts the thresholds strictly below its right edge."""
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    guide = np.empty((len(tables), _GUIDE), dtype=np.intp)
+    for row, (thresholds, flipped) in zip(guide, tables):
+        first = np.searchsorted(thresholds, edges[:-1], "right")
+        last = np.searchsorted(thresholds, edges[1:], "left")
+        row[:] = np.where(
+            (first != last) | (last == thresholds.size), -1, n - first if flipped else first
+        )
+    return guide.ravel()
+
+
+def _inverted_counts(
+    uniforms: np.ndarray, n: int, tables: list, guide: np.ndarray, out=None
+) -> Optional[np.ndarray]:
+    """Counts from the (trials, K) uniforms: one guide entry each, and a
+    ``searchsorted`` of the class's thresholds where the entry is -1. None
+    when numpy would reject one of the uniforms. ``out`` is an optional intp
+    buffer of the uniforms' shape."""
+    counts = np.empty(uniforms.shape, dtype=np.intp) if out is None else out
+    # u * _GUIDE is exact, as u = k * 2**-53 and _GUIDE is a power of two; the
+    # class offsets are added as integers, since a float sum can round up
+    # across a bucket edge
+    np.multiply(uniforms, _GUIDE, out=counts, casting="unsafe")
+    counts += np.arange(0, guide.size, _GUIDE)
+    # take reads each index before it writes that place, so the counts can
+    # overwrite the bucket indices; every index is in range
+    guide.take(counts, out=counts, mode="clip")
+    misses = np.flatnonzero(counts < 0)
+    classes = misses % len(tables)
+    for c in np.unique(classes):
+        at = misses[classes == c]
+        thresholds, flipped = tables[c]
+        x = np.searchsorted(thresholds, uniforms.flat[at], "right")
         if x.max() == thresholds.size:
             return None
-        row[:] = n - x if flipped else x
+        counts.flat[at] = n - x if flipped else x
     return counts
 
 
-def _binomial(
-    rng: np.random.Generator, n: int, p: np.ndarray, tables: Optional[list], size: int
-) -> np.ndarray:
-    """``rng.binomial(n, p, size=(size, K))`` transposed to (K, size), with
-    ``rng`` left where that call leaves it."""
-    if tables is not None:
-        state = rng.bit_generator.state
-        counts = _inverted_counts(np.ascontiguousarray(rng.random((size, p.size)).T), n, tables)
-        if counts is not None:
-            return counts
-        rng.bit_generator.state = state  # numpy draws again: replay its own call
-    return rng.binomial(n, p, size=(size, p.size)).T
+class _Binomial:
+    """``rng.binomial(n, p, size=(size, K))`` for the chunks of one call, with
+    ``rng`` left where that call leaves it. The tables are built once, and
+    the counts of every chunk go to one buffer."""
+
+    def __init__(self, n: int, p: np.ndarray):
+        self.n, self.p = n, p
+        self.tables = _threshold_tables(n, p)
+        if self.tables is not None:
+            self.guide = _guide_table(n, self.tables)
+            self.counts = _buffer(p.size, np.intp)
+
+    def __call__(self, rng: np.random.Generator, uniforms: np.ndarray) -> np.ndarray:
+        """The counts of one chunk, whose (size, K) uniforms are drawn into
+        the buffer ``uniforms``; they are spent once this returns."""
+        if self.tables is not None:
+            size = len(uniforms)
+            state = rng.bit_generator.state
+            counts = _inverted_counts(
+                rng.random(out=uniforms), self.n, self.tables, self.guide, self.counts[:size]
+            )
+            if counts is not None:
+                return counts
+            rng.bit_generator.state = state  # numpy draws again: replay its own call
+        return rng.binomial(self.n, self.p, size=uniforms.shape)
 
 
 def mc_worst_class_failure(
@@ -161,13 +222,17 @@ def mc_worst_class_failure(
     if not (1 <= m_worst <= k):
         raise ValueError(f"m_worst must be in [1, {k}]")
     true_worst = int(np.argmax(p))
-    tables = _threshold_tables(n_samples, p)
+    binomial = _Binomial(n_samples, p)
+    uniforms, larger, ones = _buffer(k), _buffer(k, np.float32), np.ones(k, np.float32)
     failures = 0
     for n, rng in _chunks(trials, master_seed):
-        counts = _binomial(rng, n_samples, p, tables, n)
+        counts = binomial(rng, uniforms[:n])
         # integer counts differ by >= 1, so jitter in [0, 0.5) only breaks ties
-        keyed = counts.T + 0.5 * rng.random((n, k))
-        above = np.count_nonzero(keyed > keyed[:, [true_worst]], axis=1)
+        keyed = rng.random(out=uniforms[:n])
+        keyed *= 0.5
+        keyed += counts
+        # 1 where a key is larger; a row sum of at most K < 2**24 ones is exact
+        above = np.greater(keyed, keyed[:, [true_worst]], out=larger[:n]) @ ones
         failures += int(np.count_nonzero(above >= m_worst))
     rate = failures / trials
     lo, hi = _wilson_interval(failures, trials)
@@ -182,11 +247,12 @@ def mc_ega_mse(
     standard error and a normal 95% interval."""
     p = _check(np.array([p_error]), n_samples, trials)
     target = math.exp(p[0])
-    tables = _threshold_tables(n_samples, p)
+    binomial = _Binomial(n_samples, p)
+    uniforms = _buffer(1)
     total = 0.0
     total_sq = 0.0
     for n, rng in _chunks(trials, master_seed):
-        counts = _binomial(rng, n_samples, p, tables, n)[0]
+        counts = binomial(rng, uniforms[:n])[:, 0]
         values = (target - np.exp(counts / n_samples)) ** 2
         total += float(values.sum())
         total_sq += float((values**2).sum())

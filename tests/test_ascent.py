@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,14 @@ from hypothesis import strategies as st
 from minimaxclf.ascent import (
     AscentState,
     ClassRisks,
+    ascent_step,
     auto_m,
     ega_step,
     estimate_class_risks,
     linear_ascent_step,
     worst_m_indicator,
 )
+from minimaxclf.config import max_ascent_alpha
 from minimaxclf.data import LabeledDataset
 from minimaxclf.model import ModelParams
 from minimaxclf.priors import Prior
@@ -179,6 +183,38 @@ def test_both_steps_stay_on_simplex(raw, risks, alpha, method):
         out = ega_step(state, ClassRisks(risk_values, np.full(k, 5)))
     assert abs(out.p.sum() - 1.0) <= 1e-12
     assert np.all(out.p >= 0.0)
+
+
+_RISK = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method=st.sampled_from(["linear", "ega"]),
+    exponents=st.lists(st.floats(0.0, 300.0), min_size=2, max_size=6),
+    steps=st.integers(1, 300),
+    fraction=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    m_worst=st.integers(1, 6),
+    rows=st.lists(st.lists(_RISK, min_size=6, max_size=6), min_size=1, max_size=6),
+    adversarial=st.booleans(),
+)
+def test_accepted_alpha_keeps_prior_normal(method, exponents, steps, fraction, m_worst, rows,
+                                           adversarial):
+    # any alpha the config rule accepts: the risk vectors cycle through
+    # ``rows``, or, adversarially, give the smallest coordinate 0 and the rest 1
+    w = 10.0 ** -np.array(exponents)
+    prior = Prior(w / w.sum())
+    k = prior.class_count
+    alpha = fraction * max_ascent_alpha(method, float(prior.p.min()), steps)
+    state = AscentState(prior, method, alpha, m_worst=min(m_worst, k))
+    for t in range(steps):
+        if adversarial:
+            risks = np.ones(k)
+            risks[np.argmin(state.prior.p)] = 0.0
+        else:
+            risks = np.array(rows[t % len(rows)][:k])
+        p = ascent_step(state, ClassRisks(risks, np.full(k, 5))).p
+        assert np.all(np.isfinite(p)) and p.min() >= sys.float_info.min, (t, p)
 
 
 def _state(method, k=2):

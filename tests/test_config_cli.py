@@ -21,10 +21,12 @@ from minimaxclf.cli import RUN_SEEDS, main, run_experiment
 from minimaxclf.config import (
     BENCHMARKS,
     EXPERIMENTS,
+    PRESETS,
     SCHEMA,
     ConfigError,
     config_hash,
     load_config,
+    max_ascent_alpha,
     validate_config,
 )
 from minimaxclf.data import (
@@ -32,13 +34,14 @@ from minimaxclf.data import (
     circle_mixture,
     make_imbalance_counts,
     sample_mixture,
-    save_csv_dataset,
 )
 from minimaxclf.mc import mc_worst_class_failure
 from minimaxclf.minimax import RunReport
 from minimaxclf.oracle import adversarial_prior_search, bayes_class_risks
 from minimaxclf.priors import Prior
 from minimaxclf.reports import fmt, write_run
+
+from helpers import save_csv_dataset
 
 
 _STEP = {"kind": "step", "ratio": 0.5, "base_count": 10}
@@ -651,7 +654,7 @@ class TestCliEntry:
     def test_pool_workers_end_with_killed_parent(self, tmp_path, command):
         if command == "ablate":
             config = _tiny_ablate_config()
-            config["minimax"]["minimax_epochs"] = 10_000  # seconds per cell run
+            config["minimax"]["warmup_epochs"] = 10_000  # seconds per cell run
         else:
             config = _tiny_mc_config([2, 4])
             config["mc"]["trials"] = 10**9  # minutes per curve point
@@ -850,6 +853,64 @@ def test_m_worst_unread_under_auto_m(tmp_path, capsys):
         assert main(argv) == code
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"]["message"].startswith("ascent.m_worst: ")
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+@pytest.mark.parametrize(
+    "ascent", [{"method": "linear", "alpha": 0.999999999999}, {"method": "ega", "alpha": 800}],
+    ids=["linear", "ega"],
+)
+def test_alpha_that_underflows_the_prior_exits_2(tmp_path, capsys, ascent, source):
+    # 40 such steps can take a coordinate of the training prior to 0 (or
+    # overflow exp), which once stopped the run late with a ValueError
+    counts = [400, 200, 40, 20]
+    dataset = {"benchmark": "circle", "class_count": 4, "counts": counts}
+    if source == "csv":  # the counts are known, and checked, once the file is read
+        save_csv_dataset(tmp_path / "data.csv", sample_mixture(circle_mixture(4), counts, seed=0))
+        dataset = {"source": "csv", "csv_path": str(tmp_path / "data.csv")}
+    config = {
+        "dataset": dataset,
+        "model": {"architecture": "linear", "batch_size": 64, "decay_epochs": []},
+        "minimax": {"warmup_epochs": 1, "minimax_epochs": 40, "finetune_epochs": 0},
+        "eval": {"per_class": 50},
+        "ascent": ascent,
+    }
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["kind"] == "config"
+    assert record["error"]["message"].startswith("ascent.alpha: ")
+    if source == "csv":
+        assert json.loads((out / "failure.json").read_text())["type"] == "ConfigError"
+    else:  # rejected before anything is written
+        assert not out.exists()
+
+
+def test_alpha_rule_checks_every_ascent_that_runs():
+    base = {"dataset": {"benchmark": "two_gaussians_1d", "counts": [60, 30]},
+            "minimax": {"minimax_epochs": 1000}}
+    limit = max_ascent_alpha("ega", 30 / 90, 1000)
+    validate_config({**base, "ascent": {"method": "ega", "alpha": limit}})
+    with pytest.raises(ConfigError, match=r"^ascent\.alpha: ega ascent .* allowed is "):
+        validate_config({**base, "ascent": {"method": "ega", "alpha": np.nextafter(limit, 1e3)}})
+    # ablate also runs EGA at its default 0.1, and 10,000 such steps are too many
+    many = {**base, "minimax": {"minimax_epochs": 10_000}, "ascent": {"alpha": 0.01}}
+    validate_config(many)
+    with pytest.raises(ConfigError, match=r"^ascent\.alpha: ega ascent at alpha = 0\.1 "):
+        validate_config({**many, "experiment": "ablate"})
+    # no step runs under a fixed target, with alpha 0, or without minimax epochs
+    for frozen in ({"minimax": {"minimax_epochs": 1000, "fixed_target": [0.5, 0.5]}},
+                   {"ascent": {"method": "ega", "alpha": 0}},
+                   {"minimax": {"minimax_epochs": 0}}):
+        validate_config({**base, "ascent": {"method": "ega", "alpha": 800}, **frozen})
+
+
+@pytest.mark.parametrize("experiment", ["train", "ablate"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_presets_pass_the_alpha_rule(preset, experiment):
+    validate_config({"preset": preset, "experiment": experiment})
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))

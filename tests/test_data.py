@@ -10,9 +10,10 @@ from minimaxclf.data import (
     make_imbalance_counts,
     partition_dataset,
     sample_mixture,
-    save_csv_dataset,
     two_gaussians_1d,
 )
+
+from helpers import save_csv_dataset
 
 
 class TestImbalanceCounts:

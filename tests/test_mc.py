@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimaxclf.mc import (
+    _GUIDE,
     McEstimate,
-    _binomial,
+    _Binomial,
     _chunks,
+    _guide_table,
     _inverted_counts,
     _threshold_tables,
     _wilson_interval,
@@ -106,8 +108,8 @@ def _assert_matches_numpy(n, p, seed, size=64):
     generator where that call leaves an identically seeded one."""
     p = np.asarray(p, dtype=np.float64)
     reference, sampled = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = reference.binomial(n, p, size=(size, p.size)).T
-    assert np.array_equal(_binomial(sampled, n, p, _threshold_tables(n, p), size), expected)
+    expected = reference.binomial(n, p, size=(size, p.size))
+    assert np.array_equal(_Binomial(n, p)(sampled, np.empty((size, p.size))), expected)
     assert np.array_equal(sampled.random(5), reference.random(5))
 
 
@@ -172,18 +174,96 @@ class TestSampler:
         expected = [count(u, inner) for u in uniforms]
         if flipped:
             expected = [n - x for x in expected]
-        assert _inverted_counts(uniforms[None], n, table)[0].tolist() == expected
+        counts = _inverted_counts(uniforms[:, None], n, table, _guide_table(n, table))
+        assert counts[:, 0].tolist() == expected
 
     def test_rejected_uniform_replays_numpy(self):
         # a truncated table makes every uniform past its first step one that
         # numpy would reject, so the chunk must come from Generator.binomial
         n, p = 8, np.array([0.3, 0.7, 0.1])
-        tables = _threshold_tables(n, p)
-        tables[1] = (tables[1][0][:2], tables[1][1])
+        binomial = _Binomial(n, p)
+        binomial.tables[1] = (binomial.tables[1][0][:2], binomial.tables[1][1])
+        binomial.guide = _guide_table(n, binomial.tables)
         reference, sampled = np.random.default_rng(3), np.random.default_rng(3)
-        expected = reference.binomial(n, p, size=(512, 3)).T
-        assert np.array_equal(_binomial(sampled, n, p, tables, 512), expected)
+        expected = reference.binomial(n, p, size=(512, 3))
+        assert np.array_equal(binomial(sampled, np.empty((512, 3))), expected)
         assert np.array_equal(sampled.random(5), reference.random(5))
+
+
+_GRID = 2**53  # uniforms and thresholds are k / _GRID for integers k
+_BUCKET = _GRID // _GUIDE  # grid points per guide bucket
+
+
+@st.composite
+def _threshold_vector(draw):
+    """A sorted threshold vector, as grid integers, whose last entry is the
+    rejection threshold: steps anywhere, on a bucket edge, one grid point
+    below one, packed into the last bucket, and repeated; the rejection at
+    1.0, which no uniform reaches, or below it."""
+    point = st.one_of(
+        st.integers(1, _GRID - 1),
+        st.integers(1, _GUIDE - 1).map(lambda e: e * _BUCKET),
+        st.integers(1, _GUIDE).map(lambda e: e * _BUCKET - 1),
+        st.integers(_GRID - _BUCKET, _GRID - 1),
+    )
+    steps = draw(st.lists(point, max_size=12))
+    if steps and draw(st.booleans()):
+        steps.append(steps[0])
+    return sorted(steps + [draw(st.one_of(st.just(_GRID), point))])
+
+
+def _grid_searchsorted(grid_thresholds, grid_uniforms):
+    return np.searchsorted(np.array(grid_thresholds), grid_uniforms, "right")
+
+
+class TestGuideTable:
+    """The guide lookup reads what a ``searchsorted`` of the thresholds reads,
+    and holds the sentinel exactly where a bucket needs that search."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vectors=st.lists(_threshold_vector(), min_size=1, max_size=64),
+        flips=st.lists(st.booleans(), min_size=64, max_size=64),
+    )
+    def test_lookup_matches_searchsorted(self, vectors, flips):
+        n = 20  # at least every vector's length less one, as for a real table
+        tables = [(np.array(v) / _GRID, f) for v, f in zip(vectors, flips)]
+        guide = _guide_table(n, tables).reshape(len(tables), _GUIDE)
+        edges = np.arange(_GUIDE + 1, dtype=np.int64) * _BUCKET
+        first, last = edges[:-1], edges[1:] - 1  # each bucket's first and last uniform
+        accepted, rejected = [], []
+        for c, ((_, flipped), grid) in enumerate(zip(tables, vectors)):
+            # the sentinel: a step strictly inside the bucket, or its last
+            # uniform at or past the rejection threshold
+            count = _grid_searchsorted(grid, first)
+            sentinel = (_grid_searchsorted(grid, last) > count) | (grid[-1] <= last)
+            assert np.array_equal(guide[c] == -1, sentinel), c
+            want = n - count if flipped else count
+            assert np.array_equal(guide[c][~sentinel], want[~sentinel]), c
+            # uniforms on and one grid point below every step and bucket edge
+            u = np.unique(np.concatenate([grid, np.array(grid) - 1, edges, edges - 1]))
+            u = u[(u >= 0) & (u < _GRID)]
+            x = _grid_searchsorted(grid, u)
+            accepted.append((u[x < len(grid)], x[x < len(grid)]))
+            rejected.append(u[x == len(grid)])
+        # every accepted uniform, each class in its own column padded with
+        # u = 0, which reads 0
+        rows = max(u.size for u, _ in accepted)
+        uniforms = np.zeros((rows, len(tables)))
+        expected = np.zeros((rows, len(tables)), dtype=np.int64)
+        for c, ((u, x), (_, flipped)) in enumerate(zip(accepted, tables)):
+            uniforms[: u.size, c] = u / _GRID
+            expected[: u.size, c] = x
+            if flipped:
+                expected[:, c] = n - expected[:, c]
+        assert np.array_equal(_inverted_counts(uniforms, n, tables, guide.ravel()), expected)
+        # and a rejected uniform makes its chunk a rejection: the two smallest
+        # and the two largest of each class
+        for c, u in enumerate(rejected):
+            for value in np.unique(np.concatenate([u[:2], u[-2:]])):
+                chunk = np.zeros((2, len(tables)))
+                chunk[1, c] = value / _GRID
+                assert _inverted_counts(chunk, n, tables, guide.ravel()) is None, (c, value)
 
 
 def _reference_failure(error_vector, m_worst, n_samples, trials, master_seed):
