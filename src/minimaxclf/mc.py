@@ -10,30 +10,26 @@ drawn from the same stream, so every artifact is the one that call gives.
 numpy draws a count by inversion (sequential search; Devroye, Non-Uniform
 Random Variate Generation, 1986, ch. X) while N * min(p, 1 - p) <= 30: it
 subtracts the point masses of 0, 1, 2, ... from one uniform until the next
-mass exceeds what is left, and draws again past a bound it sets. The count
-is then a step function of that uniform. Once per call, each class gets a
-table of the uniforms at which the count steps, found by bisection over the
-2**53 values ``next_double`` returns with numpy's recurrence replayed in
-Python floats. A guide table over the uniform (indexed search; Chen and
-Asau, 1974; Devroye 1986, ch. III.3) then splits [0, 1) into 2**12 buckets
-per class and stores the count of every bucket that holds no step: a chunk
-reads a count with one gather at ``floor(u * 2**12) + class * 2**12``, the
-class offset added as an integer. A bucket with a step inside it, or one that
-reaches numpy's rejection, holds a sentinel, and its uniforms are read with
-a ``searchsorted`` of the class's thresholds; that is where a uniform that
-numpy would reject and draw again is found. A chunk with such a uniform, and
-a whole call with a class that numpy does not draw by inversion from one
-uniform (p = 0, which draws no uniform, and N * min(p, 1 - p) > 30, drawn by
-BTPE), fall back to ``Generator.binomial`` itself. The tables replay numpy's
-algorithm and the platform's ``exp`` and ``log``; the module tests pin the
-counts to ``Generator.binomial``, bit for bit.
+mass exceeds what is left, and draws again past a bound it sets. ``_replay``
+runs that loop on arrays of uniforms; it is the one model of the sampler.
+Each step, a comparison and then a rounded subtraction, is monotone in the
+uniform. So a guide table over the uniform (indexed search; Chen and Asau,
+1974; Devroye 1986, ch. III.3), 2**12 buckets per class, replays only each
+bucket's first and last uniform: a bucket whose ends reach the same count
+holds that count throughout, and one whose ends differ or reach numpy's
+rejection holds a sentinel. A chunk reads each count with one gather and
+replays the uniforms that hit a sentinel, every class at once; a uniform
+that numpy would reject is found there. Such a chunk, and a whole call with
+a class that numpy does not invert from one uniform (p = 0 draws none, and
+N * min(p, 1 - p) > 30 is BTPE), fall back to ``Generator.binomial``. The
+masses replay numpy's recurrence and the platform's ``exp`` and ``log``;
+the module tests pin the counts to ``Generator.binomial``, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +37,6 @@ _CHUNK = 1 << 14
 MIN_TRIALS = 10_000
 _Z95 = 1.959963984540054  # the z of a two-sided 95% normal interval
 _INVERSION_MAX = 30.0  # numpy inverts while N * min(p, 1 - p) is at most this
-_ULP = 2.0**-53  # next_double returns k * 2**-53 for an integer k < 2**53
 _GUIDE = 1 << 12  # buckets per class of the guide table over the uniform
 
 
@@ -100,106 +95,64 @@ def _inversion_masses(n: int, p: float) -> list:
     return px
 
 
-def _threshold_tables(n: int, p: np.ndarray) -> Optional[list]:
-    """Per class, ``(thresholds, flipped)``: entry X - 1 of ``thresholds``
-    is the least uniform from which numpy's chain reaches the count X, and
-    the last entry is the least one that numpy rejects. numpy draws the
-    count of a class with p > 1/2 as N minus a draw at 1 - p (``flipped``).
-    None when some class is not drawn by inversion from one uniform."""
-    flipped = p > 0.5
-    inner = np.where(flipped, 1.0 - p, p)
-    if np.any(p == 0) or np.any(inner * n > _INVERSION_MAX):
-        return None
-    masses = [_inversion_masses(n, float(v)) for v in inner]
-    # one bisection per (class, X) at once: column X - 1 of a class holds the
-    # masses its chain must pass to reach X, padded with -inf, which passes
-    width = max(map(len, masses))
-    chains = np.array(
-        [m[:x] + [-math.inf] * (width - x) for m in masses for x in range(1, len(m) + 1)]
-    ).T
-    lo = np.zeros(chains.shape[1], dtype=np.int64)  # 0 passes no mass, as px_0 > 0
-    hi = np.full_like(lo, 1 << 53)  # the threshold 1 is never reached
-    for _ in range(53):
-        mid = (lo + hi) >> 1
-        u = mid * _ULP
-        passes = np.ones(mid.shape, dtype=bool)
-        for px in chains:  # numpy's loop: compare, then subtract
-            passes &= u > px
-            u = u - px
-        hi = np.where(passes, mid, hi)
-        lo = np.where(passes, lo, mid)
-    splits = np.cumsum([len(m) for m in masses])[:-1]
-    return list(zip(np.split(hi * _ULP, splits), flipped))
-
-
-def _guide_table(n: int, tables: list) -> np.ndarray:
-    """The flat (K * _GUIDE) guide over the uniform. Entry ``class * _GUIDE +
-    b`` holds the count of that class for every uniform in
-    [b, b + 1) / _GUIDE, the flip applied, or -1 where a step lies strictly
-    inside the bucket or the bucket reaches the rejection threshold. The
-    thresholds are multiples of 2**-53, as the uniforms are, so the last
-    uniform of a bucket counts the thresholds strictly below its right edge."""
-    edges = np.arange(_GUIDE + 1) / _GUIDE
-    guide = np.empty((len(tables), _GUIDE), dtype=np.intp)
-    for row, (thresholds, flipped) in zip(guide, tables):
-        first = np.searchsorted(thresholds, edges[:-1], "right")
-        last = np.searchsorted(thresholds, edges[1:], "left")
-        row[:] = np.where(
-            (first != last) | (last == thresholds.size), -1, n - first if flipped else first
-        )
-    return guide.ravel()
-
-
-def _inverted_counts(
-    uniforms: np.ndarray, n: int, tables: list, guide: np.ndarray, out=None
-) -> Optional[np.ndarray]:
-    """Counts from the (trials, K) uniforms: one guide entry each, and a
-    ``searchsorted`` of the class's thresholds where the entry is -1. None
-    when numpy would reject one of the uniforms. ``out`` is an optional intp
-    buffer of the uniforms' shape."""
-    counts = np.empty(uniforms.shape, dtype=np.intp) if out is None else out
-    # u * _GUIDE is exact, as u = k * 2**-53 and _GUIDE is a power of two; the
-    # class offsets are added as integers, since a float sum can round up
-    # across a bucket edge
-    np.multiply(uniforms, _GUIDE, out=counts, casting="unsafe")
-    counts += np.arange(0, guide.size, _GUIDE)
-    # take reads each index before it writes that place, so the counts can
-    # overwrite the bucket indices; every index is in range
-    guide.take(counts, out=counts, mode="clip")
-    misses = np.flatnonzero(counts < 0)
-    classes = misses % len(tables)
-    for c in np.unique(classes):
-        at = misses[classes == c]
-        thresholds, flipped = tables[c]
-        x = np.searchsorted(thresholds, uniforms.flat[at], "right")
-        if x.max() == thresholds.size:
-            return None
-        counts.flat[at] = n - x if flipped else x
-    return counts
+def _replay(u: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """numpy's inversion loop on many uniforms at once: the count each one
+    reaches, or its chain's length where numpy draws again. The last axis of
+    ``masses`` is the chain, padded with +inf; the others broadcast with ``u``."""
+    alive = np.ones(np.broadcast_shapes(u.shape, masses.shape[:-1]), dtype=bool)
+    count = np.zeros(alive.shape, dtype=np.intp)
+    for px in np.moveaxis(masses, -1, 0):  # numpy's loop: compare, then subtract
+        alive &= u > px
+        if not alive.any():
+            break
+        count += alive
+        u = u - px
+    return count
 
 
 class _Binomial:
     """``rng.binomial(n, p, size=(size, K))`` for the chunks of one call, with
-    ``rng`` left where that call leaves it. The tables are built once, and
-    the counts of every chunk go to one buffer."""
+    ``rng`` left where that call leaves it. The guide is built once, and the
+    counts of every chunk go to one buffer."""
 
     def __init__(self, n: int, p: np.ndarray):
         self.n, self.p = n, p
-        self.tables = _threshold_tables(n, p)
-        if self.tables is not None:
-            self.guide = _guide_table(n, self.tables)
-            self.counts = _buffer(p.size, np.intp)
+        # numpy draws the count of a class with p > 1/2 as N minus a draw at 1 - p
+        self.flipped = p > 0.5
+        inner = np.where(self.flipped, 1.0 - p, p)
+        self.masses = None
+        if np.any(p == 0) or np.any(inner * n > _INVERSION_MAX):
+            return  # some class is not drawn by inversion from one uniform
+        chains = [_inversion_masses(n, float(v)) for v in inner]
+        self.lengths = np.array([len(c) for c in chains])
+        self.masses = np.array([c + [np.inf] * (max(self.lengths) - len(c)) for c in chains])
+        # each bucket's first uniform b / _GUIDE, then its last, 2**-53 below the next
+        first = np.arange(_GUIDE) / _GUIDE
+        ends = _replay(np.r_[first, first + (1 / _GUIDE - 2.0**-53)], self.masses[:, None, :])
+        first, last = ends[:, :_GUIDE], ends[:, _GUIDE:]
+        count = np.where(self.flipped[:, None], n - first, first)
+        self.guide = np.where((first != last) | (last == self.lengths[:, None]), -1, count).ravel()
+        self.counts = _buffer(p.size, np.intp)
 
     def __call__(self, rng: np.random.Generator, uniforms: np.ndarray) -> np.ndarray:
         """The counts of one chunk, whose (size, K) uniforms are drawn into
         the buffer ``uniforms``; they are spent once this returns."""
-        if self.tables is not None:
-            size = len(uniforms)
+        if self.masses is not None:
             state = rng.bit_generator.state
-            counts = _inverted_counts(
-                rng.random(out=uniforms), self.n, self.tables, self.guide, self.counts[:size]
-            )
-            if counts is not None:
+            u = rng.random(out=uniforms)
+            counts = self.counts[: len(u)]
+            # u * _GUIDE is exact, as u = k * 2**-53; the class offsets are added
+            # as integers, since a float sum can round up across a bucket edge
+            np.multiply(u, _GUIDE, out=counts, casting="unsafe")
+            counts += np.arange(0, self.guide.size, _GUIDE)
+            # take reads each index before it writes that place, so the counts
+            # can overwrite the bucket indices; every index is in range
+            self.guide.take(counts, out=counts, mode="clip")
+            misses = np.flatnonzero(counts < 0)
+            classes = misses % self.p.size
+            x = _replay(u.flat[misses], self.masses[classes])
+            if not np.any(x == self.lengths[classes]):
+                counts.flat[misses] = np.where(self.flipped[classes], self.n - x, x)
                 return counts
             rng.bit_generator.state = state  # numpy draws again: replay its own call
         return rng.binomial(self.n, self.p, size=uniforms.shape)

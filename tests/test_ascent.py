@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minimaxclf.ascent import (
@@ -206,6 +206,7 @@ def test_accepted_alpha_keeps_prior_normal(method, exponents, steps, fraction, m
     prior = Prior(w / w.sum())
     k = prior.class_count
     alpha = fraction * max_ascent_alpha(method, float(prior.p.min()), steps)
+    assume(alpha > 0)  # alpha 0 runs no ascent, and a tiny fraction can underflow to it
     state = AscentState(prior, method, alpha, m_worst=min(m_worst, k))
     for t in range(steps):
         if adversarial:

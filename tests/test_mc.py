@@ -1,18 +1,21 @@
+import functools
 import math
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minimaxclf import mc
 from minimaxclf.mc import (
     _GUIDE,
     McEstimate,
     _Binomial,
     _chunks,
-    _guide_table,
-    _inverted_counts,
-    _threshold_tables,
+    _inversion_masses,
+    _replay,
     _wilson_interval,
     mc_ega_mse,
     mc_worst_class_failure,
@@ -113,6 +116,57 @@ def _assert_matches_numpy(n, p, seed, size=64):
     assert np.array_equal(sampled.random(5), reference.random(5))
 
 
+def _numpy_loop(u, masses):
+    """A scalar copy of numpy's random_binomial_inversion for one uniform over
+    the chain px_0 ... px_bound; None where numpy would draw again."""
+    x, px, bound = 0, masses[0], len(masses) - 1
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = masses[x]
+    return x
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` gives fixed uniforms and whose
+    ``binomial``, the sampler's fallback on a rejected uniform, gives None."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+        self.bit_generator = types.SimpleNamespace(state=None)
+
+    def random(self, out):
+        out[...] = self.uniforms
+        return out
+
+    def binomial(self, n, p, size):
+        return None
+
+
+def _lookup(binomial, uniforms):
+    """The sampler's counts of one chunk of (trials, K) uniforms, or None
+    where it falls back to numpy."""
+    return binomial(_FixedUniforms(uniforms), np.empty(uniforms.shape))
+
+
+_ULP = 2.0**-53  # uniforms are k * 2**-53 for integers k < 2**53
+_EDGES = np.arange(_GUIDE + 1) / _GUIDE  # bucket edges, 1.0 included
+_LAST = _EDGES[1:] - _ULP  # each bucket's last uniform
+
+
+@functools.lru_cache(maxsize=1024)
+def _numpy_reads(masses):
+    """numpy's loop over the chain ``masses``, a tuple, at every bucket edge,
+    the grid point below it, and within 4 grid points of every partial sum
+    of the masses, where the count steps; a dict from uniform to count.
+    Cached, as shrinking a failing example keeps most of its chains."""
+    sums = np.round(np.cumsum(masses) / _ULP)[:, None] + np.arange(-4, 5)
+    u = np.unique(np.concatenate([sums.ravel() * _ULP, _EDGES, _LAST]))
+    return {v: _numpy_loop(v, masses) for v in u[(u >= 0) & (u < 1)].tolist()}
+
+
 class TestSampler:
     """The counts are numpy's, bit for bit, and so is the stream after them."""
 
@@ -137,133 +191,90 @@ class TestSampler:
         ids=["np-30", "flipped-and-edges", "btpe", "p-zero"],
     )
     def test_path_and_stream(self, n, p, inverted):
-        assert (_threshold_tables(n, np.array(p)) is not None) == inverted
+        assert (_Binomial(n, np.array(p)).masses is not None) == inverted
         for seed in (0, 1):
             _assert_matches_numpy(n, p, seed, size=4096)
 
     @pytest.mark.parametrize("n, p", [(2, 0.5), (16, 0.06), (64, 0.33), (64, 0.96), (200, 0.1)])
     def test_thresholds_are_the_steps_of_numpy_loop(self, n, p):
-        # a scalar copy of numpy's random_binomial_inversion for one uniform,
-        # returning None where it would draw again
-        def count(u, p):
-            q = 1.0 - p
-            mean = n * p
-            bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-            x, px = 0, math.exp(n * math.log(q))
-            while u > px:
-                x += 1
-                if x > bound:
-                    return None
-                u -= px
-                px = ((n - x + 1) * p * px) / (x * q)
-            return x
-
-        table = _threshold_tables(n, np.array([p]))
-        ((thresholds, flipped),) = table
-        inner = 1.0 - p if flipped else p
-        last = thresholds.size
-        for x, t in enumerate(thresholds, start=1):
-            if t < 1.0:  # from t on, the loop reaches x or draws again
-                reached = count(t, inner)
-                assert reached is None if x == last else reached is None or reached >= x
-            below = count(t - 2.0**-53, inner)
-            assert below is not None and below < x
-        # and the sampler reads the count of a uniform on and just below a step
-        steps = thresholds[thresholds < thresholds[-1]]
-        uniforms = np.concatenate([steps, steps - 2.0**-53])
-        expected = [count(u, inner) for u in uniforms]
-        if flipped:
-            expected = [n - x for x in expected]
-        counts = _inverted_counts(uniforms[:, None], n, table, _guide_table(n, table))
-        assert counts[:, 0].tolist() == expected
+        # the replay steps from one count to the next, or to a rejection, at
+        # the uniforms where numpy's loop does: those near every partial sum
+        # of the masses, and every bucket edge and the grid point below it
+        masses = _inversion_masses(n, min(p, 1.0 - p))
+        reads = _numpy_reads(tuple(masses))
+        expected = [len(masses) if x is None else x for x in reads.values()]
+        assert _replay(np.array(list(reads)), np.array(masses)).tolist() == expected
 
     def test_rejected_uniform_replays_numpy(self):
-        # a truncated table makes every uniform past its first step one that
+        # a truncated chain makes every uniform past its second mass one that
         # numpy would reject, so the chunk must come from Generator.binomial
         n, p = 8, np.array([0.3, 0.7, 0.1])
-        binomial = _Binomial(n, p)
-        binomial.tables[1] = (binomial.tables[1][0][:2], binomial.tables[1][1])
-        binomial.guide = _guide_table(n, binomial.tables)
+        chains = [_inversion_masses(n, q) for q in (0.3, 1.0 - 0.7, 0.1)]
+        chains[1] = chains[1][:2]
+        with mock.patch.object(mc, "_inversion_masses", side_effect=chains):
+            binomial = _Binomial(n, p)
         reference, sampled = np.random.default_rng(3), np.random.default_rng(3)
         expected = reference.binomial(n, p, size=(512, 3))
         assert np.array_equal(binomial(sampled, np.empty((512, 3))), expected)
         assert np.array_equal(sampled.random(5), reference.random(5))
 
 
-_GRID = 2**53  # uniforms and thresholds are k / _GRID for integers k
-_BUCKET = _GRID // _GUIDE  # grid points per guide bucket
-
-
-@st.composite
-def _threshold_vector(draw):
-    """A sorted threshold vector, as grid integers, whose last entry is the
-    rejection threshold: steps anywhere, on a bucket edge, one grid point
-    below one, packed into the last bucket, and repeated; the rejection at
-    1.0, which no uniform reaches, or below it."""
-    point = st.one_of(
-        st.integers(1, _GRID - 1),
-        st.integers(1, _GUIDE - 1).map(lambda e: e * _BUCKET),
-        st.integers(1, _GUIDE).map(lambda e: e * _BUCKET - 1),
-        st.integers(_GRID - _BUCKET, _GRID - 1),
-    )
-    steps = draw(st.lists(point, max_size=12))
-    if steps and draw(st.booleans()):
-        steps.append(steps[0])
-    return sorted(steps + [draw(st.one_of(st.just(_GRID), point))])
-
-
-def _grid_searchsorted(grid_thresholds, grid_uniforms):
-    return np.searchsorted(np.array(grid_thresholds), grid_uniforms, "right")
+# masses of a drawn chain: anywhere in [0, 1], multiples of 2**-12 whose steps
+# land on bucket edges, tiny ones that pack steps into one bucket, and heads
+# that leave less than a bucket below 1, so that what follows falls in the last
+_MASS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(1, _GUIDE).map(lambda e: e / _GUIDE),
+    st.integers(1, 2**30).map(lambda k: k * _ULP),
+    st.integers(1, 2**41).map(lambda k: 1.0 - k * _ULP),
+)
 
 
 class TestGuideTable:
-    """The guide lookup reads what a ``searchsorted`` of the thresholds reads,
-    and holds the sentinel exactly where a bucket needs that search."""
+    """With any chains of masses in place of numpy's, the chunk lookup reads
+    what numpy's loop reads, and the guide holds the sentinel exactly where a
+    bucket's two ends differ or reach numpy's rejection."""
 
-    @settings(max_examples=100, deadline=None)
+    N = 20  # the flip reads N - count; every drawn chain is shorter
+
+    @settings(max_examples=60, deadline=None)
     @given(
-        vectors=st.lists(_threshold_vector(), min_size=1, max_size=64),
+        chains=st.lists(st.lists(_MASS, min_size=1, max_size=12), min_size=1, max_size=64),
         flips=st.lists(st.booleans(), min_size=64, max_size=64),
     )
-    def test_lookup_matches_searchsorted(self, vectors, flips):
-        n = 20  # at least every vector's length less one, as for a real table
-        tables = [(np.array(v) / _GRID, f) for v, f in zip(vectors, flips)]
-        guide = _guide_table(n, tables).reshape(len(tables), _GUIDE)
-        edges = np.arange(_GUIDE + 1, dtype=np.int64) * _BUCKET
-        first, last = edges[:-1], edges[1:] - 1  # each bucket's first and last uniform
+    def test_lookup_matches_numpy_loop(self, chains, flips):
+        k = len(chains)
+        flipped = np.array(flips[:k])
+        with mock.patch.object(mc, "_inversion_masses", side_effect=chains):
+            binomial = _Binomial(self.N, np.where(flipped, 0.75, 0.25))
+        guide = binomial.guide.reshape(k, _GUIDE)
+
+        def flip(c, x):
+            return self.N - x if flipped[c] else x
+
         accepted, rejected = [], []
-        for c, ((_, flipped), grid) in enumerate(zip(tables, vectors)):
-            # the sentinel: a step strictly inside the bucket, or its last
-            # uniform at or past the rejection threshold
-            count = _grid_searchsorted(grid, first)
-            sentinel = (_grid_searchsorted(grid, last) > count) | (grid[-1] <= last)
-            assert np.array_equal(guide[c] == -1, sentinel), c
-            want = n - count if flipped else count
-            assert np.array_equal(guide[c][~sentinel], want[~sentinel]), c
-            # uniforms on and one grid point below every step and bucket edge
-            u = np.unique(np.concatenate([grid, np.array(grid) - 1, edges, edges - 1]))
-            u = u[(u >= 0) & (u < _GRID)]
-            x = _grid_searchsorted(grid, u)
-            accepted.append((u[x < len(grid)], x[x < len(grid)]))
-            rejected.append(u[x == len(grid)])
+        for c, masses in enumerate(chains):
+            reads = _numpy_reads(tuple(masses))
+            first = [reads[u] for u in _EDGES[:-1].tolist()]
+            last = [reads[u] for u in _LAST.tolist()]
+            sentinel = [a != b or b is None for a, b in zip(first, last)]
+            assert (guide[c] == -1).tolist() == sentinel, c
+            assert all(g == flip(c, a) for g, a, s in zip(guide[c], first, sentinel) if not s)
+            accepted.append([(u, flip(c, x)) for u, x in reads.items() if x is not None])
+            rejected.append([u for u, x in reads.items() if x is None])
         # every accepted uniform, each class in its own column padded with
-        # u = 0, which reads 0
-        rows = max(u.size for u, _ in accepted)
-        uniforms = np.zeros((rows, len(tables)))
-        expected = np.zeros((rows, len(tables)), dtype=np.int64)
-        for c, ((u, x), (_, flipped)) in enumerate(zip(accepted, tables)):
-            uniforms[: u.size, c] = u / _GRID
-            expected[: u.size, c] = x
-            if flipped:
-                expected[:, c] = n - expected[:, c]
-        assert np.array_equal(_inverted_counts(uniforms, n, tables, guide.ravel()), expected)
-        # and a rejected uniform makes its chunk a rejection: the two smallest
+        # its first, so that each column is read where numpy reads it
+        rows = max(map(len, accepted))
+        uniforms = np.array([[v for v, _ in a] + [a[0][0]] * (rows - len(a)) for a in accepted]).T
+        expected = np.array([[x for _, x in a] + [a[0][1]] * (rows - len(a)) for a in accepted]).T
+        assert np.array_equal(_lookup(binomial, uniforms), expected)
+        # and a rejected uniform makes its chunk fall back: the two smallest
         # and the two largest of each class
         for c, u in enumerate(rejected):
-            for value in np.unique(np.concatenate([u[:2], u[-2:]])):
-                chunk = np.zeros((2, len(tables)))
-                chunk[1, c] = value / _GRID
-                assert _inverted_counts(chunk, n, tables, guide.ravel()) is None, (c, value)
+            for value in set(u[:2] + u[-2:]):
+                chunk = np.zeros((2, k))
+                chunk[1, c] = value
+                assert _lookup(binomial, chunk) is None, (c, value)
 
 
 def _reference_failure(error_vector, m_worst, n_samples, trials, master_seed):
