@@ -39,7 +39,7 @@ from .minimax import AscentConfig, MinimaxConfig, RunReport, run_minimax, swap_c
 from .model import TrainConfig, extract_features, save_checkpoint
 from .oracle import adversarial_prior_search
 from .reports import fmt, write_csv, write_json, write_run
-from .theory import ega_estimate_mse, prob_find_worst
+from .theory import ega_estimate_mse, product_form_ranks
 
 
 def build_data(config: dict) -> tuple:
@@ -230,22 +230,19 @@ def run_ablate(config: dict, out_dir: Path) -> None:
     write_csv(out_dir / "comparison.csv", ["loss", "ascent", *median_names], median_rows)
 
 
-def _exact_curve_point(error_vector, m: int, n: int, p_mse: float) -> tuple:
-    """The analytic values at sample size N: the product-form failure
-    1 - prob_find_worst, and the MSE of the exponentiated estimate of p_mse."""
-    return 1.0 - prob_find_worst(error_vector, m, n), ega_estimate_mse(p_mse, n)
+def _exact_curve_point(error_vector, m: int, n: int) -> tuple:
+    """The analytic values at sample size N, which both curve experiments
+    write: the product-form failure, summed over the worst class's ranks past
+    M, and the MSE of the exponentiated estimate of the largest error."""
+    failure = float(product_form_ranks(error_vector, n)[m:].sum())
+    return failure, ega_estimate_mse(float(max(error_vector)), n)
 
 
 def run_theory(config: dict, out_dir: Path) -> None:
     t_cfg = config["theory"]
-    vec = t_cfg["error_vector"]
-    p_mse = t_cfg["mse_probability"]
-    if p_mse is None:
-        p_mse = float(max(vec))
-    failure_rows = []
-    mse_rows = []
+    failure_rows, mse_rows = [], []
     for n in t_cfg["sample_sizes"]:
-        failure, mse = _exact_curve_point(vec, t_cfg["m_worst"], n, p_mse)
+        failure, mse = _exact_curve_point(t_cfg["error_vector"], t_cfg["m_worst"], n)
         failure_rows.append([n, failure])
         mse_rows.append([n, mse])
     write_csv(out_dir / "failure_bound.csv", ["N", "value"], failure_rows)
@@ -256,10 +253,9 @@ def _curve_point(task: tuple) -> tuple:
     """The ``failure_curve.csv`` and ``mse_curve.csv`` rows at one sample
     size N, from ``(error_vector, m_worst, N, trials, master_seed)``."""
     error_vector, m, n, trials, seed = task
-    p_worst = float(max(error_vector))
-    failure, mse = _exact_curve_point(error_vector, m, n, p_worst)
+    failure, mse = _exact_curve_point(error_vector, m, n)
     est = mc_worst_class_failure(error_vector, m, n, trials, seed)
-    mse_est = mc_ega_mse(p_worst, n, trials, seed)
+    mse_est = mc_ega_mse(float(max(error_vector)), n, trials, seed)
     return (
         [n, failure, est.value, est.ci_low, est.ci_high],
         [n, mse, mse_est.value, mse_est.ci_low, mse_est.ci_high],

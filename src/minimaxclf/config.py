@@ -188,7 +188,7 @@ SCHEMA = {
     # one cell directory per seed, and at least one run for the medians
     "ablate": {"seeds": ([0, 1, 2, 3, 4], _list(_SEED, 1, distinct=True))},
     "mc": {**_CURVE, "trials": (100_000, _int(MIN_TRIALS)), "master_seed": (0, _SEED)},
-    "theory": {**_CURVE, "mse_probability": (None, _nullable(_number("[0, 1]")))},
+    "theory": _CURVE,
     "oracle": {
         "method": ("auto", _one_of("auto", "grid", "ascent")),
         "resolution": (1e-3, _number("(0, 0.5]")),

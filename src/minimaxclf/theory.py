@@ -4,8 +4,10 @@ the MSE of the exponentiated risk estimate, and the per-class summands of the
 prior-dependent generalization bound.
 
 Binomial masses are evaluated in log space via log-gamma so sample sizes up
-to 10^4 stay stable. Both ranking probabilities come from one
-Poisson-binomial recursion over the other classes (:func:`_rank_table`).
+to 10^4 stay stable. Every ranking probability reads one table of each
+class's masses and upper tails, and both worst-class probabilities run one
+Poisson-binomial recursion (:func:`_rank_table`). The product form's failure
+is its own tail: the ranks past M, summed, not one minus the success.
 """
 
 from __future__ import annotations
@@ -38,41 +40,37 @@ def binomial_pmf(n_trials: int, p: float) -> np.ndarray:
     return np.exp(log_comb + k * log(p) + (n_trials - k) * log1p(-p))
 
 
-def prob_greater(p_y: float, p_y2: float, n_samples: int) -> float:
-    """Pr[Phat_y > Phat_y'] for independent N-sample estimates.
+def _binomial_tails(p, n_samples: int) -> tuple:
+    """(pmf, tail) of shape (len(p), N + 1): pmf[j, c] is Bin(c; N, p[j])
+    and tail[j, c] = P(count_j > c), each tail summed from its top count."""
+    pmf = np.array([binomial_pmf(n_samples, q) for q in p])
+    tail = np.zeros_like(pmf)
+    tail[:, :-1] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
+    return pmf, tail
 
-    Evaluated as sum_{i=0}^{N-1} sum_{n=1}^{N-i} Bin(i+n) Bin'(i): the second
-    estimate lands at i/N and the first strictly above it.
-    """
-    pmf_y = binomial_pmf(n_samples, p_y)
-    pmf_y2 = binomial_pmf(n_samples, p_y2)
-    total = 0.0
-    for i in range(n_samples):
-        total += pmf_y2[i] * pmf_y[i + 1 :].sum()
-    return float(total)
+
+def prob_greater(p_y: float, p_y2: float, n_samples: int) -> float:
+    """Pr[Phat_y > Phat_y'] for independent N-sample estimates:
+    sum_c Bin'(c) P(count_y > c)."""
+    pmf, tail = _binomial_tails([p_y, p_y2], n_samples)
+    return float(pmf[1] @ tail[0])
 
 
 def prob_leq(p_y: float, p_y2: float, n_samples: int) -> float:
     """Pr[Phat_y <= Phat_y'], summed independently of :func:`prob_greater`:
-    sum_{n=0}^{N} sum_{i=0}^{N-n} Bin(n) Bin'(n+i)."""
-    pmf_y = binomial_pmf(n_samples, p_y)
-    pmf_y2 = binomial_pmf(n_samples, p_y2)
-    total = 0.0
-    for n in range(n_samples + 1):
-        total += pmf_y[n] * pmf_y2[n:].sum()
-    return float(total)
+    sum_c Bin(c) P(count_y' >= c)."""
+    pmf, tail = _binomial_tails([p_y, p_y2], n_samples)
+    return float(pmf[0] @ (pmf[1] + tail[1]))
 
 
-def _check_error_vector(error_vector, m_worst: int) -> np.ndarray:
-    """The error vector as a float array, in its given order."""
+def _check_error_vector(error_vector) -> np.ndarray:
+    """The error vector as a float array, sorted worst first."""
     p = np.asarray(error_vector, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("error vector must be 1-d with at least 2 classes")
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
         raise ValueError("error probabilities must lie in [0, 1]")
-    if not (1 <= m_worst <= p.size):
-        raise ValueError(f"m_worst must be in [1, {p.size}]")
-    return p
+    return np.sort(p)[::-1]
 
 
 def _rank_table(up, tied, below) -> np.ndarray:
@@ -91,18 +89,26 @@ def _rank_table(up, tied, below) -> np.ndarray:
     return dp
 
 
+def product_form_ranks(error_vector, n_samples: int) -> np.ndarray:
+    """Product-form distribution of the true worst class's rank: entry B is
+    the probability that B of the other classes tie or beat its estimate,
+    each with probability :func:`prob_leq`, as if the comparisons were
+    independent. The vector may come in any order."""
+    pmf, tail = _binomial_tails(_check_error_vector(error_vector), n_samples)
+    greater = pmf[1:] @ tail[0]
+    leq = (pmf[1:] + tail[1:]) @ pmf[0]
+    return _rank_table(leq, np.zeros_like(leq), greater)[:, 0]
+
+
 def prob_find_worst(error_vector, m_worst: int, n_samples: int) -> float:
     """Product-form value of the probability that the true worst class lands
     in the selected M worst classes, under the tie rule that always ranks it
-    behind a tied class: each other class ties or beats the worst class's
-    estimate with probability :func:`prob_leq`, as if the comparisons were
-    independent. It is a lower bound only for M = 1 (see
-    :func:`exact_find_worst_probability`). The vector may come in any order.
-    """
-    p = np.sort(_check_error_vector(error_vector, m_worst))[::-1]
-    greater = np.array([prob_greater(p[0], q, n_samples) for q in p[1:]])
-    leq = np.array([prob_leq(p[0], q, n_samples) for q in p[1:]])
-    return float(_rank_table(leq, np.zeros_like(leq), greater)[:m_worst, 0].sum())
+    behind a tied class: the first M entries of :func:`product_form_ranks`.
+    It is a lower bound only for M = 1 (see :func:`exact_find_worst_probability`)."""
+    ranks = product_form_ranks(error_vector, n_samples)
+    if not (1 <= m_worst <= ranks.size):
+        raise ValueError(f"m_worst must be in [1, {ranks.size}]")
+    return float(ranks[:m_worst].sum())
 
 
 def exact_find_worst_probability(
@@ -113,27 +119,21 @@ def exact_find_worst_probability(
 
     Unlike :func:`prob_find_worst`, which multiplies the pairwise comparison
     probabilities as if they were independent, this accounts for their
-    coupling through the worst class's shared estimate (conditioned on that
-    count, the other classes' comparisons really are independent, so the
-    recursion over (#strictly-greater, #tied) is exact).
-    The product form understates the failure probability at large N, where
-    the coupling dominates.
+    coupling through the worst class's shared estimate: given that count,
+    the other classes' comparisons are independent, so the recursion over
+    (#strictly-greater, #tied) is exact. The product form understates the
+    failure probability at large N, where the coupling dominates.
 
     ``tie_rule``: 'fair' resolves ties by a uniform random order,
     'adversarial' always ranks the worst class behind a tied class,
     'favorable' always ranks it ahead.
     """
-    p = _check_error_vector(error_vector, m_worst)
+    pmf, tail = _binomial_tails(_check_error_vector(error_vector), n_samples)
+    k = len(pmf)
+    if not (1 <= m_worst <= k):
+        raise ValueError(f"m_worst must be in [1, {k}]")
     if tie_rule not in ("fair", "adversarial", "favorable"):
         raise ValueError(f"unknown tie rule {tie_rule!r}")
-    k = p.size
-    worst = int(np.argmax(p))
-    others = np.delete(p, worst)
-    pmf_worst = binomial_pmf(n_samples, p[worst])
-    pmf_others = np.array([binomial_pmf(n_samples, q) for q in others])
-    # above[j, c]: P(other class j counts more than c errors)
-    above = np.zeros_like(pmf_others)
-    above[:, :-1] = np.cumsum(pmf_others[:, :0:-1], axis=1)[:, ::-1]
     # share[B, T]: P(the worst class is selected | B others strictly above it, T tied)
     b, t = np.ogrid[:k, :k]
     room = m_worst - b
@@ -141,10 +141,10 @@ def exact_find_worst_probability(
              "favorable": room > 0}[tie_rule]
     total = 0.0
     for c in range(n_samples + 1):
-        if pmf_worst[c] == 0.0:
+        if pmf[0, c] == 0.0:
             continue
-        up, tied = above[:, c], pmf_others[:, c]
-        total += pmf_worst[c] * (_rank_table(up, tied, 1.0 - up - tied) * share).sum()
+        up, tied = tail[1:, c], pmf[1:, c]
+        total += pmf[0, c] * (_rank_table(up, tied, 1.0 - up - tied) * share).sum()
     return float(total)
 
 

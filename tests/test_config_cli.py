@@ -68,6 +68,9 @@ class TestValidation:
         # the Monte Carlo oracle's fields are gone, so an old config naming them exits 2
         with pytest.raises(ConfigError, match=r"unknown config field 'oracle\.mc_samples'"):
             validate_config({"oracle": {"mc_samples": 100000}})
+        # theory evaluates the MSE at the largest error, as mc does
+        with pytest.raises(ConfigError, match=r"unknown config field 'theory\.mse_probability'"):
+            validate_config({"theory": {"mse_probability": 0.5}})
 
     def test_bad_imbalance_kind(self):
         with pytest.raises(ConfigError, match=r"dataset\.imbalance\.kind"):
@@ -179,14 +182,14 @@ class TestValidation:
     @pytest.mark.parametrize(
         "preset, expected",
         [
-            (None, "58ecb41349ee09b14a4365c21bd96847281bcb36f41ec37550ac535b6ac58190"),
-            ("step10-desk", "8ed4bd40fa82f881bb39e07fbb352a3a72a1cc18dacaf25b759b2dae3fcbd629"),
-            ("lt10-desk", "9c200a357bd4ca790cbe1dd2ffad219e4326b8ff50c33b862a6dc48449d8d024"),
-            ("two-class-1d", "284927f3fdd03fa47ea79cfc788cbd87a9899aa38a816f90e2b728ff737dde83"),
+            (None, "a6215a2e57d44fe992eae79e87be42f334ac8fda3ff22061a50ffe8ce4222632"),
+            ("step10-desk", "086954bc0cedd10a2e7d83124919dda96c5dedb4a1d93cb848ee497eca89d7b9"),
+            ("lt10-desk", "df65804573e6614fd5f08882af92c5ba4eb2cbb9c63a302faabda7d93a7e9c83"),
+            ("two-class-1d", "d3aae2dc98eae76b70d74f2b8a4871f6af034037ff44b5833e192839d6353497"),
             ("three-class-oracle",
-             "5952c4dbd7028ee9af06b66a65e67ba67962691e247f7b2192369ceadadbe7fe"),
+             "df377bb20e0d6aac893077ca337d5edfcb4bd591527d59bd1359b66b817c689b"),
             ("figure-validation",
-             "11aa94917ec55d15feb440aff4b01685c3b7499283dcd223875f440573b7adce"),
+             "77a020f5e553a3cbd08fdd764da19f62341ecc11bde12bfa76e5c8d5338b98c1"),
         ],
         # named by preset, so re-pinning a hash does not rename the test
         ids=["default", "step10-desk", "lt10-desk", "two-class-1d", "three-class-oracle",
@@ -695,6 +698,19 @@ class TestCliEntry:
         )
         assert code == 0
         assert (tmp_path / "t" / "failure_bound.csv").exists()
+
+    def test_theory_and_mc_write_one_analytic_curve(self, tmp_path):
+        # both commands write the same analytic point, so its strings agree
+        assert main(["theory", "--preset", "figure-validation", "--out", str(tmp_path / "t")]) == 0
+        assert main(["mc", "--preset", "figure-validation", "--trials", "10000",
+                     "--out", str(tmp_path / "m")]) == 0
+        for theory_csv, mc_csv in (("failure_bound.csv", "failure_curve.csv"),
+                                   ("mse.csv", "mse_curve.csv")):
+            # rows of (N, value) against the (N, theory_value) columns
+            theory_rows = (tmp_path / "t" / theory_csv).read_text().splitlines()[1:]
+            mc_rows = (tmp_path / "m" / mc_csv).read_text().splitlines()[1:]
+            assert theory_rows == [",".join(row.split(",")[:2]) for row in mc_rows]
+            assert len(theory_rows) == 6  # N = 2, 4, ..., 64
 
     def test_seed_override_changes_hash(self, tmp_path):
         config_path = tmp_path / "c.json"

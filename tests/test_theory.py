@@ -18,6 +18,7 @@ from minimaxclf.theory import (
     prob_find_worst,
     prob_greater,
     prob_leq,
+    product_form_ranks,
 )
 
 # Worst-first ordering of the 10-class step-imbalance error profile used for
@@ -34,6 +35,16 @@ FIND_WORST_REFERENCE = {
     16: 0.9931920962,
     32: 0.9998055566,
     64: 0.9999995173,
+}
+
+# The product-form failure on ERROR_VECTOR with M = 3, the ranks past M summed,
+# evaluated independently with mpmath at 50 digits: the exact binomial masses
+# of the float inputs give each P(worst > other), and the rank recursion over
+# the other classes runs on those in the same arithmetic
+PRODUCT_FORM_FAILURE = {
+    16: 0.0068079038278075549,
+    32: 0.00019444335410244413,
+    64: 4.8272204765143100e-07,
 }
 
 
@@ -77,6 +88,43 @@ class TestPairwiseProbabilities:
     def test_large_n_stable(self):
         value = prob_greater(0.51, 0.5, 10_000)
         assert 0.9 < value < 1.0
+
+    def test_matches_suffix_sum_loops(self):
+        # the tail-table dot products against the O(N^2) loops they replace
+        rng = np.random.default_rng(27)
+        for n in range(1, 301):
+            pair = rng.uniform(0.0, 1.0, size=2)
+            if n % 3 == 0:  # a certain count on one side
+                pair[rng.integers(2)] = rng.choice([0.0, 1.0])
+            if n % 5 == 0:  # certain counts on both sides
+                pair = rng.choice([0.0, 1.0], size=2)
+            for p, q in (pair, pair[::-1]):
+                assert prob_greater(p, q, n) == pytest.approx(
+                    _loop_greater(p, q, n), rel=0, abs=1e-13
+                ), (p, q, n)
+                assert prob_leq(p, q, n) == pytest.approx(
+                    _loop_leq(p, q, n), rel=0, abs=1e-13
+                ), (p, q, n)
+
+
+def _loop_greater(p_y, p_y2, n_samples):
+    """Pr[Phat_y > Phat_y'] as sum_{i=0}^{N-1} Bin'(i) sum_{n>i} Bin(n)."""
+    pmf_y = binomial_pmf(n_samples, p_y)
+    pmf_y2 = binomial_pmf(n_samples, p_y2)
+    total = 0.0
+    for i in range(n_samples):
+        total += pmf_y2[i] * pmf_y[i + 1 :].sum()
+    return float(total)
+
+
+def _loop_leq(p_y, p_y2, n_samples):
+    """Pr[Phat_y <= Phat_y'] as sum_{n=0}^{N} Bin(n) sum_{i>=n} Bin'(i)."""
+    pmf_y = binomial_pmf(n_samples, p_y)
+    pmf_y2 = binomial_pmf(n_samples, p_y2)
+    total = 0.0
+    for n in range(n_samples + 1):
+        total += pmf_y[n] * pmf_y2[n:].sum()
+    return float(total)
 
 
 class TestRankProbabilities:
@@ -122,6 +170,12 @@ class TestRankProbabilities:
     def test_find_worst_frozen_grid(self):
         for n, ref in FIND_WORST_REFERENCE.items():
             assert prob_find_worst(SORTED_VECTOR, 3, n) == pytest.approx(ref, abs=1e-9)
+
+    def test_failure_frozen_to_50_digits(self):
+        # summed as its own tail, not as 1 - prob_find_worst, which misses
+        # the N = 64 value from its 6th significant digit
+        for n, ref in PRODUCT_FORM_FAILURE.items():
+            assert product_form_ranks(ERROR_VECTOR, n)[3:].sum() == pytest.approx(ref, rel=1e-9)
 
     def test_paper_claim_at_n16(self):
         # failure bound below 1% from 16 samples per class
@@ -337,12 +391,16 @@ class TestBoundTerms:
                      id="mth-range"),
         pytest.param(lambda: prob_find_worst([0.5, 0.2], 3, 4), r"m_worst must be in \[1, 2\]",
                      id="mth-m"),
+        pytest.param(lambda: prob_find_worst([np.nan, 0.5, 0.2], 1, 4),
+                     "error probabilities must lie", id="mth-nan"),
         pytest.param(lambda: exact_find_worst_probability([0.5], 1, 4), "at least 2 classes",
                      id="exact-one-class"),
         pytest.param(lambda: exact_find_worst_probability([1.5, 0.2], 1, 4),
                      "error probabilities must lie", id="exact-range"),
         pytest.param(lambda: exact_find_worst_probability([0.5, 0.2], 3, 4),
                      r"m_worst must be in \[1, 2\]", id="exact-m_worst"),
+        pytest.param(lambda: exact_find_worst_probability([np.nan, 0.5, 0.2], 1, 4),
+                     "error probabilities must lie", id="exact-nan"),
         pytest.param(lambda: ega_estimate_mse(1.5, 4), "probability must lie", id="mse-p"),
     ],
 )
