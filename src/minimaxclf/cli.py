@@ -179,7 +179,9 @@ def _pool_map(fn, tasks: list):
 
     ``fn`` runs on a ``spawn`` pool of one worker per usable CPU (at most
     one per task), each with one BLAS thread; with one worker, in this
-    process. An error or Ctrl-C in the ``with`` block or in a task
+    process. A worker process suits tasks of many small numpy calls, which
+    hold the GIL (an ``ablate`` training step is dozens of them on 128-row
+    batches). An error or Ctrl-C in the ``with`` block or in a task
     terminates the workers and propagates as raised."""
     workers = min(_usable_cpus(), len(tasks))
     with ExitStack() as stack:
@@ -190,6 +192,49 @@ def _pool_map(fn, tasks: list):
             pool = stack.enter_context(spawn.Pool(workers, _exit_with_parent))
             results = pool.imap(fn, tasks)
         yield results
+
+
+def _thread_map(fn, tasks: list) -> list:
+    """The results of ``fn(task, stop)`` over ``tasks``, in input order.
+
+    The tasks run on the calling thread plus one helper thread per further
+    usable CPU, at most one per task, each taking the next task as it
+    finishes one; with one CPU or one task they run on the calling thread
+    alone. A thread suits tasks whose time goes to large numpy calls, which
+    release the GIL, and it costs no interpreter start-up. The first error,
+    or Ctrl-C, in any thread sets ``stop``, a ``threading.Event`` that each
+    task reads between its steps, and is raised here once every helper has
+    ended; no helper outlives this call."""
+    results, errors = [None] * len(tasks), []
+    stop, lock, todo = threading.Event(), threading.Lock(), iter(range(len(tasks)))
+
+    def work():
+        try:
+            while not stop.is_set():
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = fn(tasks[i], stop)
+        except BaseException as err:  # recorded first, so that errors[0] is what stopped the rest
+            errors.append(err)
+            stop.set()
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), len(tasks)) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+    finally:  # on Ctrl-C while starting or joining, stop the helpers and wait for them
+        stop.set()
+        for helper in helpers:
+            if helper.is_alive():
+                helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _run_cell(task: tuple) -> RunReport:
@@ -249,13 +294,14 @@ def run_theory(config: dict, out_dir: Path) -> None:
     write_csv(out_dir / "mse.csv", ["N", "value"], mse_rows)
 
 
-def _curve_point(task: tuple) -> tuple:
+def _curve_point(task: tuple, stop: threading.Event) -> tuple:
     """The ``failure_curve.csv`` and ``mse_curve.csv`` rows at one sample
-    size N, from ``(error_vector, m_worst, N, trials, master_seed)``."""
+    size N, from ``(error_vector, m_worst, N, trials, master_seed)``. Once
+    ``stop`` is set, the Monte Carlo raises ``mc.Stopped`` at its next chunk."""
     error_vector, m, n, trials, seed = task
     failure, mse = _exact_curve_point(error_vector, m, n)
-    est = mc_worst_class_failure(error_vector, m, n, trials, seed)
-    mse_est = mc_ega_mse(float(max(error_vector)), n, trials, seed)
+    est = mc_worst_class_failure(error_vector, m, n, trials, seed, stop)
+    mse_est = mc_ega_mse(float(max(error_vector)), n, trials, seed, stop)
     return (
         [n, failure, est.value, est.ci_low, est.ci_high],
         [n, mse, mse_est.value, mse_est.ci_low, mse_est.ci_high],
@@ -264,14 +310,14 @@ def _curve_point(task: tuple) -> tuple:
 
 def run_mc(config: dict, out_dir: Path) -> None:
     """Theory-vs-Monte-Carlo curves, one task per sample size on the
-    ``_pool_map`` workers; this process writes both CSVs in config order."""
+    ``_thread_map`` threads; the calling thread writes both CSVs in config
+    order."""
     mc_cfg = config["mc"]
     tasks = [
         (mc_cfg["error_vector"], mc_cfg["m_worst"], n, mc_cfg["trials"], mc_cfg["master_seed"])
         for n in mc_cfg["sample_sizes"]
     ]
-    with _pool_map(_curve_point, tasks) as points:
-        failure_rows, mse_rows = zip(*points)
+    failure_rows, mse_rows = zip(*_thread_map(_curve_point, tasks))
     header = ["N", "theory_value", "mc_value", "ci_low", "ci_high"]
     write_csv(out_dir / "failure_curve.csv", header, failure_rows)
     write_csv(out_dir / "mse_curve.csv", header, mse_rows)

@@ -32,7 +32,7 @@ from .data import (
     two_gaussians_1d,
 )
 from .losses import VARIANTS
-from .mc import MIN_TRIALS
+from .mc import MAX_SAMPLE_SIZE, MIN_TRIALS
 from .minimax import AscentConfig, MinimaxConfig, swap_components
 from .oracle import MAX_GRID_STEPS, grid_steps
 from .priors import SIMPLEX_ATOL
@@ -77,8 +77,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int(low: int) -> Rule:
-    return Rule(lambda v: _is_int(v) and v >= low, f"an integer >= {low}")
+def _int(low: int, high: float = math.inf) -> Rule:
+    text = f"an integer >= {low}" if high == math.inf else f"an integer in [{low}, {high}]"
+    return Rule(lambda v: _is_int(v) and low <= v <= high, text)
 
 
 def _number(interval: str) -> Rule:
@@ -125,7 +126,9 @@ _POSITIVE = _number("(0, inf)")
 _CURVE = {
     "error_vector": (DEFAULT_ERROR_VECTOR, _list(_number("[0, 1]"), 2)),
     "m_worst": (3, _int(1)),
-    "sample_sizes": ([2, 4, 8, 16, 32, 64], _list(_int(1), 1, distinct=True)),
+    "sample_sizes": (
+        [2, 4, 8, 16, 32, 64], _list(_int(1, MAX_SAMPLE_SIZE), 1, distinct=True)
+    ),
 }
 
 # Every leaf field of a config as (default, rule); a nested dict is a section.

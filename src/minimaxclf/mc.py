@@ -17,13 +17,18 @@ uniform. So a guide table over the uniform (indexed search; Chen and Asau,
 1974; Devroye 1986, ch. III.3), 2**12 buckets per class, replays only each
 bucket's first and last uniform: a bucket whose ends reach the same count
 holds that count throughout, and one whose ends differ or reach numpy's
-rejection holds a sentinel. A chunk reads each count with one gather and
-replays the uniforms that hit a sentinel, every class at once; a uniform
-that numpy would reject is found there. Such a chunk, and a whole call with
-a class that numpy does not invert from one uniform (p = 0 draws none, and
-N * min(p, 1 - p) > 30 is BTPE), fall back to ``Generator.binomial``. The
+rejection holds a sentinel. A chunk reads its counts with one gather per
+block of ``_ROWS`` rows, and then replays the uniforms that hit a sentinel,
+every block and class at once; a uniform that numpy would reject is found
+there. Such a chunk, and a whole call with a class that numpy does not
+invert from one uniform (p = 0 draws none, and N * min(p, 1 - p) > 30 is
+BTPE), fall back to ``Generator.binomial``. The
 masses replay numpy's recurrence and the platform's ``exp`` and ``log``;
 the module tests pin the counts to ``Generator.binomial``, bit for bit.
+
+Drawing a chunk's uniforms, and then its jitter, a block at a time reads
+the same stream as one draw of the whole chunk. The blocks bound the memory
+of a call, so that the curve points can run side by side on threads.
 """
 
 from __future__ import annotations
@@ -34,7 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 _CHUNK = 1 << 14
+_ROWS = 1 << 13  # rows of a chunk drawn per block: the working set of a call
 MIN_TRIALS = 10_000
+# The analytic curve point costs time and memory linear in N: on a 2-vCPU VM
+# a `theory` or `mc` run of one point at 10**6 takes about 3.5 s and 266 MB.
+# The cap also keeps every count inside the int32 guide and lookup scratch.
+MAX_SAMPLE_SIZE = 10**6
 _Z95 = 1.959963984540054  # the z of a two-sided 95% normal interval
 _INVERSION_MAX = 30.0  # numpy inverts while N * min(p, 1 - p) is at most this
 _GUIDE = 1 << 12  # buckets per class of the guide table over the uniform
@@ -61,26 +71,40 @@ def _check(probabilities: np.ndarray, n_samples: int, trials: int) -> np.ndarray
     p = np.asarray(probabilities, dtype=np.float64)
     if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
         raise ValueError("error probabilities must lie in [0, 1]")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not 1 <= n_samples <= MAX_SAMPLE_SIZE:
+        raise ValueError(f"n_samples must be in [1, {MAX_SAMPLE_SIZE}], got {n_samples}")
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a usable interval")
     return p
 
 
-def _chunks(trials: int, master_seed: int):
+class Stopped(Exception):
+    """Raised in place of the next chunk once the caller's stop event is set."""
+
+
+def _chunks(trials: int, master_seed: int, stop=None):
     """Yield (n, generator) per chunk of at most ``_CHUNK`` trials; chunk i
-    draws from ``SeedSequence([master_seed, i])``."""
+    draws from ``SeedSequence([master_seed, i])``. ``stop``, a
+    ``threading.Event`` or None, is read once per chunk: once it is set, the
+    next chunk raises ``Stopped``."""
     for i, start in enumerate(range(0, trials, _CHUNK)):
+        if stop is not None and stop.is_set():
+            raise Stopped(f"stopped before chunk {i}")
         seed = np.random.SeedSequence([master_seed, i])
         yield min(_CHUNK, trials - start), np.random.default_rng(seed)
 
 
+def _blocks(n: int):
+    """The row slices of a chunk of n rows, ``_ROWS`` at a time."""
+    return [slice(start, min(start + _ROWS, n)) for start in range(0, n, _ROWS)]
+
+
 def _buffer(k: int, dtype=np.float64) -> np.ndarray:
-    """A (_CHUNK, K) array that every chunk of a call reuses, sliced to the
-    chunk's rows. Fresh arrays of that size per chunk go back to the system
-    when freed, and every chunk would fault their pages in again."""
-    return np.empty((_CHUNK, k), dtype=dtype)
+    """A (_ROWS, K) array that every block of a call reuses, sliced to the
+    block's rows. Fresh arrays per block go back to the system when freed,
+    and every block would fault their pages in again; a block, not a chunk,
+    bounds what a call holds while other calls run beside it."""
+    return np.empty((_ROWS, k), dtype=dtype)
 
 
 def _inversion_masses(n: int, p: float) -> list:
@@ -112,8 +136,9 @@ def _replay(u: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
 class _Binomial:
     """``rng.binomial(n, p, size=(size, K))`` for the chunks of one call, with
-    ``rng`` left where that call leaves it. The guide is built once, and the
-    counts of every chunk go to one buffer."""
+    ``rng`` left where that call leaves it. The guide is built once, a class
+    at a time, and the counts of every chunk go to one (_CHUNK, K) buffer of
+    the narrowest unsigned dtype that holds N."""
 
     def __init__(self, n: int, p: np.ndarray):
         self.n, self.p = n, p
@@ -127,39 +152,54 @@ class _Binomial:
         self.lengths = np.array([len(c) for c in chains])
         self.masses = np.array([c + [np.inf] * (max(self.lengths) - len(c)) for c in chains])
         # each bucket's first uniform b / _GUIDE, then its last, 2**-53 below the next
-        first = np.arange(_GUIDE) / _GUIDE
-        ends = _replay(np.r_[first, first + (1 / _GUIDE - 2.0**-53)], self.masses[:, None, :])
-        first, last = ends[:, :_GUIDE], ends[:, _GUIDE:]
-        count = np.where(self.flipped[:, None], n - first, first)
-        self.guide = np.where((first != last) | (last == self.lengths[:, None]), -1, count).ravel()
-        self.counts = _buffer(p.size, np.intp)
+        starts = np.arange(_GUIDE) / _GUIDE
+        edges = np.r_[starts, starts + (1 / _GUIDE - 2.0**-53)]
+        self.guide = np.empty((p.size, _GUIDE), dtype=np.int32)
+        for c, masses in enumerate(self.masses):
+            first, last = np.split(_replay(edges, masses), 2)
+            count = n - first if self.flipped[c] else first
+            self.guide[c] = np.where((first != last) | (last == self.lengths[c]), -1, count)
+        self.guide = self.guide.ravel()
+        self.offsets = np.arange(0, self.guide.size, _GUIDE, dtype=np.int32)
+        self.counts = np.empty((_CHUNK, p.size), dtype=np.min_scalar_type(n))
 
-    def __call__(self, rng: np.random.Generator, uniforms: np.ndarray) -> np.ndarray:
-        """The counts of one chunk, whose (size, K) uniforms are drawn into
-        the buffer ``uniforms``; they are spent once this returns."""
+    def __call__(self, rng: np.random.Generator, size: int, uniforms: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+        """The (size, K) counts of one chunk. Its uniforms are drawn a block
+        at a time into ``uniforms`` and looked up in the int32 ``scratch``,
+        both (_ROWS, K) buffers whose contents are spent once this returns."""
         if self.masses is not None:
             state = rng.bit_generator.state
-            u = rng.random(out=uniforms)
-            counts = self.counts[: len(u)]
-            # u * _GUIDE is exact, as u = k * 2**-53; the class offsets are added
-            # as integers, since a float sum can round up across a bucket edge
-            np.multiply(u, _GUIDE, out=counts, casting="unsafe")
-            counts += np.arange(0, self.guide.size, _GUIDE)
-            # take reads each index before it writes that place, so the counts
-            # can overwrite the bucket indices; every index is in range
-            self.guide.take(counts, out=counts, mode="clip")
-            misses = np.flatnonzero(counts < 0)
-            classes = misses % self.p.size
-            x = _replay(u.flat[misses], self.masses[classes])
+            counts = self.counts[:size]
+            k = self.p.size
+            misses, missed = [], []  # the flat places of sentinel hits, and their uniforms
+            for rows in _blocks(size):
+                u = rng.random(out=uniforms[: rows.stop - rows.start])
+                index = scratch[: len(u)]
+                # u * _GUIDE is exact, as u = k * 2**-53; the class offsets are
+                # added as integers, since a float sum can round up across a
+                # bucket edge
+                np.multiply(u, _GUIDE, out=index, casting="unsafe")
+                index += self.offsets
+                # take copies the int32 indices to intp before it writes, so
+                # the counts can overwrite them; every index is in range
+                self.guide.take(index, out=index, mode="clip")
+                hit = np.flatnonzero(index < 0)
+                misses.append(hit + rows.start * k)
+                missed.append(u.flat[hit])
+                counts[rows] = index  # a sentinel's place is written below
+            misses = np.concatenate(misses)
+            classes = misses % k
+            x = _replay(np.concatenate(missed), self.masses[classes])
             if not np.any(x == self.lengths[classes]):
                 counts.flat[misses] = np.where(self.flipped[classes], self.n - x, x)
                 return counts
             rng.bit_generator.state = state  # numpy draws again: replay its own call
-        return rng.binomial(self.n, self.p, size=uniforms.shape)
+        return rng.binomial(self.n, self.p, size=(size, self.p.size))
 
 
 def mc_worst_class_failure(
-    error_vector, m_worst: int, n_samples: int, trials: int, master_seed: int
+    error_vector, m_worst: int, n_samples: int, trials: int, master_seed: int, stop=None
 ) -> McEstimate:
     """Fraction of trials in which the true worst class is missed by the
     M-worst selection, with a Wilson 95% interval.
@@ -168,7 +208,8 @@ def mc_worst_class_failure(
     rates, and breaks ties fairly at random (uniform jitter below the 1/N
     resolution of the estimates). The true worst class is missed when at
     least M classes have a strictly larger key; on an exact tie of keys,
-    which needs equal counts and equal jitter draws, it is kept.
+    which needs equal counts and equal jitter draws, it is kept. A set
+    ``stop`` event raises ``Stopped`` at the next chunk.
     """
     p = _check(error_vector, n_samples, trials)
     k = p.size
@@ -176,17 +217,19 @@ def mc_worst_class_failure(
         raise ValueError(f"m_worst must be in [1, {k}]")
     true_worst = int(np.argmax(p))
     binomial = _Binomial(n_samples, p)
-    uniforms, larger, ones = _buffer(k), _buffer(k, np.float32), np.ones(k, np.float32)
+    uniforms, scratch, ones = _buffer(k), _buffer(k, np.int32), np.ones(k, np.float32)
+    larger = scratch.view(np.float32)  # free once a chunk's counts are drawn
     failures = 0
-    for n, rng in _chunks(trials, master_seed):
-        counts = binomial(rng, uniforms[:n])
-        # integer counts differ by >= 1, so jitter in [0, 0.5) only breaks ties
-        keyed = rng.random(out=uniforms[:n])
-        keyed *= 0.5
-        keyed += counts
-        # 1 where a key is larger; a row sum of at most K < 2**24 ones is exact
-        above = np.greater(keyed, keyed[:, [true_worst]], out=larger[:n]) @ ones
-        failures += int(np.count_nonzero(above >= m_worst))
+    for n, rng in _chunks(trials, master_seed, stop):
+        counts = binomial(rng, n, uniforms, scratch)
+        for rows in _blocks(n):
+            # integer counts differ by >= 1, so jitter in [0, 0.5) only breaks ties
+            keyed = rng.random(out=uniforms[: rows.stop - rows.start])
+            keyed *= 0.5
+            keyed += counts[rows]
+            # 1 where a key is larger; a row sum of at most K < 2**24 ones is exact
+            above = np.greater(keyed, keyed[:, [true_worst]], out=larger[: len(keyed)]) @ ones
+            failures += int(np.count_nonzero(above >= m_worst))
     rate = failures / trials
     lo, hi = _wilson_interval(failures, trials)
     se = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
@@ -194,18 +237,19 @@ def mc_worst_class_failure(
 
 
 def mc_ega_mse(
-    p_error: float, n_samples: int, trials: int, master_seed: int
+    p_error: float, n_samples: int, trials: int, master_seed: int, stop=None
 ) -> McEstimate:
     """Sample mean of (exp(P) - exp(Phat))^2 over seeded trials, with its
-    standard error and a normal 95% interval."""
+    standard error and a normal 95% interval. A set ``stop`` event raises
+    ``Stopped`` at the next chunk."""
     p = _check(np.array([p_error]), n_samples, trials)
     target = math.exp(p[0])
     binomial = _Binomial(n_samples, p)
-    uniforms = _buffer(1)
+    uniforms, scratch = _buffer(1), _buffer(1, np.int32)
     total = 0.0
     total_sq = 0.0
-    for n, rng in _chunks(trials, master_seed):
-        counts = binomial(rng, uniforms[:n])[:, 0]
+    for n, rng in _chunks(trials, master_seed, stop):
+        counts = binomial(rng, n, uniforms, scratch)[:, 0]
         values = (target - np.exp(counts / n_samples)) ** 2
         total += float(values.sum())
         total_sq += float((values**2).sum())

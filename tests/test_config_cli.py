@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -523,43 +524,120 @@ class TestExperiments:
         assert len(pooled) == 3 + 3 * 8  # manifest, cells, comparison; 3 files per cell run
         assert pooled == serial
 
-    def test_mc_pool_matches_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        environ = _blas_environ()
-        config = _tiny_mc_config([2, 4, 8])
+    @staticmethod
+    def _mc_threads(monkeypatch, config, out, cpus) -> tuple:
+        """Artifact digests of an ``mc`` run on ``cpus`` usable CPUs, and the
+        set of threads its curve points ran on, in a thread bounded in time."""
+        threads, outcome = set(), []
 
-        def refuse(*args):
-            raise AssertionError("a curve point ran in the parent process")
+        def recorded(*args):
+            threads.add(threading.current_thread())
+            return mc_worst_class_failure(*args)
 
-        # two usable CPUs: a pool of two spawned workers runs the 3 curve points
+        def run():
+            outcome.append(_artifact_digests(run_experiment(config, out)))
+
         with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            patch.setattr(cli, "mc_worst_class_failure", refuse)
-            pooled = _artifact_digests(run_experiment(config, tmp_path / "pool"))
-        assert _blas_environ() == environ
-        # one usable CPU: the curve points take turns in this process
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        serial = _artifact_digests(run_experiment(config, tmp_path / "serial"))
-        assert _blas_environ() == environ
-        assert sorted(pooled) == ["failure_curve.csv", "manifest.json", "mse_curve.csv"]
-        assert pooled == serial
+            patch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            patch.setattr(cli, "mc_worst_class_failure", recorded)
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        assert not runner.is_alive(), "the mc run did not end in 120 s"
+        return outcome[0], threads
+
+    def test_mc_threads_match_one_cpu(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        environ, before = _blas_environ(), threading.active_count()
+        config = _tiny_mc_config([2, 4, 8])
+        # two usable CPUs: this thread and one helper run the 3 curve points,
+        # with no BLAS thread switch
+        threaded, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "threads", {0, 1})
+        assert len(ran_on) == 2 and _blas_environ() == environ
+        # one usable CPU: the curve points take turns on the calling thread
+        serial, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "serial", {0})
+        assert len(ran_on) == 1
+        assert sorted(threaded) == ["failure_curve.csv", "manifest.json", "mse_curve.csv"]
+        assert threaded == serial
+        assert threading.active_count() == before
 
     def test_mc_single_sample_size_runs_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         seen = []
 
-        def in_parent(*args):
-            seen.append(os.environ["OPENBLAS_NUM_THREADS"])
+        def on_calling_thread(*args):
+            seen.append((threading.current_thread(), os.environ["OPENBLAS_NUM_THREADS"]))
             return mc_worst_class_failure(*args)
 
-        # two usable CPUs but one task: no pool starts, nor a BLAS thread switch
-        monkeypatch.setattr(cli, "mc_worst_class_failure", in_parent)
+        # two usable CPUs but one task: no helper thread starts, nor a BLAS thread switch
+        monkeypatch.setattr(cli, "mc_worst_class_failure", on_calling_thread)
         out = run_experiment(_tiny_mc_config([4]), tmp_path / "one")
-        assert seen == ["2"]
+        assert seen == [(threading.current_thread(), "2")]
         lines = (out / "failure_curve.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["N", "4"]
+
+    def test_mc_more_threads_than_cores(self, tmp_path, monkeypatch):
+        # six usable CPUs, more threads than a small host has cores, for 8
+        # curve points, and a short switch interval: the threads interleave
+        # often, and every row must still be the one a single thread writes
+        config = _tiny_mc_config([1, 2, 3, 5, 8, 13, 21, 34])
+        config["mc"]["trials"] = 40_000  # three chunks, the last one short
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "six", {*range(6)})
+        finally:
+            sys.setswitchinterval(interval)
+        serial, _ = self._mc_threads(monkeypatch, config, tmp_path / "one", {0})
+        assert len(ran_on) > 1
+        assert threaded == serial
+
+    @pytest.mark.parametrize(
+        "where, error",
+        [("calling", RuntimeError), ("helper", RuntimeError), ("calling", KeyboardInterrupt)],
+        ids=["error-calling-thread", "error-helper-thread", "ctrl-c"],
+    )
+    def test_mc_failing_point_stops_its_sibling(self, tmp_path, monkeypatch, where, error):
+        # one curve point raises while the other runs 10**9 trials (minutes):
+        # the run ends within seconds, with no thread left behind
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = _tiny_mc_config([2, 4])
+        config["mc"]["trials"] = 10**9
+        sibling_started, outcome = threading.Event(), []
+
+        def point(*args):
+            on_calling_thread = threading.current_thread() is runner
+            if on_calling_thread == (where == "calling"):
+                assert sibling_started.wait(timeout=30)
+                time.sleep(0.05)  # the sibling is well into its chunks
+                raise error("curve point failed")
+            sibling_started.set()
+            return mc_worst_class_failure(*args)
+
+        def run():
+            try:
+                run_experiment(config, tmp_path / "x")
+            except BaseException as err:
+                outcome.append(err)
+
+        monkeypatch.setattr(cli, "mc_worst_class_failure", point)
+        before = threading.active_count()
+        runner = threading.Thread(target=run, daemon=True)
+        started = time.monotonic()
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "the sibling ran on after the failure"
+        assert time.monotonic() - started < 10
+        assert [type(err) for err in outcome] == [error]
+        assert threading.active_count() == before
+        failure = tmp_path / "x" / "failure.json"
+        if error is KeyboardInterrupt:  # not a failure of the run: nothing recorded
+            assert not failure.exists()
+        else:
+            assert json.loads(failure.read_text()) == {
+                "error": "curve point failed", "type": "RuntimeError", "experiment": "mc"
+            }
 
 
 class TestCliEntry:
@@ -606,6 +684,8 @@ class TestCliEntry:
                 "kind": "step", "ratio": 0.01, "base_count": 100}}}, ("dataset.imbalance",)),
             (["mc"], {"mc": {"sample_sizes": []}}, ("mc.sample_sizes",)),
             (["theory"], {"theory": {"sample_sizes": [2, 2]}}, ("theory.sample_sizes",)),
+            (["theory"], {"theory": {"sample_sizes": [2**63]}}, ("theory.sample_sizes",)),
+            (["mc"], {"mc": {"sample_sizes": [2, 10**6 + 1]}}, ("mc.sample_sizes",)),
             (["train"], {"dataset": {"benchmark": "two_gaussians_1d"}, "eval": {"per_class": 1}},
              ("eval.per_class",)),
             (["train"], {"dataset": {"counts": [10] * 10, "imbalance": _STEP}},
@@ -617,8 +697,8 @@ class TestCliEntry:
         ],
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
              "imbalance-below-two", "no-sample-size", "repeated-sample-size",
-             "eval-one-per-class", "counts-and-imbalance", "csv-counts", "csv-imbalance",
-             "unread-mixture-field"],
+             "theory-sample-size-above-cap", "mc-sample-size-above-cap", "eval-one-per-class",
+             "counts-and-imbalance", "csv-counts", "csv-imbalance", "unread-mixture-field"],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
@@ -653,14 +733,10 @@ class TestCliEntry:
         not Path("/proc/self/stat").exists() or len(os.sched_getaffinity(0)) < 2,
         reason="reads /proc; the pool needs two usable CPUs",
     )
-    @pytest.mark.parametrize("command", ["ablate", "mc"])
+    @pytest.mark.parametrize("command", ["ablate"])  # mc runs on threads, not workers
     def test_pool_workers_end_with_killed_parent(self, tmp_path, command):
-        if command == "ablate":
-            config = _tiny_ablate_config()
-            config["minimax"]["warmup_epochs"] = 10_000  # seconds per cell run
-        else:
-            config = _tiny_mc_config([2, 4])
-            config["mc"]["trials"] = 10**9  # minutes per curve point
+        config = _tiny_ablate_config()
+        config["minimax"]["warmup_epochs"] = 10_000  # seconds per cell run
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
         parent = subprocess.Popen(
@@ -985,8 +1061,8 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": scipy_modul
         ({"experiment": "oracle", "dataset": {"benchmark": "two_gaussians_1d"},
           "oracle": {"resolution": 0.1}}, True),
         ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, False),
-        # one sample size runs its curve point in this process, not on a pool worker
-        ({"experiment": "mc", "mc": {"sample_sizes": [4], "trials": 10_000}}, False),
+        # the curve points run on threads of this process
+        ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}}, False),
     ],
     ids=["train", "oracle-polygon", "oracle-exact-1d", "theory", "mc"],
 )

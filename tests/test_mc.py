@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 
 from minimaxclf import mc
 from minimaxclf.mc import (
+    _CHUNK,
     _GUIDE,
+    _ROWS,
+    MAX_SAMPLE_SIZE,
     McEstimate,
+    Stopped,
     _Binomial,
+    _buffer,
     _chunks,
     _inversion_masses,
     _replay,
@@ -106,13 +111,23 @@ class TestEgaMseMc:
         assert a == b
 
 
+def _draw(binomial, rng, size):
+    """``size`` rows of counts from ``rng``, drawn by consecutive chunks of
+    at most ``_CHUNK`` rows, which read the stream as one call of ``size``
+    rows does."""
+    k = binomial.p.size
+    uniforms, scratch = _buffer(k), _buffer(k, np.int32)
+    sizes = [min(_CHUNK, size - start) for start in range(0, size, _CHUNK)]
+    return np.concatenate([binomial(rng, n, uniforms, scratch).copy() for n in sizes])
+
+
 def _assert_matches_numpy(n, p, seed, size=64):
     """The table sampler gives Generator.binomial's counts, and leaves its
     generator where that call leaves an identically seeded one."""
     p = np.asarray(p, dtype=np.float64)
     reference, sampled = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = reference.binomial(n, p, size=(size, p.size))
-    assert np.array_equal(_Binomial(n, p)(sampled, np.empty((size, p.size))), expected)
+    assert np.array_equal(_draw(_Binomial(n, p), sampled, size), expected)
     assert np.array_equal(sampled.random(5), reference.random(5))
 
 
@@ -130,15 +145,17 @@ def _numpy_loop(u, masses):
 
 
 class _FixedUniforms:
-    """A stand-in generator whose ``random`` gives fixed uniforms and whose
-    ``binomial``, the sampler's fallback on a rejected uniform, gives None."""
+    """A stand-in generator whose ``random`` gives the next rows of fixed
+    uniforms and whose ``binomial``, the sampler's fallback on a rejected
+    uniform, gives None."""
 
     def __init__(self, uniforms):
-        self.uniforms = uniforms
+        self.uniforms, self.drawn = uniforms, 0
         self.bit_generator = types.SimpleNamespace(state=None)
 
     def random(self, out):
-        out[...] = self.uniforms
+        out[...] = self.uniforms[self.drawn : self.drawn + len(out)]
+        self.drawn += len(out)
         return out
 
     def binomial(self, n, p, size):
@@ -148,7 +165,23 @@ class _FixedUniforms:
 def _lookup(binomial, uniforms):
     """The sampler's counts of one chunk of (trials, K) uniforms, or None
     where it falls back to numpy."""
-    return binomial(_FixedUniforms(uniforms), np.empty(uniforms.shape))
+    k = uniforms.shape[1]
+    return binomial(_FixedUniforms(uniforms), len(uniforms), _buffer(k), _buffer(k, np.int32))
+
+
+class _Spy:
+    """A generator that records the sizes of its ``binomial`` calls, the
+    sampler's fallback."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.fallbacks = rng, rng.bit_generator, []
+
+    def random(self, out):
+        return self.rng.random(out=out)
+
+    def binomial(self, n, p, size):
+        self.fallbacks.append(size)
+        return self.rng.binomial(n, p, size=size)
 
 
 _ULP = 2.0**-53  # uniforms are k * 2**-53 for integers k < 2**53
@@ -187,13 +220,16 @@ class TestSampler:
         [(60, [0.5, 0.2], True),  # N p = 30: still inversion
          (8, [0.9, 1.0, 1e-12, 0.3], True),
          (61, [0.5, 0.2], False),  # N p > 30: BTPE
-         (8, [0.0, 0.3], False)],  # p = 0 draws no uniform
-        ids=["np-30", "flipped-and-edges", "btpe", "p-zero"],
+         (8, [0.0, 0.3], False),  # p = 0 draws no uniform
+         (100, [0.0, 0.5, 0.02, 0.995], False)],  # both, next to inverted classes
+        ids=["np-30", "flipped-and-edges", "btpe", "p-zero", "p-zero-and-btpe"],
     )
     def test_path_and_stream(self, n, p, inverted):
         assert (_Binomial(n, np.array(p)).masses is not None) == inverted
-        for seed in (0, 1):
-            _assert_matches_numpy(n, p, seed, size=4096)
+        # a block and 7 rows; a full chunk of two blocks; that chunk, then 7 rows
+        for size in (_ROWS + 7, _CHUNK, 2 * _ROWS + 7):
+            for seed in (0, 1):
+                _assert_matches_numpy(n, p, seed, size=size)
 
     @pytest.mark.parametrize("n, p", [(2, 0.5), (16, 0.06), (64, 0.33), (64, 0.96), (200, 0.1)])
     def test_thresholds_are_the_steps_of_numpy_loop(self, n, p):
@@ -206,17 +242,24 @@ class TestSampler:
         assert _replay(np.array(list(reads)), np.array(masses)).tolist() == expected
 
     def test_rejected_uniform_replays_numpy(self):
-        # a truncated chain makes every uniform past its second mass one that
-        # numpy would reject, so the chunk must come from Generator.binomial
-        n, p = 8, np.array([0.3, 0.7, 0.1])
+        # a chain without its last mass makes a uniform past the others' sum
+        # one that numpy would reject, so its chunk must come from
+        # Generator.binomial; at seed 0 the first such uniform of class 1 is
+        # in the second block of the first chunk
+        n, p, seed = 8, np.array([0.3, 0.7, 0.1]), 0
         chains = [_inversion_masses(n, q) for q in (0.3, 1.0 - 0.7, 0.1)]
-        chains[1] = chains[1][:2]
+        chains[1] = chains[1][:-1]
+        uniforms = np.random.default_rng(seed).random((_CHUNK, 3))[:, 1]
+        rejected = [i for i, u in enumerate(uniforms) if _numpy_loop(u, chains[1]) is None]
+        assert _ROWS <= rejected[0] < 2 * _ROWS
         with mock.patch.object(mc, "_inversion_masses", side_effect=chains):
             binomial = _Binomial(n, p)
-        reference, sampled = np.random.default_rng(3), np.random.default_rng(3)
-        expected = reference.binomial(n, p, size=(512, 3))
-        assert np.array_equal(binomial(sampled, np.empty((512, 3))), expected)
-        assert np.array_equal(sampled.random(5), reference.random(5))
+        for size in (_CHUNK, 2 * _ROWS + 7):
+            reference, sampled = np.random.default_rng(seed), _Spy(np.random.default_rng(seed))
+            expected = reference.binomial(n, p, size=(size, 3))
+            assert np.array_equal(_draw(binomial, sampled, size), expected)
+            assert sampled.fallbacks[0] == (_CHUNK, 3)
+            assert np.array_equal(sampled.rng.random(5), reference.random(5))
 
 
 # masses of a drawn chain: anywhere in [0, 1], multiples of 2**-12 whose steps
@@ -316,6 +359,8 @@ def test_failure_matches_reference_loop(m, n, seed):
         pytest.param(lambda: mc_worst_class_failure([0.2, 0.5], 1, 0, 10_000, 0),
                      "n_samples", id="failure-n_samples"),
         pytest.param(lambda: mc_ega_mse(0.3, 0, 10_000, 0), "n_samples", id="mse-n_samples"),
+        pytest.param(lambda: mc_ega_mse(0.3, MAX_SAMPLE_SIZE + 1, 10_000, 0),
+                     r"n_samples must be in \[1, 1000000\]", id="mse-n_samples-cap"),
         pytest.param(lambda: mc_worst_class_failure([float("nan"), 0.2], 1, 4, 10_000, 0),
                      r"lie in \[0, 1\]", id="failure-nan"),
     ],
@@ -323,3 +368,29 @@ def test_failure_matches_reference_loop(m, n, seed):
 def test_bad_input_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+class _StopAfter:
+    """A stop event that reads as set from its ``chunks + 1``-th read on."""
+
+    def __init__(self, chunks):
+        self.chunks, self.reads = chunks, 0
+
+    def is_set(self):
+        self.reads += 1
+        return self.reads > self.chunks
+
+
+@pytest.mark.parametrize("chunks", [0, 2])
+@pytest.mark.parametrize(
+    "estimate",
+    [lambda stop: mc_worst_class_failure(ERROR_VECTOR, 3, 4, 10**9, 0, stop),
+     lambda stop: mc_ega_mse(0.3, 4, 10**9, 0, stop)],
+    ids=["failure", "mse"],
+)
+def test_stop_event_read_once_per_chunk(estimate, chunks):
+    # 10**9 trials would take minutes; a set event ends the call at its next chunk
+    stop = _StopAfter(chunks)
+    with pytest.raises(Stopped, match=f"before chunk {chunks}$"):
+        estimate(stop)
+    assert stop.reads == chunks + 1
