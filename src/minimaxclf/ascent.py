@@ -115,13 +115,18 @@ def linear_ascent_step(state: AscentState, indicator: Prior) -> Prior:
     return new
 
 
+@np.errstate(all="ignore")  # an overflow or log(0) is handled below
 def ega_step(state: AscentState, risks: ClassRisks) -> Prior:
-    """pi_y <- pi_y exp(alpha risk_y), renormalized. Zero coordinates stay zero."""
+    """pi_y <- pi_y exp(alpha risk_y), renormalized. Zero coordinates stay zero.
+    Only weights that overflow are taken in log form, shifted by their maximum."""
     if state.method != EGA:
         raise ValueError(f"state method is {state.method!r}, not ega")
     if risks.class_count != state.prior.class_count:
         raise ValueError("risk vector does not match the prior's class count")
     w = state.prior.p * np.exp(state.alpha * risks.estimates)
+    if not np.isfinite(w.sum()):
+        log_w = np.log(state.prior.p) + state.alpha * risks.estimates  # -inf off the support
+        w = np.exp(log_w - log_w.max())
     new = Prior(w / w.sum())
     state.prior = new
     return new

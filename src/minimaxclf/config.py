@@ -1,5 +1,5 @@
-"""Run configuration: one field table, the synthetic benchmarks, validation
-and presets.
+"""Run configuration: one field table, the synthetic benchmarks, validation,
+presets, and what a resolved config gives a training run.
 
 A config is a nested dict with sections ``dataset / model / loss / ascent /
 minimax / eval`` plus per-experiment sections. ``SCHEMA`` gives every leaf
@@ -7,8 +7,8 @@ field its default and the rule a valid value satisfies; ``DEFAULT_CONFIG`` is
 derived from it. A number field is stored as a float, so 1 and 1.0 resolve
 to the same config and hash alike. Validation errors always name the
 offending field. Presets are complete config templates; a user config
-referencing one is deep-merged on top of it. The seeds of a run, and the
-flags that set them, are defined in ``cli``.
+referencing one is deep-merged on top of it. A run's data (``build_data``),
+``MinimaxConfig`` (``minimax_config``) and seeds (``RUN_SEEDS``) come from here.
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ from .data import (
     ImbalanceProfile,
     MixtureSpec,
     circle_mixture,
+    load_csv_dataset,
     make_imbalance_counts,
+    sample_mixture,
     three_gaussians_1d,
     two_gaussians_1d,
 )
 from .losses import VARIANTS
 from .mc import MAX_SAMPLE_SIZE, MIN_TRIALS
 from .minimax import AscentConfig, MinimaxConfig, swap_components
+from .model import TrainConfig
 from .oracle import MAX_GRID_STEPS, grid_steps
 from .priors import SIMPLEX_ATOL
 
@@ -207,6 +210,16 @@ IMBALANCE = {
 }
 
 
+# The dataset fields each source leaves unread, which stay at their defaults so
+# that a resolved config stays a valid input: a CSV file gives its own class
+# counts, and a benchmark reads no CSV field and no other benchmark's field.
+_MIXTURE_FIELDS = [f for f in SCHEMA["dataset"] if any(f in fs for _, fs in BENCHMARKS.values())]
+_UNREAD = {"csv": ("counts", "imbalance")} | {
+    name: ("csv_path", "csv_header", *(f for f in _MIXTURE_FIELDS if f not in fields))
+    for name, (_, fields) in BENCHMARKS.items()
+}
+
+
 def _column(schema: dict, index: int) -> dict:
     """One column of a field table as a nested dict: 0 defaults, 1 rules."""
     return {k: _column(e, index) if isinstance(e, dict) else e[index] for k, e in schema.items()}
@@ -318,7 +331,7 @@ def _walk(rules: dict, node, prefix: str = "") -> None:
             node[key] = rule.cast(node[key])
 
 
-def synthetic_counts(ds: dict, k: int) -> list:
+def _synthetic_counts(ds: dict, k: int) -> list:
     """The per-class sample counts of a synthetic dataset of K classes:
     ``dataset.counts``, else the ``dataset.imbalance`` profile's, else 1000."""
     if ds["counts"] is not None:
@@ -353,16 +366,14 @@ def max_ascent_alpha(method: str, smallest_prior: float, steps: int) -> float:
 
 
 def _ascents(config: dict) -> set:
-    """(method, alpha) of every prior ascent the experiment runs: one for
-    ``train``, one per ``swap_components`` cell for ``ablate``."""
-    ascent = AscentConfig(method=config["ascent"]["method"], alpha=config["ascent"]["alpha"])
-    cells = [MinimaxConfig(ascent=ascent)]
-    if config["experiment"] == "ablate":
-        cells = swap_components(cells[0]).values()
+    """(method, alpha) of every prior ascent the experiment runs: the run's
+    own for ``train``, and each cell's that ``ablate`` runs."""
+    run = minimax_config(config)
+    cells = swap_components(run).values() if config["experiment"] == "ablate" else [run]
     return {(cell.ascent.method, cell.ascent.resolved_alpha()) for cell in cells}
 
 
-def check_class_count(config: dict, counts: list) -> None:
+def _check_class_count(config: dict, counts: list) -> None:
     """The checks that need the realized per-class counts, whose length is
     the class count K: one ``minimax.fixed_target`` entry per class,
     ``ascent.m_worst`` <= K unless ``ascent.auto_m`` replaces it, at least 2
@@ -416,34 +427,21 @@ def validate_config(config: dict) -> dict:
         _walk(IMBALANCE, ds["imbalance"], "dataset.imbalance.")
         if ds["counts"] is not None:
             raise ConfigError("dataset.imbalance: dataset.counts sets the class counts too")
+    source = "csv" if ds["source"] == "csv" else ds["benchmark"]
+    for field in _UNREAD[source]:
+        if ds[field] != DEFAULT_CONFIG["dataset"][field]:
+            raise ConfigError(f"dataset.{field}: a {source!r} dataset does not read it")
     if ds["source"] == "csv":
-        for field in ("counts", "imbalance"):
-            if ds[field] is not None:
-                raise ConfigError(f"dataset.{field}: a CSV file gives its own class counts")
         if ds["csv_path"] is None:
             raise ConfigError("dataset.csv_path: required when source is 'csv'")
         if resolved["experiment"] == "oracle":
             raise ConfigError("dataset.source: the oracle needs a synthetic mixture, not 'csv'")
-    else:
-        for field, value in (("csv_path", ds["csv_path"]), ("csv_header", ds["csv_header"])):
-            if value not in (None, False):
-                raise ConfigError(f"dataset.{field}: only a CSV source reads it, not 'synthetic'")
-        # a field at its default leaves the manifest as it is, and keeps a
-        # resolved config a valid input
-        unread = {f for _, fields in BENCHMARKS.values() for f in fields}
-        unread -= set(BENCHMARKS[ds["benchmark"]][1])
-        for field, value in ds.items():
-            if field in unread and value != DEFAULT_CONFIG["dataset"][field]:
-                raise ConfigError(
-                    f"dataset.{field}: the {ds['benchmark']!r} benchmark does not read it"
-                )
-        # only the experiments that read the dataset build its mixture
-        if resolved["experiment"] in ("train", "ablate"):
-            check_class_count(resolved, synthetic_counts(ds, build_mixture(ds).class_count))
-        if resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid":
-            k = build_mixture(ds).class_count
-            if k > 3:
-                raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
+    elif resolved["experiment"] in ("train", "ablate"):  # the readers of the class counts
+        _check_class_count(resolved, _synthetic_counts(ds, build_mixture(ds).class_count))
+    elif resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid":
+        k = build_mixture(ds).class_count
+        if k > 3:
+            raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
     resolution = resolved["oracle"]["resolution"]
     if grid_steps(resolution) is None:
         raise ConfigError(
@@ -483,6 +481,71 @@ def load_config(path=None, preset=None, overrides=None) -> dict:
                 raise ConfigError(f"{key}: expected an object")
         node[keys[-1]] = value
     return validate_config(config)
+
+
+def build_data(config: dict) -> tuple:
+    """(dataset, eval set) of one run. A CSV source has no mixture to draw
+    an eval set from, so its eval set is None; its class counts are checked
+    once read."""
+    ds_cfg, eval_cfg = config["dataset"], config["eval"]
+    if ds_cfg["source"] == "csv":
+        dataset = load_csv_dataset(ds_cfg["csv_path"], ds_cfg["csv_header"])
+        _check_class_count(config, dataset.per_class_counts.tolist())
+        return dataset, None
+    spec = build_mixture(ds_cfg)
+    counts = _synthetic_counts(ds_cfg, spec.class_count)
+    eval_counts = np.full(spec.class_count, eval_cfg["per_class"], dtype=np.int64)
+    dataset = sample_mixture(spec, counts, ds_cfg["seed"])
+    return dataset, sample_mixture(spec, eval_counts, eval_cfg["seed"])
+
+
+def minimax_config(config: dict) -> MinimaxConfig:
+    model, mm, loss, asc = (config[name] for name in ("model", "minimax", "loss", "ascent"))
+    return MinimaxConfig(
+        warmup_epochs=mm["warmup_epochs"],
+        minimax_epochs=mm["minimax_epochs"],
+        finetune_epochs=mm["finetune_epochs"],
+        loss_variant=loss["variant"],
+        tau=loss["tau"],
+        gamma=loss["gamma"],
+        drw_epoch=loss["drw_epoch"],
+        ascent=AscentConfig(
+            method=asc["method"],
+            alpha=asc["alpha"],
+            m_worst=asc["m_worst"],
+            use_auto_m=asc["auto_m"],
+            tie_seed=asc["tie_seed"],
+        ),
+        train=TrainConfig(
+            learning_rate=model["learning_rate"],
+            momentum=model["momentum"],
+            weight_decay=model["weight_decay"],
+            batch_size=model["batch_size"],
+            warmup_epochs=model["lr_warmup_epochs"],
+            decay_epochs=tuple(model["decay_epochs"]),
+            decay_factor=model["decay_factor"],
+            seed=model["seed"],
+        ),
+        model_fraction=mm["model_fraction"],
+        partition_seed=mm["partition_seed"],
+        init_seed=model["seed"],
+        architecture=model["architecture"],
+        hidden_width=model["hidden_width"],
+        fixed_target=None if mm["fixed_target"] is None else tuple(mm["fixed_target"]),
+    )
+
+
+# The seeds of one training run; eval.seed is not one: all runs share one eval set.
+RUN_SEEDS = ("dataset.seed", "model.seed", "minimax.partition_seed", "ascent.tie_seed")
+
+
+def _reseed(config: dict, seed: int) -> dict:
+    """One repetition seed drives every stochastic choice of a run."""
+    out = json.loads(json.dumps(config))
+    for dotted in RUN_SEEDS:
+        section, key = dotted.split(".")
+        out[section][key] = seed
+    return out
 
 
 def config_hash(config: dict) -> str:

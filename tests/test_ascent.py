@@ -161,6 +161,34 @@ class TestEga:
         with pytest.raises(ValueError, match="alpha"):
             self._state([0.5, 0.5], alpha=0.0)
 
+    def test_overflowing_weights_stay_finite(self):
+        # exp(800 * 0.9) overflows a float; the normalized weights are
+        # 1 / (1 + 9 e^-640) and e^-640 / (1 + 9 e^-640)
+        out = ega_step(self._state([0.1] * 10, alpha=800.0), _risks(0.9, *[0.1] * 9))
+        np.testing.assert_allclose(out.p, [1.0] + [np.exp(-640.0)] * 9, rtol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.lists(st.sampled_from([0.0, 1e-300, 0.5]) | st.floats(0.01, 1.0), min_size=2,
+                 max_size=8).filter(lambda v: sum(v) > 0),
+    risks=st.data(),
+    alpha=st.floats(1e-6, 1e4),
+)
+def test_ega_step_finite_at_any_alpha(raw, risks, alpha):
+    v = np.array(raw)
+    prior = Prior(v / v.sum())
+    k = prior.class_count
+    r = np.array(risks.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    out = ega_step(AscentState(prior, "ega", alpha), _risks(*r)).p
+    assert np.all(np.isfinite(out)) and np.all(out >= 0)
+    assert abs(out.sum() - 1.0) <= 1e-12
+    assert np.all(out[prior.p == 0] == 0)
+    with np.errstate(all="ignore"):
+        w = prior.p * np.exp(alpha * r)
+    if np.isfinite(w.sum()):  # the plain form, bit for bit
+        assert np.array_equal(out, w / w.sum())
+
 
 @settings(max_examples=200, deadline=None)
 @given(

@@ -4,12 +4,14 @@ import hashlib
 import inspect
 import json
 import multiprocessing
+import operator
 import os
 import re
 import subprocess
 import sys
 import threading
 import time
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,13 @@ from minimaxclf import cli
 from minimaxclf.cli import RUN_SEEDS, main, run_experiment
 from minimaxclf.config import (
     BENCHMARKS,
+    DEFAULT_CONFIG,
     EXPERIMENTS,
     PRESETS,
     SCHEMA,
     ConfigError,
+    build_data,
+    build_mixture,
     config_hash,
     load_config,
     max_ascent_alpha,
@@ -794,9 +799,11 @@ class TestCliEntry:
         assert main(["train", "--config", str(config_path), "--seed", "7",
                      "--out", str(tmp_path / "s7")]) == 0
         manifest = json.loads((tmp_path / "s7" / "manifest.json").read_text())
-        for field in RUN_SEEDS + ("mc.master_seed",):
+        for field in RUN_SEEDS:
             section, key = field.split(".")
             assert manifest["config"][section][key] == 7, field
+        # a train run reads no Monte Carlo seed, so --seed leaves it at its default
+        assert manifest["config"]["mc"]["master_seed"] == 0
 
 
 def test_oracle_section_is_search_keywords():
@@ -858,6 +865,28 @@ def test_each_command_takes_the_flags_it_reads():
     for name, flags in expected.items():
         options = {opt for action in sub.choices[name]._actions for opt in action.option_strings}
         assert options - {"-h", "--help"} == flags, name
+
+
+def _flat(config: dict) -> dict:
+    return {field: reduce(operator.getitem, field.split("."), config) for field in _leaves(config)}
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS)
+def test_each_flag_sets_only_the_fields_commands_lists(monkeypatch, command):
+    # COMMANDS is the only flag table: no flag writes a field it does not list
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config, out: configs.append(config) or out)
+
+    def resolved(*flag):
+        configs.clear()
+        assert main([command, *flag]) == 0
+        return _flat(configs[0])
+
+    plain = resolved()
+    for flag, fields in cli.COMMANDS[command][2].items():
+        with_flag = resolved(flag, "12345")
+        assert {f for f in plain if plain[f] != with_flag[f]} == set(fields), flag
+        assert all(with_flag[f] == 12345 for f in fields), flag
 
 
 @pytest.mark.parametrize(
@@ -1019,10 +1048,10 @@ def test_build_data(name, source):
     if source != "neither":
         dataset_cfg[source] = expected.tolist() if source == "counts" else _STEP
     config = validate_config({"dataset": dataset_cfg, "eval": {"per_class": 30}})
-    dataset, eval_set = cli.build_data(config)
+    dataset, eval_set = build_data(config)
     assert dataset.per_class_counts.tolist() == expected.tolist()
     assert eval_set.per_class_counts.tolist() == [30] * k
-    again, eval_again = cli.build_data(config)
+    again, eval_again = build_data(config)
     for a, b in ((dataset, again), (eval_set, eval_again)):
         assert np.array_equal(a.instances, b.instances)
         assert np.array_equal(a.labels, b.labels)
@@ -1035,6 +1064,75 @@ def test_read_mixture_fields_accepted(name):
     assert {field: resolved["dataset"][field] for field in given} == given
     # a resolved config carries every unread field at its default
     assert validate_config(resolved) == resolved
+
+
+def _unread_by_three_checks(ds: dict):
+    """A test-local copy of the three checks that the one unread-field table
+    replaced, in their order: the dataset field the first failing one names,
+    or None."""
+    if ds["source"] == "csv":
+        for field in ("counts", "imbalance"):
+            if ds[field] is not None:
+                return field
+        return None
+    for field, value in (("csv_path", ds["csv_path"]), ("csv_header", ds["csv_header"])):
+        if value not in (None, False):
+            return field
+    unread = {f for _, fields in BENCHMARKS.values() for f in fields}
+    unread -= set(BENCHMARKS[ds["benchmark"]][1])
+    for field, value in ds.items():
+        if field in unread and value != DEFAULT_CONFIG["dataset"][field]:
+            return field
+    return None
+
+
+# A value other than the default of each dataset field that some source
+# leaves unread; dataset.counts gets one entry per class of the benchmark.
+_NOT_DEFAULT = {
+    "imbalance": _STEP,
+    "csv_path": "data.csv",
+    "csv_header": True,
+    "class_count": 3,
+    "radius": 3.0,
+    "separation": 2.0,
+    "spacing": 3.0,
+    "sigma": 2.0,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    source=st.sampled_from(["synthetic", "csv"]),
+    benchmark=st.sampled_from(sorted(BENCHMARKS)),
+    changed=st.sets(st.sampled_from(["counts", "bad-imbalance", *_NOT_DEFAULT])),
+)
+def test_unread_table_accepts_what_the_three_checks_accepted(experiment, source, benchmark,
+                                                             changed):
+    ds = {"source": source, "benchmark": benchmark}
+    ds.update((field, value) for field, value in _NOT_DEFAULT.items() if field in changed)
+    if "bad-imbalance" in changed:  # its sub-field is checked first
+        ds["imbalance"] = {**_STEP, "ratio": 2.0}
+    full = {**DEFAULT_CONFIG["dataset"], **ds}
+    if "counts" in changed:
+        ds["counts"] = full["counts"] = [5] * build_mixture(full).class_count
+    # the checks that came before the three, and the CSV checks after them
+    if "bad-imbalance" in changed:
+        expected = "imbalance.ratio"
+    elif full["imbalance"] is not None and full["counts"] is not None:
+        expected = "imbalance"
+    else:
+        expected = _unread_by_three_checks(full)
+    if expected is None and source == "csv":
+        expected = "csv_path" if full["csv_path"] is None else None
+        if expected is None and experiment == "oracle":
+            expected = "source"
+    try:
+        validate_config({"experiment": experiment, "dataset": ds})
+        named = None
+    except ConfigError as err:
+        named = str(err).split(": ")[0]
+    assert named == (None if expected is None else f"dataset.{expected}")
 
 
 # Run in a fresh interpreter, since this one has loaded scipy already: which
