@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
 import statistics
 import sys
@@ -94,6 +92,8 @@ def _single_blas_thread():
 def _exit_with_parent() -> None:
     """Pool initializer: the worker exits as soon as its parent process
     ends, even by SIGKILL, instead of running the tasks still queued."""
+    import multiprocessing.connection
+
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
@@ -116,6 +116,8 @@ def _pool_map(fn, tasks: list):
     ``_thread_map`` (13.4-15.0 s and 53.2-53.9 MB with one BLAS thread).
     An error or Ctrl-C in the ``with`` block or in a task terminates the
     workers and propagates as raised."""
+    import multiprocessing
+
     workers = min(_usable_cpus(), len(tasks))
     with ExitStack() as stack:
         results = map(fn, tasks)
@@ -130,44 +132,30 @@ def _pool_map(fn, tasks: list):
 def _thread_map(fn, tasks: list) -> list:
     """The results of ``fn(task, stop)`` over ``tasks``, in input order.
 
-    The tasks run on the calling thread plus one helper thread per further
-    usable CPU, at most one per task, each taking the next task as it
-    finishes one; with one CPU or one task they run on the calling thread
-    alone. A thread suits tasks whose time goes to large numpy calls, which
-    release the GIL, and it costs no interpreter start-up. The first error,
-    or Ctrl-C, in any thread sets ``stop``, a ``threading.Event`` that each
-    task reads between its steps, and is raised here once every helper has
-    ended; no helper outlives this call."""
-    results, errors = [None] * len(tasks), []
-    stop, lock, todo = threading.Event(), threading.Lock(), iter(range(len(tasks)))
+    The tasks run on a thread pool of one thread per usable CPU, at most one
+    per task. A thread suits tasks whose time goes to large numpy calls,
+    which release the GIL, and it costs no interpreter start-up. The first
+    error, or Ctrl-C, sets ``stop``, a ``threading.Event`` that each task
+    reads between its steps; a task not yet started then never starts, and
+    the errors the stop causes are dropped, so the first error is the one
+    raised here, once every thread has ended."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
+    stop = threading.Event()
+
+    def run(task):
         try:
-            while not stop.is_set():
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                results[i] = fn(tasks[i], stop)
-        except BaseException as err:  # recorded first, so that errors[0] is what stopped the rest
-            errors.append(err)
-            stop.set()
+            return None if stop.is_set() else fn(task, stop)
+        except BaseException:
+            if not stop.is_set():  # the first error; a later one comes of the stop
+                stop.set()  # before this thread takes a queued task
+                raise
 
-    helpers = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), len(tasks)) - 1)]
-    try:
-        for helper in helpers:
-            helper.start()
-        work()
-        for helper in helpers:
-            helper.join()
-    finally:  # on Ctrl-C while starting or joining, stop the helpers and wait for them
-        stop.set()
-        for helper in helpers:
-            if helper.is_alive():
-                helper.join()
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(min(_usable_cpus(), len(tasks))) as pool:
+        try:
+            return list(pool.map(run, tasks))
+        finally:  # after an error or Ctrl-C, the running tasks stop at their next step
+            stop.set()
 
 
 def _run_cell(task: tuple) -> RunReport:
@@ -243,8 +231,7 @@ def _curve_point(task: tuple, stop: threading.Event) -> tuple:
 
 def run_mc(config: dict, out_dir: Path) -> None:
     """Theory-vs-Monte-Carlo curves, one task per sample size on the
-    ``_thread_map`` threads; the calling thread writes both CSVs in config
-    order."""
+    ``_thread_map`` threads; this thread writes both CSVs in config order."""
     mc_cfg = config["mc"]
     tasks = [
         (mc_cfg["error_vector"], mc_cfg["m_worst"], n, mc_cfg["trials"], mc_cfg["master_seed"])
@@ -360,14 +347,11 @@ def main(argv=None) -> int:
         out = run_experiment(config, args.out)
         print(out)
         return 0
-    except ConfigError as err:
-        json.dump({"error": {"kind": "config", "message": str(err)}}, sys.stderr)
+    except Exception as err:  # a config error, or a runtime failure after partial artifacts
+        kind = "config" if isinstance(err, ConfigError) else type(err).__name__
+        json.dump({"error": {"kind": kind, "message": str(err)}}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except Exception as err:  # runtime failure: partial artifacts already on disk
-        json.dump({"error": {"kind": type(err).__name__, "message": str(err)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if kind == "config" else 1
 
 
 if __name__ == "__main__":

@@ -212,9 +212,11 @@ IMBALANCE = {
 
 # The dataset fields each source leaves unread, which stay at their defaults so
 # that a resolved config stays a valid input: a CSV file gives its own class
-# counts, and a benchmark reads no CSV field and no other benchmark's field.
+# counts and draws from no benchmark, and a benchmark reads no CSV field and
+# no other benchmark's field. A CSV source leaves dataset.seed free, since
+# train --seed and ablate's per-seed configs write it for every source.
 _MIXTURE_FIELDS = [f for f in SCHEMA["dataset"] if any(f in fs for _, fs in BENCHMARKS.values())]
-_UNREAD = {"csv": ("counts", "imbalance")} | {
+_UNREAD = {"csv": ("counts", "imbalance", "benchmark", *_MIXTURE_FIELDS)} | {
     name: ("csv_path", "csv_header", *(f for f in _MIXTURE_FIELDS if f not in fields))
     for name, (_, fields) in BENCHMARKS.items()
 }
@@ -428,14 +430,14 @@ def validate_config(config: dict) -> dict:
         if ds["counts"] is not None:
             raise ConfigError("dataset.imbalance: dataset.counts sets the class counts too")
     source = "csv" if ds["source"] == "csv" else ds["benchmark"]
+    if source == "csv" and resolved["experiment"] == "oracle":
+        raise ConfigError("dataset.source: the oracle needs a synthetic mixture, not 'csv'")
     for field in _UNREAD[source]:
         if ds[field] != DEFAULT_CONFIG["dataset"][field]:
             raise ConfigError(f"dataset.{field}: a {source!r} dataset does not read it")
-    if ds["source"] == "csv":
+    if source == "csv":
         if ds["csv_path"] is None:
             raise ConfigError("dataset.csv_path: required when source is 'csv'")
-        if resolved["experiment"] == "oracle":
-            raise ConfigError("dataset.source: the oracle needs a synthetic mixture, not 'csv'")
     elif resolved["experiment"] in ("train", "ablate"):  # the readers of the class counts
         _check_class_count(resolved, _synthetic_counts(ds, build_mixture(ds).class_count))
     elif resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid":
@@ -462,11 +464,13 @@ def load_config(path=None, preset=None, overrides=None) -> dict:
     if preset is not None:
         config["preset"] = preset
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{path}: not valid JSON ({err})")
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}: not valid JSON ({err})")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"{path}: cannot be read ({err})")
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: config root must be an object")
         if "preset" in loaded and preset is not None:

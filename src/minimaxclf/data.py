@@ -256,6 +256,8 @@ def load_csv_dataset(path, has_header: bool = False) -> LabeledDataset:
             features = [float(v) for v in fields[:-1]]
         except ValueError:
             raise ValueError(f"row {lineno}: non-numeric feature in {fields[:-1]!r}")
+        if not all(map(math.isfinite, features)):
+            raise ValueError(f"row {lineno}: non-finite feature in {fields[:-1]!r}")
         try:
             label = int(fields[-1])
         except ValueError:

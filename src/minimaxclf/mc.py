@@ -42,7 +42,7 @@ _CHUNK = 1 << 14
 _ROWS = 1 << 13  # rows of a chunk drawn per block: the working set of a call
 MIN_TRIALS = 10_000
 # The analytic curve point costs time and memory linear in N: on a 2-vCPU VM
-# a `theory` or `mc` run of one point at 10**6 takes about 3.5 s and 266 MB.
+# a `theory` run of one point at 10**6 takes about 1.4 s and 265 MB.
 # The cap also keeps every count inside the int32 guide and lookup scratch.
 MAX_SAMPLE_SIZE = 10**6
 _Z95 = 1.959963984540054  # the z of a two-sided 95% normal interval

@@ -23,29 +23,43 @@ from .model import ModelParams, forward_logits
 from .priors import Prior
 
 
-def binomial_pmf(n_trials: int, p: float) -> np.ndarray:
-    """Vector of Bin(k; n_trials, p) masses for k = 0..n_trials; the exact
+def _log_comb(n_trials: int) -> np.ndarray:
+    """log C(n_trials, k) for k = 0..n_trials, from one log-gamma table."""
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    log_fact = np.array([lgamma(i + 1) for i in range(n_trials + 1)])  # log k!
+    return log_fact[-1] - log_fact - log_fact[::-1]
+
+
+def _pmf(log_comb: np.ndarray, p: float) -> np.ndarray:
+    """Bin(k; N, p) for k = 0..N from the row ``_log_comb(N)``; the exact
     unit vector at p = 0 or 1."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
+    n_trials = log_comb.size - 1
     if p in (0.0, 1.0):
         pmf = np.zeros(n_trials + 1)
         pmf[n_trials if p == 1.0 else 0] = 1.0
         return pmf
     k = np.arange(n_trials + 1)
-    log_fact = np.array([lgamma(i + 1) for i in range(n_trials + 1)])  # log k!
-    log_comb = log_fact[-1] - log_fact - log_fact[::-1]
+    # scalar logs: numpy's array log can differ from math.log in the last bit
     return np.exp(log_comb + k * log(p) + (n_trials - k) * log1p(-p))
+
+
+def binomial_pmf(n_trials: int, p: float) -> np.ndarray:
+    """Vector of Bin(k; n_trials, p) masses for k = 0..n_trials; the exact
+    unit vector at p = 0 or 1."""
+    return _pmf(_log_comb(n_trials), p)
 
 
 def _binomial_tails(p, n_samples: int) -> tuple:
     """(pmf, tail) of shape (len(p), N + 1): pmf[j, c] is Bin(c; N, p[j])
-    and tail[j, c] = P(count_j > c), each tail summed from its top count."""
-    pmf = np.array([binomial_pmf(n_samples, q) for q in p])
+    and tail[j, c] = P(count_j > c), each tail summed from its top count.
+    The classes share one row of log binomial coefficients."""
+    log_comb = _log_comb(n_samples)
+    pmf = np.array([_pmf(log_comb, q) for q in p])
     tail = np.zeros_like(pmf)
-    tail[:, :-1] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
+    np.cumsum(pmf[:, :0:-1], axis=1, out=tail[:, -2::-1])
     return pmf, tail
 
 

@@ -157,6 +157,9 @@ class TestValidation:
                 ("csv-counts", {"dataset": {**_CSV, "counts": [10, 10]}}, "dataset.counts"),
                 ("csv-imbalance", {"dataset": {**_CSV, "imbalance": _STEP}}, "dataset.imbalance"),
                 ("csv-no-path", {"dataset": {"source": "csv"}}, "dataset.csv_path"),
+                ("csv-benchmark", {"dataset": {**_CSV, "benchmark": "two_gaussians_1d"}},
+                 "dataset.benchmark"),
+                ("csv-mixture-field", {"dataset": {**_CSV, "radius": 3.0}}, "dataset.radius"),
                 ("synthetic-csv_path", {"dataset": {"csv_path": "nope.csv"}}, "dataset.csv_path"),
                 ("synthetic-csv_header", {"dataset": {"csv_header": True}}, "dataset.csv_header"),
                 ("unread-class_count", {"dataset": {"benchmark": "two_gaussians_1d",
@@ -498,6 +501,17 @@ class TestExperiments:
         assert not [key for key in summary if key.startswith("worst_class")]
         assert "inter_intra_ratio" not in summary
 
+    def test_csv_source_takes_seed_and_eval(self, tmp_path, capsys):
+        # every --seed writes dataset.seed, and the config sets the eval
+        # section: a CSV source leaves both free, unlike the benchmark fields
+        config = _tiny_train_config(dataset={**_csv_dataset(tmp_path), "seed": 5})
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["train", "--config", str(config_path), "--out", str(tmp_path / "run")]
+        assert main([*argv, "--seed", "3"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"]["dataset"]["seed"] == 3
+
     def test_csv_source_ablate(self, tmp_path, capsys):
         config = _tiny_train_config(dataset=_csv_dataset(tmp_path), ablate={"seeds": [0, 1]})
         config_path = tmp_path / "c.json"
@@ -532,11 +546,17 @@ class TestExperiments:
     @staticmethod
     def _mc_threads(monkeypatch, config, out, cpus) -> tuple:
         """Artifact digests of an ``mc`` run on ``cpus`` usable CPUs, and the
-        set of threads its curve points ran on, in a thread bounded in time."""
-        threads, outcome = set(), []
+        set of threads its curve points ran on, in a thread bounded in time.
+        No point goes on before as many threads as the pool may start have
+        entered one, so that a loaded host cannot leave a thread unstarted."""
+        threads, outcome, met = set(), [], threading.Event()
+        meet = min(len(cpus), len(config["mc"]["sample_sizes"]))
 
         def recorded(*args):
             threads.add(threading.current_thread())
+            if len(threads) >= meet:
+                met.set()
+            met.wait(timeout=30)
             return mc_worst_class_failure(*args)
 
         def run():
@@ -555,11 +575,11 @@ class TestExperiments:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         environ, before = _blas_environ(), threading.active_count()
         config = _tiny_mc_config([2, 4, 8])
-        # two usable CPUs: this thread and one helper run the 3 curve points,
-        # with no BLAS thread switch
+        # two usable CPUs: two pool threads run the 3 curve points, with no
+        # BLAS thread switch
         threaded, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "threads", {0, 1})
         assert len(ran_on) == 2 and _blas_environ() == environ
-        # one usable CPU: the curve points take turns on the calling thread
+        # one usable CPU: the curve points take turns on one pool thread
         serial, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "serial", {0})
         assert len(ran_on) == 1
         assert sorted(threaded) == ["failure_curve.csv", "manifest.json", "mse_curve.csv"]
@@ -569,16 +589,20 @@ class TestExperiments:
     def test_mc_single_sample_size_runs_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        seen = []
+        before, seen = threading.active_count(), []
 
-        def on_calling_thread(*args):
-            seen.append((threading.current_thread(), os.environ["OPENBLAS_NUM_THREADS"]))
-            return mc_worst_class_failure(*args)
+        def recorded(error_vector, m, n, *args):
+            seen.append((n, threading.active_count(), os.environ["OPENBLAS_NUM_THREADS"]))
+            return mc_worst_class_failure(error_vector, m, n, *args)
 
-        # two usable CPUs but one task: no helper thread starts, nor a BLAS thread switch
-        monkeypatch.setattr(cli, "mc_worst_class_failure", on_calling_thread)
+        # two usable CPUs but one task: one pool thread runs it, with no BLAS
+        # thread switch, and ends with the run
+        monkeypatch.setattr(cli, "mc_worst_class_failure", recorded)
+        started = time.monotonic()
         out = run_experiment(_tiny_mc_config([4]), tmp_path / "one")
-        assert seen == [(threading.current_thread(), "2")]
+        assert time.monotonic() - started < 10
+        assert seen == [(4, before + 1, "2")]
+        assert threading.active_count() == before
         lines = (out / "failure_curve.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["N", "4"]
 
@@ -595,30 +619,19 @@ class TestExperiments:
         finally:
             sys.setswitchinterval(interval)
         serial, _ = self._mc_threads(monkeypatch, config, tmp_path / "one", {0})
-        assert len(ran_on) > 1
+        assert len(ran_on) == 6
         assert threaded == serial
 
-    @pytest.mark.parametrize(
-        "where, error",
-        [("calling", RuntimeError), ("helper", RuntimeError), ("calling", KeyboardInterrupt)],
-        ids=["error-calling-thread", "error-helper-thread", "ctrl-c"],
-    )
-    def test_mc_failing_point_stops_its_sibling(self, tmp_path, monkeypatch, where, error):
-        # one curve point raises while the other runs 10**9 trials (minutes):
-        # the run ends within seconds, with no thread left behind
+    @staticmethod
+    def _mc_failing(tmp_path, monkeypatch, sample_sizes, point) -> tuple:
+        """Run ``mc`` over ``sample_sizes`` of 10**9 trials (minutes each) on
+        two usable CPUs, with ``point(n, args)`` in place of each curve
+        point's ``mc_worst_class_failure(*args)``; the error the run raised,
+        or None, once it has ended within 10 s with no thread left behind."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        config = _tiny_mc_config([2, 4])
+        config = _tiny_mc_config(sample_sizes)
         config["mc"]["trials"] = 10**9
-        sibling_started, outcome = threading.Event(), []
-
-        def point(*args):
-            on_calling_thread = threading.current_thread() is runner
-            if on_calling_thread == (where == "calling"):
-                assert sibling_started.wait(timeout=30)
-                time.sleep(0.05)  # the sibling is well into its chunks
-                raise error("curve point failed")
-            sibling_started.set()
-            return mc_worst_class_failure(*args)
+        outcome = []
 
         def run():
             try:
@@ -626,7 +639,8 @@ class TestExperiments:
             except BaseException as err:
                 outcome.append(err)
 
-        monkeypatch.setattr(cli, "mc_worst_class_failure", point)
+        monkeypatch.setattr(cli, "mc_worst_class_failure",
+                            lambda vector, m, n, *args: point(n, (vector, m, n, *args)))
         before = threading.active_count()
         runner = threading.Thread(target=run, daemon=True)
         started = time.monotonic()
@@ -634,8 +648,29 @@ class TestExperiments:
         runner.join(timeout=30)
         assert not runner.is_alive(), "the sibling ran on after the failure"
         assert time.monotonic() - started < 10
-        assert [type(err) for err in outcome] == [error]
         assert threading.active_count() == before
+        return outcome[0] if outcome else None
+
+    @pytest.mark.parametrize(
+        "failing, error",
+        [(2, RuntimeError), (4, RuntimeError), (2, KeyboardInterrupt)],
+        ids=["error-first-point", "error-second-point", "ctrl-c"],
+    )
+    def test_mc_failing_point_stops_its_sibling(self, tmp_path, monkeypatch, failing, error):
+        # the point at N = failing raises while the other one is in its chunks:
+        # the sibling stops at its next chunk
+        sibling_started = threading.Event()
+
+        def point(n, args):
+            if n == failing:
+                assert sibling_started.wait(timeout=30)
+                time.sleep(0.05)  # the sibling is well into its chunks
+                raise error("curve point failed")
+            sibling_started.set()
+            return mc_worst_class_failure(*args)
+
+        raised = self._mc_failing(tmp_path, monkeypatch, [2, 4], point)
+        assert type(raised) is error
         failure = tmp_path / "x" / "failure.json"
         if error is KeyboardInterrupt:  # not a failure of the run: nothing recorded
             assert not failure.exists()
@@ -643,6 +678,23 @@ class TestExperiments:
             assert json.loads(failure.read_text()) == {
                 "error": "curve point failed", "type": "RuntimeError", "experiment": "mc"
             }
+
+    def test_mc_point_queued_behind_a_failure_never_starts(self, tmp_path, monkeypatch):
+        # 3 points on 2 CPUs: N = 8 waits in the queue while N = 2 fails
+        # and N = 4 runs its chunks
+        started, sibling_started = [], threading.Event()
+
+        def point(n, args):
+            started.append(n)
+            if n == 2:
+                assert sibling_started.wait(timeout=30)
+                raise RuntimeError("curve point failed")
+            sibling_started.set()
+            return mc_worst_class_failure(*args)
+
+        raised = self._mc_failing(tmp_path, monkeypatch, [2, 4, 8], point)
+        assert isinstance(raised, RuntimeError)
+        assert sorted(started) == [2, 4]
 
 
 class TestCliEntry:
@@ -699,15 +751,21 @@ class TestCliEntry:
             (["train"], {"dataset": {**_CSV, "imbalance": _STEP}}, ("dataset.imbalance",)),
             (["train"], {"dataset": {"benchmark": "two_gaussians_1d", "class_count": 7,
                                      "radius": 9.0}}, ("dataset.class_count",)),
+            (["train"], None, ("c.json",)),
+            (["train"], b'{"name": "caf\xe9"}', ("c.json",)),
         ],
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
              "imbalance-below-two", "no-sample-size", "repeated-sample-size",
              "theory-sample-size-above-cap", "mc-sample-size-above-cap", "eval-one-per-class",
-             "counts-and-imbalance", "csv-counts", "csv-imbalance", "unread-mixture-field"],
+             "counts-and-imbalance", "csv-counts", "csv-imbalance", "unread-mixture-field",
+             "config-file-missing", "config-file-not-utf8"],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps(config))
+        if isinstance(config, bytes):
+            config_path.write_bytes(config)
+        elif config is not None:  # None: there is no config file
+            config_path.write_text(json.dumps(config))
         code = main(argv + ["--config", str(config_path), "--out", str(tmp_path / "x")])
         record = json.loads(capsys.readouterr().err.strip())
         assert code == 2
@@ -1069,10 +1127,12 @@ def test_read_mixture_fields_accepted(name):
 def _unread_by_three_checks(ds: dict):
     """A test-local copy of the three checks that the one unread-field table
     replaced, in their order: the dataset field the first failing one names,
-    or None."""
+    or None. Its CSV check also names the benchmark and mixture fields, which
+    a CSV source leaves unread."""
     if ds["source"] == "csv":
-        for field in ("counts", "imbalance"):
-            if ds[field] is not None:
+        for field in ("counts", "imbalance", "benchmark", "class_count", "radius",
+                      "separation", "spacing", "sigma"):
+            if ds[field] != DEFAULT_CONFIG["dataset"][field]:
                 return field
         return None
     for field, value in (("csv_path", ds["csv_path"]), ("csv_header", ds["csv_header"])):
@@ -1116,17 +1176,17 @@ def test_unread_table_accepts_what_the_three_checks_accepted(experiment, source,
     full = {**DEFAULT_CONFIG["dataset"], **ds}
     if "counts" in changed:
         ds["counts"] = full["counts"] = [5] * build_mixture(full).class_count
-    # the checks that came before the three, and the CSV checks after them
+    # the checks that come before the three, and the CSV path check after them
     if "bad-imbalance" in changed:
         expected = "imbalance.ratio"
     elif full["imbalance"] is not None and full["counts"] is not None:
         expected = "imbalance"
+    elif source == "csv" and experiment == "oracle":
+        expected = "source"
     else:
         expected = _unread_by_three_checks(full)
-    if expected is None and source == "csv":
-        expected = "csv_path" if full["csv_path"] is None else None
-        if expected is None and experiment == "oracle":
-            expected = "source"
+    if expected is None and source == "csv" and full["csv_path"] is None:
+        expected = "csv_path"
     try:
         validate_config({"experiment": experiment, "dataset": ds})
         named = None
@@ -1135,47 +1195,53 @@ def test_unread_table_accepts_what_the_three_checks_accepted(experiment, source,
     assert named == (None if expected is None else f"dataset.{expected}")
 
 
-# Run in a fresh interpreter, since this one has loaded scipy already: which
-# scipy modules are loaded after the imports, and after one CLI command.
-_SCIPY_PROBE = """
+# Run in a fresh interpreter, since this one has loaded these modules already:
+# which of the modules named in argv[1] are loaded after the imports, and
+# after the CLI command in the rest of argv.
+_IMPORT_PROBE = """
 import json, sys
 import minimaxclf, minimaxclf.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return [name for name in sys.argv[1].split(",") if name in sys.modules]
 
-at_import = scipy_modules()
-code = minimaxclf.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "at_import": at_import, "after_run": scipy_modules()}))
+at_import = loaded()
+code = minimaxclf.cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
 """
 
 
 @pytest.mark.parametrize(
-    "config, loads_scipy",
+    "config, loads",
     [
-        (_tiny_train_config(), False),
+        (_tiny_train_config(), []),
         ({"experiment": "oracle", "dataset": {"class_count": 3},
-          "oracle": {"iterations": 2}}, False),
+          "oracle": {"iterations": 2}}, []),
+        # scipy loads concurrent.futures itself
         ({"experiment": "oracle", "dataset": {"benchmark": "two_gaussians_1d"},
-          "oracle": {"resolution": 0.1}}, True),
-        ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, False),
-        # the curve points run on threads of this process
-        ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}}, False),
+          "oracle": {"resolution": 0.1}}, ["scipy", "concurrent.futures"]),
+        ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, []),
+        # the curve points run on a thread pool of this process
+        ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}},
+         ["concurrent.futures"]),
+        # the cell runs go to spawned worker processes
+        ({**_tiny_ablate_config(), "ablate": {"seeds": [0]}}, ["multiprocessing"]),
     ],
-    ids=["train", "oracle-polygon", "oracle-exact-1d", "theory", "mc"],
+    ids=["train", "oracle-polygon", "oracle-exact-1d", "theory", "mc", "ablate"],
 )
-def test_scipy_loaded_only_where_used(tmp_path, config, loads_scipy):
+def test_scipy_loaded_only_where_used(tmp_path, config, loads):
     # only the exact 1-d Bayes risks need scipy (the 2-d polygon path does
-    # not); importing the package and the CLI loads none of it
+    # not), only mc its thread pool and only ablate multiprocessing;
+    # importing the package and the CLI loads none of them
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     argv = [config["experiment"], "--config", str(config_path), "--out", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        [sys.executable, "-c", _IMPORT_PROBE, "scipy,multiprocessing,concurrent.futures", *argv],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True, text=True, check=True,
     )
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["code"] == 0
     assert record["at_import"] == []
-    assert bool(record["after_run"]) == loads_scipy
+    assert record["after_run"] == loads

@@ -215,6 +215,10 @@ def _load(tmp_path, text):
                      "row 2: expected 2 columns, found 3", id="csv-ragged-row"),
         pytest.param(lambda tmp: _load(tmp, "1.0,1.5\n"), "row 1: non-integer label",
                      id="csv-non-integer-label"),
+        pytest.param(lambda tmp: _load(tmp, "1.0,0.5,1\nnan,0.5,1\n"),
+                     "row 2: non-finite feature", id="csv-nan-feature"),
+        pytest.param(lambda tmp: _load(tmp, "inf,0.5,1\n"), "row 1: non-finite feature",
+                     id="csv-inf-feature"),
     ],
 )
 def test_bad_input_rejected(tmp_path, call, match):

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from minimaxclf.losses import spec_from_variant
 from minimaxclf.model import ModelParams
 from minimaxclf.priors import Prior
 from minimaxclf.theory import (
+    _binomial_tails,
     binomial_pmf,
     bound_terms,
     ega_estimate_mse,
@@ -84,6 +86,22 @@ class TestPairwiseProbabilities:
             # a certain outcome gives the exact unit vector
             assert binomial_pmf(n, 0.0).tolist() == [1.0] + [0.0] * n
             assert binomial_pmf(n, 1.0).tolist() == [0.0] * n + [1.0]
+
+    def test_tail_table_rows_match_pmf_bit_for_bit(self):
+        # the classes share one coefficient row; each pmf row is the vector
+        # binomial_pmf gives, and that the formula with its own lgamma table
+        rng = np.random.default_rng(30)
+        for n in (1, 2, 3, 4, 8, 16, 32, 64, 10**3, 10**5):
+            p = [0.0, 1.0, *rng.uniform(0.0, 1.0, size=3)]
+            pmf, _ = _binomial_tails(p, n)
+            k = np.arange(n + 1)
+            log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+            log_comb = log_fact[-1] - log_fact - log_fact[::-1]
+            for row, q in zip(pmf, p):
+                assert np.array_equal(row, binomial_pmf(n, q))
+                if 0.0 < q < 1.0:
+                    own = np.exp(log_comb + k * math.log(q) + (n - k) * math.log1p(-q))
+                    assert np.array_equal(row, own)
 
     def test_large_n_stable(self):
         value = prob_greater(0.51, 0.5, 10_000)
