@@ -236,14 +236,14 @@ def load_csv_dataset(path, has_header: bool = False) -> LabeledDataset:
     rows = []
     labels = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if has_header:
-        lines = lines[1:]
-    start = 2 if has_header else 1
-    for lineno, line in enumerate(lines, start=start):
-        line = line.strip()
-        if not line:
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line = line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"row {lineno}: not UTF-8 text")
+        if not line or (has_header and lineno == 1):
             continue
         fields = line.split(",")
         if width is None:

@@ -5,26 +5,22 @@ Trials run in fixed-size chunks with chunk seeds derived from the master
 seed, so results do not depend on how the chunks would be scheduled, and the
 failure count is an exact integer reduction.
 
-The per-class counts are those of ``Generator.binomial(N, p, size=(n, K))``,
-drawn from the same stream, so every artifact is the one that call gives.
-numpy draws a count by inversion (sequential search; Devroye, Non-Uniform
-Random Variate Generation, 1986, ch. X) while N * min(p, 1 - p) <= 30: it
-subtracts the point masses of 0, 1, 2, ... from one uniform until the next
-mass exceeds what is left, and draws again past a bound it sets. ``_replay``
-runs that loop on arrays of uniforms; it is the one model of the sampler.
-Each step, a comparison and then a rounded subtraction, is monotone in the
-uniform. So a guide table over the uniform (indexed search; Chen and Asau,
-1974; Devroye 1986, ch. III.3), 2**12 buckets per class, replays only each
-bucket's first and last uniform: a bucket whose ends reach the same count
-holds that count throughout, and one whose ends differ or reach numpy's
-rejection holds a sentinel. A chunk reads its counts with one gather per
-block of ``_ROWS`` rows, and then replays the uniforms that hit a sentinel,
-every block and class at once; a uniform that numpy would reject is found
-there. Such a chunk, and a whole call with a class that numpy does not
-invert from one uniform (p = 0 draws none, and N * min(p, 1 - p) > 30 is
-BTPE), fall back to ``Generator.binomial``. The
-masses replay numpy's recurrence and the platform's ``exp`` and ``log``;
-the module tests pin the counts to ``Generator.binomial``, bit for bit.
+Each count is the inverse CDF at one uniform u, the least c with F(c) >= u,
+where F is one minus ``theory._binomial_tails`` at min(p, 1 - p); for
+p > 1/2 the count is N minus that, as numpy flips it. F(N) = 1 exactly, so
+every uniform reaches a count. A guide table over u (indexed search; Chen
+and Asau, 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
+ch. III.3), 2**12 buckets per class, holds a bucket's count where its first
+and last uniform search to it and a sentinel elsewhere; a chunk gathers its
+counts a block of ``_ROWS`` rows at a time, then searches F for the
+uniforms that hit a sentinel.
+
+Where ``Generator.binomial`` inverts too (p > 0 and N * min(p, 1 - p) <= 30,
+as on every preset), it reads the same uniforms and stops at the same steps
+of F, so the counts and the stream after them are its own; only a uniform
+within rounding of a step could differ, and the module tests, for stated
+seeds, find none. Elsewhere (BTPE, and p = 0, where numpy draws no uniform)
+the counts share only its distribution.
 
 Drawing a chunk's uniforms, and then its jitter, a block at a time reads
 the same stream as one draw of the whole chunk. The blocks bound the memory
@@ -38,15 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .theory import _binomial_tails
+
 _CHUNK = 1 << 14
 _ROWS = 1 << 13  # rows of a chunk drawn per block: the working set of a call
 MIN_TRIALS = 10_000
-# The analytic curve point costs time and memory linear in N: on a 2-vCPU VM
-# a `theory` run of one point at 10**6 takes about 1.4 s and 265 MB.
-# The cap also keeps every count inside the int32 guide and lookup scratch.
+# A curve point's time and memory grow linearly in N: at 10**6, on a 2-vCPU VM,
+# an `mc` run of one point takes about 0.9 s and 289 MB, a `theory` run 0.6 s
+# and 265 MB. The cap also keeps every count inside the int32 guide.
 MAX_SAMPLE_SIZE = 10**6
 _Z95 = 1.959963984540054  # the z of a two-sided 95% normal interval
-_INVERSION_MAX = 30.0  # numpy inverts while N * min(p, 1 - p) is at most this
 _GUIDE = 1 << 12  # buckets per class of the guide table over the uniform
 
 
@@ -107,95 +104,58 @@ def _buffer(k: int, dtype=np.float64) -> np.ndarray:
     return np.empty((_ROWS, k), dtype=dtype)
 
 
-def _inversion_masses(n: int, p: float) -> list:
-    """The masses px_0 ... px_bound that numpy's inversion sampler subtracts
-    from its uniform for p <= 1/2, in numpy's order of operations."""
-    q = 1.0 - p
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = [math.exp(n * math.log(q))]
-    for x in range(1, bound + 1):
-        px.append(((n - x + 1) * p * px[-1]) / (x * q))
-    return px
-
-
-def _replay(u: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """numpy's inversion loop on many uniforms at once: the count each one
-    reaches, or its chain's length where numpy draws again. The last axis of
-    ``masses`` is the chain, padded with +inf; the others broadcast with ``u``."""
-    alive = np.ones(np.broadcast_shapes(u.shape, masses.shape[:-1]), dtype=bool)
-    count = np.zeros(alive.shape, dtype=np.intp)
-    for px in np.moveaxis(masses, -1, 0):  # numpy's loop: compare, then subtract
-        alive &= u > px
-        if not alive.any():
-            break
-        count += alive
-        u = u - px
-    return count
-
-
 class _Binomial:
-    """``rng.binomial(n, p, size=(size, K))`` for the chunks of one call, with
-    ``rng`` left where that call leaves it. The guide is built once, a class
-    at a time, and the counts of every chunk go to one (_CHUNK, K) buffer of
-    the narrowest unsigned dtype that holds N."""
+    """Binomial(N, p) counts of K classes for the chunks of one call, into
+    one (_CHUNK, K) buffer of the narrowest unsigned dtype that holds N."""
 
     def __init__(self, n: int, p: np.ndarray):
-        self.n, self.p = n, p
-        # numpy draws the count of a class with p > 1/2 as N minus a draw at 1 - p
-        self.flipped = p > 0.5
-        inner = np.where(self.flipped, 1.0 - p, p)
-        self.masses = None
-        if np.any(p == 0) or np.any(inner * n > _INVERSION_MAX):
-            return  # some class is not drawn by inversion from one uniform
-        chains = [_inversion_masses(n, float(v)) for v in inner]
-        self.lengths = np.array([len(c) for c in chains])
-        self.masses = np.array([c + [np.inf] * (max(self.lengths) - len(c)) for c in chains])
+        self.n, self.flipped = n, p > 0.5
+        self.cdf = _binomial_tails(np.minimum(p, 1.0 - p), n)[1]
+        np.subtract(1.0, self.cdf, out=self.cdf)
         # each bucket's first uniform b / _GUIDE, then its last, 2**-53 below the next
         starts = np.arange(_GUIDE) / _GUIDE
         edges = np.r_[starts, starts + (1 / _GUIDE - 2.0**-53)]
-        self.guide = np.empty((p.size, _GUIDE), dtype=np.int32)
-        for c, masses in enumerate(self.masses):
-            first, last = np.split(_replay(edges, masses), 2)
-            count = n - first if self.flipped[c] else first
-            self.guide[c] = np.where((first != last) | (last == self.lengths[c]), -1, count)
-        self.guide = self.guide.ravel()
+        self.guide = np.empty(p.size * _GUIDE, dtype=np.int32)
+        for c, row in enumerate(np.split(self.guide, p.size)):
+            first, last = np.split(self._count(c, edges), 2)
+            row[:] = np.where(first != last, -1, first)
         self.offsets = np.arange(0, self.guide.size, _GUIDE, dtype=np.int32)
         self.counts = np.empty((_CHUNK, p.size), dtype=np.min_scalar_type(n))
+
+    def _count(self, c: int, u: np.ndarray) -> np.ndarray:
+        """The counts of class c at the uniforms u, flipped where p > 1/2."""
+        x = self.cdf[c].searchsorted(u)
+        return self.n - x if self.flipped[c] else x
 
     def __call__(self, rng: np.random.Generator, size: int, uniforms: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
         """The (size, K) counts of one chunk. Its uniforms are drawn a block
         at a time into ``uniforms`` and looked up in the int32 ``scratch``,
         both (_ROWS, K) buffers whose contents are spent once this returns."""
-        if self.masses is not None:
-            state = rng.bit_generator.state
-            counts = self.counts[:size]
-            k = self.p.size
-            misses, missed = [], []  # the flat places of sentinel hits, and their uniforms
-            for rows in _blocks(size):
-                u = rng.random(out=uniforms[: rows.stop - rows.start])
-                index = scratch[: len(u)]
-                # u * _GUIDE is exact, as u = k * 2**-53; the class offsets are
-                # added as integers, since a float sum can round up across a
-                # bucket edge
-                np.multiply(u, _GUIDE, out=index, casting="unsafe")
-                index += self.offsets
-                # take copies the int32 indices to intp before it writes, so
-                # the counts can overwrite them; every index is in range
-                self.guide.take(index, out=index, mode="clip")
-                hit = np.flatnonzero(index < 0)
-                misses.append(hit + rows.start * k)
-                missed.append(u.flat[hit])
-                counts[rows] = index  # a sentinel's place is written below
-            misses = np.concatenate(misses)
-            classes = misses % k
-            x = _replay(np.concatenate(missed), self.masses[classes])
-            if not np.any(x == self.lengths[classes]):
-                counts.flat[misses] = np.where(self.flipped[classes], self.n - x, x)
-                return counts
-            rng.bit_generator.state = state  # numpy draws again: replay its own call
-        return rng.binomial(self.n, self.p, size=(size, self.p.size))
+        counts = self.counts[:size]
+        k = self.offsets.size
+        misses, missed = [], []  # the flat places of sentinel hits, and their uniforms
+        for rows in _blocks(size):
+            u = rng.random(out=uniforms[: rows.stop - rows.start])
+            index = scratch[: len(u)]
+            # u * _GUIDE is exact, as u = k * 2**-53; the class offsets are
+            # added as integers, since a float sum can round up across a
+            # bucket edge
+            np.multiply(u, _GUIDE, out=index, casting="unsafe")
+            index += self.offsets
+            # take copies the int32 indices to intp before it writes, so
+            # the counts can overwrite them; every index is in range
+            self.guide.take(index, out=index, mode="clip")
+            hit = np.flatnonzero(index < 0)
+            misses.append(hit + rows.start * k)
+            missed.append(u.flat[hit])
+            counts[rows] = index  # a sentinel's place is written below
+        misses, missed = np.concatenate(misses), np.concatenate(missed)
+        classes = misses % k
+        for c in range(k):  # np.unique would import numpy.ma, about 1 MB
+            at = classes == c
+            counts.flat[misses[at]] = self._count(c, missed[at])
+        return counts
 
 
 def mc_worst_class_failure(

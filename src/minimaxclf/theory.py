@@ -13,6 +13,7 @@ is its own tail: the ranks past M, summed, not one minus the success.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, log, log1p
 
 import numpy as np
@@ -23,12 +24,17 @@ from .model import ModelParams, forward_logits
 from .priors import Prior
 
 
+@lru_cache(maxsize=4)
 def _log_comb(n_trials: int) -> np.ndarray:
-    """log C(n_trials, k) for k = 0..n_trials, from one log-gamma table."""
+    """log C(n_trials, k) for k = 0..n_trials, from one log-gamma table. The
+    rows of the last few N are kept, read-only, so that the analytic curve
+    point and the Monte Carlo samplers at one N share one log-gamma loop."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
     log_fact = np.array([lgamma(i + 1) for i in range(n_trials + 1)])  # log k!
-    return log_fact[-1] - log_fact - log_fact[::-1]
+    row = log_fact[-1] - log_fact - log_fact[::-1]
+    row.flags.writeable = False
+    return row
 
 
 def _pmf(log_comb: np.ndarray, p: float) -> np.ndarray:

@@ -181,7 +181,7 @@ def test_train_prior_from_realized_counts():
 
 def _load(tmp_path, text):
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return load_csv_dataset(path)
 
 
@@ -219,6 +219,8 @@ def _load(tmp_path, text):
                      "row 2: non-finite feature", id="csv-nan-feature"),
         pytest.param(lambda tmp: _load(tmp, "inf,0.5,1\n"), "row 1: non-finite feature",
                      id="csv-inf-feature"),
+        pytest.param(lambda tmp: _load(tmp, b"1.0,0.5,1\n\xff,0.5,1\n"), "row 2: not UTF-8 text",
+                     id="csv-not-utf8"),
     ],
 )
 def test_bad_input_rejected(tmp_path, call, match):

@@ -1,14 +1,11 @@
-import functools
 import math
-import types
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
-from minimaxclf import mc
 from minimaxclf.mc import (
     _CHUNK,
     _GUIDE,
@@ -19,13 +16,12 @@ from minimaxclf.mc import (
     _Binomial,
     _buffer,
     _chunks,
-    _inversion_masses,
-    _replay,
     _wilson_interval,
     mc_ega_mse,
     mc_worst_class_failure,
 )
 from minimaxclf.theory import (
+    _binomial_tails,
     ega_estimate_mse,
     exact_find_worst_probability,
     prob_find_worst,
@@ -115,7 +111,7 @@ def _draw(binomial, rng, size):
     """``size`` rows of counts from ``rng``, drawn by consecutive chunks of
     at most ``_CHUNK`` rows, which read the stream as one call of ``size``
     rows does."""
-    k = binomial.p.size
+    k = len(binomial.cdf)
     uniforms, scratch = _buffer(k), _buffer(k, np.int32)
     sizes = [min(_CHUNK, size - start) for start in range(0, size, _CHUNK)]
     return np.concatenate([binomial(rng, n, uniforms, scratch).copy() for n in sizes])
@@ -131,57 +127,18 @@ def _assert_matches_numpy(n, p, seed, size=64):
     assert np.array_equal(sampled.random(5), reference.random(5))
 
 
-def _numpy_loop(u, masses):
-    """A scalar copy of numpy's random_binomial_inversion for one uniform over
-    the chain px_0 ... px_bound; None where numpy would draw again."""
-    x, px, bound = 0, masses[0], len(masses) - 1
-    while u > px:
-        x += 1
-        if x > bound:
-            return None
-        u -= px
-        px = masses[x]
-    return x
-
-
-class _FixedUniforms:
-    """A stand-in generator whose ``random`` gives the next rows of fixed
-    uniforms and whose ``binomial``, the sampler's fallback on a rejected
-    uniform, gives None."""
-
-    def __init__(self, uniforms):
-        self.uniforms, self.drawn = uniforms, 0
-        self.bit_generator = types.SimpleNamespace(state=None)
-
-    def random(self, out):
-        out[...] = self.uniforms[self.drawn : self.drawn + len(out)]
-        self.drawn += len(out)
-        return out
-
-    def binomial(self, n, p, size):
-        return None
-
-
-def _lookup(binomial, uniforms):
-    """The sampler's counts of one chunk of (trials, K) uniforms, or None
-    where it falls back to numpy."""
-    k = uniforms.shape[1]
-    return binomial(_FixedUniforms(uniforms), len(uniforms), _buffer(k), _buffer(k, np.int32))
-
-
-class _Spy:
-    """A generator that records the sizes of its ``binomial`` calls, the
-    sampler's fallback."""
-
-    def __init__(self, rng):
-        self.rng, self.bit_generator, self.fallbacks = rng, rng.bit_generator, []
-
-    def random(self, out):
-        return self.rng.random(out=out)
-
-    def binomial(self, n, p, size):
-        self.fallbacks.append(size)
-        return self.rng.binomial(n, p, size=size)
+@st.composite
+def _inversion_cases(draw):
+    """(N, p) that numpy draws by inversion, one uniform per count: p > 0
+    and N * min(p, 1 - p) <= 30."""
+    n = draw(st.integers(1, 200))
+    top = min(0.5, 30 / n)
+    inner = st.one_of(st.floats(0.0, top, exclude_min=True), st.sampled_from([top, 1e-12]))
+    p = [1.0 - q if flip else q
+         for q, flip in draw(st.lists(st.tuples(inner, st.booleans()), min_size=1, max_size=12))]
+    p += draw(st.lists(st.just(1.0), max_size=1))
+    assume(all(n * min(q, 1.0 - q) <= 30.0 for q in p))
+    return n, p
 
 
 _ULP = 2.0**-53  # uniforms are k * 2**-53 for integers k < 2**53
@@ -189,135 +146,100 @@ _EDGES = np.arange(_GUIDE + 1) / _GUIDE  # bucket edges, 1.0 included
 _LAST = _EDGES[1:] - _ULP  # each bucket's last uniform
 
 
-@functools.lru_cache(maxsize=1024)
-def _numpy_reads(masses):
-    """numpy's loop over the chain ``masses``, a tuple, at every bucket edge,
-    the grid point below it, and within 4 grid points of every partial sum
-    of the masses, where the count steps; a dict from uniform to count.
-    Cached, as shrinking a failing example keeps most of its chains."""
-    sums = np.round(np.cumsum(masses) / _ULP)[:, None] + np.arange(-4, 5)
-    u = np.unique(np.concatenate([sums.ravel() * _ULP, _EDGES, _LAST]))
-    return {v: _numpy_loop(v, masses) for v in u[(u >= 0) & (u < 1)].tolist()}
+def _searched(n, p, u):
+    """The inverse CDF of Binomial(N, p) at the uniforms u, one column per
+    class: the least c with F(c) >= u on theory's tail table, N minus that
+    at 1 - p for p > 1/2."""
+    p = np.asarray(p, dtype=np.float64)
+    cdf = 1.0 - _binomial_tails(np.minimum(p, 1.0 - p), n)[1]
+    x = np.stack([np.searchsorted(row, col, side="left") for row, col in zip(cdf, u.T)], axis=1)
+    return np.where(p > 0.5, n - x, x)
+
+
+def _assert_searched(n, p, seed, size):
+    """The sampler's counts are the inverse CDF at one uniform per count,
+    drawn row by row, and the stream after them is the one after those
+    uniforms."""
+    reference, sampled = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _searched(n, p, reference.random((size, len(p))))
+    assert np.array_equal(_draw(_Binomial(n, np.array(p, dtype=np.float64)), sampled, size), expected)
+    assert np.array_equal(sampled.random(5), reference.random(5))
 
 
 class TestSampler:
-    """The counts are numpy's, bit for bit, and so is the stream after them."""
+    """Where numpy inverts, the counts are numpy's, bit for bit, and so is
+    the stream after them; everywhere they are the inverse CDF of theory's
+    tail table at one uniform per count."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        n=st.integers(1, 200),
-        p=st.lists(
-            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.5, 1.0, 1e-12, 0.97])),
-            min_size=2, max_size=12,
-        ),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_generator_binomial(self, n, p, seed):
-        _assert_matches_numpy(n, p, seed)
+    @given(case=_inversion_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_generator_binomial(self, case, seed):
+        _assert_matches_numpy(*case, seed)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+    def test_curve_counts_are_numpys(self, n):
+        # the default curve's sizes and vector, every count of two chunks
+        for seed in (0, 1, 2):
+            _assert_matches_numpy(n, ERROR_VECTOR, seed, size=2 * _CHUNK)
 
     @pytest.mark.parametrize(
         "n, p, inverted",
         [(60, [0.5, 0.2], True),  # N p = 30: still inversion
          (8, [0.9, 1.0, 1e-12, 0.3], True),
-         (61, [0.5, 0.2], False),  # N p > 30: BTPE
-         (8, [0.0, 0.3], False),  # p = 0 draws no uniform
+         (61, [0.5, 0.2], False),  # N p > 30: numpy's BTPE
+         (8, [0.0, 0.3], False),  # numpy draws no uniform at p = 0
          (100, [0.0, 0.5, 0.02, 0.995], False)],  # both, next to inverted classes
         ids=["np-30", "flipped-and-edges", "btpe", "p-zero", "p-zero-and-btpe"],
     )
     def test_path_and_stream(self, n, p, inverted):
-        assert (_Binomial(n, np.array(p)).masses is not None) == inverted
         # a block and 7 rows; a full chunk of two blocks; that chunk, then 7 rows
         for size in (_ROWS + 7, _CHUNK, 2 * _ROWS + 7):
             for seed in (0, 1):
-                _assert_matches_numpy(n, p, seed, size=size)
-
-    @pytest.mark.parametrize("n, p", [(2, 0.5), (16, 0.06), (64, 0.33), (64, 0.96), (200, 0.1)])
-    def test_thresholds_are_the_steps_of_numpy_loop(self, n, p):
-        # the replay steps from one count to the next, or to a rejection, at
-        # the uniforms where numpy's loop does: those near every partial sum
-        # of the masses, and every bucket edge and the grid point below it
-        masses = _inversion_masses(n, min(p, 1.0 - p))
-        reads = _numpy_reads(tuple(masses))
-        expected = [len(masses) if x is None else x for x in reads.values()]
-        assert _replay(np.array(list(reads)), np.array(masses)).tolist() == expected
-
-    def test_rejected_uniform_replays_numpy(self):
-        # a chain without its last mass makes a uniform past the others' sum
-        # one that numpy would reject, so its chunk must come from
-        # Generator.binomial; at seed 0 the first such uniform of class 1 is
-        # in the second block of the first chunk
-        n, p, seed = 8, np.array([0.3, 0.7, 0.1]), 0
-        chains = [_inversion_masses(n, q) for q in (0.3, 1.0 - 0.7, 0.1)]
-        chains[1] = chains[1][:-1]
-        uniforms = np.random.default_rng(seed).random((_CHUNK, 3))[:, 1]
-        rejected = [i for i, u in enumerate(uniforms) if _numpy_loop(u, chains[1]) is None]
-        assert _ROWS <= rejected[0] < 2 * _ROWS
-        with mock.patch.object(mc, "_inversion_masses", side_effect=chains):
-            binomial = _Binomial(n, p)
-        for size in (_CHUNK, 2 * _ROWS + 7):
-            reference, sampled = np.random.default_rng(seed), _Spy(np.random.default_rng(seed))
-            expected = reference.binomial(n, p, size=(size, 3))
-            assert np.array_equal(_draw(binomial, sampled, size), expected)
-            assert sampled.fallbacks[0] == (_CHUNK, 3)
-            assert np.array_equal(sampled.rng.random(5), reference.random(5))
-
-
-# masses of a drawn chain: anywhere in [0, 1], multiples of 2**-12 whose steps
-# land on bucket edges, tiny ones that pack steps into one bucket, and heads
-# that leave less than a bucket below 1, so that what follows falls in the last
-_MASS = st.one_of(
-    st.floats(0.0, 1.0),
-    st.integers(1, _GUIDE).map(lambda e: e / _GUIDE),
-    st.integers(1, 2**30).map(lambda k: k * _ULP),
-    st.integers(1, 2**41).map(lambda k: 1.0 - k * _ULP),
-)
-
-
-class TestGuideTable:
-    """With any chains of masses in place of numpy's, the chunk lookup reads
-    what numpy's loop reads, and the guide holds the sentinel exactly where a
-    bucket's two ends differ or reach numpy's rejection."""
-
-    N = 20  # the flip reads N - count; every drawn chain is shorter
+                if inverted:
+                    _assert_matches_numpy(n, p, seed, size=size)
+                else:
+                    _assert_searched(n, p, seed, size=size)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        chains=st.lists(st.lists(_MASS, min_size=1, max_size=12), min_size=1, max_size=64),
-        flips=st.lists(st.booleans(), min_size=64, max_size=64),
+        n=st.integers(1, 3000),
+        p=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0, 1e-12])),
+                   min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_lookup_matches_numpy_loop(self, chains, flips):
-        k = len(chains)
-        flipped = np.array(flips[:k])
-        with mock.patch.object(mc, "_inversion_masses", side_effect=chains):
-            binomial = _Binomial(self.N, np.where(flipped, 0.75, 0.25))
-        guide = binomial.guide.reshape(k, _GUIDE)
+    def test_guide_holds_the_searched_count(self, n, p, seed):
+        # F(N) = 1, so no uniform falls off the top; a bucket holds a count
+        # only where its first and last uniform search to it, and the chunk
+        # lookup reads the searched count of each uniform it draws
+        binomial = _Binomial(n, np.array(p))
+        assert np.all(binomial.cdf[:, -1] == 1.0)
+        guide = binomial.guide.reshape(len(p), _GUIDE)
+        first = _searched(n, p, np.repeat(_EDGES[:-1, None], len(p), axis=1)).T
+        last = _searched(n, p, np.repeat(_LAST[:, None], len(p), axis=1)).T
+        held = guide != -1
+        assert np.array_equal(held, first == last)
+        assert np.array_equal(guide[held], first[held])
+        _assert_searched(n, p, seed, size=_ROWS + 7)
 
-        def flip(c, x):
-            return self.N - x if flipped[c] else x
-
-        accepted, rejected = [], []
-        for c, masses in enumerate(chains):
-            reads = _numpy_reads(tuple(masses))
-            first = [reads[u] for u in _EDGES[:-1].tolist()]
-            last = [reads[u] for u in _LAST.tolist()]
-            sentinel = [a != b or b is None for a, b in zip(first, last)]
-            assert (guide[c] == -1).tolist() == sentinel, c
-            assert all(g == flip(c, a) for g, a, s in zip(guide[c], first, sentinel) if not s)
-            accepted.append([(u, flip(c, x)) for u, x in reads.items() if x is not None])
-            rejected.append([u for u, x in reads.items() if x is None])
-        # every accepted uniform, each class in its own column padded with
-        # its first, so that each column is read where numpy reads it
-        rows = max(map(len, accepted))
-        uniforms = np.array([[v for v, _ in a] + [a[0][0]] * (rows - len(a)) for a in accepted]).T
-        expected = np.array([[x for _, x in a] + [a[0][1]] * (rows - len(a)) for a in accepted]).T
-        assert np.array_equal(_lookup(binomial, uniforms), expected)
-        # and a rejected uniform makes its chunk fall back: the two smallest
-        # and the two largest of each class
-        for c, u in enumerate(rejected):
-            for value in set(u[:2] + u[-2:]):
-                chunk = np.zeros((2, k))
-                chunk[1, c] = value
-                assert _lookup(binomial, chunk) is None, (c, value)
+    @pytest.mark.parametrize("n", [100, 1024])
+    def test_counts_follow_theory_masses(self, n):
+        # past numpy's inversion regime (N p > 30) the counts are not
+        # numpy's; their histogram must still fit Bin(N, p), tested by
+        # chi-square over bins pooled to an expected count of at least 5
+        p = np.array([0.5, 0.03, 0.9, 0.0, 1.0])
+        size = 200_000
+        counts = _draw(_Binomial(n, p), np.random.default_rng(n), size)
+        assert np.all(counts[:, 3] == 0) and np.all(counts[:, 4] == n)
+        pmf, _ = _binomial_tails(p[:3], n)
+        for c, masses in enumerate(pmf):
+            observed = np.bincount(counts[:, c], minlength=n + 1)
+            expected = masses * size
+            # the pmf is unimodal, so the bins expecting 5 or more are one
+            # run; each tail is pooled into the bin at its end of that run
+            lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
+            obs, exp = (np.r_[v[: lo + 1].sum(), v[lo + 1 : hi], v[hi:].sum()]
+                        for v in (observed, expected))
+            assert chisquare(obs, exp).pvalue > 1e-4, (c, obs.size)
 
 
 def _reference_failure(error_vector, m_worst, n_samples, trials, master_seed):
