@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import threading
 import time
@@ -173,6 +172,8 @@ def run_ablate(config: dict, out_dir: Path) -> None:
     The (seed, cell) runs spread over a pool of one worker per usable CPU,
     each with one BLAS thread; on one CPU they run in this process. Either
     way this process writes every artifact, in (seed, cell) order."""
+    import statistics  # the medians: the only command that loads it
+
     seeds = config["ablate"]["seeds"]
     summaries = {key: [] for key in swap_components(minimax_config(config))}
     tasks = [(seed, key) for seed in seeds for key in summaries]

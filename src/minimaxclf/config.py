@@ -441,9 +441,12 @@ def validate_config(config: dict) -> dict:
     elif resolved["experiment"] in ("train", "ablate"):  # the readers of the class counts
         _check_class_count(resolved, _synthetic_counts(ds, build_mixture(ds).class_count))
     elif resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid":
-        k = build_mixture(ds).class_count
-        if k > 3:
-            raise ConfigError(f"oracle.method: grid search needs K <= 3, got K = {k}")
+        spec = build_mixture(ds)
+        if spec.dim != 1 or spec.class_count > 3:
+            raise ConfigError(
+                "oracle.method: grid search needs a 1-d mixture with K <= 3, got a"
+                f" {spec.dim}-d one with K = {spec.class_count}; use 'ascent' or 'auto'"
+            )
     resolution = resolved["oracle"]["resolution"]
     if grid_steps(resolution) is None:
         raise ConfigError(

@@ -40,8 +40,9 @@ _CHUNK = 1 << 14
 _ROWS = 1 << 13  # rows of a chunk drawn per block: the working set of a call
 MIN_TRIALS = 10_000
 # A curve point's time and memory grow linearly in N: at 10**6, on a 2-vCPU VM,
-# an `mc` run of one point takes about 0.9 s and 289 MB, a `theory` run 0.6 s
-# and 265 MB. The cap also keeps every count inside the int32 guide.
+# an `mc` run of one point takes about 1.6 s and 250 MB, a `theory` run 1.1 s
+# and 218 MB (wall clock and peak RSS of the whole command). The cap also
+# keeps every count inside the int32 guide.
 MAX_SAMPLE_SIZE = 10**6
 _Z95 = 1.959963984540054  # the z of a two-sided 95% normal interval
 _GUIDE = 1 << 12  # buckets per class of the guide table over the uniform

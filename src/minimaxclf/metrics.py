@@ -39,20 +39,22 @@ def inter_intra_ratio(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("features must be (N, d) with matching labels")
-    classes = np.unique(y)
+    # the labels are class indices: the classes are those with a sample
+    counts = np.bincount(y)
+    classes = np.flatnonzero(counts)
     k = classes.size
     if k < 2:
         raise ValueError("need at least 2 classes")
-    counts = np.array([(y == c).sum() for c in classes])
-    if np.any(counts < 2):
+    if np.any(counts[classes] < 2):
         raise ValueError("every class needs at least 2 samples")
     neighbors = min(_NEIGHBOR_COUNT, k - 1)
-    centers = np.stack([x[y == c].mean(axis=0) for c in classes])
+    members = [x[y == c] for c in classes]
+    centers = np.stack([m.mean(axis=0) for m in members])
     pairwise = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     ratios = np.empty(k)
-    for i, c in enumerate(classes):
+    for i, m in enumerate(members):
         others = np.delete(pairwise[i], i)
         d_inter = np.sort(others)[:neighbors].mean()
-        d_intra = np.linalg.norm(x[y == c] - centers[i], axis=1).mean()
+        d_intra = np.linalg.norm(m - centers[i], axis=1).mean()
         ratios[i] = np.inf if d_intra == 0.0 else d_inter / d_intra
     return ratios

@@ -194,47 +194,10 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
     return lr
 
 
-def _momentum_update(theta: np.ndarray, velocity: np.ndarray, grad, momentum, lr) -> None:
-    """v <- momentum v + g; theta <- theta - lr v, both in place."""
-    velocity *= momentum
-    velocity += grad
-    theta -= lr * velocity
-
-
-def _unpack(
-    params: ModelParams, opt_state: OptimizerState, theta: np.ndarray, velocity: np.ndarray, shapes
-) -> ModelParams:
-    """Fresh copies of the tensors in the flat buffers: the velocities go to
-    opt_state, the parameters are returned."""
-    opt_state.velocities = [v.copy() for v in _views(velocity, shapes)]
-    new = [t.copy() for t in _views(theta, shapes)]
-    return ModelParams(params.architecture, tuple(new[0::2]), tuple(new[1::2]))
-
-
 def _flat_velocity(opt_state: OptimizerState, shapes: list) -> np.ndarray:
     if [np.shape(v) for v in opt_state.velocities] != shapes:
         raise ValueError("optimizer velocities do not match the parameter shapes")
     return _flat(opt_state.velocities)
-
-
-def sgd_step(
-    params: ModelParams, opt_state: OptimizerState, grads: list, config: TrainConfig
-) -> ModelParams:
-    """v <- momentum v + g; theta <- theta - lr_t v. Mutates opt_state."""
-    tensors = params.tensors()
-    if len(grads) != len(tensors):
-        raise ValueError(f"expected {len(tensors)} gradient tensors, got {len(grads)}")
-    for (name, t), g in zip(tensors, grads):
-        if g.shape != t.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in tensor {name}")
-    shapes = _shapes(params)
-    theta = _flat(t for _, t in tensors)
-    velocity = _flat_velocity(opt_state, shapes)
-    lr = lr_schedule(max(opt_state.epoch, 1), config)
-    _momentum_update(theta, velocity, _flat(grads), config.momentum, lr)
-    return _unpack(params, opt_state, theta, velocity, shapes)
 
 
 def train_epoch(
@@ -249,14 +212,17 @@ def train_epoch(
     The shuffle is keyed by (config.seed, epoch index) so reruns are
     bit-identical. The returned loss is the per-sample mean over the epoch.
 
-    The epoch trains on flat copies of the parameters and velocities,
-    through views shaped like the tensors, with the arithmetic of
-    forward_logits, loss_and_grad, backward and sgd_step: the backward pass
-    reuses the forward activations, and one momentum update covers the whole
-    flat buffer. Shapes, the label range, the learning rate, the flat label
-    index and the per-sample loss weights and offsets are checked or
-    gathered once per epoch; the logits, the loss and the gradients are
-    checked every batch.
+    Each batch takes one SGD step with momentum at the epoch's learning
+    rate lr_t, v <- momentum v + g; theta <- theta - lr_t v: the package's
+    only optimizer update. The epoch trains on flat copies of the parameters
+    and velocities, through views shaped like the tensors, with the
+    arithmetic of forward_logits, loss_and_grad and backward: the backward
+    pass reuses the forward activations, and one momentum update covers the
+    whole flat buffer. The returned parameters and the velocities left in
+    opt_state are fresh copies. Shapes, the label range, the learning rate,
+    the flat label index and the per-sample loss weights and offsets are
+    checked or gathered once per epoch; the logits, the loss and the
+    gradients are checked every batch.
     """
     n = len(dataset)
     if n == 0:
@@ -305,8 +271,12 @@ def train_epoch(
         if not np.isfinite(grad).all():
             bad = next(nm for nm, gv in zip(names, grads) if not np.isfinite(gv).all())
             raise ValueError(f"non-finite gradient in tensor {bad}")
-        _momentum_update(theta, velocity, grad, config.momentum, lr)
-    return _unpack(params, opt_state, theta, velocity, shapes), total / n
+        velocity *= config.momentum
+        velocity += grad
+        theta -= lr * velocity
+    opt_state.velocities = [v.copy() for v in _views(velocity, shapes)]
+    new = [t.copy() for t in _views(theta, shapes)]
+    return ModelParams(params.architecture, tuple(new[0::2]), tuple(new[1::2])), total / n
 
 
 def predict(params: ModelParams, instances: np.ndarray) -> np.ndarray:

@@ -289,28 +289,30 @@ def adversarial_prior_search(
 ) -> SearchResult:
     """Maximize the concave R(pi) over the simplex.
 
-    Grid search enumerates the simplex at ``resolution`` (K <= 3 only).
-    The ascent is the training loop's linear ascent toward the worst class,
-    a Frank-Wolfe step, with step 2 / (t + 2) at evaluation t. It stops at
-    the first prior whose gap is at most ``GAP_TOLERANCE``, or after
-    ``iterations`` evaluations, and returns the best prior evaluated.
-    ``auto`` takes the grid only where one vectorized call gives the risks
-    of the whole grid (K <= 3, 1-d); elsewhere each grid point would be one
-    polygon evaluation, so it takes the ascent.
+    Grid search is the closed form's: for a 1-d mixture with K <= 3, one
+    vectorized call gives the risks of every prior of the simplex at
+    ``resolution``, and the best one is evaluated once more for its result.
+    Any other mixture raises ``ValueError``. The ascent is the training
+    loop's linear ascent toward the worst class, a Frank-Wolfe step, with
+    step 2 / (t + 2) at evaluation t. It stops at the first prior whose gap
+    is at most ``GAP_TOLERANCE``, or after ``iterations`` evaluations, and
+    returns the best prior evaluated; it is the only search of a 2-d
+    mixture, where each prior is one polygon evaluation. ``auto`` takes the
+    grid wherever it applies and the ascent elsewhere.
     """
     k = spec.class_count
+    closed_form = k <= 3 and spec.dim == 1
     if method == AUTO:
-        method = GRID if k <= 3 and spec.dim == 1 else ASCENT
+        method = GRID if closed_form else ASCENT
     if method == GRID:
-        if k > 3:
-            raise ValueError("grid search supports K <= 3; use method='ascent'")
+        if not closed_form:
+            raise ValueError(
+                f"grid search needs a 1-d mixture with K <= 3, got a {spec.dim}-d one"
+                f" with K = {k}; use method='ascent'"
+            )
         grid = _simplex_grid(k, resolution)
-        if spec.dim == 1:
-            risks = _exact_risks_1d(spec.means[:, 0], spec.sigma, grid)
-            values = np.einsum("gk,gk->g", grid, risks)
-        else:
-            values = np.array([bayes_total_risk(spec, Prior(g)) for g in grid])
-        best = int(np.argmax(values))
+        table = _exact_risks_1d(spec.means[:, 0], spec.sigma, grid)
+        best = int(np.argmax(np.einsum("gk,gk->g", grid, table)))
         prior = Prior(grid[best])
         risks = bayes_class_risks(spec, prior)
         total = float(np.dot(prior.p, risks.estimates))

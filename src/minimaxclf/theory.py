@@ -116,7 +116,8 @@ def product_form_ranks(error_vector, n_samples: int) -> np.ndarray:
     independent. The vector may come in any order."""
     pmf, tail = _binomial_tails(_check_error_vector(error_vector), n_samples)
     greater = pmf[1:] @ tail[0]
-    leq = (pmf[1:] + tail[1:]) @ pmf[0]
+    # in place, with no (K - 1, N + 1) temporary: tail[1:] becomes P(count_j >= c)
+    leq = np.add(pmf[1:], tail[1:], out=tail[1:]) @ pmf[0]
     return _rank_table(leq, np.zeros_like(leq), greater)[:, 0]
 
 

@@ -177,6 +177,8 @@ class TestValidation:
                  "dataset.radius"),
                 ("grid-k10", {"experiment": "oracle", "oracle": {"method": "grid"}},
                  "oracle.method"),
+                ("grid-circle-k3", {"experiment": "oracle", "dataset": {"class_count": 3},
+                                    "oracle": {"method": "grid"}}, "oracle.method"),
                 ("mc-m_worst-above-vector", {"mc": {"error_vector": [0.5, 0.2], "m_worst": 3}},
                  "mc.m_worst"),
                 ("section-not-object", {"loss": 5}, "loss"),
@@ -1217,27 +1219,29 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
         (_tiny_train_config(), []),
         ({"experiment": "oracle", "dataset": {"class_count": 3},
           "oracle": {"iterations": 2}}, []),
-        # scipy loads concurrent.futures itself
+        # scipy loads concurrent.futures and numpy.ma itself
         ({"experiment": "oracle", "dataset": {"benchmark": "two_gaussians_1d"},
-          "oracle": {"resolution": 0.1}}, ["scipy", "concurrent.futures"]),
+          "oracle": {"resolution": 0.1}}, ["scipy", "concurrent.futures", "numpy.ma"]),
         ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, []),
         # the curve points run on a thread pool of this process
         ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}},
          ["concurrent.futures"]),
         # the cell runs go to spawned worker processes
-        ({**_tiny_ablate_config(), "ablate": {"seeds": [0]}}, ["multiprocessing"]),
+        ({**_tiny_ablate_config(), "ablate": {"seeds": [0]}}, ["multiprocessing", "statistics"]),
     ],
     ids=["train", "oracle-polygon", "oracle-exact-1d", "theory", "mc", "ablate"],
 )
 def test_scipy_loaded_only_where_used(tmp_path, config, loads):
     # only the exact 1-d Bayes risks need scipy (the 2-d polygon path does
-    # not), only mc its thread pool and only ablate multiprocessing;
-    # importing the package and the CLI loads none of them
+    # not), only mc its thread pool and only ablate multiprocessing and the
+    # medians' statistics; only scipy loads numpy.ma, and importing the
+    # package and the CLI loads none of them
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     argv = [config["experiment"], "--config", str(config_path), "--out", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, "scipy,multiprocessing,concurrent.futures", *argv],
+        [sys.executable, "-c", _IMPORT_PROBE,
+         "scipy,multiprocessing,concurrent.futures,numpy.ma,statistics", *argv],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True, text=True, check=True,
     )

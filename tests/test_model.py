@@ -26,7 +26,6 @@ from minimaxclf.model import (
     lr_schedule,
     predict,
     save_checkpoint,
-    sgd_step,
     train_epoch,
 )
 from minimaxclf.priors import Prior
@@ -160,76 +159,6 @@ class TestBackward:
         np.testing.assert_array_equal(decay[1], no_decay[1])  # biases not decayed
 
 
-class TestSgd:
-    def _config(self, **kw):
-        defaults = dict(learning_rate=1.0, momentum=0.0, weight_decay=0.0,
-                        batch_size=4, warmup_epochs=0, seed=0)
-        defaults.update(kw)
-        return TrainConfig(**defaults)
-
-    def test_vanilla_step(self):
-        params = init_params("linear", 2, 2, seed=0)
-        state = init_optimizer(params)
-        state.epoch = 1
-        grads = [np.ones_like(t) for _, t in params.tensors()]
-        before = _flatten([t for _, t in params.tensors()])
-        after_params = sgd_step(params, state, grads, self._config())
-        after = _flatten([t for _, t in after_params.tensors()])
-        np.testing.assert_allclose(before - after, 1.0)
-
-    def test_momentum_two_steps(self):
-        # v1 = g, v2 = 0.9 g + g; total displacement lr * g * 2.9
-        params = ModelParams("linear", (np.zeros((1, 1)),), (np.zeros(1),))
-        state = init_optimizer(params)
-        state.epoch = 1
-        config = self._config(momentum=0.9, learning_rate=0.5)
-        g = [np.array([[1.0]]), np.array([0.0])]
-        params = sgd_step(params, state, g, config)
-        params = sgd_step(params, state, g, config)
-        assert params.weights[0][0, 0] == pytest.approx(-0.5 * 2.9)
-
-    def test_matches_unfused_arithmetic(self):
-        # v <- momentum * v + g, then theta - lr * v, per tensor, bit for bit
-        rng = np.random.default_rng(6)
-        params = init_params("mlp", 3, 4, seed=2, hidden_width=5)
-        state = init_optimizer(params)
-        state.epoch = 2
-        config = self._config(learning_rate=0.3, momentum=0.9, warmup_epochs=3)
-        lr = lr_schedule(2, config)
-        tensors = [t for _, t in params.tensors()]
-        vel = [np.zeros_like(t) for t in tensors]
-        for _ in range(3):
-            grads = [rng.normal(size=t.shape) for t in tensors]
-            params = sgd_step(params, state, grads, config)
-            vel = [0.9 * v + g for v, g in zip(vel, grads)]
-            tensors = [t - lr * v for t, v in zip(tensors, vel)]
-            for a, b in zip([t for _, t in params.tensors()], tensors):
-                assert np.array_equal(a, b)
-            for a, b in zip(state.velocities, vel):
-                assert np.array_equal(a, b)
-
-    def test_zero_lr_fixed_point(self):
-        params = init_params("linear", 2, 2, seed=0)
-        state = init_optimizer(params)
-        state.epoch = 1
-        config = TrainConfig(learning_rate=1e-300, momentum=0.0, weight_decay=0.0,
-                             warmup_epochs=0, seed=0)
-        grads = [np.ones_like(t) for _, t in params.tensors()]
-        out = sgd_step(params, state, grads, config)
-        np.testing.assert_allclose(
-            _flatten([t for _, t in out.tensors()]),
-            _flatten([t for _, t in params.tensors()]),
-            atol=1e-250,
-        )
-
-    def test_non_finite_gradient_names_tensor(self):
-        params = init_params("linear", 2, 2, seed=0)
-        state = init_optimizer(params)
-        grads = [np.full((2, 2), np.nan), np.zeros(2)]
-        with pytest.raises(ValueError, match="W1"):
-            sgd_step(params, state, grads, self._config())
-
-
 class TestLrSchedule:
     def test_warmup_ramp(self):
         config = TrainConfig(learning_rate=0.1, warmup_epochs=5, seed=0)
@@ -324,9 +253,11 @@ class TestTrainEpoch:
 
 
 def _public_epoch(params, state, dataset, spec, config):
-    """One epoch as the public per-batch composition: forward_logits, then
-    loss_and_grad, backward and sgd_step, with every check on every batch."""
+    """One epoch as the public per-batch composition: forward_logits,
+    loss_and_grad and backward, with their checks on every batch, then
+    v <- momentum * v + g; theta <- theta - lr * v on each tensor."""
     state.epoch += 1
+    lr = lr_schedule(state.epoch, config)
     order = np.random.default_rng([config.seed, state.epoch]).permutation(len(dataset))
     x, y = dataset.instances[order], dataset.labels[order]
     total = 0.0
@@ -335,7 +266,9 @@ def _public_epoch(params, state, dataset, spec, config):
         loss, g = loss_and_grad(spec, forward_logits(params, xb), yb)
         total += loss * len(yb)
         grads = backward(params, xb, g, weight_decay=config.weight_decay)
-        params = sgd_step(params, state, grads, config)
+        state.velocities = [config.momentum * v + g for v, g in zip(state.velocities, grads)]
+        tensors = [t - lr * v for (_, t), v in zip(params.tensors(), state.velocities)]
+        params = ModelParams(params.architecture, tuple(tensors[0::2]), tuple(tensors[1::2]))
     return params, total / len(dataset)
 
 
@@ -547,15 +480,11 @@ def _old_checkpoint(tmp_path):
                      id="architecture"),
         pytest.param(lambda tmp: backward(_linear_2x2(), np.zeros((3, 2)), np.zeros((3, 3))),
                      r"upstream gradient must be \(N, 2\)", id="backward-shape"),
-        pytest.param(lambda tmp: sgd_step(_linear_2x2(), init_optimizer(_linear_2x2()),
-                                          [np.zeros((2, 2))], TrainConfig()),
-                     "expected 2 gradient tensors", id="sgd-tensor-count"),
-        pytest.param(lambda tmp: sgd_step(_linear_2x2(), init_optimizer(_linear_2x2()),
-                                          [np.zeros((2, 2)), np.zeros(3)], TrainConfig()),
-                     "gradient shape mismatch for b1", id="sgd-tensor-shape"),
-        pytest.param(lambda tmp: sgd_step(_linear_2x2(), OptimizerState([]),
-                                          [np.zeros((2, 2)), np.zeros(2)], TrainConfig()),
-                     "optimizer velocities", id="sgd-velocities"),
+        pytest.param(lambda tmp: train_epoch(_linear_2x2(), OptimizerState([]),
+                                             LabeledDataset(np.zeros((2, 2)), [0, 1], 2),
+                                             spec_from_variant("CE", Prior.uniform(2)),
+                                             TrainConfig()),
+                     "optimizer velocities", id="epoch-velocities"),
         pytest.param(lambda tmp: load_checkpoint(_old_checkpoint(tmp)),
                      "unsupported checkpoint version 0", id="checkpoint-version"),
     ],
