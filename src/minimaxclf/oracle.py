@@ -40,8 +40,8 @@ _PANEL_NODES = 20
 _TAIL = _PANEL_BREAKS[-1]
 
 # The ascent stops at the first prior whose Frank-Wolfe gap is at most this:
-# about 300 times the largest gap that rounding leaves at the uniform prior
-# of a circle mixture, its optimum (3.0e-15 over K = 3..16 and radius 0.5 to
+# about 350 times the largest gap that rounding leaves at the uniform prior
+# of a circle mixture, its optimum (2.9e-15 over K = 3..16 and radius 0.5 to
 # 8 in steps of 0.25).
 GAP_TOLERANCE = 1e-12
 
@@ -105,12 +105,30 @@ def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarra
 
 @functools.cache
 def _panel_rule():
-    """Panel breakpoints along an edge, and the Gauss-Legendre nodes and
-    weights on [-1, 1]; numpy.polynomial is loaded on first use only."""
-    from numpy.polynomial.legendre import leggauss
+    """Panel breakpoints along an edge, and the ``_PANEL_NODES``-point
+    Gauss-Legendre nodes and weights on [-1, 1], built on first use.
 
+    The nodes are the roots of the Legendre polynomial P_n, found by Newton's
+    method on its three-term recurrence from Chebyshev guesses (Press et
+    al., Numerical Recipes, 3rd ed., sec. 4.6). For even n they come in
+    pairs +-x, so only the n / 2 positive ones are solved for. From these
+    guesses four steps reach double precision; the fifth evaluates the
+    weights' derivative at the converged roots.
+    """
+    n = _PANEL_NODES
+    x = np.cos(math.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        slope = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    # the roots descend from near 1: ascending, the negative ones come first
+    nodes = np.concatenate([-x, x[::-1]])
+    weights = np.concatenate([weights, weights[::-1]])
     half = np.array(_PANEL_BREAKS)
-    return np.concatenate([-half[:0:-1], half]), *leggauss(_PANEL_NODES)
+    return np.concatenate([-half[:0:-1], half]), nodes, weights
 
 
 def _fan_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,9 +140,12 @@ def _fan_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is the integral of h (1 - exp(-(h^2 + s^2) / 2)) / (h^2 + s^2) / (2 pi)
     over the edge's s-interval. The integrand is smooth in s even where the
     line passes close to 0, which a rule in the angle is not. Within
-    |s| <= ``_TAIL`` it is integrated by Gauss-Legendre panels; beyond, the
-    radial CDF is 1 to double precision and the integral is the angle the
-    edge subtends.
+    |s| <= ``_TAIL`` it is integrated by Gauss-Legendre panels, only over
+    the panels the edge crosses (at circle-10's uniform prior, 579 of the 972
+    edge-panel pairs are empty); beyond, the radial CDF is 1 to double precision and
+    the integral is the angle the edge subtends. Each panel's node sum is a
+    row reduction, whose bits do not depend on how many panels are
+    integrated.
     """
     breaks, nodes, weights = _panel_rule()
     edge = b - a
@@ -137,10 +158,14 @@ def _fan_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the part of [lo, hi] inside each panel, (E, P)
     left = np.clip(lo[:, None], breaks[:-1], breaks[1:])
     half = 0.5 * (np.clip(hi[:, None], breaks[:-1], breaks[1:]) - left)
-    s = (left + half)[..., None] + half[..., None] * nodes
-    q = h[:, None, None] ** 2 + s**2
+    edges, panels = np.nonzero(half)
+    width = half[edges, panels]
+    s = (left[edges, panels] + width)[:, None] + width[:, None] * nodes
+    q = h[edges, None] ** 2 + s**2
     radial = np.divide(-np.expm1(-0.5 * q), q, out=np.full(q.shape, 0.5), where=q > 0)
-    near = h * np.sum((radial @ weights) * half, axis=1)
+    crossed = np.zeros(half.shape)
+    crossed[edges, panels] = (radial * weights).sum(axis=1) * width
+    near = h * crossed.sum(axis=1)
     # atan(t / h) - atan(lo / h) for lo, t on one side of the tail cut-off
     below, above = np.minimum(hi, -_TAIL), np.maximum(lo, _TAIL)
     far = np.where(lo < -_TAIL, np.arctan2(h * (below - lo), h * h + lo * below), 0.0)
@@ -202,15 +227,16 @@ def _exact_risks_2d(means: np.ndarray, pi: Prior) -> np.ndarray:
     k = len(means)
     points = means.tolist()
     log_prior = _log_prior(pi).tolist()
-    vertices, owner = [], []
+    starts, ends, owner = [], [], []
     for y in range(k):
         if pi.p[y] > 0:
             region = _bayes_region(points, log_prior, y)
-            vertices.append(np.array(region).reshape(-1, 2))
+            starts += region
+            # the polygon's vertices rotated by one: its edges' end points
+            ends += region[1:] + region[:1]
             owner += [y] * len(region)
-    a = np.concatenate(vertices)
-    # each polygon's vertices rotated by one: the edges' end points
-    b = np.concatenate([np.roll(v, -1, axis=0) for v in vertices])
+    a = np.array(starts).reshape(-1, 2)
+    b = np.array(ends).reshape(-1, 2)
     mass = np.bincount(np.array(owner, dtype=np.intp), _fan_masses(a, b), minlength=k)
     return np.clip(1.0 - mass, 0.0, 1.0)
 

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import faulthandler
 import hashlib
 import inspect
 import json
@@ -52,6 +53,27 @@ from helpers import save_csv_dataset
 
 _STEP = {"kind": "step", "ratio": 0.5, "base_count": 10}
 _CSV = {"source": "csv", "csv_path": "data.csv"}
+
+# A test that starts the spawn pool and is still running after this many
+# seconds prints every thread's traceback and ends the test run, so a pool
+# that never shuts down fails loudly instead of stalling the suite. Such a
+# test takes under 1 s on 2 vCPUs; the killed-parent test's own deadlines
+# add up to 75 s.
+POOL_TEST_LIMIT = 120
+
+
+@pytest.fixture
+def pool_deadline(request):
+    # to the terminal's stderr, not to the capture a killed run would lose
+    capture = request.config.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled():
+        stderr = os.dup(sys.stderr.fileno())
+    faulthandler.dump_traceback_later(POOL_TEST_LIMIT, exit=True, file=stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        os.close(stderr)
 
 
 class TestValidation:
@@ -471,6 +493,7 @@ class TestExperiments:
         record = json.loads((tmp_path / "f" / "failure.json").read_text())
         assert record["experiment"] == "train"
 
+    @pytest.mark.usefixtures("pool_deadline")
     def test_ablate_comparison_table(self, tmp_path):
         out = run_experiment(_tiny_ablate_config(), tmp_path / "g")
         lines = (out / "comparison.csv").read_text().splitlines()
@@ -479,6 +502,7 @@ class TestExperiments:
         assert len(cells) == 1 + 4 * 2
         assert (out / "cell-TLA-linear" / "seed-0" / "summary.json").exists()
 
+    @pytest.mark.usefixtures("pool_deadline")
     def test_train_run_matches_its_ablation_cell(self, tmp_path):
         # a train run and the ablation cell with its loss and ascent get
         # their data from build_data and their artifacts from write_run
@@ -514,6 +538,7 @@ class TestExperiments:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["config"]["dataset"]["seed"] == 3
 
+    @pytest.mark.usefixtures("pool_deadline")
     def test_csv_source_ablate(self, tmp_path, capsys):
         config = _tiny_train_config(dataset=_csv_dataset(tmp_path), ablate={"seeds": [0, 1]})
         config_path = tmp_path / "c.json"
@@ -524,6 +549,7 @@ class TestExperiments:
         medians = (tmp_path / "g" / "comparison.csv").read_text().splitlines()
         assert [row.split(",")[2:] for row in medians[1:]] == [["", "", ""]] * 4
 
+    @pytest.mark.usefixtures("pool_deadline")
     def test_ablate_pool_matches_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -775,6 +801,7 @@ class TestCliEntry:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pool"])
+    @pytest.mark.usefixtures("pool_deadline")
     def test_ablate_failure_recorded(self, tmp_path, capsys, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         environ = _blas_environ()
@@ -799,6 +826,7 @@ class TestCliEntry:
         reason="reads /proc; the pool needs two usable CPUs",
     )
     @pytest.mark.parametrize("command", ["ablate"])  # mc runs on threads, not workers
+    @pytest.mark.usefixtures("pool_deadline")
     def test_pool_workers_end_with_killed_parent(self, tmp_path, command):
         config = _tiny_ablate_config()
         config["minimax"]["warmup_epochs"] = 10_000  # seconds per cell run
@@ -976,6 +1004,7 @@ def test_unread_flag_rejected(tmp_path, capsys, argv):
      ((50, 0, 50), {}, "dataset.csv_path")],
     ids=["fixed_target", "m_worst", "one-sample-class", "labels-1-and-3"],
 )
+@pytest.mark.usefixtures("pool_deadline")
 def test_csv_class_count_checked_once_read(tmp_path, capsys, monkeypatch, command, cpus,
                                            counts, section, field):
     # the 3-class file makes both fields invalid, and a class of fewer than 2
@@ -1219,9 +1248,10 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
         (_tiny_train_config(), []),
         ({"experiment": "oracle", "dataset": {"class_count": 3},
           "oracle": {"iterations": 2}}, []),
-        # scipy loads concurrent.futures and numpy.ma itself
+        # scipy loads concurrent.futures, numpy.ma and numpy.polynomial itself
         ({"experiment": "oracle", "dataset": {"benchmark": "two_gaussians_1d"},
-          "oracle": {"resolution": 0.1}}, ["scipy", "concurrent.futures", "numpy.ma"]),
+          "oracle": {"resolution": 0.1}},
+         ["scipy", "concurrent.futures", "numpy.ma", "numpy.polynomial"]),
         ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, []),
         # the curve points run on a thread pool of this process
         ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}},
@@ -1231,17 +1261,20 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
     ],
     ids=["train", "oracle-polygon", "oracle-exact-1d", "theory", "mc", "ablate"],
 )
+@pytest.mark.usefixtures("pool_deadline")
 def test_scipy_loaded_only_where_used(tmp_path, config, loads):
     # only the exact 1-d Bayes risks need scipy (the 2-d polygon path does
-    # not), only mc its thread pool and only ablate multiprocessing and the
-    # medians' statistics; only scipy loads numpy.ma, and importing the
-    # package and the CLI loads none of them
+    # not, and computes its quadrature rule itself), only mc its thread pool
+    # and only ablate multiprocessing and the medians' statistics; only scipy
+    # loads numpy.ma and numpy.polynomial, and importing the package and the
+    # CLI loads none of them
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     argv = [config["experiment"], "--config", str(config_path), "--out", str(tmp_path / "out")]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE,
-         "scipy,multiprocessing,concurrent.futures,numpy.ma,statistics", *argv],
+         "scipy,multiprocessing,concurrent.futures,numpy.ma,numpy.polynomial,statistics",
+         *argv],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True, text=True, check=True,
     )

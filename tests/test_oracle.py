@@ -245,6 +245,83 @@ def _region_masses(spec, pi):
     return masses
 
 
+def _full_panel_masses(a, b):
+    """Reference: the fan masses of the edges (a_e, b_e) with every panel of
+    every edge integrated, by numpy's Gauss-Legendre rule."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(oracle._PANEL_NODES)
+    half_breaks = np.array(oracle._PANEL_BREAKS)
+    breaks = np.concatenate([-half_breaks[:0:-1], half_breaks])
+    edge = b - a
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    u = edge / np.where(length > 0, length, 1.0)[:, None]
+    h = a[:, 0] * u[:, 1] - a[:, 1] * u[:, 0]
+    lo = a[:, 0] * u[:, 0] + a[:, 1] * u[:, 1]
+    hi = lo + length
+    left = np.clip(lo[:, None], breaks[:-1], breaks[1:])
+    half = 0.5 * (np.clip(hi[:, None], breaks[:-1], breaks[1:]) - left)
+    s = (left + half)[..., None] + half[..., None] * nodes
+    q = h[:, None, None] ** 2 + s**2
+    radial = np.divide(-np.expm1(-0.5 * q), q, out=np.full(q.shape, 0.5), where=q > 0)
+    near = h * np.sum((radial @ weights) * half, axis=1)
+    tail = oracle._TAIL
+    below, above = np.minimum(hi, -tail), np.maximum(lo, tail)
+    far = np.where(lo < -tail, np.arctan2(h * (below - lo), h * h + lo * below), 0.0)
+    far += np.where(hi > tail, np.arctan2(h * (hi - above), h * h + hi * above), 0.0)
+    return (near + far) / (2.0 * math.pi)
+
+
+def _edges_on_lines(h, lo, hi, angle):
+    """Edges from s = lo to s = hi along the lines at signed distance h from
+    0 with direction angle ``angle``, s measured from the foot of the
+    perpendicular from 0."""
+    u = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    normal = np.stack([u[:, 1], -u[:, 0]], axis=1)
+    return h[:, None] * normal + lo[:, None] * u, h[:, None] * normal + hi[:, None] * u
+
+
+class TestPanelKernel:
+    """The polygon-mass kernel: its own Gauss-Legendre rule, integrated only
+    over the panels each edge crosses."""
+
+    def test_rule_matches_numpy(self):
+        from numpy.polynomial.legendre import leggauss
+
+        breaks, nodes, weights = oracle._panel_rule()
+        ref_nodes, ref_weights = leggauss(oracle._PANEL_NODES)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-14)
+        assert abs(weights.sum() - 2.0) <= 1e-15
+        half = np.array(oracle._PANEL_BREAKS)
+        np.testing.assert_array_equal(breaks, np.concatenate([-half[:0:-1], half]))
+
+    def test_crossed_panels_match_full_panels(self):
+        rng = np.random.default_rng(21)
+        n = 500
+        tail = oracle._TAIL
+        scale = rng.choice([0.3, 3.0, 12.0], size=(n, 1))
+        cases = {"random": (rng.normal(size=(n, 2)) * scale, rng.normal(size=(n, 2)) * scale)}
+        h = np.concatenate([[0.0, 1e-300, -1e-9], rng.normal(scale=3.0, size=n - 3)])
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        s = rng.uniform(-15.0, 15.0, size=n)
+        cases["zero-length"] = _edges_on_lines(h, s, s, angle)
+        start = rng.uniform(tail, 30.0, size=n)
+        length = rng.uniform(0.0, 20.0, size=n)
+        cases["beyond-tail"] = _edges_on_lines(h, start, start + length, angle)
+        cases["beyond-minus-tail"] = _edges_on_lines(h, -start - length, -start, angle)
+        cases["through-foot"] = _edges_on_lines(
+            h, -rng.uniform(1e-9, 12.0, size=n), rng.uniform(1e-9, 12.0, size=n), angle
+        )
+        for name, (a, b) in cases.items():
+            np.testing.assert_allclose(
+                oracle._fan_masses(a, b), _full_panel_masses(a, b), rtol=0, atol=1e-15,
+                err_msg=name,
+            )
+        # a zero-length edge (a clipped vertex counted twice) has no mass
+        assert np.all(oracle._fan_masses(*cases["zero-length"]) == 0.0)
+
+
 class TestExactPolygons:
     """2-d identity-covariance mixtures: each Bayes region is a convex
     polygon, and its Gaussian mass a fan of edge integrals."""
@@ -526,6 +603,17 @@ class TestFrankWolfeGap:
         result = adversarial_prior_search(three_gaussians_1d(), method=method, iterations=50)
         assert result.gap == float(result.risks.estimates.max()) - result.risk
         assert result.gap >= 0
+
+    def test_circle_gap_at_uniform_is_rounding(self):
+        # the premise of GAP_TOLERANCE: a circle's optimum is the uniform
+        # prior, where the gap is rounding only, far below the tolerance
+        largest = 0.0
+        for k in range(3, 17):
+            uniform = Prior.uniform(k)
+            for radius in np.arange(0.5, 8.0 + 1e-9, 0.25):
+                risks = bayes_class_risks(circle_mixture(k, float(radius)), uniform).estimates
+                largest = max(largest, float(risks.max()) - float(np.dot(uniform.p, risks)))
+        assert largest < 1e-14
 
     def test_ascent_certifies_grid(self):
         spec = three_gaussians_1d()
