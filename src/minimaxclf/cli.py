@@ -9,6 +9,7 @@ artifact directory exists already, into failure.json inside it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -279,14 +280,28 @@ COMMANDS = {
 }
 
 
+def _new_dir(base: Path) -> Path:
+    """Create and return ``base``, or where it exists the first of
+    ``base-2``, ``base-3``, ... that does not: two runs started in the same
+    second get a directory each."""
+    base.parent.mkdir(parents=True, exist_ok=True)
+    for n in itertools.count(1):
+        path = base if n == 1 else Path(f"{base}-{n}")
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            pass
+
+
 def run_experiment(config: dict, out_dir=None) -> Path:
     """Dispatch one validated config; returns the artifact directory."""
-    name = config.get("name", "run")
     if out_dir is None:
         stamp = time.strftime("%Y%m%d-%H%M%S")
-        out_dir = Path("artifacts") / f"{name}-{stamp}"
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _new_dir(Path("artifacts") / f"{config.get('name', 'run')}-{stamp}")
+    else:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, config)
     runner = COMMANDS[config["experiment"]][0]
     try:
@@ -314,27 +329,38 @@ def run_report(run_dir: Path) -> None:
         print(f"{key}: {value}")
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: list) -> argparse.ArgumentParser:
+    """The parser of ``argv``: the top level and the subparser of the command
+    ``argv[0]`` names, or all six where it names none (help, no arguments,
+    an unknown command). Either way the usage line lists all six."""
     parser = argparse.ArgumentParser(
         prog="minimaxclf",
         description="Minimax training experiments on imbalanced Gaussian benchmarks",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    names, metavar = [*COMMANDS, "report"], None
+    if argv and argv[0] in names:
+        # an error names the argument "command" only where metavar is None
+        names, metavar = argv[:1], "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (_, help_text, flags) in COMMANDS.items():
+        if name not in names:
+            continue
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=Path, default=None, help="JSON config file")
         cmd.add_argument("--preset", default=None, help="named preset to start from")
         for flag, fields in flags.items():
             cmd.add_argument(flag, type=int, default=None, help="set " + ", ".join(fields))
         cmd.add_argument("--out", type=Path, default=None, help="artifact directory")
-    rep = sub.add_parser("report", help="print the summary of a run directory")
-    rep.add_argument("run_dir", type=Path)
+    if "report" in names:
+        rep = sub.add_parser("report", help="print the summary of a run directory")
+        rep.add_argument("run_dir", type=Path)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv).parse_args(argv)
     try:
         if args.command == "report":
             run_report(args.run_dir)

@@ -103,28 +103,37 @@ def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarra
         return np.where(wins & (lo < hi), 1.0 - mass, 1.0).T
 
 
+# The positive roots of the Legendre polynomial P_20 and their Gauss weights,
+# descending from the root nearest 1; see ``_panel_rule``.
+_POSITIVE_NODES = (
+    0.9931285991850949, 0.9639719272779138, 0.912234428251326, 0.8391169718222189,
+    0.7463319064601508, 0.636053680726515, 0.5108670019508271, 0.37370608871541955,
+    0.2277858511416451, 0.07652652113349734,
+)
+_POSITIVE_WEIGHTS = (
+    0.017614007139152264, 0.04060142980038705, 0.06267204833410904, 0.08327674157670474,
+    0.10193011981724048, 0.11819453196151831, 0.1316886384491765, 0.14209610931838215,
+    0.14917298647260382, 0.15275338713072598,
+)
+
+
 @functools.cache
 def _panel_rule():
     """Panel breakpoints along an edge, and the ``_PANEL_NODES``-point
     Gauss-Legendre nodes and weights on [-1, 1], built on first use.
 
-    The nodes are the roots of the Legendre polynomial P_n, found by Newton's
-    method on its three-term recurrence from Chebyshev guesses (Press et
-    al., Numerical Recipes, 3rd ed., sec. 4.6). For even n they come in
-    pairs +-x, so only the n / 2 positive ones are solved for. From these
-    guesses four steps reach double precision; the fifth evaluates the
-    weights' derivative at the converged roots.
+    The nodes come in pairs +-x, so the table holds the positive half. Its
+    doubles are those that Newton's method on the three-term Legendre
+    recurrence returns from Chebyshev guesses in five steps (Press et al.,
+    Numerical Recipes, 3rd ed., sec. 4.6), printed with ``repr``; they are
+    not ``leggauss(20)``'s, which differ in the last bits of 6 nodes and of
+    every weight. ``tests/test_oracle.py`` checks them bit for bit against
+    that Newton solve, against ``leggauss`` within 1e-14, and against the
+    moments of x^(2j) for j = 0..19.
     """
-    n = _PANEL_NODES
-    x = np.cos(math.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
-    for _ in range(5):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        slope = n * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / slope
-    weights = 2.0 / ((1.0 - x * x) * slope * slope)
-    # the roots descend from near 1: ascending, the negative ones come first
+    x = np.array(_POSITIVE_NODES)
+    weights = np.array(_POSITIVE_WEIGHTS)
+    # ascending, the negative nodes come first
     nodes = np.concatenate([-x, x[::-1]])
     weights = np.concatenate([weights, weights[::-1]])
     half = np.array(_PANEL_BREAKS)

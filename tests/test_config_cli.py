@@ -485,6 +485,24 @@ class TestExperiments:
         csv_text = (out / "risks_at_adversarial_prior.csv").read_text()
         assert csv_text.splitlines() == ["class,risk", *rows]
 
+    def test_default_dirs_of_one_second_are_distinct(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(time, "strftime", lambda fmt: "20260101-000000")
+        configs = [
+            validate_config({"experiment": "theory", "theory": {"sample_sizes": sizes, "m_worst": 2}})
+            for sizes in ([2], [2, 4], [2, 4, 8])
+        ]
+        outs = [run_experiment(config) for config in configs]
+        stamped = "artifacts/run-20260101-000000"
+        assert outs == [Path(stamped), Path(stamped + "-2"), Path(stamped + "-3")]
+        for out, config in zip(outs, configs):
+            assert json.loads((out / "manifest.json").read_text())["config"] == config
+            assert len((out / "failure_bound.csv").read_text().splitlines()) == 1 + len(
+                config["theory"]["sample_sizes"])
+        # an explicit directory may exist already, and is written over
+        assert run_experiment(configs[0], outs[2]) == outs[2]
+        assert json.loads((outs[2] / "manifest.json").read_text())["config"] == configs[0]
+
     def test_failure_record_written(self, tmp_path):
         config = _tiny_train_config()
         config["dataset"]["counts"] = [60, 1]  # unsplittable class
@@ -939,6 +957,10 @@ def test_bad_input_rejected(call, error, match):
         call()
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def test_each_command_takes_the_flags_it_reads():
     assert tuple(cli.COMMANDS) == EXPERIMENTS
     base = {"--config", "--preset", "--out"}
@@ -949,10 +971,34 @@ def test_each_command_takes_the_flags_it_reads():
         "theory": base,
         "mc": base | {"--seed", "--trials"},
     }
-    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
     for name, flags in expected.items():
-        options = {opt for action in sub.choices[name]._actions for opt in action.option_strings}
-        assert options - {"-h", "--help"} == flags, name
+        # among all six, and alone: the parser of a command's argv builds only its own
+        for argv, names in (([], [*EXPERIMENTS, "report"]), ([name], [name])):
+            sub = _subparsers(cli._parser(argv))
+            assert list(sub.choices) == names
+            options = {opt for action in sub.choices[name]._actions for opt in action.option_strings}
+            assert options - {"-h", "--help"} == flags, name
+
+
+@pytest.mark.parametrize("command", [*EXPERIMENTS, "report"])
+def test_command_parser_alone_prints_as_among_all(command):
+    alone, among_all = cli._parser([command]), cli._parser([])
+    assert alone.format_usage() == among_all.format_usage()
+    assert (_subparsers(alone).choices[command].format_help()
+            == _subparsers(among_all).choices[command].format_help())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["bogus"], "argument command: invalid choice: 'bogus'"),
+     ([], "the following arguments are required: command")],
+    ids=["unknown", "empty"],
+)
+def test_command_error_names_the_argument(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"\nminimaxclf: error: {message}" in capsys.readouterr().err
 
 
 def _flat(config: dict) -> dict:
@@ -987,7 +1033,10 @@ def test_unread_flag_rejected(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in err
+    # the usage line lists every command, though only argv[0]'s parser was built
+    assert err.startswith("usage: minimaxclf [-h] [--version] {train,ablate,theory,mc,oracle,report} ...")
     assert not (tmp_path / "x").exists()
 
 
@@ -1264,16 +1313,17 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
 @pytest.mark.usefixtures("pool_deadline")
 def test_scipy_loaded_only_where_used(tmp_path, config, loads):
     # only the exact 1-d Bayes risks need scipy (the 2-d polygon path does
-    # not, and computes its quadrature rule itself), only mc its thread pool
+    # not, and reads its quadrature rule from a table), only mc its thread pool
     # and only ablate multiprocessing and the medians' statistics; only scipy
     # loads numpy.ma and numpy.polynomial, and importing the package and the
-    # CLI loads none of them
+    # CLI loads none of them. Nor locale, which argparse's first message
+    # lookup imports: every command builds its parser in main, none at import
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     argv = [config["experiment"], "--config", str(config_path), "--out", str(tmp_path / "out")]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE,
-         "scipy,multiprocessing,concurrent.futures,numpy.ma,numpy.polynomial,statistics",
+         "scipy,multiprocessing,concurrent.futures,numpy.ma,numpy.polynomial,statistics,locale",
          *argv],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True, text=True, check=True,
@@ -1281,4 +1331,4 @@ def test_scipy_loaded_only_where_used(tmp_path, config, loads):
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["code"] == 0
     assert record["at_import"] == []
-    assert record["after_run"] == loads
+    assert record["after_run"] == [*loads, "locale"]

@@ -296,6 +296,29 @@ class TestPanelKernel:
         half = np.array(oracle._PANEL_BREAKS)
         np.testing.assert_array_equal(breaks, np.concatenate([-half[:0:-1], half]))
 
+    def test_rule_is_the_newton_solve(self):
+        # the table's doubles, bit for bit: Newton's method on the Legendre
+        # recurrence from Chebyshev guesses, five steps (Numerical Recipes 4.6)
+        n = oracle._PANEL_NODES
+        x = np.cos(math.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
+        for _ in range(5):
+            p0, p1 = np.ones_like(x), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            slope = n * (x * p1 - p0) / (x * x - 1.0)
+            x = x - p1 / slope
+        _, nodes, weights = oracle._panel_rule()
+        np.testing.assert_array_equal(nodes[n // 2:], x[::-1])
+        np.testing.assert_array_equal(weights[n // 2:], (2.0 / ((1.0 - x * x) * slope * slope))[::-1])
+
+    def test_rule_integrates_even_monomials(self):
+        # a 20-point rule is exact to degree 39; the odd moments vanish by symmetry
+        _, nodes, weights = oracle._panel_rule()
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+        np.testing.assert_array_equal(weights, weights[::-1])
+        for j in range(oracle._PANEL_NODES):
+            assert abs(np.sum(weights * nodes ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-15, j
+
     def test_crossed_panels_match_full_panels(self):
         rng = np.random.default_rng(21)
         n = 500
