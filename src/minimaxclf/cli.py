@@ -15,7 +15,7 @@ import os
 import sys
 import threading
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -107,26 +107,32 @@ def _exit_with_parent() -> None:
 def _pool_map(fn, tasks: list):
     """Yield the results of ``fn`` over ``tasks``, in input order.
 
-    ``fn`` runs on a ``spawn`` pool of one worker per usable CPU (at most
-    one per task), each with one BLAS thread; with one worker, in this
+    ``fn`` runs on a ``spawn`` process pool of one worker per usable CPU (at
+    most one per task), each with one BLAS thread; with one worker, in this
     process. A worker process suits tasks of many small numpy calls, which
     hold the GIL (an ``ablate`` training step is dozens of them on 128-row
     batches): on 2 vCPUs, ablate-step10 at seeds 1-3 took 5.7-5.9 s and
     46.2-46.3 MB peak here, against 12.6-14.7 s and 62.3-62.9 MB on
     ``_thread_map`` (13.4-15.0 s and 53.2-53.9 MB with one BLAS thread).
     An error or Ctrl-C in the ``with`` block or in a task terminates the
-    workers and propagates as raised."""
+    workers and propagates as raised; a worker that dies breaks the pool,
+    so the next result raises ``BrokenProcessPool`` and the others end."""
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     workers = min(_usable_cpus(), len(tasks))
-    with ExitStack() as stack:
-        results = map(fn, tasks)
-        if workers > 1:
-            stack.enter_context(_single_blas_thread())
-            spawn = multiprocessing.get_context("spawn")
-            pool = stack.enter_context(spawn.Pool(workers, _exit_with_parent))
-            results = pool.imap(fn, tasks)
-        yield results
+    if workers < 2:
+        yield map(fn, tasks)
+        return
+    spawn = multiprocessing.get_context("spawn")
+    with _single_blas_thread(), ProcessPoolExecutor(workers, spawn, _exit_with_parent) as pool:
+        try:
+            futures = [pool.submit(fn, task) for task in tasks]
+            yield (future.result() for future in futures)
+        except BaseException:  # a queued task never starts, a running one ends now
+            for worker in multiprocessing.active_children():
+                worker.terminate()
+            raise
 
 
 def _thread_map(fn, tasks: list) -> list:

@@ -492,11 +492,14 @@ def load_config(path=None, preset=None, overrides=None) -> dict:
 
 def build_data(config: dict) -> tuple:
     """(dataset, eval set) of one run. A CSV source has no mixture to draw
-    an eval set from, so its eval set is None; its class counts are checked
-    once read."""
+    an eval set from, so its eval set is None; its content and class counts
+    are checked once read, and a file that cannot be read keeps its OSError."""
     ds_cfg, eval_cfg = config["dataset"], config["eval"]
     if ds_cfg["source"] == "csv":
-        dataset = load_csv_dataset(ds_cfg["csv_path"], ds_cfg["csv_header"])
+        try:
+            dataset = load_csv_dataset(ds_cfg["csv_path"], ds_cfg["csv_header"])
+        except ValueError as err:  # the content: a bad row, or none
+            raise ConfigError(f"dataset.csv_path: {err}") from None
         _check_class_count(config, dataset.per_class_counts.tolist())
         return dataset, None
     spec = build_mixture(ds_cfg)

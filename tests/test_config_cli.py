@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import copy
 import faulthandler
 import hashlib
@@ -8,6 +9,7 @@ import multiprocessing
 import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -58,7 +60,7 @@ _CSV = {"source": "csv", "csv_path": "data.csv"}
 # seconds prints every thread's traceback and ends the test run, so a pool
 # that never shuts down fails loudly instead of stalling the suite. Such a
 # test takes under 1 s on 2 vCPUs; the killed-parent test's own deadlines
-# add up to 75 s.
+# add up to 75 s, and the killed-worker test's to 95 s.
 POOL_TEST_LIMIT = 120
 
 
@@ -366,6 +368,58 @@ def _spawned_workers(session: int) -> list:
         if int(fields[3]) == session and b"spawn_main" in cmdline:
             pids.append(int(stat.parent.name))
     return pids
+
+
+_TWO_CPUS_AND_PROC = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists() or len(os.sched_getaffinity(0)) < 2,
+    reason="reads /proc; the pool needs two usable CPUs",
+)
+
+
+def _cpu_seconds(pid: int) -> float:
+    """The user and system CPU time a process has used, read from /proc."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except FileNotFoundError:
+        return 0.0
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@contextlib.contextmanager
+def _ablate_session(tmp_path):
+    """An ``ablate`` CLI process in a new session, with stderr to
+    ``tmp_path / "stderr"``, and the pids of its pool workers once two are in
+    their first cell run: each has used 1 s of CPU, where its imports take
+    about 0.3 s and a cell run 5 s. On the way out the session is killed."""
+    config = _tiny_ablate_config()
+    config["minimax"]["warmup_epochs"] = 10_000  # seconds per cell run
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(config))
+    with open(tmp_path / "stderr", "wb") as stderr:
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "minimaxclf.cli", "ablate", "--config", str(config_path),
+             "--out", str(tmp_path / "x")],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            start_new_session=True, stdout=subprocess.DEVNULL, stderr=stderr,
+        )
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers := [pid for pid in _spawned_workers(parent.pid)
+                              if _cpu_seconds(pid) >= 1]) < 2:
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.05)
+        yield parent, workers
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(parent.pid, signal.SIGKILL)
+        parent.wait(timeout=10)
+
+
+def _no_worker_within(session: int, seconds: float) -> None:
+    deadline = time.monotonic() + seconds
+    while _spawned_workers(session):
+        assert time.monotonic() < deadline, "a pool worker ran on"
+        time.sleep(0.05)
 
 
 def _leaves(node: dict, prefix: str = ""):
@@ -839,10 +893,7 @@ class TestCliEntry:
         assert multiprocessing.active_children() == []
         assert _blas_environ() == environ
 
-    @pytest.mark.skipif(
-        not Path("/proc/self/stat").exists() or len(os.sched_getaffinity(0)) < 2,
-        reason="reads /proc; the pool needs two usable CPUs",
-    )
+    @_TWO_CPUS_AND_PROC
     @pytest.mark.parametrize("command", ["ablate"])  # mc runs on threads, not workers
     @pytest.mark.usefixtures("pool_deadline")
     def test_pool_workers_end_with_killed_parent(self, tmp_path, command):
@@ -868,6 +919,32 @@ class TestCliEntry:
         while any(map(_running, workers)):
             assert time.monotonic() < deadline, "a worker outlived its parent"
             time.sleep(0.05)
+
+    @_TWO_CPUS_AND_PROC
+    @pytest.mark.usefixtures("pool_deadline")
+    def test_killed_worker_fails_ablate(self, tmp_path):
+        # the pool does not replace a worker that dies, nor wait for its task
+        with _ablate_session(tmp_path) as (parent, workers):
+            os.kill(workers[0], signal.SIGKILL)
+            assert parent.wait(timeout=30) == 1
+            _no_worker_within(parent.pid, 5)
+        record = json.loads((tmp_path / "stderr").read_text().splitlines()[0])
+        assert record["error"]["kind"] == "BrokenProcessPool"
+        assert json.loads((tmp_path / "x" / "failure.json").read_text())["type"] == (
+            "BrokenProcessPool"
+        )
+
+    @_TWO_CPUS_AND_PROC
+    @pytest.mark.usefixtures("pool_deadline")
+    def test_ctrl_c_ends_ablate_at_once(self, tmp_path):
+        # Ctrl-C reaches the whole process group; nobody waits for a running cell
+        with _ablate_session(tmp_path) as (parent, workers):
+            os.killpg(parent.pid, signal.SIGINT)
+            deadline = time.monotonic() + 5
+            while parent.poll() is None:
+                assert time.monotonic() < deadline, "the parent ran on after Ctrl-C"
+                time.sleep(0.05)
+            _no_worker_within(parent.pid, deadline - time.monotonic())
 
     def test_report_command(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -1040,11 +1117,28 @@ def test_unread_flag_rejected(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize(
+# The commands that read a CSV source: train, and ablate in and out of process.
+_CSV_COMMANDS = pytest.mark.parametrize(
     "command, cpus",
     [("train", {0}), ("ablate", {0}), ("ablate", {0, 1})],
     ids=["train", "ablate-in-process", "ablate-pool"],
 )
+
+
+def _exits_2_naming(capsys, command: str, config: dict, out: Path, prefix: str) -> None:
+    """``command`` on ``config`` exits 2 with a ConfigError whose message
+    starts with ``prefix``, once its manifest is written."""
+    config_path = out.parent / "c.json"
+    config_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["kind"] == "config"
+    assert record["error"]["message"].startswith(prefix)
+    assert json.loads((out / "failure.json").read_text())["type"] == "ConfigError"
+    assert (out / "manifest.json").exists()
+
+
+@_CSV_COMMANDS
 @pytest.mark.parametrize(
     "counts, section, field",
     [((40, 24, 16), {"minimax": {"fixed_target": [0.5, 0.5]}}, "minimax.fixed_target"),
@@ -1060,15 +1154,24 @@ def test_csv_class_count_checked_once_read(tmp_path, capsys, monkeypatch, comman
     # samples the file itself; the counts are known only once it is read
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     config = _tiny_train_config(dataset=_csv_dataset(tmp_path, counts), ablate={"seeds": [0, 1]})
-    config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps({**config, **section}))
-    out = tmp_path / "x"
-    assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"]["kind"] == "config"
-    assert record["error"]["message"].startswith(f"{field}: ")
-    assert json.loads((out / "failure.json").read_text())["type"] == "ConfigError"
-    assert (out / "manifest.json").exists()
+    _exits_2_naming(capsys, command, {**config, **section}, tmp_path / "x", f"{field}: ")
+
+
+@_CSV_COMMANDS
+@pytest.mark.parametrize(
+    "row",
+    [b"nan,0.5,1", b"0.1,0.5,0", b"0.1,1", b"0.1,0.5\xff,1"],
+    ids=["nan-feature", "zero-label", "ragged-row", "not-utf8"],
+)
+@pytest.mark.usefixtures("pool_deadline")
+def test_csv_content_error_names_path_and_row(tmp_path, capsys, monkeypatch, command, cpus, row):
+    # a bad row fails the run as a config error, as a too-small class does
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    dataset = _csv_dataset(tmp_path)
+    lines = Path(dataset["csv_path"]).read_bytes().splitlines()
+    Path(dataset["csv_path"]).write_bytes(b"\n".join([lines[0], row, *lines[2:]]) + b"\n")
+    config = _tiny_train_config(dataset=dataset, ablate={"seeds": [0, 1]})
+    _exits_2_naming(capsys, command, config, tmp_path / "x", "dataset.csv_path: row 2: ")
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -1305,8 +1408,9 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
         # the curve points run on a thread pool of this process
         ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}},
          ["concurrent.futures"]),
-        # the cell runs go to spawned worker processes
-        ({**_tiny_ablate_config(), "ablate": {"seeds": [0]}}, ["multiprocessing", "statistics"]),
+        # the cell runs go to spawned worker processes, on a concurrent.futures pool
+        ({**_tiny_ablate_config(), "ablate": {"seeds": [0]}},
+         ["multiprocessing", "concurrent.futures", "statistics"]),
     ],
     ids=["train", "oracle-polygon", "oracle-exact-1d", "theory", "mc", "ablate"],
 )
