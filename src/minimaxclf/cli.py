@@ -178,17 +178,25 @@ def run_ablate(config: dict, out_dir: Path) -> None:
 
     The (seed, cell) runs spread over a pool of one worker per usable CPU,
     each with one BLAS thread; on one CPU they run in this process. Either
-    way this process writes every artifact, in (seed, cell) order."""
+    way this process writes every artifact, in (seed, cell) order. Where a
+    worker dies, the ``BrokenProcessPool`` raised names every run whose
+    artifacts were not written."""
     import statistics  # the medians: the only command that loads it
+    from concurrent.futures.process import BrokenProcessPool  # _pool_map loads it anyway
 
     seeds = config["ablate"]["seeds"]
     summaries = {key: [] for key in swap_components(minimax_config(config))}
     tasks = [(seed, key) for seed in seeds for key in summaries]
     args = [(_reseed(config, seed), key) for seed, key in tasks]
-    with _pool_map(_run_cell, args) as reports:
-        for (seed, (variant, method)), report in zip(tasks, reports):
-            cell_dir = out_dir / f"cell-{variant}-{method}" / f"seed-{seed}"
-            summaries[(variant, method)].append(write_run(report, cell_dir))
+    runs = [f"cell-{variant}-{method}/seed-{seed}" for seed, (variant, method) in tasks]
+    written = 0
+    try:
+        with _pool_map(_run_cell, args) as reports:
+            for (_, key), run, report in zip(tasks, runs, reports):
+                summaries[key].append(write_run(report, out_dir / run))
+                written += 1
+    except BrokenProcessPool as err:
+        raise BrokenProcessPool(f"{err} Runs not written: {', '.join(runs[written:])}") from err
     # cells.csv holds these summary values of every run, comparison.csv their medians
     names = ("worst_class_acc", "worst_class_prior_value", "balanced_acc")
     cell_rows, median_rows = [], []

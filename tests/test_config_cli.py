@@ -933,6 +933,10 @@ class TestCliEntry:
         assert json.loads((tmp_path / "x" / "failure.json").read_text())["type"] == (
             "BrokenProcessPool"
         )
+        # the record names the runs the dead pool lost, and none of them was written
+        lost = re.findall(r"cell-\w+-\w+/seed-\d+", record["error"]["message"])
+        assert lost
+        assert not any((tmp_path / "x" / run / "summary.json").exists() for run in lost)
 
     @_TWO_CPUS_AND_PROC
     @pytest.mark.usefixtures("pool_deadline")

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from minimaxclf import model
 from minimaxclf.data import LabeledDataset
 from minimaxclf.losses import (
     VARIANTS,
@@ -433,6 +435,43 @@ class TestPredictAndFeatures:
         )
         np.testing.assert_array_equal(predict(shifted, x), base)
 
+    # the (architecture, dim, classes) of the presets and benchmark workloads
+    @pytest.mark.parametrize("rows", [0, 1, 1999, 3999, 4000, 4040, 10_000, 20_200])
+    @pytest.mark.parametrize(
+        "architecture, dim, classes",
+        [("mlp", 2, 10), ("linear", 2, 10), ("linear", 1, 2)],
+        ids=["mlp-2d-10", "linear-2d-10", "linear-1d-2"],
+    )
+    def test_blocks_match_one_call(self, architecture, dim, classes, rows):
+        # predict runs row blocks of 2,000-3,999 rows; each block's logits
+        # equal one forward_logits call's bit for bit, so no label can move
+        rng = np.random.default_rng(rows)
+        weights = init_params(architecture, dim, classes, seed=3, hidden_width=64).weights
+        params = ModelParams(architecture, weights, tuple(rng.normal(size=w.shape[1]) for w in weights))
+        x = rng.normal(scale=3.0, size=(rows, dim))
+        logits = forward_logits(params, x)
+        labels = predict(params, x)
+        assert labels.dtype == np.intp and labels.shape == (rows,)
+        np.testing.assert_array_equal(labels, np.argmax(logits, axis=1))
+        blocks = max(1, rows // model._PREDICT_ROWS)
+        for i in range(blocks):
+            block = slice(i * rows // blocks, (i + 1) * rows // blocks)
+            assert rows < 2000 or 2000 <= block.stop - block.start < 4000
+            assert np.array_equal(forward_logits(params, x[block]), logits[block])
+
+    def test_predict_memory_bounded(self):
+        # one call would hold the (50,000, 64) hidden layer, 25.6 MB; a
+        # block holds at most 3,999 rows of it
+        params = init_params("mlp", 2, 10, seed=0, hidden_width=64)
+        x = np.random.default_rng(0).normal(size=(50_000, 2))
+        tracemalloc.start()
+        try:
+            predict(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_features(self):
         x = np.array([[1.0, 2.0]])
         linear = init_params("linear", 2, 2, seed=0)
@@ -485,6 +524,10 @@ def _old_checkpoint(tmp_path):
                                              spec_from_variant("CE", Prior.uniform(2)),
                                              TrainConfig()),
                      "optimizer velocities", id="epoch-velocities"),
+        pytest.param(lambda tmp: predict(_linear_2x2(), np.zeros((3, 3))),
+                     r"instances must be \(N, 2\), got \(3, 3\)", id="predict-width"),
+        pytest.param(lambda tmp: predict(_linear_2x2(), np.zeros(3)),
+                     r"instances must be \(N, 2\), got \(3,\)", id="predict-rank"),
         pytest.param(lambda tmp: load_checkpoint(_old_checkpoint(tmp)),
                      "unsupported checkpoint version 0", id="checkpoint-version"),
     ],
