@@ -39,18 +39,6 @@ from .reports import fmt, write_csv, write_json, write_run
 from .theory import ega_estimate_mse, product_form_ranks
 
 
-def _write_manifest(out_dir: Path, config: dict) -> None:
-    write_json(
-        out_dir / "manifest.json",
-        {
-            "config": config,
-            "config_hash": config_hash(config),
-            "schema_version": SCHEMA_VERSION,
-            "package_version": __version__,
-        },
-    )
-
-
 def run_train(config: dict, out_dir: Path) -> None:
     dataset, eval_set = build_data(config)
     report = run_minimax(minimax_config(config), dataset, eval_set)
@@ -221,14 +209,11 @@ def _exact_curve_point(error_vector, m: int, n: int) -> tuple:
 
 
 def run_theory(config: dict, out_dir: Path) -> None:
-    t_cfg = config["theory"]
-    failure_rows, mse_rows = [], []
-    for n in t_cfg["sample_sizes"]:
-        failure, mse = _exact_curve_point(t_cfg["error_vector"], t_cfg["m_worst"], n)
-        failure_rows.append([n, failure])
-        mse_rows.append([n, mse])
-    write_csv(out_dir / "failure_bound.csv", ["N", "value"], failure_rows)
-    write_csv(out_dir / "mse.csv", ["N", "value"], mse_rows)
+    curve = config["mc"]  # the curve that mc simulates
+    points = [(n, *_exact_curve_point(curve["error_vector"], curve["m_worst"], n))
+              for n in curve["sample_sizes"]]
+    write_csv(out_dir / "failure_bound.csv", ["N", "value"], [(n, f) for n, f, _ in points])
+    write_csv(out_dir / "mse.csv", ["N", "value"], [(n, mse) for n, _, mse in points])
 
 
 def _curve_point(task: tuple, stop: threading.Event) -> tuple:
@@ -316,7 +301,10 @@ def run_experiment(config: dict, out_dir=None) -> Path:
     else:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, config)
+        (out_dir / "failure.json").unlink(missing_ok=True)  # a failed earlier run's record
+    manifest = {"config": config, "config_hash": config_hash(config),
+                "schema_version": SCHEMA_VERSION, "package_version": __version__}
+    write_json(out_dir / "manifest.json", manifest)
     runner = COMMANDS[config["experiment"]][0]
     try:
         runner(config, out_dir)

@@ -2,13 +2,15 @@
 presets, and what a resolved config gives a training run.
 
 A config is a nested dict with sections ``dataset / model / loss / ascent /
-minimax / eval`` plus per-experiment sections. ``SCHEMA`` gives every leaf
-field its default and the rule a valid value satisfies; ``DEFAULT_CONFIG`` is
-derived from it. A number field is stored as a float, so 1 and 1.0 resolve
-to the same config and hash alike. Validation errors always name the
-offending field. Presets are complete config templates; a user config
-referencing one is deep-merged on top of it. A run's data (``build_data``),
-``MinimaxConfig`` (``minimax_config``) and seeds (``RUN_SEEDS``) come from here.
+minimax / eval`` plus per-experiment sections, and asks for each input once:
+a non-null ``dataset.csv_path`` makes the dataset a CSV file's, and ``theory``
+reads the curve of ``mc``. ``SCHEMA`` gives every leaf field its default and
+the rule a valid value satisfies; ``DEFAULT_CONFIG`` is derived from it. A
+number field is stored as a float, so 1 and 1.0 give one config and hash.
+Validation errors always name the offending field. Presets are config
+templates that a user config is deep-merged on top of. A run's data
+(``build_data``), ``MinimaxConfig`` (``minimax_config``) and seeds
+(``RUN_SEEDS``) come from here.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .losses import VARIANTS
 from .mc import MAX_SAMPLE_SIZE, MIN_TRIALS
 from .minimax import AscentConfig, MinimaxConfig, swap_components
 from .model import TrainConfig
-from .oracle import MAX_GRID_STEPS, grid_steps
+from .oracle import MAX_GRID_STEPS, grid_steps, score_lines
 from .priors import SIMPLEX_ATOL
 
 SCHEMA_VERSION = 1
@@ -56,11 +58,6 @@ def build_mixture(ds: dict) -> MixtureSpec:
     """The benchmark's mixture, from the dataset fields that it takes."""
     make, fields = BENCHMARKS[ds["benchmark"]]
     return make(**{field: ds[field] for field in fields})
-
-
-# Error rates of a vanilla-trained 10-class model under strong step imbalance;
-# the default curve input for the theory/MC validation experiments.
-DEFAULT_ERROR_VECTOR = [0.75, 0.67, 0.86, 0.96, 0.89, 0.06, 0.03, 0.05, 0.02, 0.03]
 
 
 class ConfigError(ValueError):
@@ -125,21 +122,12 @@ _TEXT = Rule(lambda v: isinstance(v, str) and v != "", "a non-empty string")
 _BOOL = Rule(lambda v: isinstance(v, bool), "true or false")
 _SEED = _int(0)
 _POSITIVE = _number("(0, inf)")
-# The input of both curve experiments, theory and mc.
-_CURVE = {
-    "error_vector": (DEFAULT_ERROR_VECTOR, _list(_number("[0, 1]"), 2)),
-    "m_worst": (3, _int(1)),
-    "sample_sizes": (
-        [2, 4, 8, 16, 32, 64], _list(_int(1, MAX_SAMPLE_SIZE), 1, distinct=True)
-    ),
-}
 
 # Every leaf field of a config as (default, rule); a nested dict is a section.
 SCHEMA = {
     "experiment": ("train", _one_of(*EXPERIMENTS)),
     "name": ("run", _TEXT),
     "dataset": {
-        "source": ("synthetic", _one_of("synthetic", "csv")),
         "benchmark": ("circle", _one_of(*BENCHMARKS)),
         "class_count": (10, _int(2)),
         "radius": (2.0, _POSITIVE),
@@ -151,6 +139,7 @@ SCHEMA = {
         # the prior split keeps at least one sample of a class with two
         "counts": (None, _nullable(_list(_int(2)))),
         "seed": (0, _SEED),
+        # a path makes the dataset a CSV file's, null a benchmark's
         "csv_path": (None, _nullable(_TEXT)),
         "csv_header": (False, _BOOL),
     },
@@ -193,8 +182,18 @@ SCHEMA = {
     "eval": {"per_class": (1000, _int(2)), "seed": (7777, _SEED)},
     # one cell directory per seed, and at least one run for the medians
     "ablate": {"seeds": ([0, 1, 2, 3, 4], _list(_SEED, 1, distinct=True))},
-    "mc": {**_CURVE, "trials": (100_000, _int(MIN_TRIALS)), "master_seed": (0, _SEED)},
-    "theory": _CURVE,
+    # theory reads the first three fields, the curve that mc simulates; the
+    # error vector is a vanilla-trained 10-class model's under step imbalance
+    "mc": {
+        "error_vector": ([0.75, 0.67, 0.86, 0.96, 0.89, 0.06, 0.03, 0.05, 0.02, 0.03],
+                         _list(_number("[0, 1]"), 2)),
+        "m_worst": (3, _int(1)),
+        "sample_sizes": (
+            [2, 4, 8, 16, 32, 64], _list(_int(1, MAX_SAMPLE_SIZE), 1, distinct=True)
+        ),
+        "trials": (100_000, _int(MIN_TRIALS)),
+        "master_seed": (0, _SEED),
+    },
     "oracle": {
         "method": ("auto", _one_of("auto", "grid", "ascent")),
         "resolution": (1e-3, _number("(0, 0.5]")),
@@ -211,13 +210,14 @@ IMBALANCE = {
 
 
 # The dataset fields each source leaves unread, which stay at their defaults so
-# that a resolved config stays a valid input: a CSV file gives its own class
-# counts and draws from no benchmark, and a benchmark reads no CSV field and
-# no other benchmark's field. A CSV source leaves dataset.seed free, since
-# train --seed and ablate's per-seed configs write it for every source.
+# that a resolved config stays a valid input: a CSV file (a non-null
+# dataset.csv_path) gives its own class counts and draws from no benchmark,
+# and a benchmark reads no CSV header and no other benchmark's field. A CSV
+# source leaves dataset.seed free, since train --seed and ablate's per-seed
+# configs write it for every source.
 _MIXTURE_FIELDS = [f for f in SCHEMA["dataset"] if any(f in fs for _, fs in BENCHMARKS.values())]
 _UNREAD = {"csv": ("counts", "imbalance", "benchmark", *_MIXTURE_FIELDS)} | {
-    name: ("csv_path", "csv_header", *(f for f in _MIXTURE_FIELDS if f not in fields))
+    name: ("csv_header", *(f for f in _MIXTURE_FIELDS if f not in fields))
     for name, (_, fields) in BENCHMARKS.items()
 }
 
@@ -298,14 +298,12 @@ PRESETS = {
 }
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict) -> dict:
+    """``override`` on a copy of ``base``; ``_walk`` names an unknown field."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in out:
-            raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value, where)
+        if isinstance(out.get(key), dict) and isinstance(value, dict):
+            out[key] = _merge(out[key], value)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -393,7 +391,7 @@ def _check_class_count(config: dict, counts: list) -> None:
     if m_worst > k and not config["ascent"]["auto_m"]:
         raise ConfigError(f"ascent.m_worst: got {m_worst}, expected at most K = {k}")
     if min(counts) < 2:  # a dataset.counts entry is at least 2 by its rule
-        field = "dataset.csv_path" if config["dataset"]["source"] == "csv" else "dataset.imbalance"
+        field = "dataset.imbalance" if config["dataset"]["csv_path"] is None else "dataset.csv_path"
         raise ConfigError(f"{field}: gives counts {counts}, expected at least 2 per class")
     steps = config["minimax"]["minimax_epochs"]
     if target is not None or steps == 0:
@@ -429,24 +427,25 @@ def validate_config(config: dict) -> dict:
         _walk(IMBALANCE, ds["imbalance"], "dataset.imbalance.")
         if ds["counts"] is not None:
             raise ConfigError("dataset.imbalance: dataset.counts sets the class counts too")
-    source = "csv" if ds["source"] == "csv" else ds["benchmark"]
+    source = ds["benchmark"] if ds["csv_path"] is None else "csv"
     if source == "csv" and resolved["experiment"] == "oracle":
-        raise ConfigError("dataset.source: the oracle needs a synthetic mixture, not 'csv'")
+        raise ConfigError("dataset.csv_path: the oracle needs a synthetic mixture, not a CSV file")
+    reader = "a CSV dataset (dataset.csv_path)" if source == "csv" else f"a {source!r} dataset"
     for field in _UNREAD[source]:
         if ds[field] != DEFAULT_CONFIG["dataset"][field]:
-            raise ConfigError(f"dataset.{field}: a {source!r} dataset does not read it")
-    if source == "csv":
-        if ds["csv_path"] is None:
-            raise ConfigError("dataset.csv_path: required when source is 'csv'")
-    elif resolved["experiment"] in ("train", "ablate"):  # the readers of the class counts
+            raise ConfigError(f"dataset.{field}: {reader} does not read it")
+    if source != "csv" and resolved["experiment"] in ("train", "ablate"):  # the count readers
         _check_class_count(resolved, _synthetic_counts(ds, build_mixture(ds).class_count))
-    elif resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid":
+    elif resolved["experiment"] == "oracle" and source != "circle":  # a line: 1-d, K <= 3
         spec = build_mixture(ds)
-        if spec.dim != 1 or spec.class_count > 3:
-            raise ConfigError(
-                "oracle.method: grid search needs a 1-d mixture with K <= 3, got a"
-                f" {spec.dim}-d one with K = {spec.class_count}; use 'ascent' or 'auto'"
-            )
+        try:
+            score_lines(spec.means[:, 0], spec.sigma)
+        except ValueError as err:  # sigma, or the benchmark's field that sets the means
+            field = "sigma" if str(err).startswith("sigma") else BENCHMARKS[source][1][0]
+            raise ConfigError(f"dataset.{field}: {err}") from None
+    elif resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid":
+        raise ConfigError(f"oracle.method: grid search needs a 1-d mixture with K <= 3, got"
+                          f" the 2-d circle with K = {ds['class_count']}; use 'ascent' or 'auto'")
     resolution = resolved["oracle"]["resolution"]
     if grid_steps(resolution) is None:
         raise ConfigError(
@@ -455,17 +454,14 @@ def validate_config(config: dict) -> dict:
         )
     if target is not None and abs(float(np.sum(target)) - 1.0) > SIMPLEX_ATOL:
         raise ConfigError(f"minimax.fixed_target: entries must sum to 1 within {SIMPLEX_ATOL}")
-    for name in ("mc", "theory"):
-        if resolved[name]["m_worst"] > len(resolved[name]["error_vector"]):
-            raise ConfigError(f"{name}.m_worst: must be at most the length of {name}.error_vector")
+    if resolved["mc"]["m_worst"] > len(resolved["mc"]["error_vector"]):
+        raise ConfigError("mc.m_worst: must be at most the length of mc.error_vector")
     return resolved
 
 
 def load_config(path=None, preset=None, overrides=None) -> dict:
     """Load, merge (preset < file < overrides), and validate."""
     config = {}
-    if preset is not None:
-        config["preset"] = preset
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -476,9 +472,9 @@ def load_config(path=None, preset=None, overrides=None) -> dict:
             raise ConfigError(f"{path}: cannot be read ({err})")
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: config root must be an object")
-        if "preset" in loaded and preset is not None:
-            loaded.pop("preset")
-        config.update(loaded)
+        config = loaded
+    if preset is not None:  # over the file's
+        config["preset"] = preset
     for dotted, value in (overrides or {}).items():
         node = config
         keys = dotted.split(".")
@@ -495,7 +491,7 @@ def build_data(config: dict) -> tuple:
     an eval set from, so its eval set is None; its content and class counts
     are checked once read, and a file that cannot be read keeps its OSError."""
     ds_cfg, eval_cfg = config["dataset"], config["eval"]
-    if ds_cfg["source"] == "csv":
+    if ds_cfg["csv_path"] is not None:
         try:
             dataset = load_csv_dataset(ds_cfg["csv_path"], ds_cfg["csv_header"])
         except ValueError as err:  # the content: a bad row, or none

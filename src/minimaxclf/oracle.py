@@ -67,6 +67,20 @@ def bayes_predict(spec: MixtureSpec, pi: Prior, x: np.ndarray) -> np.ndarray:
     return np.argmax(-0.5 * scores / spec.sigma**2 + _log_prior(pi), axis=1)
 
 
+def score_lines(means: np.ndarray, sigma: float) -> tuple:
+    """The slopes mu_y / sigma^2 and offsets mu_y^2 / (2 sigma^2) of a 1-d
+    mixture's class score lines. ``ValueError``, its message starting with
+    "sigma" or "means", where sigma^2 is not a normal float or a slope or
+    offset overflows: past either the intervals are wrong, not rounded."""
+    if not 2.0**-1022 <= sigma * sigma < math.inf:
+        raise ValueError(f"sigma = {sigma!r}: the exact 1-d risks need sigma^2 a normal float")
+    with np.errstate(over="ignore"):
+        slopes, offsets = means / sigma**2, means**2 / (2.0 * sigma**2)
+    if not np.isfinite([slopes, offsets]).all():
+        raise ValueError(f"means {means.tolist()}: mu^2 / (2 sigma^2) overflows at sigma {sigma!r}")
+    return slopes, offsets
+
+
 def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarray:
     """(G, K) per-class Bayes risks at each row of the (G, K) priors ``p``,
     for a 1-d mixture of standard deviation ``sigma``.
@@ -82,11 +96,11 @@ def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarra
     from scipy.special import ndtr
 
     k = means.size
-    slopes = means / sigma**2
+    slopes, offsets = score_lines(means, sigma)
     # one contiguous row per class, so each update below is over the G priors
     p = np.ascontiguousarray(p.T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.log(p) - (means**2 / (2.0 * sigma**2))[:, None]
+        c = np.log(p) - offsets[:, None]
         lo = np.full(p.shape, -np.inf)
         hi = np.full(p.shape, np.inf)
         wins = p > 0

@@ -54,7 +54,18 @@ from helpers import save_csv_dataset
 
 
 _STEP = {"kind": "step", "ratio": 0.5, "base_count": 10}
-_CSV = {"source": "csv", "csv_path": "data.csv"}
+_CSV = {"csv_path": "data.csv"}
+# Configs whose exact 1-d oracle was silently wrong (risk 1 at a prior of
+# (0, 1)) or raised OverflowError from sigma**2.
+_LINES_OUT_OF_RANGE = [
+    ("two_gaussians_1d", "sigma", 1e-300),
+    ("two_gaussians_1d", "sigma", 1e-160),
+    ("two_gaussians_1d", "sigma", 1e160),
+    ("two_gaussians_1d", "sigma", 1e300),
+    ("two_gaussians_1d", "separation", 1e200),
+    ("three_gaussians_1d", "spacing", 1e160),
+    ("three_gaussians_1d", "spacing", 1e300),
+]
 
 # A test that starts the spawn pool and is still running after this many
 # seconds prints every thread's traceback and ends the test run, so a pool
@@ -98,8 +109,8 @@ class TestValidation:
         # the Monte Carlo oracle's fields are gone, so an old config naming them exits 2
         with pytest.raises(ConfigError, match=r"unknown config field 'oracle\.mc_samples'"):
             validate_config({"oracle": {"mc_samples": 100000}})
-        # theory evaluates the MSE at the largest error, as mc does
-        with pytest.raises(ConfigError, match=r"unknown config field 'theory\.mse_probability'"):
+        # theory reads its curve from the mc section, and has none of its own
+        with pytest.raises(ConfigError, match=r"unknown config field 'theory'"):
             validate_config({"theory": {"mse_probability": 0.5}})
 
     def test_bad_imbalance_kind(self):
@@ -168,8 +179,7 @@ class TestValidation:
                 ("seeds-empty", {"ablate": {"seeds": []}}, "ablate.seeds"),
                 ("seeds-repeated", {"ablate": {"seeds": [0, 0]}}, "ablate.seeds"),
                 ("mc-sample_sizes-empty", {"mc": {"sample_sizes": []}}, "mc.sample_sizes"),
-                ("theory-sample_sizes-repeated", {"theory": {"sample_sizes": [2, 2]}},
-                 "theory.sample_sizes"),
+                ("mc-sample_sizes-repeated", {"mc": {"sample_sizes": [2, 2]}}, "mc.sample_sizes"),
                 ("imbalance-one-sample", {"dataset": {"class_count": 4, "imbalance": {
                     "kind": "step", "ratio": 0.01, "base_count": 100}}}, "dataset.imbalance"),
                 ("imbalance-no-sample", {"dataset": {"imbalance": {
@@ -180,11 +190,9 @@ class TestValidation:
                  "dataset.imbalance"),
                 ("csv-counts", {"dataset": {**_CSV, "counts": [10, 10]}}, "dataset.counts"),
                 ("csv-imbalance", {"dataset": {**_CSV, "imbalance": _STEP}}, "dataset.imbalance"),
-                ("csv-no-path", {"dataset": {"source": "csv"}}, "dataset.csv_path"),
                 ("csv-benchmark", {"dataset": {**_CSV, "benchmark": "two_gaussians_1d"}},
                  "dataset.benchmark"),
                 ("csv-mixture-field", {"dataset": {**_CSV, "radius": 3.0}}, "dataset.radius"),
-                ("synthetic-csv_path", {"dataset": {"csv_path": "nope.csv"}}, "dataset.csv_path"),
                 ("synthetic-csv_header", {"dataset": {"csv_header": True}}, "dataset.csv_header"),
                 ("unread-class_count", {"dataset": {"benchmark": "two_gaussians_1d",
                                                     "class_count": 7, "radius": 9.0}},
@@ -217,14 +225,14 @@ class TestValidation:
     @pytest.mark.parametrize(
         "preset, expected",
         [
-            (None, "a6215a2e57d44fe992eae79e87be42f334ac8fda3ff22061a50ffe8ce4222632"),
-            ("step10-desk", "086954bc0cedd10a2e7d83124919dda96c5dedb4a1d93cb848ee497eca89d7b9"),
-            ("lt10-desk", "df65804573e6614fd5f08882af92c5ba4eb2cbb9c63a302faabda7d93a7e9c83"),
-            ("two-class-1d", "d3aae2dc98eae76b70d74f2b8a4871f6af034037ff44b5833e192839d6353497"),
+            (None, "4052ad5db7a7cdc937727555810fbf9050e742ca27ed165b6767361b8c7615f9"),
+            ("step10-desk", "14fd07664677b7bafaf3a78fe26e7b74ff32155196c9b8d8eb789f1f83bf313f"),
+            ("lt10-desk", "e4b09e8de3651e7677f0c92846354f3fe88023059ec8a88feb874fc1c2cb5abb"),
+            ("two-class-1d", "7fba658d6a75c9bc03f75b02454dc8f424cffc8e84ba374ee098d016a29b3c4d"),
             ("three-class-oracle",
-             "df377bb20e0d6aac893077ca337d5edfcb4bd591527d59bd1359b66b817c689b"),
+             "b7d373861140ca506680d9799fabadd3bc674c81a19a3e125601104881e34d15"),
             ("figure-validation",
-             "77a020f5e553a3cbd08fdd764da19f62341ecc11bde12bfa76e5c8d5338b98c1"),
+             "067a4a6e12e1e9b3011d36532fba55bfce1f8d12d8dac0fda71981f7bfb0896e"),
         ],
         # named by preset, so re-pinning a hash does not rename the test
         ids=["default", "step10-desk", "lt10-desk", "two-class-1d", "three-class-oracle",
@@ -322,7 +330,7 @@ def _csv_dataset(tmp_path, counts=(40, 24, 16)) -> dict:
     of the given per-class counts, from CSV."""
     path = tmp_path / "data.csv"
     save_csv_dataset(path, sample_mixture(circle_mixture(3), counts, seed=0))
-    return {"source": "csv", "csv_path": str(path)}
+    return {"csv_path": str(path)}
 
 
 def _tiny_mc_config(sample_sizes):
@@ -474,7 +482,7 @@ class TestExperiments:
 
     def test_theory_tables(self, tmp_path):
         config = validate_config(
-            {"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}
+            {"experiment": "theory", "mc": {"sample_sizes": [2, 4], "m_worst": 2}}
         )
         out = run_experiment(config, tmp_path / "t")
         lines = (out / "failure_bound.csv").read_text().splitlines()
@@ -543,7 +551,7 @@ class TestExperiments:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(time, "strftime", lambda fmt: "20260101-000000")
         configs = [
-            validate_config({"experiment": "theory", "theory": {"sample_sizes": sizes, "m_worst": 2}})
+            validate_config({"experiment": "theory", "mc": {"sample_sizes": sizes, "m_worst": 2}})
             for sizes in ([2], [2, 4], [2, 4, 8])
         ]
         outs = [run_experiment(config) for config in configs]
@@ -552,7 +560,7 @@ class TestExperiments:
         for out, config in zip(outs, configs):
             assert json.loads((out / "manifest.json").read_text())["config"] == config
             assert len((out / "failure_bound.csv").read_text().splitlines()) == 1 + len(
-                config["theory"]["sample_sizes"])
+                config["mc"]["sample_sizes"])
         # an explicit directory may exist already, and is written over
         assert run_experiment(configs[0], outs[2]) == outs[2]
         assert json.loads((outs[2] / "manifest.json").read_text())["config"] == configs[0]
@@ -832,16 +840,15 @@ class TestCliEntry:
         [
             (["mc", "--preset", "figure-validation", "--seed", "-1"], {},
              RUN_SEEDS + ("mc.master_seed",)),
-            (["oracle"], {"dataset": {"source": "csv", "csv_path": "data.csv",
-                                      "benchmark": "two_gaussians_1d"}},
-             ("dataset.source",)),
+            (["oracle"], {"dataset": {"csv_path": "data.csv", "benchmark": "two_gaussians_1d"}},
+             ("dataset.csv_path",)),
             (["mc", "--trials", "20000"], {"mc": 5}, ("mc",)),
             (["mc"], [], ("c.json",)),
             (["train"], {"dataset": {"benchmark": "circle", "class_count": 4, "imbalance": {
                 "kind": "step", "ratio": 0.01, "base_count": 100}}}, ("dataset.imbalance",)),
             (["mc"], {"mc": {"sample_sizes": []}}, ("mc.sample_sizes",)),
-            (["theory"], {"theory": {"sample_sizes": [2, 2]}}, ("theory.sample_sizes",)),
-            (["theory"], {"theory": {"sample_sizes": [2**63]}}, ("theory.sample_sizes",)),
+            (["theory"], {"mc": {"sample_sizes": [2, 2]}}, ("mc.sample_sizes",)),
+            (["theory"], {"mc": {"sample_sizes": [2**63]}}, ("mc.sample_sizes",)),
             (["mc"], {"mc": {"sample_sizes": [2, 10**6 + 1]}}, ("mc.sample_sizes",)),
             (["train"], {"dataset": {"benchmark": "two_gaussians_1d"}, "eval": {"per_class": 1}},
              ("eval.per_class",)),
@@ -853,12 +860,16 @@ class TestCliEntry:
                                      "radius": 9.0}}, ("dataset.class_count",)),
             (["train"], None, ("c.json",)),
             (["train"], b'{"name": "caf\xe9"}', ("c.json",)),
-        ],
+        ]
+        # the exact 1-d oracle's score lines would leave the normal floats
+        + [(["oracle"], {"dataset": {"benchmark": benchmark, field: value}}, (f"dataset.{field}",))
+           for benchmark, field, value in _LINES_OUT_OF_RANGE],
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
              "imbalance-below-two", "no-sample-size", "repeated-sample-size",
              "theory-sample-size-above-cap", "mc-sample-size-above-cap", "eval-one-per-class",
              "counts-and-imbalance", "csv-counts", "csv-imbalance", "unread-mixture-field",
-             "config-file-missing", "config-file-not-utf8"],
+             "config-file-missing", "config-file-not-utf8"]
+        + [f"oracle-{field}-{value:g}" for _, field, value in _LINES_OUT_OF_RANGE],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
@@ -880,7 +891,7 @@ class TestCliEntry:
         missing = tmp_path / "missing.csv"
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(
-            {"dataset": {"source": "csv", "csv_path": str(missing)}, "ablate": {"seeds": [0, 1]}}
+            {"dataset": {"csv_path": str(missing)}, "ablate": {"seeds": [0, 1]}}
         ))
         code = main(["ablate", "--config", str(config_path), "--out", str(tmp_path / "x")])
         assert code == 1
@@ -979,6 +990,63 @@ class TestCliEntry:
             mc_rows = (tmp_path / "m" / mc_csv).read_text().splitlines()[1:]
             assert theory_rows == [",".join(row.split(",")[:2]) for row in mc_rows]
             assert len(theory_rows) == 6  # N = 2, 4, ..., 64
+
+    def test_theory_reads_mc_curve(self, tmp_path):
+        # one config sets the curve once, in the mc section, for both commands
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"mc": {
+            "error_vector": [0.6, 0.3, 0.2, 0.1], "m_worst": 2, "sample_sizes": [3, 10, 40]}}))
+        argv = ["--config", str(config_path), "--out"]
+        assert main(["theory", *argv, str(tmp_path / "t")]) == 0
+        assert main(["mc", *argv, str(tmp_path / "m"), "--trials", "10000"]) == 0
+        for theory_csv, mc_csv in (("failure_bound.csv", "failure_curve.csv"),
+                                   ("mse.csv", "mse_curve.csv")):
+            theory_rows = (tmp_path / "t" / theory_csv).read_text().splitlines()[1:]
+            mc_rows = (tmp_path / "m" / mc_csv).read_text().splitlines()[1:]
+            assert theory_rows == [",".join(row.split(",")[:2]) for row in mc_rows]
+            assert [row.split(",")[0] for row in theory_rows] == ["3", "10", "40"]
+
+    @pytest.mark.parametrize(
+        "argv, config, field",
+        [(["train"], {"dataset": {"source": "csv", "csv_path": "data.csv"}}, "dataset.source"),
+         (["train"], {"dataset": {"source": "synthetic"}}, "dataset.source"),
+         (["theory"], {"theory": {"m_worst": 2}}, "theory"),
+         (["mc"], {"theory": {}}, "theory")],
+        ids=["source-csv", "source-synthetic", "theory-field", "theory-empty"],
+    )
+    def test_removed_fields_unknown(self, tmp_path, capsys, argv, config, field):
+        # a CSV path alone names a CSV source, and theory reads the mc section
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        code = main(argv + ["--config", str(config_path), "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert code == 2
+        assert record["error"]["message"] == f"unknown config field {field!r}"
+        assert not (tmp_path / "x").exists()
+
+    def test_csv_path_alone_trains(self, tmp_path, capsys):
+        # no other dataset field: the path makes the dataset the file's
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"dataset": _csv_dataset(tmp_path)}))
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["train_counts"] == [40, 24, 16]
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert "source" not in manifest["config"]["dataset"]
+
+    def test_rerun_clears_stale_failure_record(self, tmp_path, capsys):
+        # a failed run leaves failure.json; a good run into the same directory
+        # removes it, so the directory reports only the run that wrote it
+        config_path, out = tmp_path / "c.json", tmp_path / "x"
+        argv = ["train", "--config", str(config_path), "--out", str(out)]
+        config_path.write_text(json.dumps({**_tiny_train_config(),
+                                           "dataset": {"csv_path": str(tmp_path / "missing.csv")}}))
+        assert main(argv) == 1
+        assert json.loads((out / "failure.json").read_text())["type"] == "FileNotFoundError"
+        config_path.write_text(json.dumps(_tiny_train_config()))
+        assert main(argv) == 0
+        assert (out / "summary.json").exists()
+        assert not (out / "failure.json").exists()
 
     def test_seed_override_changes_hash(self, tmp_path):
         config_path = tmp_path / "c.json"
@@ -1233,7 +1301,7 @@ def test_alpha_that_underflows_the_prior_exits_2(tmp_path, capsys, ascent, sourc
     dataset = {"benchmark": "circle", "class_count": 4, "counts": counts}
     if source == "csv":  # the counts are known, and checked, once the file is read
         save_csv_dataset(tmp_path / "data.csv", sample_mixture(circle_mixture(4), counts, seed=0))
-        dataset = {"source": "csv", "csv_path": str(tmp_path / "data.csv")}
+        dataset = {"csv_path": str(tmp_path / "data.csv")}
     config = {
         "dataset": dataset,
         "model": {"architecture": "linear", "batch_size": 64, "decay_epochs": []},
@@ -1315,16 +1383,16 @@ def _unread_by_three_checks(ds: dict):
     """A test-local copy of the three checks that the one unread-field table
     replaced, in their order: the dataset field the first failing one names,
     or None. Its CSV check also names the benchmark and mixture fields, which
-    a CSV source leaves unread."""
-    if ds["source"] == "csv":
+    a CSV source leaves unread; a dataset.csv_path makes the source a CSV
+    file, so the synthetic check no longer names it."""
+    if ds["csv_path"] is not None:
         for field in ("counts", "imbalance", "benchmark", "class_count", "radius",
                       "separation", "spacing", "sigma"):
             if ds[field] != DEFAULT_CONFIG["dataset"][field]:
                 return field
         return None
-    for field, value in (("csv_path", ds["csv_path"]), ("csv_header", ds["csv_header"])):
-        if value not in (None, False):
-            return field
+    if ds["csv_header"]:
+        return "csv_header"
     unread = {f for _, fields in BENCHMARKS.values() for f in fields}
     unread -= set(BENCHMARKS[ds["benchmark"]][1])
     for field, value in ds.items():
@@ -1337,7 +1405,6 @@ def _unread_by_three_checks(ds: dict):
 # leaves unread; dataset.counts gets one entry per class of the benchmark.
 _NOT_DEFAULT = {
     "imbalance": _STEP,
-    "csv_path": "data.csv",
     "csv_header": True,
     "class_count": 3,
     "radius": 3.0,
@@ -1356,24 +1423,22 @@ _NOT_DEFAULT = {
 )
 def test_unread_table_accepts_what_the_three_checks_accepted(experiment, source, benchmark,
                                                              changed):
-    ds = {"source": source, "benchmark": benchmark}
+    ds = {"benchmark": benchmark, **({"csv_path": "data.csv"} if source == "csv" else {})}
     ds.update((field, value) for field, value in _NOT_DEFAULT.items() if field in changed)
     if "bad-imbalance" in changed:  # its sub-field is checked first
         ds["imbalance"] = {**_STEP, "ratio": 2.0}
     full = {**DEFAULT_CONFIG["dataset"], **ds}
     if "counts" in changed:
         ds["counts"] = full["counts"] = [5] * build_mixture(full).class_count
-    # the checks that come before the three, and the CSV path check after them
+    # the checks that come before the three
     if "bad-imbalance" in changed:
         expected = "imbalance.ratio"
     elif full["imbalance"] is not None and full["counts"] is not None:
         expected = "imbalance"
     elif source == "csv" and experiment == "oracle":
-        expected = "source"
+        expected = "csv_path"
     else:
         expected = _unread_by_three_checks(full)
-    if expected is None and source == "csv" and full["csv_path"] is None:
-        expected = "csv_path"
     try:
         validate_config({"experiment": experiment, "dataset": ds})
         named = None
@@ -1408,7 +1473,7 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
         ({"experiment": "oracle", "dataset": {"benchmark": "two_gaussians_1d"},
           "oracle": {"resolution": 0.1}},
          ["scipy", "concurrent.futures", "numpy.ma", "numpy.polynomial"]),
-        ({"experiment": "theory", "theory": {"sample_sizes": [2, 4], "m_worst": 2}}, []),
+        ({"experiment": "theory", "mc": {"sample_sizes": [2, 4], "m_worst": 2}}, []),
         # the curve points run on a thread pool of this process
         ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}},
          ["concurrent.futures"]),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -753,3 +754,46 @@ def test_mixture_without_exact_path_rejected(spec):
     ):
         with pytest.raises(ValueError, match=match):
             call()
+
+
+# 1-d mixtures whose score lines leave the normal floats: sigma^2 underflows
+# or overflows, or mu^2 / (2 sigma^2) overflows. Before the check each gave
+# risk 1 at a prior of (0, 1), or an OverflowError from sigma**2.
+_LINES_OUT_OF_RANGE = [
+    pytest.param(two_gaussians_1d(sigma=1e-300), "sigma", id="sigma-1e-300"),
+    pytest.param(two_gaussians_1d(sigma=1e-160), "sigma", id="sigma-1e-160"),
+    pytest.param(two_gaussians_1d(sigma=1e160), "sigma", id="sigma-1e160"),
+    pytest.param(two_gaussians_1d(sigma=1e300), "sigma", id="sigma-1e300"),
+    pytest.param(two_gaussians_1d(separation=1e200), "means", id="separation-1e200"),
+    pytest.param(three_gaussians_1d(spacing=1e160), "means", id="spacing-1e160"),
+    pytest.param(three_gaussians_1d(spacing=1e300), "means", id="spacing-1e300"),
+    pytest.param(two_gaussians_1d(separation=1e10, sigma=1e-150), "means", id="slope-overflow"),
+]
+
+
+@pytest.mark.parametrize("spec, quantity", _LINES_OUT_OF_RANGE)
+def test_1d_lines_out_of_range_rejected(spec, quantity):
+    # both entry points raise, naming the quantity, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: bayes_class_risks(spec, Prior.uniform(spec.class_count)),
+            lambda: adversarial_prior_search(spec, method="grid", resolution=0.5),
+        ):
+            with pytest.raises(ValueError, match=rf"^{quantity}"):
+                call()
+
+
+@pytest.mark.parametrize(
+    "separation, sigma",
+    [(1.0, 1e-150), (1.0, 1e150), (1e150, 1.0), (1e-300, 1.0), (1e-150, 1e-150)],
+    ids=["sigma-1e-150", "sigma-1e150", "separation-1e150", "separation-1e-300", "both-1e-150"],
+)
+def test_1d_lines_at_the_edge_of_range_exact(separation, sigma):
+    # just inside the range the risks are the closed form's, with no warning:
+    # at the uniform prior each class errs with Phi(-separation / sigma)
+    spec = two_gaussians_1d(separation, sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        risks = bayes_class_risks(spec, Prior.uniform(2)).estimates
+    np.testing.assert_allclose(risks, ndtr(-separation / sigma), rtol=0, atol=1e-15)
