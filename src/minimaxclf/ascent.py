@@ -53,12 +53,13 @@ class ClassRisks:
 @dataclass
 class AscentState:
     """Mutable state of one prior-ascent run (single driver). Without a
-    ``tie_rng`` a tie for the worst class goes to the smaller index."""
+    ``tie_rng`` a tie for the worst class goes to the smaller index;
+    ``m_worst`` "auto" takes M = ``auto_m(risks)`` at each linear step."""
 
     prior: Prior
     method: str
     alpha: float
-    m_worst: int = 1
+    m_worst: int | str = 1
     tie_rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
@@ -68,8 +69,8 @@ class AscentState:
             raise ValueError(f"linear ascent needs alpha in (0, 1), got {self.alpha}")
         if self.method == EGA and self.alpha <= 0:
             raise ValueError(f"EGA needs alpha > 0, got {self.alpha}")
-        if not (1 <= self.m_worst <= self.prior.class_count):
-            raise ValueError(f"m_worst must be in [1, {self.prior.class_count}]")
+        if self.m_worst != "auto" and not (1 <= self.m_worst <= self.prior.class_count):
+            raise ValueError(f"m_worst must be in [1, {self.prior.class_count}] or 'auto'")
 
 
 def estimate_class_risks(params: ModelParams, dataset: LabeledDataset) -> ClassRisks:
@@ -135,6 +136,7 @@ def ega_step(state: AscentState, risks: ClassRisks) -> Prior:
 def ascent_step(state: AscentState, risks: ClassRisks) -> Prior:
     """Dispatch one update of either method from a risk vector."""
     if state.method == LINEAR_ASCENT:
-        indicator = worst_m_indicator(risks, state.m_worst, state.tie_rng)
+        m_worst = auto_m(risks) if state.m_worst == "auto" else state.m_worst
+        indicator = worst_m_indicator(risks, m_worst, state.tie_rng)
         return linear_ascent_step(state, indicator)
     return ega_step(state, risks)

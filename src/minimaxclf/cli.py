@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import os
+import shutil
 import sys
 import threading
 import time
@@ -166,12 +167,16 @@ def run_ablate(config: dict, out_dir: Path) -> None:
 
     The (seed, cell) runs spread over a pool of one worker per usable CPU,
     each with one BLAS thread; on one CPU they run in this process. Either
-    way this process writes every artifact, in (seed, cell) order. Where a
-    worker dies, the ``BrokenProcessPool`` raised names every run whose
-    artifacts were not written."""
+    way this process writes every artifact, in (seed, cell) order, after
+    removing the ``cell-*`` directories of an earlier grid in ``out_dir``.
+    Where a worker dies, the ``BrokenProcessPool`` raised names every run
+    whose artifacts were not written."""
     import statistics  # the medians: the only command that loads it
     from concurrent.futures.process import BrokenProcessPool  # _pool_map loads it anyway
 
+    for stale in out_dir.glob("cell-*"):
+        if stale.is_dir():
+            shutil.rmtree(stale)
     seeds = config["ablate"]["seeds"]
     summaries = {key: [] for key in swap_components(minimax_config(config))}
     tasks = [(seed, key) for seed in seeds for key in summaries]

@@ -165,8 +165,9 @@ SCHEMA = {
         "method": ("linear", _one_of("linear", "ega")),
         # null takes the method's default; 0 freezes the target prior
         "alpha": (None, _nullable(_number("[0, inf)"))),
-        "m_worst": (1, _int(1)),
-        "auto_m": (False, _BOOL),
+        # "auto" takes the classes within 0.05 of the worst risk at each step
+        "m_worst": (1, Rule(lambda v: v == "auto" or _is_int(v) and v >= 1,
+                            "an integer >= 1, or 'auto'")),
         "tie_seed": (0, _SEED),
     },
     "minimax": {
@@ -195,7 +196,8 @@ SCHEMA = {
         "master_seed": (0, _SEED),
     },
     "oracle": {
-        "method": ("auto", _one_of("auto", "grid", "ascent")),
+        # auto takes the grid for a 1-d mixture with K <= 3, the ascent elsewhere
+        "method": ("auto", _one_of("auto", "ascent")),
         "resolution": (1e-3, _number("(0, 0.5]")),
         "iterations": (2000, _int(1)),
     },
@@ -259,7 +261,7 @@ PRESETS = {
         },
         "model": {"architecture": "mlp", "hidden_width": 64},
         "loss": {"variant": "TLA", "tau": 1.0},
-        "ascent": {"method": "linear", "auto_m": True},
+        "ascent": {"method": "linear", "m_worst": "auto"},
     },
     # Two balanced 1-d classes; fixed-target training shows the offset loss
     # landing on the target prior's optimal threshold.
@@ -375,9 +377,9 @@ def _ascents(config: dict) -> set:
 
 def _check_class_count(config: dict, counts: list) -> None:
     """The checks that need the realized per-class counts, whose length is
-    the class count K: one ``minimax.fixed_target`` entry per class,
-    ``ascent.m_worst`` <= K unless ``ascent.auto_m`` replaces it, at least 2
-    samples per class, so the prior split keeps one, and an ``ascent.alpha``
+    the class count K: one ``minimax.fixed_target`` entry per class, an
+    integer ``ascent.m_worst`` at most K ("auto" never exceeds it), at least
+    2 samples per class, so the prior split keeps one, and an ``ascent.alpha``
     whose ascent cannot take a coordinate of the training prior below the
     smallest normal float (``max_ascent_alpha``). Only ``train`` and
     ``ablate`` read these fields, so only they run the checks. A CSV
@@ -388,8 +390,8 @@ def _check_class_count(config: dict, counts: list) -> None:
             f"minimax.fixed_target: got {len(target)} entries, expected {k}, one per class"
         )
     m_worst = config["ascent"]["m_worst"]
-    if m_worst > k and not config["ascent"]["auto_m"]:
-        raise ConfigError(f"ascent.m_worst: got {m_worst}, expected at most K = {k}")
+    if m_worst != "auto" and m_worst > k:
+        raise ConfigError(f"ascent.m_worst: got {m_worst}, expected an integer at most K = {k}")
     if min(counts) < 2:  # a dataset.counts entry is at least 2 by its rule
         field = "dataset.imbalance" if config["dataset"]["csv_path"] is None else "dataset.csv_path"
         raise ConfigError(f"{field}: gives counts {counts}, expected at least 2 per class")
@@ -436,16 +438,12 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"dataset.{field}: {reader} does not read it")
     if source != "csv" and resolved["experiment"] in ("train", "ablate"):  # the count readers
         _check_class_count(resolved, _synthetic_counts(ds, build_mixture(ds).class_count))
-    elif resolved["experiment"] == "oracle" and source != "circle":  # a line: 1-d, K <= 3
-        spec = build_mixture(ds)
+    elif resolved["experiment"] == "oracle" and (spec := build_mixture(ds)).dim == 1:
         try:
             score_lines(spec.means[:, 0], spec.sigma)
         except ValueError as err:  # sigma, or the benchmark's field that sets the means
             field = "sigma" if str(err).startswith("sigma") else BENCHMARKS[source][1][0]
             raise ConfigError(f"dataset.{field}: {err}") from None
-    elif resolved["experiment"] == "oracle" and resolved["oracle"]["method"] == "grid":
-        raise ConfigError(f"oracle.method: grid search needs a 1-d mixture with K <= 3, got"
-                          f" the 2-d circle with K = {ds['class_count']}; use 'ascent' or 'auto'")
     resolution = resolved["oracle"]["resolution"]
     if grid_steps(resolution) is None:
         raise ConfigError(
@@ -519,7 +517,6 @@ def minimax_config(config: dict) -> MinimaxConfig:
             method=asc["method"],
             alpha=asc["alpha"],
             m_worst=asc["m_worst"],
-            use_auto_m=asc["auto_m"],
             tie_seed=asc["tie_seed"],
         ),
         train=TrainConfig(

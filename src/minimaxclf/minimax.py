@@ -16,7 +16,6 @@ from .ascent import (
     AscentState,
     ClassRisks,
     ascent_step,
-    auto_m,
     estimate_class_risks,
 )
 from .data import LabeledDataset, partition_dataset
@@ -46,8 +45,7 @@ DEFAULT_ALPHA = {LINEAR_ASCENT: 0.01, EGA: 0.1}
 class AscentConfig:
     method: str = LINEAR_ASCENT
     alpha: Optional[float] = None   # None resolves to the method default
-    m_worst: int = 1
-    use_auto_m: bool = False
+    m_worst: int | str = 1          # "auto": auto_m(risks) at each step
     tie_seed: int = 0
 
     def resolved_alpha(self) -> float:
@@ -164,8 +162,7 @@ def run_minimax(
             prior=target,
             method=config.ascent.method,
             alpha=alpha,
-            # auto_m sets M before every step, and its field may exceed K
-            m_worst=1 if config.ascent.use_auto_m else config.ascent.m_worst,
+            m_worst=config.ascent.m_worst,
             tie_rng=np.random.default_rng(config.ascent.tie_seed),
         )
 
@@ -186,8 +183,6 @@ def run_minimax(
             raise RuntimeError(f"{phase} epoch {epoch} failed: {err}") from err
         risks = estimate_class_risks(params, split.prior_part)
         if phase == MINIMAX and ascent_state is not None:
-            if config.ascent.use_auto_m:
-                ascent_state.m_worst = auto_m(risks)
             ascent_step(ascent_state, risks)
             target = ascent_state.prior
         records.append(

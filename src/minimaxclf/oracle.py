@@ -57,14 +57,33 @@ def _log_prior(pi: Prior) -> np.ndarray:
 
 def bayes_predict(spec: MixtureSpec, pi: Prior, x: np.ndarray) -> np.ndarray:
     """argmax_y [ln pi_y - |x - mu_y|^2 / (2 sigma^2)] of each row of the
-    (N, d) instances ``x``, the smallest index on a tie."""
+    (N, d) instances ``x``, as the argmin of |x - mu_y|^2 - |x - mu_r|^2 +
+    2 sigma^2 g_y, with g_y = max ln pi - ln pi_y and r a class of the largest
+    prior: no sigma makes a term overflow or vanish unseen. The distance
+    difference, (mu_r - mu_y) . ((x - mu_y) + (x - mu_r)), neither cancels
+    near the means nor loses their spacing far from them. Of equal values,
+    as where 2 sigma^2 g_y underflows, the larger prior wins, then the
+    smaller index. ``ValueError`` where a value is NaN (an instance near the
+    largest float)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != spec.dim:
         raise ValueError(f"instances must be (N, {spec.dim}), got {x.shape}")
-    scores = np.empty((x.shape[0], spec.class_count))
-    for y in range(spec.class_count):
-        scores[:, y] = np.sum((x - spec.means[y]) ** 2, axis=1)
-    return np.argmax(-0.5 * scores / spec.sigma**2 + _log_prior(pi), axis=1)
+    log_prior = _log_prior(pi)
+    gap = log_prior.max() - log_prior
+    r = int(np.argmin(gap))
+    values = np.zeros((x.shape[0], spec.class_count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # g_y = 0 adds nothing, even at an infinite sigma^2; a zero prior adds inf
+        prior_term = np.where(gap > 0, 2.0 * spec.sigma * spec.sigma * gap, 0.0)
+        prior_term[gap == np.inf] = np.inf
+        for y in range(spec.class_count):
+            if y != r:
+                paired = (x - spec.means[y]) + (x - spec.means[r])
+                values[:, y] = paired @ (spec.means[r] - spec.means[y]) + prior_term[y]
+    if np.isnan(values).any():
+        raise ValueError("instances too large: a class score difference is NaN")
+    best = values == values.min(axis=1, keepdims=True)
+    return np.argmin(np.where(best, gap, np.inf), axis=1)
 
 
 def score_lines(means: np.ndarray, sigma: float) -> tuple:

@@ -94,6 +94,19 @@ class TestWorstIndicator:
         assert auto_m(_risks(0.9, 0.87, 0.5, 0.1)) == 2
         assert auto_m(_risks(0.9, 0.2, 0.1)) == 1
 
+    @pytest.mark.parametrize("values", [(0.9, 0.87, 0.5, 0.1), (0.9, 0.2, 0.1, 0.0),
+                                        (0.5, 0.48, 0.47, 0.3)])
+    def test_auto_state_steps_toward_auto_m_classes(self, values):
+        # a linear step gives the indicator's mass to exactly auto_m(risks) classes
+        risks, prior = _risks(*values), Prior.uniform(4)
+        state = AscentState(prior, "linear", 0.1, "auto")
+        expected = ascent_step(AscentState(prior, "linear", 0.1, auto_m(risks)), risks)
+        assert ascent_step(state, risks) == expected
+        assert np.count_nonzero(state.prior.p > prior.p) == auto_m(risks)
+        # EGA reads no M, so "auto" leaves its step as it is
+        ega = [ascent_step(AscentState(prior, "ega", 0.1, m), risks) for m in ("auto", 1)]
+        assert ega[0] == ega[1]
+
 
 class TestLinearAscent:
     def _state(self, prior, alpha=0.1, m=1):

@@ -207,10 +207,11 @@ class TestValidation:
                 ("unread-preset-radius", {"preset": "step10-desk",
                                           "dataset": {"benchmark": "two_gaussians_1d"}},
                  "dataset.radius"),
-                ("grid-k10", {"experiment": "oracle", "oracle": {"method": "grid"}},
+                # auto runs the grid wherever it applies, so "grid" is no choice
+                ("oracle-grid", {"experiment": "oracle", "oracle": {"method": "grid"},
+                                 "dataset": {"benchmark": "three_gaussians_1d"}},
                  "oracle.method"),
-                ("grid-circle-k3", {"experiment": "oracle", "dataset": {"class_count": 3},
-                                    "oracle": {"method": "grid"}}, "oracle.method"),
+                ("m_worst-text", {"ascent": {"m_worst": "all"}}, "ascent.m_worst"),
                 ("mc-m_worst-above-vector", {"mc": {"error_vector": [0.5, 0.2], "m_worst": 3}},
                  "mc.m_worst"),
                 ("section-not-object", {"loss": 5}, "loss"),
@@ -225,14 +226,14 @@ class TestValidation:
     @pytest.mark.parametrize(
         "preset, expected",
         [
-            (None, "4052ad5db7a7cdc937727555810fbf9050e742ca27ed165b6767361b8c7615f9"),
-            ("step10-desk", "14fd07664677b7bafaf3a78fe26e7b74ff32155196c9b8d8eb789f1f83bf313f"),
-            ("lt10-desk", "e4b09e8de3651e7677f0c92846354f3fe88023059ec8a88feb874fc1c2cb5abb"),
-            ("two-class-1d", "7fba658d6a75c9bc03f75b02454dc8f424cffc8e84ba374ee098d016a29b3c4d"),
+            (None, "9429cad953c3dc199841a90baf8204e65d711e5b9acf6da3776c1c898e12d750"),
+            ("step10-desk", "2bccf6357ddb40f50155e4d57f9b9976e7462f525f26f134c404df1926dc7a73"),
+            ("lt10-desk", "2ccf7ffc001651be4c878d65fccc91ae952bb84759b23313540152fb10881793"),
+            ("two-class-1d", "1ee7ae1b2d66b09db19ed4ceee198aaaf355aebe5e5359c942fec97b182df48b"),
             ("three-class-oracle",
-             "b7d373861140ca506680d9799fabadd3bc674c81a19a3e125601104881e34d15"),
+             "3eea1fdb21f75fa902e20c95f74dcd858f587082676333a1815457093b8f8b50"),
             ("figure-validation",
-             "067a4a6e12e1e9b3011d36532fba55bfce1f8d12d8dac0fda71981f7bfb0896e"),
+             "d8dcc36dbffff37c9ef8a79e7d38ff41c448461e10f24c3a47f95ba7a0d4e85b"),
         ],
         # named by preset, so re-pinning a hash does not rename the test
         ids=["default", "step10-desk", "lt10-desk", "two-class-1d", "three-class-oracle",
@@ -581,6 +582,23 @@ class TestExperiments:
         cells = (out / "cells.csv").read_text().splitlines()
         assert len(cells) == 1 + 4 * 2
         assert (out / "cell-TLA-linear" / "seed-0" / "summary.json").exists()
+
+    @pytest.mark.usefixtures("pool_deadline")
+    def test_ablate_rerun_drops_earlier_grid(self, tmp_path):
+        # a smaller grid into the same --out leaves no run of the larger one
+        config = _tiny_ablate_config()
+        config["minimax"].update(warmup_epochs=1, minimax_epochs=0)
+        out = run_experiment(config, tmp_path / "g")
+        assert len(list(out.glob("cell-*/seed-1"))) == 4
+        (out / "notes.txt").write_text("kept")
+        (out / "cell-notes.txt").write_text("kept")
+        config["ablate"]["seeds"] = [0]
+        run_experiment(validate_config(config), out)
+        runs = sorted(p.relative_to(out).as_posix() for p in out.glob("cell-*/seed-*"))
+        cells = [f"cell-{loss}-{ascent}" for loss in ("TLA", "TWCE") for ascent in ("ega", "linear")]
+        assert runs == [f"{cell}/seed-0" for cell in cells]
+        assert len((out / "cells.csv").read_text().splitlines()) == 1 + 4
+        assert (out / "notes.txt").read_text() == (out / "cell-notes.txt").read_text() == "kept"
 
     @pytest.mark.usefixtures("pool_deadline")
     def test_train_run_matches_its_ablation_cell(self, tmp_path):
@@ -1011,8 +1029,9 @@ class TestCliEntry:
         [(["train"], {"dataset": {"source": "csv", "csv_path": "data.csv"}}, "dataset.source"),
          (["train"], {"dataset": {"source": "synthetic"}}, "dataset.source"),
          (["theory"], {"theory": {"m_worst": 2}}, "theory"),
-         (["mc"], {"theory": {}}, "theory")],
-        ids=["source-csv", "source-synthetic", "theory-field", "theory-empty"],
+         (["mc"], {"theory": {}}, "theory"),
+         (["train"], {"ascent": {"auto_m": True}}, "ascent.auto_m")],
+        ids=["source-csv", "source-synthetic", "theory-field", "theory-empty", "auto_m"],
     )
     def test_removed_fields_unknown(self, tmp_path, capsys, argv, config, field):
         # a CSV path alone names a CSV source, and theory reads the mc section
@@ -1270,23 +1289,30 @@ def test_class_count_checked_only_where_read(experiment, section, field):
         assert resolved[section_name][leaf] == section[section_name][leaf]
 
 
-def test_m_worst_unread_under_auto_m(tmp_path, capsys):
-    # auto_m sets M before every ascent step, so m_worst above K is unread
-    validate_config({"preset": "lt10-desk", "ascent": {"m_worst": 11}})
+@pytest.mark.parametrize("class_count", [2, 10, 16])
+def test_m_worst_auto_on_any_class_count(class_count):
+    config = {"dataset": {"class_count": class_count}, "ascent": {"m_worst": "auto"}}
+    assert validate_config(config)["ascent"]["m_worst"] == "auto"
+
+
+def test_m_worst_auto_trains_and_above_k_exits_2(tmp_path, capsys):
+    # "auto" sets M from the risks at every ascent step; an integer M is at most K
     config = {
-        "dataset": {"benchmark": "two_gaussians_1d", "counts": [60, 30], "seed": 0},
+        "dataset": {"benchmark": "circle", "counts": [60] + [30] * 9, "seed": 0},
         "model": {"architecture": "linear", "batch_size": 32, "lr_warmup_epochs": 1,
                   "decay_epochs": []},
         "minimax": {"warmup_epochs": 1, "minimax_epochs": 2, "finetune_epochs": 0},
         "eval": {"per_class": 50, "seed": 5},
     }
-    for auto, code in ((True, 0), (False, 2)):
-        config_path = tmp_path / f"{auto}.json"
-        config_path.write_text(json.dumps({**config, "ascent": {"m_worst": 5, "auto_m": auto}}))
-        argv = ["train", "--config", str(config_path), "--out", str(tmp_path / str(auto))]
+    for m_worst, code in (("auto", 0), (11, 2)):
+        config_path = tmp_path / f"{m_worst}.json"
+        config_path.write_text(json.dumps({**config, "ascent": {"m_worst": m_worst}}))
+        argv = ["train", "--config", str(config_path), "--out", str(tmp_path / str(m_worst))]
         assert main(argv) == code
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"]["message"].startswith("ascent.m_worst: ")
+    assert record["error"]["message"] == (
+        "ascent.m_worst: got 11, expected an integer at most K = 10"
+    )
 
 
 @pytest.mark.parametrize("source", ["synthetic", "csv"])

@@ -103,6 +103,27 @@ class TestBayesPredict:
         full = np.argmax(_full_log_densities(spec, x) + _log_prior(Prior.uniform(2)), axis=1)
         assert np.array_equal(predictions, full)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1.0, 1e150, 1e160, 1e300])
+    def test_extreme_sigma_exact(self, sigma):
+        # no score is divided by sigma^2: at a uniform prior the nearer mean
+        # wins, near the means and far from them, with no warning
+        spec = two_gaussians_1d(sigma=sigma)
+        x = np.array([[-0.5], [0.5], [-3.0], [3.0], [-1e17], [1e17], [-1e300], [1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bayes_predict(spec, Prior.uniform(2), x).tolist() == [0, 1] * 4
+            skewed = bayes_predict(spec, _prior(0.3, 0.7), np.array([[-0.5], [0.0], [-1e301]]))
+        # class 0, nearer, wins while 2 sigma^2 ln(7/3) is below the distance
+        # gap: 2 at -0.5, 4e301 at -1e301 (that term is inf above sigma 1e154);
+        # on the midpoint the larger prior wins, even where the term underflows
+        expected = [0 if sigma <= 1 else 1, 1, 0 if sigma <= 1e150 else 1]
+        assert skewed.tolist() == expected
+
+    def test_nan_score_raises(self):
+        spec = circle_mixture(4)
+        with pytest.raises(ValueError, match="NaN"):
+            bayes_predict(spec, Prior.uniform(4), np.array([[1e308, 1e308]]))
+
 
 class TestBayesRisks:
     def test_symmetric_closed_form(self):
