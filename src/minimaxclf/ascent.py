@@ -4,6 +4,7 @@ the prior toward the adversary by linear ascent or exponentiated gradient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +51,12 @@ class ClassRisks:
         return np.sqrt(p * (1.0 - p) / self.counts)
 
 
+def _is_m(m_worst, k: int) -> bool:
+    """An M of K classes: an integer in [1, K], numpy's included, not a bool."""
+    return (isinstance(m_worst, numbers.Integral) and not isinstance(m_worst, bool)
+            and 1 <= m_worst <= k)
+
+
 @dataclass
 class AscentState:
     """Mutable state of one prior-ascent run (single driver). Without a
@@ -69,8 +76,10 @@ class AscentState:
             raise ValueError(f"linear ascent needs alpha in (0, 1), got {self.alpha}")
         if self.method == EGA and self.alpha <= 0:
             raise ValueError(f"EGA needs alpha > 0, got {self.alpha}")
-        if self.m_worst != "auto" and not (1 <= self.m_worst <= self.prior.class_count):
-            raise ValueError(f"m_worst must be in [1, {self.prior.class_count}] or 'auto'")
+        k = self.prior.class_count
+        if not (self.m_worst == "auto" or _is_m(self.m_worst, k)):
+            raise ValueError(f"m_worst must be in [1, {k}], an integer, or 'auto';"
+                             f" got {self.m_worst!r}")
 
 
 def estimate_class_risks(params: ModelParams, dataset: LabeledDataset) -> ClassRisks:
@@ -89,8 +98,8 @@ def worst_m_indicator(
     smaller index wins, as in the Bayes rule, and nothing is drawn.
     """
     k = risks.class_count
-    if not (1 <= m_worst <= k):
-        raise ValueError(f"m_worst must be in [1, {k}]")
+    if not _is_m(m_worst, k):
+        raise ValueError(f"m_worst must be in [1, {k}], an integer; got {m_worst!r}")
     tiebreak = np.arange(k) if rng is None else rng.permutation(k)
     # primary key: risk descending; secondary: tie-break position
     order = np.lexsort((tiebreak, -risks.estimates))

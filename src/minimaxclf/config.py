@@ -138,6 +138,7 @@ SCHEMA = {
         "imbalance": (None, _nullable(Rule(lambda v: isinstance(v, dict), "an object"))),
         # the prior split keeps at least one sample of a class with two
         "counts": (None, _nullable(_list(_int(2)))),
+        # the benchmark's draw and the model/prior split
         "seed": (0, _SEED),
         # a path makes the dataset a CSV file's, null a benchmark's
         "csv_path": (None, _nullable(_TEXT)),
@@ -153,6 +154,7 @@ SCHEMA = {
         "lr_warmup_epochs": (5, _int(0)),
         "decay_epochs": ([60, 110], _list(_int(1))),
         "decay_factor": (0.01, _number("(0, 1]")),
+        # initialization, batch order and the ascent's tie-breaks
         "seed": (0, _SEED),
     },
     "loss": {
@@ -168,14 +170,12 @@ SCHEMA = {
         # "auto" takes the classes within 0.05 of the worst risk at each step
         "m_worst": (1, Rule(lambda v: v == "auto" or _is_int(v) and v >= 1,
                             "an integer >= 1, or 'auto'")),
-        "tie_seed": (0, _SEED),
     },
     "minimax": {
         "warmup_epochs": (5, _int(0)),
         "minimax_epochs": (95, _int(0)),
         "finetune_epochs": (20, _int(0)),
         "model_fraction": (0.8, _number("(0, 1)")),
-        "partition_seed": (0, _SEED),
         # TLA and TWCE need every target class to have positive mass
         "fixed_target": (None, _nullable(_list(_number("(0, 1]"), 2))),
     },
@@ -214,9 +214,7 @@ IMBALANCE = {
 # The dataset fields each source leaves unread, which stay at their defaults so
 # that a resolved config stays a valid input: a CSV file (a non-null
 # dataset.csv_path) gives its own class counts and draws from no benchmark,
-# and a benchmark reads no CSV header and no other benchmark's field. A CSV
-# source leaves dataset.seed free, since train --seed and ablate's per-seed
-# configs write it for every source.
+# and a benchmark reads no CSV header and no other benchmark's field.
 _MIXTURE_FIELDS = [f for f in SCHEMA["dataset"] if any(f in fs for _, fs in BENCHMARKS.values())]
 _UNREAD = {"csv": ("counts", "imbalance", "benchmark", *_MIXTURE_FIELDS)} | {
     name: ("csv_header", *(f for f in _MIXTURE_FIELDS if f not in fields))
@@ -429,6 +427,11 @@ def validate_config(config: dict) -> dict:
         _walk(IMBALANCE, ds["imbalance"], "dataset.imbalance.")
         if ds["counts"] is not None:
             raise ConfigError("dataset.imbalance: dataset.counts sets the class counts too")
+    if resolved["experiment"] == "ablate":
+        for dotted in RUN_SEEDS:
+            section, key = dotted.split(".")
+            if resolved[section][key] != DEFAULT_CONFIG[section][key]:
+                raise ConfigError(f"{dotted}: ablate sets it to each of ablate.seeds")
     source = ds["benchmark"] if ds["csv_path"] is None else "csv"
     if source == "csv" and resolved["experiment"] == "oracle":
         raise ConfigError("dataset.csv_path: the oracle needs a synthetic mixture, not a CSV file")
@@ -517,7 +520,7 @@ def minimax_config(config: dict) -> MinimaxConfig:
             method=asc["method"],
             alpha=asc["alpha"],
             m_worst=asc["m_worst"],
-            tie_seed=asc["tie_seed"],
+            tie_seed=model["seed"],
         ),
         train=TrainConfig(
             learning_rate=model["learning_rate"],
@@ -530,7 +533,7 @@ def minimax_config(config: dict) -> MinimaxConfig:
             seed=model["seed"],
         ),
         model_fraction=mm["model_fraction"],
-        partition_seed=mm["partition_seed"],
+        partition_seed=config["dataset"]["seed"],
         init_seed=model["seed"],
         architecture=model["architecture"],
         hidden_width=model["hidden_width"],
@@ -538,8 +541,8 @@ def minimax_config(config: dict) -> MinimaxConfig:
     )
 
 
-# The seeds of one training run; eval.seed is not one: all runs share one eval set.
-RUN_SEEDS = ("dataset.seed", "model.seed", "minimax.partition_seed", "ascent.tie_seed")
+# A run's data and training seeds; eval.seed is not one: all runs share one eval set.
+RUN_SEEDS = ("dataset.seed", "model.seed")
 
 
 def _reseed(config: dict, seed: int) -> dict:

@@ -17,10 +17,10 @@ class Prior:
     The wrapped array is copied and made read-only at construction.
     """
 
-    probabilities: np.ndarray = field()
+    p: np.ndarray = field()
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=np.float64).copy()
+        p = np.asarray(self.p, dtype=np.float64).copy()
         if p.ndim != 1 or p.size < 2:
             raise ValueError("prior must be a 1-d vector with at least 2 classes")
         if not np.all(np.isfinite(p)):
@@ -30,15 +30,11 @@ class Prior:
         if abs(float(p.sum()) - 1.0) > SIMPLEX_ATOL:
             raise ValueError(f"prior sums to {p.sum()!r}, expected 1 within {SIMPLEX_ATOL}")
         p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "p", p)
 
     @property
     def class_count(self) -> int:
-        return int(self.probabilities.size)
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.probabilities
+        return int(self.p.size)
 
     @staticmethod
     def uniform(class_count: int) -> "Prior":
@@ -56,8 +52,8 @@ class Prior:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prior):
             return NotImplemented
-        return np.array_equal(self.probabilities, other.probabilities)
+        return np.array_equal(self.p, other.p)
 
     def __hash__(self) -> int:
-        return hash(self.probabilities.tobytes())
+        return hash(self.p.tobytes())
 

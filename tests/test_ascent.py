@@ -90,6 +90,13 @@ class TestWorstIndicator:
         with pytest.raises(ValueError):
             worst_m_indicator(_risks(0.5, 0.5), 3, np.random.default_rng(0))
 
+    def test_numpy_integer_m(self):
+        state = AscentState(Prior.uniform(3), "linear", 0.5, m_worst=np.int64(2))
+        ascent_step(state, _risks(0.9, 0.2, 0.1))
+        np.testing.assert_allclose(state.prior.p, [5 / 12, 5 / 12, 1 / 6])
+        ind = worst_m_indicator(_risks(0.9, 0.2, 0.1), np.int64(1))
+        np.testing.assert_array_equal(ind.p, [1.0, 0.0, 0.0])
+
     def test_auto_m(self):
         assert auto_m(_risks(0.9, 0.87, 0.5, 0.1)) == 2
         assert auto_m(_risks(0.9, 0.2, 0.1)) == 1
@@ -276,6 +283,11 @@ def _state(method, k=2):
         pytest.param(lambda: _state("sgd"), "unknown ascent method", id="state-method"),
         pytest.param(lambda: AscentState(Prior.uniform(2), "linear", 0.1, m_worst=3),
                      r"m_worst must be in \[1, 2\]", id="state-m_worst"),
+        # M is "auto" or an integer: no other string, no float and no bool
+        *[pytest.param(lambda m=m: AscentState(Prior.uniform(2), "linear", 0.1, m_worst=m),
+                       "m_worst", id=f"state-m_worst-{m}") for m in ("all", 1.5, True)],
+        *[pytest.param(lambda m=m: worst_m_indicator(_risks(0.5, 0.2), m), "m_worst",
+                       id=f"indicator-m_worst-{m}") for m in (1.5, True)],
         pytest.param(lambda: linear_ascent_step(_state("ega"), Prior.uniform(2)), "not linear",
                      id="linear-step-on-ega"),
         pytest.param(lambda: ega_step(_state("linear"), _risks(0.1, 0.2)), "not ega",

@@ -36,6 +36,7 @@ from minimaxclf.config import (
     config_hash,
     load_config,
     max_ascent_alpha,
+    minimax_config,
     validate_config,
 )
 from minimaxclf.data import (
@@ -226,14 +227,14 @@ class TestValidation:
     @pytest.mark.parametrize(
         "preset, expected",
         [
-            (None, "9429cad953c3dc199841a90baf8204e65d711e5b9acf6da3776c1c898e12d750"),
-            ("step10-desk", "2bccf6357ddb40f50155e4d57f9b9976e7462f525f26f134c404df1926dc7a73"),
-            ("lt10-desk", "2ccf7ffc001651be4c878d65fccc91ae952bb84759b23313540152fb10881793"),
-            ("two-class-1d", "1ee7ae1b2d66b09db19ed4ceee198aaaf355aebe5e5359c942fec97b182df48b"),
+            (None, "deca0f539721b22c77dbaa4ba8889b6bb92b1bd304e1e546ee0899288cdd3110"),
+            ("step10-desk", "35418ba0aabf1009f700e5bae308107ebd1a1f6934b6d4f076f14c6004a619c3"),
+            ("lt10-desk", "e8f642a7a761d73d58581332b45fa7b29a636687e68ff00322f2516b8ecdfab1"),
+            ("two-class-1d", "b4e6a7a86bccd31d7ea367a51373761e3fba4a500aa311792ae4683ddafe2a56"),
             ("three-class-oracle",
-             "3eea1fdb21f75fa902e20c95f74dcd858f587082676333a1815457093b8f8b50"),
+             "ab85cedb256dbddba19c354e6375b65235e1855e7bc2c7264626dfe9a058713d"),
             ("figure-validation",
-             "d8dcc36dbffff37c9ef8a79e7d38ff41c448461e10f24c3a47f95ba7a0d4e85b"),
+             "4db6b89acf9e6ed0974a47aa64b40638dacfabac8bff1f15f2bf38ea153eac1c"),
         ],
         # named by preset, so re-pinning a hash does not rename the test
         ids=["default", "step10-desk", "lt10-desk", "two-class-1d", "three-class-oracle",
@@ -243,6 +244,12 @@ class TestValidation:
         # the manifest carries this hash, so a changed default changes artifacts
         config = {} if preset is None else {"preset": preset}
         assert config_hash(validate_config(config)) == expected
+
+    def test_run_seeds_feed_minimax_config(self):
+        # dataset.seed seeds the data and its split, model.seed the training
+        run = minimax_config(validate_config({"dataset": {"seed": 3}, "model": {"seed": 4}}))
+        assert run.partition_seed == 3
+        assert run.init_seed == run.train.seed == run.ascent.tie_seed == 4
 
     def test_preset_merge_and_override(self):
         config = validate_config({"preset": "step10-desk", "loss": {"tau": 0.5}})
@@ -317,8 +324,9 @@ def _tiny_ablate_config():
         {
             "experiment": "ablate",
             "dataset": {"benchmark": "two_gaussians_1d", "counts": [80, 40], "seed": 0},
+            # a run seed at its default, as ablate requires, may still be written
             "model": {"architecture": "linear", "batch_size": 32,
-                      "lr_warmup_epochs": 1, "decay_epochs": []},
+                      "lr_warmup_epochs": 1, "decay_epochs": [], "seed": 0},
             "minimax": {"warmup_epochs": 1, "minimax_epochs": 2, "finetune_epochs": 0},
             "eval": {"per_class": 30, "seed": 5},
             "ablate": {"seeds": [0, 1]},
@@ -626,8 +634,8 @@ class TestExperiments:
         assert "inter_intra_ratio" not in summary
 
     def test_csv_source_takes_seed_and_eval(self, tmp_path, capsys):
-        # every --seed writes dataset.seed, and the config sets the eval
-        # section: a CSV source leaves both free, unlike the benchmark fields
+        # a CSV source reads dataset.seed for its model/prior split, and the
+        # config sets the eval section, unlike the benchmark fields
         config = _tiny_train_config(dataset={**_csv_dataset(tmp_path), "seed": 5})
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
@@ -635,6 +643,14 @@ class TestExperiments:
         assert main([*argv, "--seed", "3"]) == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["config"]["dataset"]["seed"] == 3
+        # at one model.seed, dataset.seed alone moves the split, and so the run
+        epochs = []
+        for seed in (0, 5):
+            config_path.write_text(json.dumps({**config, "dataset": {**config["dataset"],
+                                                                     "seed": seed}}))
+            assert main([*argv[:-1], str(tmp_path / f"seed-{seed}")]) == 0
+            epochs.append((tmp_path / f"seed-{seed}" / "epochs.csv").read_bytes())
+        assert epochs[0] != epochs[1]
 
     @pytest.mark.usefixtures("pool_deadline")
     def test_csv_source_ablate(self, tmp_path, capsys):
@@ -873,6 +889,9 @@ class TestCliEntry:
             (["train"], {"dataset": {"counts": [10] * 10, "imbalance": _STEP}},
              ("dataset.imbalance",)),
             (["ablate"], {"dataset": {**_CSV, "counts": [10, 10]}}, ("dataset.counts",)),
+            # ablate sets the run seeds to each of ablate.seeds
+            (["ablate"], {"dataset": {"seed": 5}, "ablate": {"seeds": [0]}}, ("dataset.seed",)),
+            (["ablate"], {"model": {"seed": 1}}, ("model.seed",)),
             (["train"], {"dataset": {**_CSV, "imbalance": _STEP}}, ("dataset.imbalance",)),
             (["train"], {"dataset": {"benchmark": "two_gaussians_1d", "class_count": 7,
                                      "radius": 9.0}}, ("dataset.class_count",)),
@@ -885,7 +904,8 @@ class TestCliEntry:
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
              "imbalance-below-two", "no-sample-size", "repeated-sample-size",
              "theory-sample-size-above-cap", "mc-sample-size-above-cap", "eval-one-per-class",
-             "counts-and-imbalance", "csv-counts", "csv-imbalance", "unread-mixture-field",
+             "counts-and-imbalance", "csv-counts", "ablate-dataset-seed", "ablate-model-seed",
+             "csv-imbalance", "unread-mixture-field",
              "config-file-missing", "config-file-not-utf8"]
         + [f"oracle-{field}-{value:g}" for _, field, value in _LINES_OUT_OF_RANGE],
     )
@@ -1030,8 +1050,11 @@ class TestCliEntry:
          (["train"], {"dataset": {"source": "synthetic"}}, "dataset.source"),
          (["theory"], {"theory": {"m_worst": 2}}, "theory"),
          (["mc"], {"theory": {}}, "theory"),
-         (["train"], {"ascent": {"auto_m": True}}, "ascent.auto_m")],
-        ids=["source-csv", "source-synthetic", "theory-field", "theory-empty", "auto_m"],
+         (["train"], {"ascent": {"auto_m": True}}, "ascent.auto_m"),
+         (["train"], {"minimax": {"partition_seed": 3}}, "minimax.partition_seed"),
+         (["ablate"], {"ascent": {"tie_seed": 0}}, "ascent.tie_seed")],
+        ids=["source-csv", "source-synthetic", "theory-field", "theory-empty", "auto_m",
+             "partition_seed", "tie_seed"],
     )
     def test_removed_fields_unknown(self, tmp_path, capsys, argv, config, field):
         # a CSV path alone names a CSV source, and theory reads the mc section
