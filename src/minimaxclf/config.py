@@ -39,7 +39,7 @@ from .losses import VARIANTS
 from .mc import MAX_SAMPLE_SIZE, MIN_TRIALS
 from .minimax import AscentConfig, MinimaxConfig, swap_components
 from .model import TrainConfig
-from .oracle import MAX_GRID_STEPS, grid_steps, score_lines
+from .oracle import MAX_GRID_STEPS, grid_steps
 from .priors import SIMPLEX_ATOL
 
 SCHEMA_VERSION = 1
@@ -441,12 +441,6 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"dataset.{field}: {reader} does not read it")
     if source != "csv" and resolved["experiment"] in ("train", "ablate"):  # the count readers
         _check_class_count(resolved, _synthetic_counts(ds, build_mixture(ds).class_count))
-    elif resolved["experiment"] == "oracle" and (spec := build_mixture(ds)).dim == 1:
-        try:
-            score_lines(spec.means[:, 0], spec.sigma)
-        except ValueError as err:  # sigma, or the benchmark's field that sets the means
-            field = "sigma" if str(err).startswith("sigma") else BENCHMARKS[source][1][0]
-            raise ConfigError(f"dataset.{field}: {err}") from None
     resolution = resolved["oracle"]["resolution"]
     if grid_steps(resolution) is None:
         raise ConfigError(

@@ -231,7 +231,8 @@ def partition_dataset(ds: LabeledDataset, model_fraction: float, seed: int) -> S
 def load_csv_dataset(path, has_header: bool = False) -> LabeledDataset:
     """Read a dataset from CSV: float features, then a 1-based integer label.
 
-    The class count is inferred as the maximum label seen.
+    The class count is inferred as the maximum label seen. A byte-order mark
+    at the start of the file, as spreadsheet programs write it, is dropped.
     """
     rows = []
     labels = []
@@ -240,7 +241,7 @@ def load_csv_dataset(path, has_header: bool = False) -> LabeledDataset:
         lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
         try:
-            line = line.decode("utf-8").strip()
+            line = line.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
         except UnicodeDecodeError:
             raise ValueError(f"row {lineno}: not UTF-8 text")
         if not line or (has_header and lineno == 1):

@@ -46,7 +46,7 @@ _TAIL = _PANEL_BREAKS[-1]
 GAP_TOLERANCE = 1e-12
 
 # The finest grid steps by 1 / 2000: at K = 3 that is 2,003,001 priors, and
-# the vectorized 1-d risk call over them peaks at about 460 MB.
+# the vectorized 1-d risk call over them peaks at about 415 MB.
 MAX_GRID_STEPS = 2000
 
 
@@ -86,54 +86,48 @@ def bayes_predict(spec: MixtureSpec, pi: Prior, x: np.ndarray) -> np.ndarray:
     return np.argmin(np.where(best, gap, np.inf), axis=1)
 
 
-def score_lines(means: np.ndarray, sigma: float) -> tuple:
-    """The slopes mu_y / sigma^2 and offsets mu_y^2 / (2 sigma^2) of a 1-d
-    mixture's class score lines. ``ValueError``, its message starting with
-    "sigma" or "means", where sigma^2 is not a normal float or a slope or
-    offset overflows: past either the intervals are wrong, not rounded."""
-    if not 2.0**-1022 <= sigma * sigma < math.inf:
-        raise ValueError(f"sigma = {sigma!r}: the exact 1-d risks need sigma^2 a normal float")
-    with np.errstate(over="ignore"):
-        slopes, offsets = means / sigma**2, means**2 / (2.0 * sigma**2)
-    if not np.isfinite([slopes, offsets]).all():
-        raise ValueError(f"means {means.tolist()}: mu^2 / (2 sigma^2) overflows at sigma {sigma!r}")
-    return slopes, offsets
-
-
 def _exact_risks_1d(means: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarray:
     """(G, K) per-class Bayes risks at each row of the (G, K) priors ``p``,
     for a 1-d mixture of standard deviation ``sigma``.
 
-    The class scores are lines a_y x + c_y with a_y = mu_y / sigma^2, so
-    class y wins on an interval: right of its crossing with every line of
-    smaller slope, left of its crossing with every line of larger slope. Of
-    two parallel lines the larger intercept wins everywhere, the smaller
-    index on an exact tie (as in ``bayes_predict``). A class with zero prior
-    mass or an empty interval has risk 1.
+    In its standardized coordinate u = (x - mu_y) / sigma, class y beats
+    class j where a u <= a^2 + (ln pi_y - ln pi_j) / 2, a = (mu_j - mu_y) /
+    (2 sigma): left of a + (ln pi_y - ln pi_j) / (2 a) where a > 0, right of
+    it where a < 0. No intercept, sigma^2 or mu^2 is formed, so nothing
+    overflows, and no log-prior term is rounded away beside a large mean.
+    Where a = 0 (equal means, or a spacing that underflows against sigma)
+    the larger prior wins, the smaller index on an exact tie (as in
+    ``bayes_predict``). A class j of zero prior never wins, so the NaN of
+    its bound is dropped. A class with zero prior mass or an empty interval
+    has risk 1.
     """
     # imported here so that only the exact 1-d risks pay for loading scipy
     from scipy.special import ndtr
 
-    k = means.size
-    slopes, offsets = score_lines(means, sigma)
+    mu = means.tolist()
     # one contiguous row per class, so each update below is over the G priors
     p = np.ascontiguousarray(p.T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.log(p) - offsets[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        half_log = 0.5 * np.log(p)
         lo = np.full(p.shape, -np.inf)
         hi = np.full(p.shape, np.inf)
         wins = p > 0
-        for y in range(k):
-            for j in range(k):
-                if slopes[j] < slopes[y]:
-                    np.maximum(lo[y], (c[j] - c[y]) / (slopes[y] - slopes[j]), out=lo[y])
-                elif slopes[j] > slopes[y]:
-                    np.minimum(hi[y], (c[y] - c[j]) / (slopes[j] - slopes[y]), out=hi[y])
-                elif j != y:
-                    wins[y] &= (c[y] > c[j]) if j < y else (c[y] >= c[j])
-        mu = means[:, None]
-        mass = ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)
-        return np.where(wins & (lo < hi), 1.0 - mass, 1.0).T
+        for y in range(len(mu)):
+            for j in range(len(mu)):
+                if j == y:
+                    continue
+                gap = mu[j] - mu[y]
+                # where the difference overflows, halving first is exact
+                a = gap / sigma * 0.5 if math.isfinite(gap) else (0.5 * mu[j] - 0.5 * mu[y]) / sigma
+                if a == 0.0:
+                    wins[y] &= half_log[y] > half_log[j] if j < y else half_log[y] >= half_log[j]
+                    continue
+                bound = (half_log[y] - half_log[j]) / a + a
+                if a > 0.0:
+                    np.fmin(hi[y], bound, out=hi[y])
+                else:
+                    np.fmax(lo[y], bound, out=lo[y])
+        return np.where(wins & (lo < hi), 1.0 - (ndtr(hi) - ndtr(lo)), 1.0).T
 
 
 # The positive roots of the Legendre polynomial P_20 and their Gauss weights,

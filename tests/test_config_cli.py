@@ -56,16 +56,17 @@ from helpers import save_csv_dataset
 
 _STEP = {"kind": "step", "ratio": 0.5, "base_count": 10}
 _CSV = {"csv_path": "data.csv"}
-# Configs whose exact 1-d oracle was silently wrong (risk 1 at a prior of
-# (0, 1)) or raised OverflowError from sigma**2.
-_LINES_OUT_OF_RANGE = [
-    ("two_gaussians_1d", "sigma", 1e-300),
-    ("two_gaussians_1d", "sigma", 1e-160),
-    ("two_gaussians_1d", "sigma", 1e160),
-    ("two_gaussians_1d", "sigma", 1e300),
-    ("two_gaussians_1d", "separation", 1e200),
-    ("three_gaussians_1d", "spacing", 1e160),
-    ("three_gaussians_1d", "spacing", 1e300),
+# 1-d oracle configs far from unit scale, with the minimax risk R* of each:
+# two classes at -separation and +separation give Phi(-separation / sigma)
+# at the uniform prior, and three classes spaced far beyond sigma never err.
+_FAR_FROM_UNIT_SCALE = [
+    ("two_gaussians_1d", "sigma", 1e-300, 0.0),
+    ("two_gaussians_1d", "sigma", 1e-160, 0.0),
+    ("two_gaussians_1d", "sigma", 1e160, 0.5),
+    ("two_gaussians_1d", "sigma", 1e300, 0.5),
+    ("two_gaussians_1d", "separation", 1e200, 0.0),
+    ("three_gaussians_1d", "spacing", 1e160, 0.0),
+    ("three_gaussians_1d", "spacing", 1e300, 0.0),
 ]
 
 # A test that starts the spawn pool and is still running after this many
@@ -897,17 +898,13 @@ class TestCliEntry:
                                      "radius": 9.0}}, ("dataset.class_count",)),
             (["train"], None, ("c.json",)),
             (["train"], b'{"name": "caf\xe9"}', ("c.json",)),
-        ]
-        # the exact 1-d oracle's score lines would leave the normal floats
-        + [(["oracle"], {"dataset": {"benchmark": benchmark, field: value}}, (f"dataset.{field}",))
-           for benchmark, field, value in _LINES_OUT_OF_RANGE],
+        ],
         ids=["negative-seed", "csv-oracle", "section-not-object", "root-not-object",
              "imbalance-below-two", "no-sample-size", "repeated-sample-size",
              "theory-sample-size-above-cap", "mc-sample-size-above-cap", "eval-one-per-class",
              "counts-and-imbalance", "csv-counts", "ablate-dataset-seed", "ablate-model-seed",
              "csv-imbalance", "unread-mixture-field",
-             "config-file-missing", "config-file-not-utf8"]
-        + [f"oracle-{field}-{value:g}" for _, field, value in _LINES_OUT_OF_RANGE],
+             "config-file-missing", "config-file-not-utf8"],
     )
     def test_config_error_before_artifacts(self, tmp_path, capsys, argv, config, fields):
         config_path = tmp_path / "c.json"
@@ -920,6 +917,25 @@ class TestCliEntry:
         assert code == 2
         assert record["error"]["message"].split(": ")[0].endswith(fields)
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "mixture, field, value, r_star", _FAR_FROM_UNIT_SCALE,
+        ids=[f"oracle-{field}-{value:g}" for _, field, value, _ in _FAR_FROM_UNIT_SCALE],
+    )
+    def test_oracle_1d_far_from_unit_scale(self, tmp_path, mixture, field, value, r_star):
+        # any finite sigma and means: the exact 1-d oracle runs and writes R*
+        # and the risks at its prior
+        dataset = {"benchmark": mixture, field: value}
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"dataset": dataset}))
+        assert main(["oracle", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 0
+        payload = json.loads((tmp_path / "x" / "adversarial_prior.json").read_text())
+        assert payload["risk"] == pytest.approx(r_star, rel=0, abs=1e-15)
+        spec = build_mixture(validate_config({"dataset": dataset})["dataset"])
+        risks = bayes_class_risks(spec, Prior(np.array(payload["prior"]))).estimates
+        rows = [f"{y + 1},{fmt(r)}" for y, r in enumerate(risks)]
+        csv_text = (tmp_path / "x" / "risks_at_adversarial_prior.csv").read_text()
+        assert csv_text.splitlines() == ["class,risk", *rows]
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pool"])
     @pytest.mark.usefixtures("pool_deadline")

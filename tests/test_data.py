@@ -165,6 +165,14 @@ class TestCsv:
         ds = load_csv_dataset(path, has_header=True)
         assert len(ds) == 1
 
+    @pytest.mark.parametrize("header", ["", "x,y,label\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_dropped(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        path.write_text(header + "1.0,2.0,1\n3.0,4.0,2\n", encoding="utf-8-sig")
+        ds = load_csv_dataset(path, has_header=bool(header))
+        assert np.array_equal(ds.instances, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(ds.labels, [0, 1])
+
     def test_round_trip(self, tmp_path):
         ds = sample_mixture(circle_mixture(3), [4, 5, 6], seed=8)
         path = tmp_path / "rt.csv"
@@ -221,6 +229,9 @@ def _load(tmp_path, text):
                      id="csv-inf-feature"),
         pytest.param(lambda tmp: _load(tmp, b"1.0,0.5,1\n\xff,0.5,1\n"), "row 2: not UTF-8 text",
                      id="csv-not-utf8"),
+        # only the file's first bytes can be a byte-order mark; elsewhere it is data
+        pytest.param(lambda tmp: _load(tmp, "1.0,0.5,1\n\ufeff2.0,0.5,1\n"),
+                     "row 2: non-numeric feature", id="csv-mark-inside"),
     ],
 )
 def test_bad_input_rejected(tmp_path, call, match):

@@ -147,6 +147,38 @@ class TestBayesRisks:
         se = mc.standard_errors()
         assert np.all(np.abs(mc.estimates - exact.estimates) <= 4 * se + 1e-12)
 
+    def test_means_far_from_zero_agree_with_sample(self):
+        # bayes_predict ranks by distance differences, so a sample scored by
+        # it sees the log-prior term that means near 1e8 would round away
+        # from an intercept
+        spec = MixtureSpec([[1e8 - 1], [1e8], [1e8 + 1]], 1.0)
+        pi = _prior(0.2, 0.5, 0.3)
+        exact = bayes_class_risks(spec, pi)
+        mc = _sample_risks(spec, pi, sample_mixture(spec, np.full(3, 100_000), 6))
+        se = mc.standard_errors()
+        assert np.all(np.abs(mc.estimates - exact.estimates) <= 4 * se + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        quarters=st.lists(st.integers(-40, 40), min_size=2, max_size=5),
+        sigma=st.floats(0.25, 4.0),
+        weights=st.lists(st.integers(0, 9), min_size=5, max_size=5),
+        shift=st.integers(-10**12, 10**12),
+        log_scale=st.floats(-100.0, 100.0),
+    )
+    def test_1d_risks_move_with_the_means(self, quarters, sigma, weights, shift, log_scale):
+        # the Bayes risks depend only on the means' spacing over sigma: a
+        # translation (exact, on means that are multiples of 1/4) or a
+        # common scale of means and sigma moves them by rounding alone
+        means = np.array(quarters, dtype=np.float64)[:, None] / 4.0
+        w = np.array(weights[: len(quarters)], dtype=np.float64) + (np.arange(len(quarters)) == 0)
+        pi = Prior(w / w.sum())
+        risks = bayes_class_risks(MixtureSpec(means, sigma), pi).estimates
+        scale = 10.0**log_scale
+        for moved in (MixtureSpec(means + shift, sigma), MixtureSpec(means * scale, sigma * scale)):
+            np.testing.assert_allclose(bayes_class_risks(moved, pi).estimates, risks,
+                                       rtol=0, atol=1e-12)
+
     def test_total_risk_properties(self):
         spec = two_gaussians_1d()
         assert bayes_total_risk(spec, _prior(1.0, 0.0)) == 0.0
@@ -166,27 +198,33 @@ class TestBayesOracle:
 
 
 def _envelope_sweep_risks(means, sigma, pi):
-    """Reference: the upper envelope of the class lines, built by a sweep
-    over slopes, one prior at a time."""
+    """Reference: the upper envelope of the class scores, built by a sweep
+    over the means, one prior at a time. The break between two neighbours
+    on the envelope is taken in each neighbour's own standardized
+    coordinate, by the exact rule's expression."""
     k = means.size
-    logp = _log_prior(pi)
+    half_log = 0.5 * _log_prior(pi)
+
+    def bound(y, j):
+        # where class y stops beating class j, in (x - mu_y) / sigma
+        a = (means[j] - means[y]) / sigma * 0.5
+        return (half_log[y] - half_log[j]) / a + a
+
     active = [y for y in range(k) if pi.p[y] > 0]
-    slopes = means / sigma**2
-    intercepts = logp - means**2 / (2.0 * sigma**2)
-    # for equal slopes only the best intercept can win, the smallest index
-    # on an exact tie
-    order = sorted(active, key=lambda y: (slopes[y], -intercepts[y], y))
+    # for equal means only the largest prior can win, the smallest index on
+    # an exact tie
+    order = sorted(active, key=lambda y: (means[y], -half_log[y], y))
     filtered = []
     for y in order:
-        if filtered and slopes[y] == slopes[filtered[-1]]:
+        if filtered and means[y] == means[filtered[-1]]:
             continue
         filtered.append(y)
-    hull = []    # class indices on the envelope, slope ascending
+    hull = []    # class indices on the envelope, means ascending
     breaks = []  # breaks[i] = x where hull[i+1] overtakes hull[i]
     for y in filtered:
         while hull:
             prev = hull[-1]
-            bx = (intercepts[prev] - intercepts[y]) / (slopes[y] - slopes[prev])
+            bx = means[prev] + sigma * bound(prev, y)
             if breaks and bx <= breaks[-1]:
                 hull.pop()
                 breaks.pop()
@@ -195,12 +233,10 @@ def _envelope_sweep_risks(means, sigma, pi):
                 break
         hull.append(y)
     risks = np.ones(k)
-    lo = -np.inf
     for i, y in enumerate(hull):
-        hi = breaks[i] if i < len(breaks) else np.inf
-        mass = ndtr((hi - means[y]) / sigma) - ndtr((lo - means[y]) / sigma)
-        risks[y] = 1.0 - mass
-        lo = hi
+        lo = bound(y, hull[i - 1]) if i > 0 else -np.inf
+        hi = bound(y, hull[i + 1]) if i + 1 < len(hull) else np.inf
+        risks[y] = 1.0 - (ndtr(hi) - ndtr(lo))
     return risks
 
 
@@ -777,44 +813,34 @@ def test_mixture_without_exact_path_rejected(spec):
             call()
 
 
-# 1-d mixtures whose score lines leave the normal floats: sigma^2 underflows
-# or overflows, or mu^2 / (2 sigma^2) overflows. Before the check each gave
-# risk 1 at a prior of (0, 1), or an OverflowError from sigma**2.
-_LINES_OUT_OF_RANGE = [
-    pytest.param(two_gaussians_1d(sigma=1e-300), "sigma", id="sigma-1e-300"),
-    pytest.param(two_gaussians_1d(sigma=1e-160), "sigma", id="sigma-1e-160"),
-    pytest.param(two_gaussians_1d(sigma=1e160), "sigma", id="sigma-1e160"),
-    pytest.param(two_gaussians_1d(sigma=1e300), "sigma", id="sigma-1e300"),
-    pytest.param(two_gaussians_1d(separation=1e200), "means", id="separation-1e200"),
-    pytest.param(three_gaussians_1d(spacing=1e160), "means", id="spacing-1e160"),
-    pytest.param(three_gaussians_1d(spacing=1e300), "means", id="spacing-1e300"),
-    pytest.param(two_gaussians_1d(separation=1e10, sigma=1e-150), "means", id="slope-overflow"),
-]
-
-
-@pytest.mark.parametrize("spec, quantity", _LINES_OUT_OF_RANGE)
-def test_1d_lines_out_of_range_rejected(spec, quantity):
-    # both entry points raise, naming the quantity, and nothing warns
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for call in (
-            lambda: bayes_class_risks(spec, Prior.uniform(spec.class_count)),
-            lambda: adversarial_prior_search(spec, method="grid", resolution=0.5),
-        ):
-            with pytest.raises(ValueError, match=rf"^{quantity}"):
-                call()
-
-
+# Two classes at -separation and +separation each err with
+# Phi(-separation / sigma) at the uniform prior, and three classes spaced far
+# beyond sigma never err. Each boundary is taken in a class's standardized
+# coordinate, so no sigma or mean overflows or is lost: sigma and
+# separation from the smallest float to 1e308 are as exact as sigma 1.
 @pytest.mark.parametrize(
-    "separation, sigma",
-    [(1.0, 1e-150), (1.0, 1e150), (1e150, 1.0), (1e-300, 1.0), (1e-150, 1e-150)],
-    ids=["sigma-1e-150", "sigma-1e150", "separation-1e150", "separation-1e-300", "both-1e-150"],
+    "spec, expected",
+    [
+        pytest.param(two_gaussians_1d(separation, sigma), ndtr(-separation / sigma), id=name)
+        for name, separation, sigma in [
+            ("sigma-1e-300", 1.0, 1e-300), ("sigma-1e-160", 1.0, 1e-160),
+            ("sigma-1e-150", 1.0, 1e-150), ("sigma-1e150", 1.0, 1e150),
+            ("sigma-1e160", 1.0, 1e160), ("sigma-1e300", 1.0, 1e300),
+            ("separation-1e-300", 1e-300, 1.0), ("separation-1e150", 1e150, 1.0),
+            ("separation-1e200", 1e200, 1.0), ("separation-1e308", 1e308, 1.0),
+            ("both-1e-150", 1e-150, 1e-150), ("slope-overflow", 1e10, 1e-150),
+            ("both-5e-324", 5e-324, 5e-324), ("both-1e308", 1e308, 1e308),
+        ]
+    ]
+    + [pytest.param(three_gaussians_1d(1e160), 0.0, id="spacing-1e160"),
+       pytest.param(three_gaussians_1d(1e300), 0.0, id="spacing-1e300")],
 )
-def test_1d_lines_at_the_edge_of_range_exact(separation, sigma):
-    # just inside the range the risks are the closed form's, with no warning:
-    # at the uniform prior each class errs with Phi(-separation / sigma)
-    spec = two_gaussians_1d(separation, sigma)
+def test_1d_lines_at_the_edge_of_range_exact(spec, expected):
+    # the risks and the grid search's total are the closed form's, and
+    # nothing warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        risks = bayes_class_risks(spec, Prior.uniform(2)).estimates
-    np.testing.assert_allclose(risks, ndtr(-separation / sigma), rtol=0, atol=1e-15)
+        risks = bayes_class_risks(spec, Prior.uniform(spec.class_count)).estimates
+        search = adversarial_prior_search(spec, method="grid", resolution=0.5)
+    np.testing.assert_allclose(risks, expected, rtol=0, atol=1e-15)
+    assert search.risk == pytest.approx(expected, rel=0, abs=1e-15)
