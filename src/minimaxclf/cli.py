@@ -31,7 +31,7 @@ from .config import (
     load_config,
     minimax_config,
 )
-from .mc import mc_ega_mse, mc_worst_class_failure
+from .mc import mc_curve, size_groups
 from .metrics import inter_intra_ratio
 from .minimax import RunReport, run_minimax, swap_components
 from .model import extract_features, save_checkpoint
@@ -221,29 +221,26 @@ def run_theory(config: dict, out_dir: Path) -> None:
     write_csv(out_dir / "mse.csv", ["N", "value"], [(n, mse) for n, _, mse in points])
 
 
-def _curve_point(task: tuple, stop: threading.Event) -> tuple:
-    """The ``failure_curve.csv`` and ``mse_curve.csv`` rows at one sample
-    size N, from ``(error_vector, m_worst, N, trials, master_seed)``. Once
-    ``stop`` is set, the Monte Carlo raises ``mc.Stopped`` at its next chunk."""
-    error_vector, m, n, trials, seed = task
-    failure, mse = _exact_curve_point(error_vector, m, n)
-    est = mc_worst_class_failure(error_vector, m, n, trials, seed, stop)
-    mse_est = mc_ega_mse(float(max(error_vector)), n, trials, seed, stop)
-    return (
-        [n, failure, est.value, est.ci_low, est.ci_high],
-        [n, mse, mse_est.value, mse_est.ci_low, mse_est.ci_high],
-    )
+# chunk ranges per usable CPU: a thread that a busy host slows takes fewer
+_TASKS_PER_CPU = 4
 
 
 def run_mc(config: dict, out_dir: Path) -> None:
-    """Theory-vs-Monte-Carlo curves, one task per sample size on the
-    ``_thread_map`` threads; this thread writes both CSVs in config order."""
+    """Theory-vs-Monte-Carlo curves: the analytic points, then one pass per
+    group of sample sizes, its chunk ranges on the ``_thread_map`` threads;
+    this thread writes both CSVs in config order."""
     mc_cfg = config["mc"]
-    tasks = [
-        (mc_cfg["error_vector"], mc_cfg["m_worst"], n, mc_cfg["trials"], mc_cfg["master_seed"])
-        for n in mc_cfg["sample_sizes"]
-    ]
-    failure_rows, mse_rows = zip(*_thread_map(_curve_point, tasks))
+    sizes = mc_cfg["sample_sizes"]
+    vector, m = mc_cfg["error_vector"], mc_cfg["m_worst"]
+    exact = [_exact_curve_point(vector, m, n) for n in sizes]
+    parts, estimates = _TASKS_PER_CPU * _usable_cpus(), []
+    for group in size_groups(sizes):
+        estimates += mc_curve(vector, m, group, mc_cfg["trials"], mc_cfg["master_seed"],
+                              _thread_map, parts)
+    failure_rows, mse_rows = [], []
+    for n, (failure, mse), (est, mse_est) in zip(sizes, exact, estimates):
+        failure_rows.append([n, failure, est.value, est.ci_low, est.ci_high])
+        mse_rows.append([n, mse, mse_est.value, mse_est.ci_low, mse_est.ci_high])
     header = ["N", "theory_value", "mc_value", "ci_low", "ci_high"]
     write_csv(out_dir / "failure_curve.csv", header, failure_rows)
     write_csv(out_dir / "mse_curve.csv", header, mse_rows)

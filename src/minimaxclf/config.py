@@ -36,7 +36,7 @@ from .data import (
     two_gaussians_1d,
 )
 from .losses import VARIANTS
-from .mc import MAX_SAMPLE_SIZE, MIN_TRIALS
+from .mc import MAX_CLASSES, MAX_SAMPLE_SIZE, MIN_TRIALS
 from .minimax import AscentConfig, MinimaxConfig, swap_components
 from .model import TrainConfig
 from .oracle import MAX_GRID_STEPS, grid_steps
@@ -101,11 +101,12 @@ def _one_of(*choices: str) -> Rule:
     return Rule(lambda v: v in choices, f"one of {choices}")
 
 
-def _list(item: Rule, min_len: int = 0, distinct: bool = False) -> Rule:
+def _list(item: Rule, min_len: int = 0, distinct: bool = False, max_len: float = math.inf) -> Rule:
+    size = f"{min_len} or more" if max_len == math.inf else f"{min_len} to {max_len}"
     return Rule(
-        lambda v: isinstance(v, list) and len(v) >= min_len and all(map(item.ok, v))
+        lambda v: isinstance(v, list) and min_len <= len(v) <= max_len and all(map(item.ok, v))
         and (not distinct or len(set(v)) == len(v)),
-        f"a list of {min_len} or more {'distinct ' if distinct else ''}entries, each {item.text}",
+        f"a list of {size} {'distinct ' if distinct else ''}entries, each {item.text}",
         lambda v: [item.cast(x) for x in v],
     )
 
@@ -187,7 +188,7 @@ SCHEMA = {
     # error vector is a vanilla-trained 10-class model's under step imbalance
     "mc": {
         "error_vector": ([0.75, 0.67, 0.86, 0.96, 0.89, 0.06, 0.03, 0.05, 0.02, 0.03],
-                         _list(_number("[0, 1]"), 2)),
+                         _list(_number("[0, 1]"), 2, max_len=MAX_CLASSES)),
         "m_worst": (3, _int(1)),
         "sample_sizes": (
             [2, 4, 8, 16, 32, 64], _list(_int(1, MAX_SAMPLE_SIZE), 1, distinct=True)

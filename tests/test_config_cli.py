@@ -45,7 +45,7 @@ from minimaxclf.data import (
     make_imbalance_counts,
     sample_mixture,
 )
-from minimaxclf.mc import mc_worst_class_failure
+from minimaxclf.mc import _CHUNK, McCurve
 from minimaxclf.minimax import RunReport
 from minimaxclf.oracle import adversarial_prior_search, bayes_class_risks
 from minimaxclf.priors import Prior
@@ -216,6 +216,9 @@ class TestValidation:
                 ("m_worst-text", {"ascent": {"m_worst": "all"}}, "ascent.m_worst"),
                 ("mc-m_worst-above-vector", {"mc": {"error_vector": [0.5, 0.2], "m_worst": 3}},
                  "mc.m_worst"),
+                # class c's CDF keys of the Monte Carlo tables fill [c, c + 1) * 2**53 in int64
+                ("mc-classes-past-int64-keys", {"mc": {"error_vector": [0.5] * 1025}},
+                 "mc.error_vector"),
                 ("section-not-object", {"loss": 5}, "loss"),
                 ("linear-alpha-1", {"ascent": {"alpha": 1.0}}, "ascent.alpha"),
             ]
@@ -343,11 +346,11 @@ def _csv_dataset(tmp_path, counts=(40, 24, 16)) -> dict:
     return {"csv_path": str(path)}
 
 
-def _tiny_mc_config(sample_sizes):
+def _tiny_mc_config(sample_sizes, trials=10_000):
     return validate_config(
         {
             "experiment": "mc",
-            "mc": {"sample_sizes": sample_sizes, "trials": 10_000,
+            "mc": {"sample_sizes": sample_sizes, "trials": trials,
                    "error_vector": [0.9, 0.5, 0.4, 0.1], "m_worst": 2},
         }
     )
@@ -689,25 +692,27 @@ class TestExperiments:
     @staticmethod
     def _mc_threads(monkeypatch, config, out, cpus) -> tuple:
         """Artifact digests of an ``mc`` run on ``cpus`` usable CPUs, and the
-        set of threads its curve points ran on, in a thread bounded in time.
-        No point goes on before as many threads as the pool may start have
-        entered one, so that a loaded host cannot leave a thread unstarted."""
+        set of threads its chunk-range tasks ran on, in a thread bounded in
+        time. No task goes on before as many threads as the pool may start
+        have entered one, so that a loaded host cannot leave a thread
+        unstarted."""
         threads, outcome, met = set(), [], threading.Event()
-        meet = min(len(cpus), len(config["mc"]["sample_sizes"]))
+        meet = min(len(cpus), -(-config["mc"]["trials"] // _CHUNK))
+        tally = McCurve.tally
 
-        def recorded(*args):
+        def recorded(curve, chunks, stop):
             threads.add(threading.current_thread())
             if len(threads) >= meet:
                 met.set()
             met.wait(timeout=30)
-            return mc_worst_class_failure(*args)
+            return tally(curve, chunks, stop)
 
         def run():
             outcome.append(_artifact_digests(run_experiment(config, out)))
 
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            patch.setattr(cli, "mc_worst_class_failure", recorded)
+            patch.setattr(McCurve, "tally", recorded)
             runner = threading.Thread(target=run, daemon=True)
             runner.start()
             runner.join(timeout=120)
@@ -717,44 +722,40 @@ class TestExperiments:
     def test_mc_threads_match_one_cpu(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         environ, before = _blas_environ(), threading.active_count()
-        config = _tiny_mc_config([2, 4, 8])
-        # two usable CPUs: two pool threads run the 3 curve points, with no
+        config = _tiny_mc_config([2, 4, 8], trials=40_000)  # three chunks, the last one short
+        # two usable CPUs: two pool threads run the chunk ranges, with no
         # BLAS thread switch
         threaded, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "threads", {0, 1})
         assert len(ran_on) == 2 and _blas_environ() == environ
-        # one usable CPU: the curve points take turns on one pool thread
+        # one usable CPU: the chunk ranges take turns on one pool thread
         serial, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "serial", {0})
         assert len(ran_on) == 1
         assert sorted(threaded) == ["failure_curve.csv", "manifest.json", "mse_curve.csv"]
         assert threaded == serial
         assert threading.active_count() == before
 
-    def test_mc_single_sample_size_runs_in_process(self, tmp_path, monkeypatch):
+    def test_mc_single_sample_size_spreads_its_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        before, seen = threading.active_count(), []
-
-        def recorded(error_vector, m, n, *args):
-            seen.append((n, threading.active_count(), os.environ["OPENBLAS_NUM_THREADS"]))
-            return mc_worst_class_failure(error_vector, m, n, *args)
-
-        # two usable CPUs but one task: one pool thread runs it, with no BLAS
-        # thread switch, and ends with the run
-        monkeypatch.setattr(cli, "mc_worst_class_failure", recorded)
+        before = threading.active_count()
+        # two usable CPUs and one sample size: its chunks still spread over
+        # two pool threads, with no BLAS thread switch, which end with the run
+        config = _tiny_mc_config([4], trials=40_000)
         started = time.monotonic()
-        out = run_experiment(_tiny_mc_config([4]), tmp_path / "one")
+        threaded, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "two", {0, 1})
         assert time.monotonic() - started < 10
-        assert seen == [(4, before + 1, "2")]
+        assert len(ran_on) == 2 and os.environ["OPENBLAS_NUM_THREADS"] == "2"
         assert threading.active_count() == before
-        lines = (out / "failure_curve.csv").read_text().splitlines()
+        lines = (tmp_path / "two" / "failure_curve.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["N", "4"]
+        serial, _ = self._mc_threads(monkeypatch, config, tmp_path / "one", {0})
+        assert threaded == serial
 
     def test_mc_more_threads_than_cores(self, tmp_path, monkeypatch):
-        # six usable CPUs, more threads than a small host has cores, for 8
-        # curve points, and a short switch interval: the threads interleave
-        # often, and every row must still be the one a single thread writes
-        config = _tiny_mc_config([1, 2, 3, 5, 8, 13, 21, 34])
-        config["mc"]["trials"] = 40_000  # three chunks, the last one short
+        # six usable CPUs, more threads than a small host has cores, for 7
+        # chunks of 8 sample sizes, and a short switch interval: the threads
+        # interleave often, and every row must still be the one a single
+        # thread writes
+        config = _tiny_mc_config([1, 2, 3, 5, 8, 13, 21, 34], trials=100_000)  # the last chunk short
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -766,14 +767,14 @@ class TestExperiments:
         assert threaded == serial
 
     @staticmethod
-    def _mc_failing(tmp_path, monkeypatch, sample_sizes, point) -> tuple:
-        """Run ``mc`` over ``sample_sizes`` of 10**9 trials (minutes each) on
-        two usable CPUs, with ``point(n, args)`` in place of each curve
-        point's ``mc_worst_class_failure(*args)``; the error the run raised,
-        or None, once it has ended within 10 s with no thread left behind."""
+    def _mc_failing(tmp_path, monkeypatch, task) -> tuple:
+        """Run ``mc`` over two sample sizes of 10**9 trials (minutes) on two
+        usable CPUs, with ``task(chunks, tally)`` in place of each chunk
+        range's ``McCurve.tally``, where ``tally()`` runs the range; the
+        error the run raised, or None, once it has ended within 10 s with no
+        thread left behind."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        config = _tiny_mc_config(sample_sizes)
-        config["mc"]["trials"] = 10**9
+        config = _tiny_mc_config([2, 4], trials=10**9)
         outcome = []
 
         def run():
@@ -782,8 +783,9 @@ class TestExperiments:
             except BaseException as err:
                 outcome.append(err)
 
-        monkeypatch.setattr(cli, "mc_worst_class_failure",
-                            lambda vector, m, n, *args: point(n, (vector, m, n, *args)))
+        tally = McCurve.tally
+        monkeypatch.setattr(McCurve, "tally", lambda curve, chunks, stop: task(
+            chunks, lambda: tally(curve, chunks, stop)))
         before = threading.active_count()
         runner = threading.Thread(target=run, daemon=True)
         started = time.monotonic()
@@ -796,48 +798,50 @@ class TestExperiments:
 
     @pytest.mark.parametrize(
         "failing, error",
-        [(2, RuntimeError), (4, RuntimeError), (2, KeyboardInterrupt)],
+        [(0, RuntimeError), (1, RuntimeError), (0, KeyboardInterrupt)],
         ids=["error-first-point", "error-second-point", "ctrl-c"],
     )
     def test_mc_failing_point_stops_its_sibling(self, tmp_path, monkeypatch, failing, error):
-        # the point at N = failing raises while the other one is in its chunks:
-        # the sibling stops at its next chunk
+        # the task of the first (failing 0) or the second chunk range raises
+        # while the other one is in its chunks: the sibling stops at its next
+        # chunk
         sibling_started = threading.Event()
 
-        def point(n, args):
-            if n == failing:
+        def task(chunks, tally):
+            if (chunks.start > 0) == failing:
                 assert sibling_started.wait(timeout=30)
                 time.sleep(0.05)  # the sibling is well into its chunks
-                raise error("curve point failed")
+                raise error("chunk range failed")
             sibling_started.set()
-            return mc_worst_class_failure(*args)
+            return tally()
 
-        raised = self._mc_failing(tmp_path, monkeypatch, [2, 4], point)
+        raised = self._mc_failing(tmp_path, monkeypatch, task)
         assert type(raised) is error
         failure = tmp_path / "x" / "failure.json"
         if error is KeyboardInterrupt:  # not a failure of the run: nothing recorded
             assert not failure.exists()
         else:
             assert json.loads(failure.read_text()) == {
-                "error": "curve point failed", "type": "RuntimeError", "experiment": "mc"
+                "error": "chunk range failed", "type": "RuntimeError", "experiment": "mc"
             }
 
     def test_mc_point_queued_behind_a_failure_never_starts(self, tmp_path, monkeypatch):
-        # 3 points on 2 CPUs: N = 8 waits in the queue while N = 2 fails
-        # and N = 4 runs its chunks
+        # 8 chunk ranges on 2 CPUs: the third and later wait in the queue
+        # while the first fails and the second runs its chunks
         started, sibling_started = [], threading.Event()
 
-        def point(n, args):
-            started.append(n)
-            if n == 2:
+        def task(chunks, tally):
+            started.append(chunks.start)
+            if chunks.start == 0:
                 assert sibling_started.wait(timeout=30)
-                raise RuntimeError("curve point failed")
+                raise RuntimeError("chunk range failed")
             sibling_started.set()
-            return mc_worst_class_failure(*args)
+            return tally()
 
-        raised = self._mc_failing(tmp_path, monkeypatch, [2, 4, 8], point)
+        raised = self._mc_failing(tmp_path, monkeypatch, task)
         assert isinstance(raised, RuntimeError)
-        assert sorted(started) == [2, 4]
+        chunks = -(-10**9 // _CHUNK)
+        assert sorted(started) == [0, chunks // (2 * cli._TASKS_PER_CPU)]
 
 
 class TestCliEntry:

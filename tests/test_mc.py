@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,17 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from minimaxclf.config import DEFAULT_CONFIG
 from minimaxclf.mc import (
     _CHUNK,
     _GUIDE,
     _ROWS,
+    _UNIT,
     MAX_SAMPLE_SIZE,
+    McCurve,
     McEstimate,
     Stopped,
-    _Binomial,
-    _buffer,
-    _chunks,
+    _query,
+    _Table,
     _wilson_interval,
+    mc_curve,
     mc_ega_mse,
     mc_worst_class_failure,
 )
@@ -107,23 +111,23 @@ class TestEgaMseMc:
         assert a == b
 
 
-def _draw(binomial, rng, size):
-    """``size`` rows of counts from ``rng``, drawn by consecutive chunks of
-    at most ``_CHUNK`` rows, which read the stream as one call of ``size``
-    rows does."""
-    k = len(binomial.cdf)
-    uniforms, scratch = _buffer(k), _buffer(k, np.int32)
-    sizes = [min(_CHUNK, size - start) for start in range(0, size, _CHUNK)]
-    return np.concatenate([binomial(rng, n, uniforms, scratch).copy() for n in sizes])
+def _draw(table, rng, size):
+    """``size`` rows of counts from ``rng``: one uniform per count, drawn
+    row by row, looked up in ``table``."""
+    u = rng.random((size, table.sign.size))
+    query, index = np.empty((2, *u.shape), np.int64)
+    _query(u, np.arange(u.shape[1]), query, index)
+    return table.lookup(index, query, np.empty(u.shape, np.int32))
 
 
 def _assert_matches_numpy(n, p, seed, size=64):
-    """The table sampler gives Generator.binomial's counts, and leaves its
-    generator where that call leaves an identically seeded one."""
+    """The table gives Generator.binomial's counts at one uniform per count,
+    and that call reads exactly those uniforms: it leaves its generator
+    where they leave an identically seeded one."""
     p = np.asarray(p, dtype=np.float64)
     reference, sampled = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = reference.binomial(n, p, size=(size, p.size))
-    assert np.array_equal(_draw(_Binomial(n, p), sampled, size), expected)
+    assert np.array_equal(_draw(_Table(n, p), sampled, size), expected)
     assert np.array_equal(sampled.random(5), reference.random(5))
 
 
@@ -157,19 +161,17 @@ def _searched(n, p, u):
 
 
 def _assert_searched(n, p, seed, size):
-    """The sampler's counts are the inverse CDF at one uniform per count,
-    drawn row by row, and the stream after them is the one after those
-    uniforms."""
-    reference, sampled = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = _searched(n, p, reference.random((size, len(p))))
-    assert np.array_equal(_draw(_Binomial(n, np.array(p, dtype=np.float64)), sampled, size), expected)
-    assert np.array_equal(sampled.random(5), reference.random(5))
+    """The table's counts are the inverse CDF at one uniform per count."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((size, len(p)))
+    table = _Table(n, np.array(p, dtype=np.float64))
+    assert np.array_equal(_draw(table, np.random.default_rng(seed), size), _searched(n, p, u))
 
 
 class TestSampler:
-    """Where numpy inverts, the counts are numpy's, bit for bit, and so is
-    the stream after them; everywhere they are the inverse CDF of theory's
-    tail table at one uniform per count."""
+    """Where numpy inverts, the counts are numpy's, bit for bit, and numpy
+    reads one uniform per count; everywhere they are the inverse CDF of
+    theory's tail table at one uniform per count."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=_inversion_cases(), seed=st.integers(0, 2**32 - 1))
@@ -192,7 +194,7 @@ class TestSampler:
         ids=["np-30", "flipped-and-edges", "btpe", "p-zero", "p-zero-and-btpe"],
     )
     def test_path_and_stream(self, n, p, inverted):
-        # a block and 7 rows; a full chunk of two blocks; that chunk, then 7 rows
+        # a block and 7 rows; a full chunk; two blocks and 7 rows
         for size in (_ROWS + 7, _CHUNK, 2 * _ROWS + 7):
             for seed in (0, 1):
                 if inverted:
@@ -208,12 +210,17 @@ class TestSampler:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_guide_holds_the_searched_count(self, n, p, seed):
-        # F(N) = 1, so no uniform falls off the top; a bucket holds a count
-        # only where its first and last uniform search to it, and the chunk
-        # lookup reads the searched count of each uniform it draws
-        binomial = _Binomial(n, np.array(p))
-        assert np.all(binomial.cdf[:, -1] == 1.0)
-        guide = binomial.guide.reshape(len(p), _GUIDE)
+        # F(N) = 1, so no uniform falls off the top; the keys of all classes
+        # sort as one table, each class's last key above every uniform; a
+        # bucket holds a count only where its first and last uniform search
+        # to it, and the lookup reads the searched count of each uniform
+        p = np.array(p, dtype=np.float64)
+        assert np.all(_binomial_tails(np.minimum(p, 1.0 - p), n)[1][:, -1] == 0.0)
+        table = _Table(n, p)
+        assert np.all(np.diff(table.keys) >= 0)
+        last = table.keys.reshape(len(p), n + 1)[:, -1]
+        assert np.array_equal(last, (np.arange(len(p)) + 1) * _UNIT - 1)
+        guide = table.guide.reshape(len(p), _GUIDE)
         first = _searched(n, p, np.repeat(_EDGES[:-1, None], len(p), axis=1)).T
         last = _searched(n, p, np.repeat(_LAST[:, None], len(p), axis=1)).T
         held = guide != -1
@@ -228,7 +235,7 @@ class TestSampler:
         # chi-square over bins pooled to an expected count of at least 5
         p = np.array([0.5, 0.03, 0.9, 0.0, 1.0])
         size = 200_000
-        counts = _draw(_Binomial(n, p), np.random.default_rng(n), size)
+        counts = _draw(_Table(n, p), np.random.default_rng(n), size)
         assert np.all(counts[:, 3] == 0) and np.all(counts[:, 4] == n)
         pmf, _ = _binomial_tails(p[:3], n)
         for c, masses in enumerate(pmf):
@@ -249,7 +256,9 @@ def _reference_failure(error_vector, m_worst, n_samples, trials, master_seed):
     k = p.size
     true_worst = int(np.argmax(p))
     failures = 0
-    for n, rng in _chunks(trials, master_seed):
+    for i, start in enumerate(range(0, trials, _CHUNK)):
+        n = min(_CHUNK, trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence([master_seed, i]))
         counts = rng.binomial(n_samples, p, size=(n, k)).astype(np.float64)
         keyed = counts + 0.5 * rng.random((n, k))
         top = np.argpartition(-keyed, m_worst - 1, axis=1)[:, :m_worst]
@@ -285,6 +294,30 @@ def test_failure_matches_reference_loop(m, n, seed):
                      r"n_samples must be in \[1, 1000000\]", id="mse-n_samples-cap"),
         pytest.param(lambda: mc_worst_class_failure([float("nan"), 0.2], 1, 4, 10_000, 0),
                      r"lie in \[0, 1\]", id="failure-nan"),
+        # the config's rule: a 1-d vector of 2 or more probabilities, integer
+        # sizes and trials that are not bools
+        pytest.param(lambda: mc_worst_class_failure([0.5], 1, 4, 10_000, 0),
+                     "error_vector must be a 1-d vector of 2", id="failure-one-class"),
+        pytest.param(lambda: mc_worst_class_failure([[0.5, 0.2], [0.1, 0.3]], 1, 4, 10_000, 0),
+                     "error_vector must be a 1-d vector", id="failure-2d"),
+        pytest.param(lambda: mc_worst_class_failure([], 1, 4, 10_000, 0),
+                     "error_vector must be a 1-d vector", id="failure-empty"),
+        pytest.param(lambda: mc_worst_class_failure([True, False], 1, 4, 10_000, 0),
+                     "error_vector must be a 1-d vector", id="failure-bool-vector"),
+        pytest.param(lambda: mc_worst_class_failure([0.5, 0.2], True, 4, 10_000, 0),
+                     r"m_worst must be in \[1, 2\], got True", id="failure-bool-m_worst"),
+        pytest.param(lambda: mc_worst_class_failure([0.5, 0.2], 1.0, 4, 10_000, 0),
+                     r"m_worst must be in \[1, 2\], got 1.0", id="failure-float-m_worst"),
+        pytest.param(lambda: mc_worst_class_failure([0.5, 0.2], 1, True, 10_000, 0),
+                     "n_samples must be in .*, got True", id="failure-bool-n_samples"),
+        pytest.param(lambda: mc_ega_mse(0.3, True, 10_000, 0),
+                     "n_samples must be in .*, got True", id="mse-bool-n_samples"),
+        pytest.param(lambda: mc_ega_mse(0.3, 4, 10_000.0, 0),
+                     "trials must be an integer", id="mse-float-trials"),
+        pytest.param(lambda: McCurve([0.5, 0.2], 1, [4, 0], 10_000, 0),
+                     r"n_samples must be in \[1, 1000000\], got 0", id="curve-n_samples"),
+        pytest.param(lambda: McCurve(np.full(1025, 0.5), 1, [4], 10_000, 0),
+                     "2 to 1024 probabilities", id="curve-classes"),
     ],
 )
 def test_bad_input_rejected(call, match):
@@ -316,3 +349,49 @@ def test_stop_event_read_once_per_chunk(estimate, chunks):
     with pytest.raises(Stopped, match=f"before chunk {chunks}$"):
         estimate(stop)
     assert stop.reads == chunks + 1
+
+
+def _in_turn(fn, ranges):
+    return [fn(chunks, None) for chunks in ranges]
+
+
+def test_preset_curve_pinned():
+    # the figure-validation curve at 10**5 trials and seed 0, as one pass
+    # over every size: any moved count or MSE bit fails here
+    mc = DEFAULT_CONFIG["mc"]
+    estimates = mc_curve(mc["error_vector"], mc["m_worst"], mc["sample_sizes"], 100_000, 0, _in_turn)
+    assert [round(failure.value * 100_000) for failure, _ in estimates] == [
+        20981, 12141, 5434, 1422, 124, 3]
+    assert [mse.value.hex() for _, mse in estimates] == [
+        "0x1.5f6d89bbecd25p-4", "0x1.b19de3910437bp-5", "0x1.e41263b427dc8p-6",
+        "0x1.fbe845d4b8ebbp-7", "0x1.0539a649a593fp-7", "0x1.0974ea0dc2553p-8"]
+
+
+@st.composite
+def _curves(draw):
+    """(error vector, M, sample sizes, trials): K in [2, 12] with the
+    entries 0, 1/2 and 1 and values above 1/2 among them, sizes up to 600
+    (past the uint8 counts) and a short last chunk."""
+    k = draw(st.integers(2, 12))
+    entry = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0),
+                      st.floats(0.5, 1.0, exclude_min=True))
+    vector = draw(st.lists(entry, min_size=k, max_size=k))
+    sizes = draw(st.lists(st.integers(1, 600), min_size=1, max_size=4, unique=True))
+    return vector, draw(st.integers(1, k)), sizes, draw(st.integers(10_000, 40_000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(curve=_curves(), seed=st.integers(0, 2**32 - 1))
+def test_pass_matches_one_size_calls(curve, seed):
+    # the pass over every size gives each size's one-size estimates, bit for
+    # bit, however its chunks are split over threads
+    vector, m, sizes, trials = curve
+    alone = [(mc_worst_class_failure(vector, m, n, trials, seed),
+              mc_ega_mse(max(vector), n, trials, seed)) for n in sizes]
+    for threads in (1, 2, 6):
+        with ThreadPoolExecutor(threads) as pool:
+            def pool_map(fn, ranges):
+                return list(pool.map(fn, ranges, [None] * len(ranges)))
+
+            # two chunk ranges per thread, as far as the 1 to 3 chunks go
+            assert mc_curve(vector, m, sizes, trials, seed, pool_map, 2 * threads) == alone
