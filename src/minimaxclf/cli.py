@@ -16,7 +16,8 @@ import shutil
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +32,7 @@ from .config import (
     load_config,
     minimax_config,
 )
-from .mc import mc_curve, size_groups
+from .mc import McCurve, size_groups
 from .metrics import inter_intra_ratio
 from .minimax import RunReport, run_minimax, swap_components
 from .model import extract_features, save_checkpoint
@@ -93,64 +94,57 @@ def _exit_with_parent() -> None:
 
 
 @contextmanager
-def _pool_map(fn, tasks: list):
+def _pool_map(fn, tasks, processes: bool = True):
     """Yield the results of ``fn`` over ``tasks``, in input order.
 
-    ``fn`` runs on a ``spawn`` process pool of one worker per usable CPU (at
-    most one per task), each with one BLAS thread; with one worker, in this
-    process. A worker process suits tasks of many small numpy calls, which
-    hold the GIL (an ``ablate`` training step is dozens of them on 128-row
-    batches): on 2 vCPUs, ablate-step10 at seeds 1-3 took 5.7-5.9 s and
-    46.2-46.3 MB peak here, against 12.6-14.7 s and 62.3-62.9 MB on
-    ``_thread_map`` (13.4-15.0 s and 53.2-53.9 MB with one BLAS thread).
-    An error or Ctrl-C in the ``with`` block or in a task terminates the
-    workers and propagates as raised; a worker that dies breaks the pool,
-    so the next result raises ``BrokenProcessPool`` and the others end."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    ``fn`` runs on a pool of one worker per usable CPU (at most one per
+    task), with at most two tasks per worker submitted and not yet taken;
+    with one worker, in this process. The workers are ``spawn`` processes
+    with one BLAS thread each where ``processes``, which suits tasks of many
+    small numpy calls that hold the GIL (an ``ablate`` training step is
+    dozens on 128-row batches: on 2 vCPUs, ablate-step10 at seeds 1-3 took
+    5.7-5.9 s and 46.2-46.3 MB peak here, against 12.6-14.7 s and 62.3-62.9
+    MB on threads). Otherwise they are threads of this process, which suit
+    large numpy calls that release the GIL and cost no interpreter start-up.
+    An error or Ctrl-C in the ``with`` block or in a task propagates as
+    raised: no queued task starts, a worker process is terminated and a
+    thread finishes its task. A worker process that dies breaks the pool, so
+    the next result raises ``BrokenProcessPool`` and the others end."""
     workers = min(_usable_cpus(), len(tasks))
     if workers < 2:
         yield map(fn, tasks)
         return
-    spawn = multiprocessing.get_context("spawn")
-    with _single_blas_thread(), ProcessPoolExecutor(workers, spawn, _exit_with_parent) as pool:
+    if processes:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        pool = ProcessPoolExecutor(workers, spawn, _exit_with_parent)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+    with _single_blas_thread() if processes else nullcontext(), pool:
         try:
-            futures = [pool.submit(fn, task) for task in tasks]
-            yield (future.result() for future in futures)
-        except BaseException:  # a queued task never starts, a running one ends now
-            for worker in multiprocessing.active_children():
-                worker.terminate()
+            yield _in_window(pool, fn, tasks, 2 * workers)
+        except BaseException:
+            if processes:  # a running task ends now
+                for worker in multiprocessing.active_children():
+                    worker.terminate()
+            else:
+                pool.shutdown(cancel_futures=True)
             raise
 
 
-def _thread_map(fn, tasks: list) -> list:
-    """The results of ``fn(task, stop)`` over ``tasks``, in input order.
-
-    The tasks run on a thread pool of one thread per usable CPU, at most one
-    per task. A thread suits tasks whose time goes to large numpy calls,
-    which release the GIL, and it costs no interpreter start-up. The first
-    error, or Ctrl-C, sets ``stop``, a ``threading.Event`` that each task
-    reads between its steps; a task not yet started then never starts, and
-    the errors the stop causes are dropped, so the first error is the one
-    raised here, once every thread has ended."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    stop = threading.Event()
-
-    def run(task):
-        try:
-            return None if stop.is_set() else fn(task, stop)
-        except BaseException:
-            if not stop.is_set():  # the first error; a later one comes of the stop
-                stop.set()  # before this thread takes a queued task
-                raise
-
-    with ThreadPoolExecutor(min(_usable_cpus(), len(tasks))) as pool:
-        try:
-            return list(pool.map(run, tasks))
-        finally:  # after an error or Ctrl-C, the running tasks stop at their next step
-            stop.set()
+def _in_window(pool, fn, tasks, window: int):
+    """The results of ``fn`` over ``tasks`` on ``pool``, in input order,
+    with at most ``window`` tasks submitted and not yet taken."""
+    tasks = iter(tasks)
+    futures = deque(pool.submit(fn, task) for task in itertools.islice(tasks, window))
+    while futures:
+        result = futures.popleft().result()
+        futures.extend(pool.submit(fn, task) for task in itertools.islice(tasks, 1))
+        yield result
 
 
 def _run_cell(task: tuple) -> RunReport:
@@ -221,22 +215,19 @@ def run_theory(config: dict, out_dir: Path) -> None:
     write_csv(out_dir / "mse.csv", ["N", "value"], [(n, mse) for n, _, mse in points])
 
 
-# chunk ranges per usable CPU: a thread that a busy host slows takes fewer
-_TASKS_PER_CPU = 4
-
-
 def run_mc(config: dict, out_dir: Path) -> None:
     """Theory-vs-Monte-Carlo curves: the analytic points, then one pass per
-    group of sample sizes, its chunk ranges on the ``_thread_map`` threads;
-    this thread writes both CSVs in config order."""
+    group of sample sizes, its chunks on the ``_pool_map`` threads; this
+    thread writes both CSVs in config order."""
     mc_cfg = config["mc"]
     sizes = mc_cfg["sample_sizes"]
     vector, m = mc_cfg["error_vector"], mc_cfg["m_worst"]
     exact = [_exact_curve_point(vector, m, n) for n in sizes]
-    parts, estimates = _TASKS_PER_CPU * _usable_cpus(), []
+    estimates = []
     for group in size_groups(sizes):
-        estimates += mc_curve(vector, m, group, mc_cfg["trials"], mc_cfg["master_seed"],
-                              _thread_map, parts)
+        curve = McCurve(vector, m, group, mc_cfg["trials"], mc_cfg["master_seed"])
+        with _pool_map(curve.tally, curve.chunks, processes=False) as tallies:
+            estimates += curve.estimates(tallies)
     failure_rows, mse_rows = [], []
     for n, (failure, mse), (est, mse_est) in zip(sizes, exact, estimates):
         failure_rows.append([n, failure, est.value, est.ci_low, est.ci_high])

@@ -36,11 +36,12 @@ from .data import (
     two_gaussians_1d,
 )
 from .losses import VARIANTS
-from .mc import MAX_CLASSES, MAX_SAMPLE_SIZE, MIN_TRIALS
+from .mc import MAX_CLASSES, MIN_TRIALS
 from .minimax import AscentConfig, MinimaxConfig, swap_components
 from .model import TrainConfig
 from .oracle import MAX_GRID_STEPS, grid_steps
 from .priors import SIMPLEX_ATOL
+from .theory import MAX_SAMPLE_SIZE
 
 SCHEMA_VERSION = 1
 

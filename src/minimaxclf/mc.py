@@ -31,9 +31,9 @@ them. The MSE reads the chunk's first n uniforms, as a one-class draw of n
 counts would. A size reads the stream it would read alone, so no estimate
 depends on which sizes share a pass (``size_groups`` keeps the N + 1 of a
 pass's sizes to a sum of at most ``MAX_SAMPLE_SIZE + 1``, the tables of one
-point at the cap), and ``McCurve.tally`` over consecutive chunk ranges, on
-any number of threads, gives the same bits as one range: the failures are
-integers, and the MSE sums are added chunk by chunk in chunk order.
+point at the cap), and a chunk's ``McCurve.tally`` gives the same bits on
+any thread: the failures are integers, and the MSE sums are added chunk by
+chunk in chunk order.
 """
 
 from __future__ import annotations
@@ -43,15 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theory import _binomial_tails
+from .theory import MAX_SAMPLE_SIZE, _binomial_tails, _check_count, _is_int
 
 _CHUNK = 1 << 14
 _ROWS = 1 << 11  # rows of a chunk drawn per block: the working set of a pass
 MIN_TRIALS = 10_000
-# A curve point's time and memory grow linearly in N: at 10**6, on a 2-vCPU VM,
-# an `mc` run of one point at 10**5 trials takes about 1.1 s and 219 MB, a
-# `theory` run 0.8 s and 218 MB (wall clock and peak RSS of the whole command).
-MAX_SAMPLE_SIZE = 10**6
 _Z95 = 1.959963984540054  # the z of a two-sided 95% normal interval
 _GUIDE = 1 << 12  # buckets per class of the guide table over the uniform
 _UNIT = 1 << 53  # a uniform is k / 2**53 for an integer k < 2**53
@@ -77,32 +73,21 @@ def _wilson_interval(successes: int, trials: int) -> tuple:
     return center - half, center + half
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check(error_vector, m_worst, n_samples, trials) -> np.ndarray:
-    """The error vector as float64, once every argument meets the config's
-    rule; a ``ValueError`` naming the argument otherwise."""
+def _check(error_vector, m_worst, trials) -> np.ndarray:
+    """The error vector as float64, once it, M and the trials meet the
+    config's rule (M by ``theory``'s, which checks each N as its table is
+    built); a ``ValueError`` naming the argument otherwise."""
     p = np.asarray(error_vector)
     if p.ndim != 1 or not 2 <= p.size <= MAX_CLASSES or p.dtype.kind not in "iuf":
         raise ValueError(f"error_vector must be a 1-d vector of 2 to {MAX_CLASSES} probabilities")
     p = p.astype(np.float64)
     if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
         raise ValueError("error probabilities must lie in [0, 1]")
-    if not (_is_int(m_worst) and 1 <= m_worst <= p.size):
-        raise ValueError(f"m_worst must be in [1, {p.size}], got {m_worst!r}")
-    for n in n_samples:
-        if not (_is_int(n) and 1 <= n <= MAX_SAMPLE_SIZE):
-            raise ValueError(f"n_samples must be in [1, {MAX_SAMPLE_SIZE}], got {n!r}")
+    _check_count("m_worst", m_worst, p.size)
     if not (_is_int(trials) and trials >= MIN_TRIALS):
         raise ValueError(f"trials must be an integer of at least {MIN_TRIALS} for a usable "
                          f"interval, got {trials!r}")
     return p
-
-
-class Stopped(Exception):
-    """Raised in place of the next chunk once the caller's stop event is set."""
 
 
 class _Table:
@@ -188,22 +173,20 @@ class McCurve:
     """The Monte Carlo pass over the trials for the sample sizes
     ``n_samples``: the failure of the M-worst selection to keep the true
     worst class, and the MSE of the exponentiated estimate of the largest
-    error, at each size. ``tally`` runs the pass over a range of chunks and
-    only reads the tables, so ranges can run on threads side by side;
-    ``estimates`` adds up the tallies of consecutive ranges."""
+    error, at each size. ``tally`` runs one chunk and only reads the tables,
+    so chunks can run on threads side by side; ``estimates`` adds up the
+    tallies of every chunk."""
 
     def __init__(self, error_vector, m_worst: int, n_samples, trials: int, master_seed: int):
-        self.p = _check(error_vector, m_worst, n_samples, trials)
+        self.p = _check(error_vector, m_worst, trials)
         self.m_worst, self.trials, self.master_seed = m_worst, trials, master_seed
         self.worst = int(np.argmax(self.p))
         self.tables = [_Table(n, self.p) for n in n_samples]
         self.chunks = range(-(-trials // _CHUNK))
 
-    def tally(self, chunks: range, stop=None) -> tuple:
-        """Per sample size, the failures over ``chunks``; per chunk and
-        size, the sum of the squared errors and of their squares. ``stop``,
-        a ``threading.Event`` or None, is read once per chunk: once it is
-        set, the next chunk raises ``Stopped``."""
+    def tally(self, i: int) -> tuple:
+        """Per sample size, the failures in chunk ``i``, and the sums of its
+        squared errors and of their squares."""
         k, worst, tables = self.p.size, self.worst, self.tables
         # at M = K the true worst class is always selected: no rank is drawn
         ranked = self.m_worst < k
@@ -215,62 +198,57 @@ class McCurve:
         counts, ones = np.empty(block * k, np.int32), np.ones(k, np.float32)
         classes = np.arange(k)[:, None]
         target = math.exp(self.p[worst])
-        failures, sums = [0] * len(tables), np.empty((len(chunks), len(tables), 2))
-        for at, i in enumerate(chunks):
-            if stop is not None and stop.is_set():
-                raise Stopped(f"stopped before chunk {i}")
-            n = min(_CHUNK, self.trials - i * _CHUNK)
-            seed = np.random.SeedSequence([self.master_seed, i])
-            rng = np.random.Generator(np.random.PCG64(seed))
-            ranks = np.random.Generator(np.random.PCG64(seed).advance(n * k))
-            rows = n if ranked else -(-n // k)  # the MSE alone reads n values
-            for start in range(0, rows, block):
-                r = min(block, rows - start)
-                u = rng.random(out=keyed[: r * k].reshape(r, k))
-                # the MSE at every size from the chunk's first n uniforms, each
-                # sum one sum() over the chunk's values, as a one-class draw's
-                if start == 0:
-                    q, idx = _query(u.reshape(-1)[:n], worst, query[:n], index[:n])
-                    for s, table in enumerate(tables):
-                        values = np.divide(table.lookup(idx, q, counts[:n]), table.n, out=half[:n])
-                        np.exp(values, out=values)
-                        np.subtract(target, values, out=values)
-                        np.square(values, out=values)
-                        total = values.sum()
-                        sums[at, s] = total, np.square(values, out=values).sum()
-                if not ranked:
-                    continue
-                # class by class, (K, r): the rank test compares whole rows
-                q, idx = _query(u.T, classes, query[: r * k].reshape(k, r),
-                                index[: r * k].reshape(k, r))
-                jitter = ranks.random(out=keyed[: r * k].reshape(r, k))
-                # integer counts differ by >= 1, so jitter in [0, 0.5) only breaks ties
-                h = np.multiply(jitter.T, 0.5, out=half[: r * k].reshape(k, r))
+        failures, sums = [0] * len(tables), np.empty((len(tables), 2))
+        n = min(_CHUNK, self.trials - i * _CHUNK)
+        seed = np.random.SeedSequence([self.master_seed, i])
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ranks = np.random.Generator(np.random.PCG64(seed).advance(n * k))
+        rows = n if ranked else -(-n // k)  # the MSE alone reads n values
+        for start in range(0, rows, block):
+            r = min(block, rows - start)
+            u = rng.random(out=keyed[: r * k].reshape(r, k))
+            # the MSE at every size from the chunk's first n uniforms, each
+            # sum one sum() over the chunk's values, as a one-class draw's
+            if start == 0:
+                q, idx = _query(u.reshape(-1)[:n], worst, query[:n], index[:n])
                 for s, table in enumerate(tables):
-                    c = table.lookup(idx, q, counts[: r * k].reshape(k, r))
-                    key = np.add(h, c, out=keyed[: r * k].reshape(k, r))
-                    # 1 where a key is larger, in the spent counts' words; a sum of
-                    # at most K < 2**24 ones is exact
-                    above = ones @ np.greater(key, key[worst], out=c.view(np.float32))
-                    failures[s] += int(np.count_nonzero(above >= self.m_worst))
+                    values = np.divide(table.lookup(idx, q, counts[:n]), table.n, out=half[:n])
+                    np.exp(values, out=values)
+                    np.subtract(target, values, out=values)
+                    np.square(values, out=values)
+                    total = values.sum()
+                    sums[s] = total, np.square(values, out=values).sum()
+            if not ranked:
+                continue
+            # class by class, (K, r): the rank test compares whole rows
+            q, idx = _query(u.T, classes, query[: r * k].reshape(k, r),
+                            index[: r * k].reshape(k, r))
+            jitter = ranks.random(out=keyed[: r * k].reshape(r, k))
+            # integer counts differ by >= 1, so jitter in [0, 0.5) only breaks ties
+            h = np.multiply(jitter.T, 0.5, out=half[: r * k].reshape(k, r))
+            for s, table in enumerate(tables):
+                c = table.lookup(idx, q, counts[: r * k].reshape(k, r))
+                key = np.add(h, c, out=keyed[: r * k].reshape(k, r))
+                # 1 where a key is larger, in the spent counts' words; a sum of
+                # at most K < 2**24 ones is exact
+                above = ones @ np.greater(key, key[worst], out=c.view(np.float32))
+                failures[s] += int(np.count_nonzero(above >= self.m_worst))
         return failures, sums
 
-    def estimates(self, tallies: list) -> list:
+    def estimates(self, tallies) -> list:
         """The (failure, MSE) estimates at each sample size from the tallies
-        of consecutive chunk ranges that cover every chunk, in chunk order.
-        The MSE sums are added chunk by chunk in that order, so no bit
-        depends on how the chunks were split."""
+        of every chunk, an iterable in chunk order. The MSE sums are added
+        chunk by chunk in that order, so no bit depends on where the chunks
+        ran."""
+        failures, totals = np.zeros(len(self.tables), np.int64), np.zeros((len(self.tables), 2))
+        for chunk_failures, sums in tallies:
+            failures += chunk_failures
+            totals += sums
         trials, out = self.trials, []
-        sums = np.concatenate([chunk_sums for _, chunk_sums in tallies])
-        for s in range(len(self.tables)):
-            failures = sum(tally[0][s] for tally in tallies)
-            rate = failures / trials
-            lo, hi = _wilson_interval(failures, trials)
+        for failed, (total, total_sq) in zip(failures.tolist(), totals.tolist()):
+            rate = failed / trials
+            lo, hi = _wilson_interval(failed, trials)
             se = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
-            total = total_sq = 0.0
-            for value, square in sums[:, s].tolist():
-                total += value
-                total_sq += square
             mean = total / trials
             mse_se = math.sqrt(max(total_sq / trials - mean**2, 0.0) / trials)
             out.append((McEstimate(rate, lo, hi, trials, se),
@@ -278,30 +256,16 @@ class McCurve:
         return out
 
 
-def mc_curve(error_vector, m_worst: int, n_samples, trials: int, master_seed: int,
-             thread_map, parts: int = 1) -> list:
+def mc_curve(error_vector, m_worst: int, n_samples, trials: int, master_seed: int) -> list:
     """The (failure, MSE) estimates at each sample size of ``n_samples``
-    from one pass over the chunks, split into at most ``parts`` consecutive
-    chunk ranges. ``thread_map(fn, ranges)`` returns ``fn(chunks, stop)``
-    of each range, in order, as ``cli._thread_map`` does. The pass's tables
-    go when it returns."""
+    from one pass over the chunks, in turn. The pass's tables go when it
+    returns."""
     curve = McCurve(error_vector, m_worst, n_samples, trials, master_seed)
-    chunks = curve.chunks
-    parts = min(len(chunks), parts)
-    ranges = [chunks[len(chunks) * i // parts : len(chunks) * (i + 1) // parts]
-              for i in range(parts)]
-    return curve.estimates(thread_map(curve.tally, ranges))
-
-
-def _one_size(error_vector, m_worst, n_samples, trials, master_seed, stop) -> tuple:
-    def in_turn(fn, ranges):
-        return [fn(chunks, stop) for chunks in ranges]
-
-    return mc_curve(error_vector, m_worst, [n_samples], trials, master_seed, in_turn)[0]
+    return curve.estimates(map(curve.tally, curve.chunks))
 
 
 def mc_worst_class_failure(
-    error_vector, m_worst: int, n_samples: int, trials: int, master_seed: int, stop=None
+    error_vector, m_worst: int, n_samples: int, trials: int, master_seed: int
 ) -> McEstimate:
     """Fraction of trials in which the true worst class is missed by the
     M-worst selection, with a Wilson 95% interval.
@@ -310,17 +274,13 @@ def mc_worst_class_failure(
     rates, and breaks ties fairly at random (uniform jitter below the 1/N
     resolution of the estimates). The true worst class is missed when at
     least M classes have a strictly larger key; on an exact tie of keys,
-    which needs equal counts and equal jitter draws, it is kept. A set
-    ``stop`` event raises ``Stopped`` at the next chunk.
+    which needs equal counts and equal jitter draws, it is kept.
     """
-    return _one_size(error_vector, m_worst, n_samples, trials, master_seed, stop)[0]
+    return mc_curve(error_vector, m_worst, [n_samples], trials, master_seed)[0][0]
 
 
-def mc_ega_mse(
-    p_error: float, n_samples: int, trials: int, master_seed: int, stop=None
-) -> McEstimate:
+def mc_ega_mse(p_error: float, n_samples: int, trials: int, master_seed: int) -> McEstimate:
     """Sample mean of (exp(P) - exp(Phat))^2 over seeded trials, with its
     standard error and a normal 95% interval: the MSE of a pass over the
-    two classes (p_error, 0), whose worst class is p_error. A set ``stop``
-    event raises ``Stopped`` at the next chunk."""
-    return _one_size([p_error, 0.0], 2, n_samples, trials, master_seed, stop)[1]
+    two classes (p_error, 0), whose worst class is p_error."""
+    return mc_curve([p_error, 0.0], 2, [n_samples], trials, master_seed)[0][1]

@@ -58,10 +58,28 @@ def binomial_pmf(n_trials: int, p: float) -> np.ndarray:
     return _pmf(_log_comb(n_trials), p)
 
 
+# A curve point's time and memory grow linearly in N: at 10**6, on a 2-vCPU VM,
+# an `mc` run of one point at 10**5 trials takes about 1.1 s and 219 MB, a
+# `theory` run 0.8 s and 218 MB (wall clock and peak RSS of the whole command).
+MAX_SAMPLE_SIZE = 10**6
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, high: int) -> None:
+    """A ``ValueError`` naming ``name`` unless ``value`` is an integer, not
+    a bool nor an integral float, in [1, ``high``]."""
+    if not (_is_int(value) and 1 <= value <= high):
+        raise ValueError(f"{name} must be in [1, {high}], got {value!r}")
+
+
 def _binomial_tails(p, n_samples: int) -> tuple:
     """(pmf, tail) of shape (len(p), N + 1): pmf[j, c] is Bin(c; N, p[j])
     and tail[j, c] = P(count_j > c), each tail summed from its top count.
     The classes share one row of log binomial coefficients."""
+    _check_count("n_samples", n_samples, MAX_SAMPLE_SIZE)
     log_comb = _log_comb(n_samples)
     pmf = np.array([_pmf(log_comb, q) for q in p])
     tail = np.zeros_like(pmf)
@@ -127,8 +145,7 @@ def prob_find_worst(error_vector, m_worst: int, n_samples: int) -> float:
     behind a tied class: the first M entries of :func:`product_form_ranks`.
     It is a lower bound only for M = 1 (see :func:`exact_find_worst_probability`)."""
     ranks = product_form_ranks(error_vector, n_samples)
-    if not (1 <= m_worst <= ranks.size):
-        raise ValueError(f"m_worst must be in [1, {ranks.size}]")
+    _check_count("m_worst", m_worst, ranks.size)
     return float(ranks[:m_worst].sum())
 
 
@@ -151,8 +168,7 @@ def exact_find_worst_probability(
     """
     pmf, tail = _binomial_tails(_check_error_vector(error_vector), n_samples)
     k = len(pmf)
-    if not (1 <= m_worst <= k):
-        raise ValueError(f"m_worst must be in [1, {k}]")
+    _check_count("m_worst", m_worst, k)
     if tie_rule not in ("fair", "adversarial", "favorable"):
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     # share[B, T]: P(the worst class is selected | B others strictly above it, T tied)
@@ -172,6 +188,7 @@ def exact_find_worst_probability(
 def ega_estimate_mse(p_error: float, n_samples: int) -> float:
     """MSE of exp(Phat) around exp(P) for an N-sample estimate: the
     expectation over every error count n = 0..N."""
+    _check_count("n_samples", n_samples, MAX_SAMPLE_SIZE)
     pmf = binomial_pmf(n_samples, p_error)
     n = np.arange(n_samples + 1)
     terms = pmf * (np.exp(p_error) - np.exp(n / n_samples)) ** 2

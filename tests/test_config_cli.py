@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minimaxclf import cli
+from minimaxclf import cli, mc
 from minimaxclf.cli import RUN_SEEDS, main, run_experiment
 from minimaxclf.config import (
     BENCHMARKS,
@@ -692,20 +692,19 @@ class TestExperiments:
     @staticmethod
     def _mc_threads(monkeypatch, config, out, cpus) -> tuple:
         """Artifact digests of an ``mc`` run on ``cpus`` usable CPUs, and the
-        set of threads its chunk-range tasks ran on, in a thread bounded in
-        time. No task goes on before as many threads as the pool may start
-        have entered one, so that a loaded host cannot leave a thread
-        unstarted."""
+        set of threads its chunk tasks ran on, in a thread bounded in time.
+        No task goes on before as many threads as the pool may start have
+        entered one, so that a loaded host cannot leave a thread unstarted."""
         threads, outcome, met = set(), [], threading.Event()
         meet = min(len(cpus), -(-config["mc"]["trials"] // _CHUNK))
         tally = McCurve.tally
 
-        def recorded(curve, chunks, stop):
+        def recorded(curve, i):
             threads.add(threading.current_thread())
             if len(threads) >= meet:
                 met.set()
             met.wait(timeout=30)
-            return tally(curve, chunks, stop)
+            return tally(curve, i)
 
         def run():
             outcome.append(_artifact_digests(run_experiment(config, out)))
@@ -723,11 +722,11 @@ class TestExperiments:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         environ, before = _blas_environ(), threading.active_count()
         config = _tiny_mc_config([2, 4, 8], trials=40_000)  # three chunks, the last one short
-        # two usable CPUs: two pool threads run the chunk ranges, with no
-        # BLAS thread switch
+        # two usable CPUs: two pool threads run the chunks, with no BLAS
+        # thread switch
         threaded, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "threads", {0, 1})
         assert len(ran_on) == 2 and _blas_environ() == environ
-        # one usable CPU: the chunk ranges take turns on one pool thread
+        # one usable CPU: the chunks take turns in the thread that runs mc
         serial, ran_on = self._mc_threads(monkeypatch, config, tmp_path / "serial", {0})
         assert len(ran_on) == 1
         assert sorted(threaded) == ["failure_curve.csv", "manifest.json", "mse_curve.csv"]
@@ -766,13 +765,22 @@ class TestExperiments:
         assert len(ran_on) == 6
         assert threaded == serial
 
+    def test_mc_passes_match_one_pass(self, tmp_path, monkeypatch):
+        # with the cap at 10, the sizes split into three passes, and the run
+        # writes the rows of the one pass the real cap allows
+        config = _tiny_mc_config([4, 5, 3, 9])
+        one_pass = _artifact_digests(run_experiment(config, tmp_path / "one"))
+        monkeypatch.setattr(mc, "MAX_SAMPLE_SIZE", 10)
+        assert mc.size_groups([4, 5, 3, 9]) == [[4, 5], [3], [9]]
+        assert _artifact_digests(run_experiment(config, tmp_path / "three")) == one_pass
+
     @staticmethod
     def _mc_failing(tmp_path, monkeypatch, task) -> tuple:
         """Run ``mc`` over two sample sizes of 10**9 trials (minutes) on two
-        usable CPUs, with ``task(chunks, tally)`` in place of each chunk
-        range's ``McCurve.tally``, where ``tally()`` runs the range; the
-        error the run raised, or None, once it has ended within 10 s with no
-        thread left behind."""
+        usable CPUs, with ``task(i, tally)`` in place of each chunk's
+        ``McCurve.tally``, where ``tally()`` runs chunk ``i``; the error the
+        run raised, or None, once it has ended within 10 s with no thread
+        left behind."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         config = _tiny_mc_config([2, 4], trials=10**9)
         outcome = []
@@ -784,8 +792,7 @@ class TestExperiments:
                 outcome.append(err)
 
         tally = McCurve.tally
-        monkeypatch.setattr(McCurve, "tally", lambda curve, chunks, stop: task(
-            chunks, lambda: tally(curve, chunks, stop)))
+        monkeypatch.setattr(McCurve, "tally", lambda curve, i: task(i, lambda: tally(curve, i)))
         before = threading.active_count()
         runner = threading.Thread(target=run, daemon=True)
         started = time.monotonic()
@@ -802,16 +809,15 @@ class TestExperiments:
         ids=["error-first-point", "error-second-point", "ctrl-c"],
     )
     def test_mc_failing_point_stops_its_sibling(self, tmp_path, monkeypatch, failing, error):
-        # the task of the first (failing 0) or the second chunk range raises
-        # while the other one is in its chunks: the sibling stops at its next
-        # chunk
+        # the first (failing 0) or the second chunk raises while another
+        # chunk runs: the run ends once that one has finished
         sibling_started = threading.Event()
 
-        def task(chunks, tally):
-            if (chunks.start > 0) == failing:
+        def task(i, tally):
+            if i == failing:
                 assert sibling_started.wait(timeout=30)
-                time.sleep(0.05)  # the sibling is well into its chunks
-                raise error("chunk range failed")
+                time.sleep(0.05)  # the sibling is well into its chunk
+                raise error("chunk failed")
             sibling_started.set()
             return tally()
 
@@ -822,26 +828,25 @@ class TestExperiments:
             assert not failure.exists()
         else:
             assert json.loads(failure.read_text()) == {
-                "error": "chunk range failed", "type": "RuntimeError", "experiment": "mc"
+                "error": "chunk failed", "type": "RuntimeError", "experiment": "mc"
             }
 
     def test_mc_point_queued_behind_a_failure_never_starts(self, tmp_path, monkeypatch):
-        # 8 chunk ranges on 2 CPUs: the third and later wait in the queue
-        # while the first fails and the second runs its chunks
+        # 61,036 chunks on 2 CPUs: the first fails once the second has
+        # started, and no chunk past the window of 2 per thread ever starts
         started, sibling_started = [], threading.Event()
 
-        def task(chunks, tally):
-            started.append(chunks.start)
-            if chunks.start == 0:
+        def task(i, tally):
+            started.append(i)
+            if i == 0:
                 assert sibling_started.wait(timeout=30)
-                raise RuntimeError("chunk range failed")
+                raise RuntimeError("chunk failed")
             sibling_started.set()
             return tally()
 
         raised = self._mc_failing(tmp_path, monkeypatch, task)
         assert isinstance(raised, RuntimeError)
-        chunks = -(-10**9 // _CHUNK)
-        assert sorted(started) == [0, chunks // (2 * cli._TASKS_PER_CPU)]
+        assert 0 in started and set(started) <= {0, 1, 2, 3}
 
 
 class TestCliEntry:
@@ -1543,9 +1548,8 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
           "oracle": {"resolution": 0.1}},
          ["scipy", "concurrent.futures", "numpy.ma", "numpy.polynomial"]),
         ({"experiment": "theory", "mc": {"sample_sizes": [2, 4], "m_worst": 2}}, []),
-        # the curve points run on a thread pool of this process
-        ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}},
-         ["concurrent.futures"]),
+        # one chunk is one task, which runs in this process with no pool
+        ({"experiment": "mc", "mc": {"sample_sizes": [2, 4], "trials": 10_000}}, []),
         # the cell runs go to spawned worker processes, on a concurrent.futures pool
         ({**_tiny_ablate_config(), "ablate": {"seeds": [0]}},
          ["multiprocessing", "concurrent.futures", "statistics"]),
@@ -1555,11 +1559,12 @@ print(json.dumps({"code": code, "at_import": at_import, "after_run": loaded()}))
 @pytest.mark.usefixtures("pool_deadline")
 def test_scipy_loaded_only_where_used(tmp_path, config, loads):
     # only the exact 1-d Bayes risks need scipy (the 2-d polygon path does
-    # not, and reads its quadrature rule from a table), only mc its thread pool
-    # and only ablate multiprocessing and the medians' statistics; only scipy
-    # loads numpy.ma and numpy.polynomial, and importing the package and the
-    # CLI loads none of them. Nor locale, which argparse's first message
-    # lookup imports: every command builds its parser in main, none at import
+    # not, and reads its quadrature rule from a table), only an mc curve of
+    # several chunks its thread pool, and only ablate multiprocessing and
+    # the medians' statistics; only scipy loads numpy.ma and
+    # numpy.polynomial, and importing the package and the CLI loads none of
+    # them. Nor locale, which argparse's first message lookup imports: every
+    # command builds its parser in main, none at import
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     argv = [config["experiment"], "--config", str(config_path), "--out", str(tmp_path / "out")]

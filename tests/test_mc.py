@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from minimaxclf import cli
 from minimaxclf.config import DEFAULT_CONFIG
 from minimaxclf.mc import (
     _CHUNK,
@@ -16,7 +16,6 @@ from minimaxclf.mc import (
     MAX_SAMPLE_SIZE,
     McCurve,
     McEstimate,
-    Stopped,
     _query,
     _Table,
     _wilson_interval,
@@ -325,41 +324,11 @@ def test_bad_input_rejected(call, match):
         call()
 
 
-class _StopAfter:
-    """A stop event that reads as set from its ``chunks + 1``-th read on."""
-
-    def __init__(self, chunks):
-        self.chunks, self.reads = chunks, 0
-
-    def is_set(self):
-        self.reads += 1
-        return self.reads > self.chunks
-
-
-@pytest.mark.parametrize("chunks", [0, 2])
-@pytest.mark.parametrize(
-    "estimate",
-    [lambda stop: mc_worst_class_failure(ERROR_VECTOR, 3, 4, 10**9, 0, stop),
-     lambda stop: mc_ega_mse(0.3, 4, 10**9, 0, stop)],
-    ids=["failure", "mse"],
-)
-def test_stop_event_read_once_per_chunk(estimate, chunks):
-    # 10**9 trials would take minutes; a set event ends the call at its next chunk
-    stop = _StopAfter(chunks)
-    with pytest.raises(Stopped, match=f"before chunk {chunks}$"):
-        estimate(stop)
-    assert stop.reads == chunks + 1
-
-
-def _in_turn(fn, ranges):
-    return [fn(chunks, None) for chunks in ranges]
-
-
 def test_preset_curve_pinned():
     # the figure-validation curve at 10**5 trials and seed 0, as one pass
     # over every size: any moved count or MSE bit fails here
     mc = DEFAULT_CONFIG["mc"]
-    estimates = mc_curve(mc["error_vector"], mc["m_worst"], mc["sample_sizes"], 100_000, 0, _in_turn)
+    estimates = mc_curve(mc["error_vector"], mc["m_worst"], mc["sample_sizes"], 100_000, 0)
     assert [round(failure.value * 100_000) for failure, _ in estimates] == [
         20981, 12141, 5434, 1422, 124, 3]
     assert [mse.value.hex() for _, mse in estimates] == [
@@ -384,14 +353,13 @@ def _curves(draw):
 @given(curve=_curves(), seed=st.integers(0, 2**32 - 1))
 def test_pass_matches_one_size_calls(curve, seed):
     # the pass over every size gives each size's one-size estimates, bit for
-    # bit, however its chunks are split over threads
+    # bit, with its chunks on 1, 2 or 6 CPUs' pool threads
     vector, m, sizes, trials = curve
     alone = [(mc_worst_class_failure(vector, m, n, trials, seed),
               mc_ega_mse(max(vector), n, trials, seed)) for n in sizes]
-    for threads in (1, 2, 6):
-        with ThreadPoolExecutor(threads) as pool:
-            def pool_map(fn, ranges):
-                return list(pool.map(fn, ranges, [None] * len(ranges)))
-
-            # two chunk ranges per thread, as far as the 1 to 3 chunks go
-            assert mc_curve(vector, m, sizes, trials, seed, pool_map, 2 * threads) == alone
+    for cpus in (1, 2, 6):  # as far as the 1 to 3 chunks go
+        shared = McCurve(vector, m, sizes, trials, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            with cli._pool_map(shared.tally, shared.chunks, processes=False) as tallies:
+                assert shared.estimates(tallies) == alone

@@ -420,8 +420,25 @@ class TestBoundTerms:
         pytest.param(lambda: exact_find_worst_probability([np.nan, 0.5, 0.2], 1, 4),
                      "error probabilities must lie", id="exact-nan"),
         pytest.param(lambda: ega_estimate_mse(1.5, 4), "probability must lie", id="mse-p"),
+        # M and N are integers, as the config and mc take them: not a
+        # fractional M, a bool, nor an integral float
+        pytest.param(lambda: exact_find_worst_probability([0.5, 0.3, 0.2], 2.5, 16),
+                     r"m_worst must be in \[1, 3\], got 2.5", id="exact-fractional-m_worst"),
+        pytest.param(lambda: exact_find_worst_probability([0.5, 0.3, 0.2], True, 16),
+                     r"m_worst must be in \[1, 3\], got True", id="exact-bool-m_worst"),
+        pytest.param(lambda: exact_find_worst_probability([0.5, 0.3, 0.2], 3, 16.0),
+                     r"n_samples must be in \[1, 1000000\], got 16.0", id="exact-float-n_samples"),
+        pytest.param(lambda: ega_estimate_mse(0.5, True), "n_samples must be in .*, got True",
+                     id="mse-bool-n_samples"),
     ],
 )
 def test_bad_input_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_numpy_integers_accepted():
+    vector = [0.5, 0.3, 0.2]
+    assert exact_find_worst_probability(vector, np.int64(2), np.int32(16)) == (
+        exact_find_worst_probability(vector, 2, 16))
+    assert ega_estimate_mse(0.5, np.int64(16)) == ega_estimate_mse(0.5, 16)
