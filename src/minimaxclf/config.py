@@ -41,7 +41,7 @@ from .minimax import AscentConfig, MinimaxConfig, swap_components
 from .model import TrainConfig
 from .oracle import MAX_GRID_STEPS, grid_steps
 from .priors import SIMPLEX_ATOL
-from .theory import MAX_SAMPLE_SIZE
+from .theory import MAX_SAMPLE_SIZE, _is_int
 
 SCHEMA_VERSION = 1
 
@@ -74,13 +74,9 @@ class Rule(NamedTuple):
     cast: Callable[[object], object] = lambda v: v
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int(low: int, high: float = math.inf) -> Rule:
     text = f"an integer >= {low}" if high == math.inf else f"an integer in [{low}, {high}]"
-    return Rule(lambda v: _is_int(v) and low <= v <= high, text)
+    return Rule(lambda v: _is_int(v) and low <= v <= high, text, int)
 
 
 def _number(interval: str) -> Rule:
@@ -171,7 +167,7 @@ SCHEMA = {
         "alpha": (None, _nullable(_number("[0, inf)"))),
         # "auto" takes the classes within 0.05 of the worst risk at each step
         "m_worst": (1, Rule(lambda v: v == "auto" or _is_int(v) and v >= 1,
-                            "an integer >= 1, or 'auto'")),
+                            "an integer >= 1, or 'auto'", lambda v: v if v == "auto" else int(v))),
     },
     "minimax": {
         "warmup_epochs": (5, _int(0)),
@@ -200,7 +196,10 @@ SCHEMA = {
     "oracle": {
         # auto takes the grid for a 1-d mixture with K <= 3, the ascent elsewhere
         "method": ("auto", _one_of("auto", "ascent")),
-        "resolution": (1e-3, _number("(0, 0.5]")),
+        # a number in (0, 0.5] that the grid steps by exactly
+        "resolution": (1e-3, Rule(lambda v: isinstance(v, float) and 0 < v <= 0.5
+                                  and grid_steps(v) is not None,
+                                  f"1 / n for an integer n in [2, {MAX_GRID_STEPS}]", float)),
         "iterations": (2000, _int(1)),
     },
 }
@@ -443,12 +442,6 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"dataset.{field}: {reader} does not read it")
     if source != "csv" and resolved["experiment"] in ("train", "ablate"):  # the count readers
         _check_class_count(resolved, _synthetic_counts(ds, build_mixture(ds).class_count))
-    resolution = resolved["oracle"]["resolution"]
-    if grid_steps(resolution) is None:
-        raise ConfigError(
-            f"oracle.resolution: got {resolution!r}, expected 1 / n for an integer n"
-            f" <= {MAX_GRID_STEPS}"
-        )
     if target is not None and abs(float(np.sum(target)) - 1.0) > SIMPLEX_ATOL:
         raise ConfigError(f"minimax.fixed_target: entries must sum to 1 within {SIMPLEX_ATOL}")
     if resolved["mc"]["m_worst"] > len(resolved["mc"]["error_vector"]):

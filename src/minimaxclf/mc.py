@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theory import MAX_SAMPLE_SIZE, _binomial_tails, _check_count, _is_int
+from .theory import MAX_SAMPLE_SIZE, _binomial_tails, _check_count, _check_error_vector, _is_int
 
 _CHUNK = 1 << 14
 _ROWS = 1 << 11  # rows of a chunk drawn per block: the working set of a pass
@@ -73,17 +73,16 @@ def _wilson_interval(successes: int, trials: int) -> tuple:
     return center - half, center + half
 
 
-def _check(error_vector, m_worst, trials) -> np.ndarray:
-    """The error vector as float64, once it, M and the trials meet the
-    config's rule (M by ``theory``'s, which checks each N as its table is
-    built); a ``ValueError`` naming the argument otherwise."""
-    p = np.asarray(error_vector)
-    if p.ndim != 1 or not 2 <= p.size <= MAX_CLASSES or p.dtype.kind not in "iuf":
+def _check(error_vector, m_worst, n_samples, trials) -> np.ndarray:
+    """The error vector as float64 once it, M, every N and the trials meet the
+    config's rule (``theory``'s, with mc's limits on K and the trials), before
+    any table is built; a ``ValueError`` naming the argument otherwise."""
+    p = _check_error_vector(error_vector)
+    if p.size > MAX_CLASSES:
         raise ValueError(f"error_vector must be a 1-d vector of 2 to {MAX_CLASSES} probabilities")
-    p = p.astype(np.float64)
-    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
-        raise ValueError("error probabilities must lie in [0, 1]")
     _check_count("m_worst", m_worst, p.size)
+    for n in n_samples:
+        _check_count("n_samples", n, MAX_SAMPLE_SIZE)
     if not (_is_int(trials) and trials >= MIN_TRIALS):
         raise ValueError(f"trials must be an integer of at least {MIN_TRIALS} for a usable "
                          f"interval, got {trials!r}")
@@ -178,7 +177,7 @@ class McCurve:
     tallies of every chunk."""
 
     def __init__(self, error_vector, m_worst: int, n_samples, trials: int, master_seed: int):
-        self.p = _check(error_vector, m_worst, trials)
+        self.p = _check(error_vector, m_worst, n_samples, trials)
         self.m_worst, self.trials, self.master_seed = m_worst, trials, master_seed
         self.worst = int(np.argmax(self.p))
         self.tables = [_Table(n, self.p) for n in n_samples]

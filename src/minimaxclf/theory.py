@@ -102,13 +102,15 @@ def prob_leq(p_y: float, p_y2: float, n_samples: int) -> float:
 
 
 def _check_error_vector(error_vector) -> np.ndarray:
-    """The error vector as a float array, sorted worst first."""
-    p = np.asarray(error_vector, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("error vector must be 1-d with at least 2 classes")
+    """The error vector as float64, in the caller's order, once it is a 1-d
+    vector of at least 2 numbers (not bools nor strings) in [0, 1]."""
+    p = np.asarray(error_vector)
+    if p.ndim != 1 or p.size < 2 or p.dtype.kind not in "iuf":
+        raise ValueError("error_vector must be a 1-d vector of at least 2 classes' probabilities")
+    p = p.astype(np.float64)
     if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
         raise ValueError("error probabilities must lie in [0, 1]")
-    return np.sort(p)[::-1]
+    return p
 
 
 def _rank_table(up, tied, below) -> np.ndarray:
@@ -132,7 +134,7 @@ def product_form_ranks(error_vector, n_samples: int) -> np.ndarray:
     the probability that B of the other classes tie or beat its estimate,
     each with probability :func:`prob_leq`, as if the comparisons were
     independent. The vector may come in any order."""
-    pmf, tail = _binomial_tails(_check_error_vector(error_vector), n_samples)
+    pmf, tail = _binomial_tails(np.sort(_check_error_vector(error_vector))[::-1], n_samples)
     greater = pmf[1:] @ tail[0]
     # in place, with no (K - 1, N + 1) temporary: tail[1:] becomes P(count_j >= c)
     leq = np.add(pmf[1:], tail[1:], out=tail[1:]) @ pmf[0]
@@ -144,9 +146,8 @@ def prob_find_worst(error_vector, m_worst: int, n_samples: int) -> float:
     in the selected M worst classes, under the tie rule that always ranks it
     behind a tied class: the first M entries of :func:`product_form_ranks`.
     It is a lower bound only for M = 1 (see :func:`exact_find_worst_probability`)."""
-    ranks = product_form_ranks(error_vector, n_samples)
-    _check_count("m_worst", m_worst, ranks.size)
-    return float(ranks[:m_worst].sum())
+    _check_count("m_worst", m_worst, _check_error_vector(error_vector).size)
+    return float(product_form_ranks(error_vector, n_samples)[:m_worst].sum())
 
 
 def exact_find_worst_probability(
@@ -166,11 +167,12 @@ def exact_find_worst_probability(
     'adversarial' always ranks the worst class behind a tied class,
     'favorable' always ranks it ahead.
     """
-    pmf, tail = _binomial_tails(_check_error_vector(error_vector), n_samples)
-    k = len(pmf)
+    p = np.sort(_check_error_vector(error_vector))[::-1]
+    k = p.size
     _check_count("m_worst", m_worst, k)
     if tie_rule not in ("fair", "adversarial", "favorable"):
         raise ValueError(f"unknown tie rule {tie_rule!r}")
+    pmf, tail = _binomial_tails(p, n_samples)
     # share[B, T]: P(the worst class is selected | B others strictly above it, T tied)
     b, t = np.ogrid[:k, :k]
     room = m_worst - b

@@ -277,11 +277,19 @@ class TestValidation:
              {"mc": {"error_vector": [1.0, 0.0, 0.5], "m_worst": 1}}),
             ({"dataset": {"imbalance": {"kind": "step", "ratio": 1, "base_count": 10}}},
              {"dataset": {"imbalance": {"kind": "step", "ratio": 1.0, "base_count": 10}}}),
+            ({"model": {"seed": np.int64(3)}}, {"model": {"seed": 3}}),
+            ({"ascent": {"m_worst": np.int64(2)}}, {"ascent": {"m_worst": 2}}),
+            ({"ablate": {"seeds": [np.int64(1)]}}, {"ablate": {"seeds": [1]}}),
+            ({"mc": {"sample_sizes": [np.int32(4)]}}, {"mc": {"sample_sizes": [4]}}),
+            ({"model": {"learning_rate": np.int64(1)}}, {"model": {"learning_rate": 1.0}}),
         ],
-        ids=["scalar-default", "scalar", "nullable", "list", "imbalance-ratio"],
+        ids=["scalar-default", "scalar", "nullable", "list", "imbalance-ratio", "numpy-int",
+             "numpy-m_worst", "numpy-int-list", "numpy-int32-list", "numpy-int-number"],
     )
     def test_number_field_stored_as_float(self, config, same):
-        # an integer spelling of a number field is the same config
+        # an integer spelling of a number field is the same config, and a
+        # numpy integer is stored as a Python int or float: the hash's JSON
+        # takes no numpy scalar
         assert config_hash(validate_config(config)) == config_hash(validate_config(same))
 
     def test_integer_field_stays_int(self):

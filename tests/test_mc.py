@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from minimaxclf import cli
+from minimaxclf import cli, mc, theory
 from minimaxclf.config import DEFAULT_CONFIG
 from minimaxclf.mc import (
     _CHUNK,
@@ -296,7 +296,7 @@ def test_failure_matches_reference_loop(m, n, seed):
         # the config's rule: a 1-d vector of 2 or more probabilities, integer
         # sizes and trials that are not bools
         pytest.param(lambda: mc_worst_class_failure([0.5], 1, 4, 10_000, 0),
-                     "error_vector must be a 1-d vector of 2", id="failure-one-class"),
+                     "error_vector must be a 1-d vector of at least 2", id="failure-one-class"),
         pytest.param(lambda: mc_worst_class_failure([[0.5, 0.2], [0.1, 0.3]], 1, 4, 10_000, 0),
                      "error_vector must be a 1-d vector", id="failure-2d"),
         pytest.param(lambda: mc_worst_class_failure([], 1, 4, 10_000, 0),
@@ -320,6 +320,36 @@ def test_failure_matches_reference_loop(m, n, seed):
     ],
 )
 def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: exact_find_worst_probability(ERROR_VECTOR, 11, MAX_SAMPLE_SIZE),
+                     r"m_worst must be in \[1, 10\], got 11", id="exact-m_worst"),
+        pytest.param(lambda: prob_find_worst(ERROR_VECTOR, 11, MAX_SAMPLE_SIZE),
+                     r"m_worst must be in \[1, 10\], got 11", id="product-m_worst"),
+        pytest.param(lambda: exact_find_worst_probability(ERROR_VECTOR, 3, MAX_SAMPLE_SIZE,
+                                                          "unfair"),
+                     "tie rule 'unfair'", id="exact-tie_rule"),
+        pytest.param(lambda: McCurve(ERROR_VECTOR, 1, [MAX_SAMPLE_SIZE, 0], 10_000, 0),
+                     r"n_samples must be in \[1, 1000000\], got 0", id="curve-n_samples"),
+        pytest.param(lambda: McCurve(ERROR_VECTOR, 11, [MAX_SAMPLE_SIZE], 10_000, 0),
+                     r"m_worst must be in \[1, 10\], got 11", id="curve-m_worst"),
+        pytest.param(lambda: McCurve(ERROR_VECTOR, 1, [MAX_SAMPLE_SIZE], 9_999, 0),
+                     "trials must be an integer", id="curve-trials"),
+    ],
+)
+def test_arguments_checked_before_any_table(monkeypatch, call, match):
+    # an O(K N) table at N = 10**6 takes a quarter second or more: a bad
+    # argument is named before one is built
+    def no_table(*args):
+        raise AssertionError("a table was built before the arguments were checked")
+
+    for module in (theory, mc):
+        monkeypatch.setattr(module, "_binomial_tails", no_table)
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -420,6 +420,15 @@ class TestBoundTerms:
         pytest.param(lambda: exact_find_worst_probability([np.nan, 0.5, 0.2], 1, 4),
                      "error probabilities must lie", id="exact-nan"),
         pytest.param(lambda: ega_estimate_mse(1.5, 4), "probability must lie", id="mse-p"),
+        # the vector holds numbers, as mc and the config take it: not bools nor strings
+        pytest.param(lambda: prob_find_worst([True, False], 1, 4),
+                     "error_vector must be a 1-d vector", id="mth-bool-vector"),
+        pytest.param(lambda: prob_find_worst(["0.5", "0.2"], 1, 4),
+                     "error_vector must be a 1-d vector", id="mth-str-vector"),
+        pytest.param(lambda: exact_find_worst_probability([True, False], 1, 4),
+                     "error_vector must be a 1-d vector", id="exact-bool-vector"),
+        pytest.param(lambda: exact_find_worst_probability(["0.5", "0.2"], 1, 4),
+                     "error_vector must be a 1-d vector", id="exact-str-vector"),
         # M and N are integers, as the config and mc take them: not a
         # fractional M, a bool, nor an integral float
         pytest.param(lambda: exact_find_worst_probability([0.5, 0.3, 0.2], 2.5, 16),
