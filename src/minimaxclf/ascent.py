@@ -12,7 +12,7 @@ import numpy as np
 from .data import LabeledDataset
 from .metrics import _class_hits
 from .model import ModelParams
-from .priors import Prior
+from .priors import Prior, check_probabilities
 from .theory import _check_count
 
 LINEAR_ASCENT = "linear"
@@ -29,12 +29,10 @@ class ClassRisks:
     exact: bool = False    # True when the estimates carry no sampling error
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.estimates, dtype=np.float64)
+        e = check_probabilities("estimates", self.estimates)
         c = np.asarray(self.counts, dtype=np.int64)
-        if e.ndim != 1 or c.shape != e.shape:
+        if c.shape != e.shape:
             raise ValueError("estimates and counts must be 1-d vectors of equal length")
-        if not np.all((e >= 0) & (e <= 1)):
-            raise ValueError("risk estimates must lie in [0, 1]")
         if np.any(c < 1):
             raise ValueError("every class needs at least one sample")
         object.__setattr__(self, "estimates", e)

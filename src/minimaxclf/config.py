@@ -377,12 +377,12 @@ def _ascents(config: dict) -> set:
 def _check_class_count(config: dict, counts: list) -> None:
     """The checks that need the realized per-class counts, whose length is
     the class count K: one ``minimax.fixed_target`` entry per class, an
-    integer ``ascent.m_worst`` at most K ("auto" never exceeds it), at least
-    2 samples per class, so the prior split keeps one, and an ``ascent.alpha``
-    whose ascent cannot take a coordinate of the training prior below the
-    smallest normal float (``max_ascent_alpha``). Only ``train`` and
-    ``ablate`` read these fields, so only they run the checks. A CSV
-    source's counts are known, and the checks run, once its file is read."""
+    integer ``ascent.m_worst`` at most K ("auto" never exceeds it), K >= 2
+    and at least 2 samples per class, so the prior split keeps one, and an
+    ``ascent.alpha`` whose ascent cannot take a coordinate of the training
+    prior below the smallest normal float (``max_ascent_alpha``). Only
+    ``train`` and ``ablate`` read these fields, so only they run the checks.
+    A CSV source's counts are known, and the checks run, once its file is read."""
     k, target = len(counts), config["minimax"]["fixed_target"]
     if target is not None and len(target) != k:
         raise ConfigError(
@@ -391,9 +391,9 @@ def _check_class_count(config: dict, counts: list) -> None:
     m_worst = config["ascent"]["m_worst"]
     if m_worst != "auto" and m_worst > k:
         raise ConfigError(f"ascent.m_worst: got {m_worst}, expected an integer at most K = {k}")
-    if min(counts) < 2:  # a dataset.counts entry is at least 2 by its rule
+    if k < 2 or min(counts) < 2:  # a dataset.counts entry is at least 2 by its rule
         field = "dataset.imbalance" if config["dataset"]["csv_path"] is None else "dataset.csv_path"
-        raise ConfigError(f"{field}: gives counts {counts}, expected at least 2 per class")
+        raise ConfigError(f"{field}: gives counts {counts}, expected K >= 2, each at least 2")
     steps = config["minimax"]["minimax_epochs"]
     if target is not None or steps == 0:
         return  # no ascent step runs

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theory import MAX_SAMPLE_SIZE, _binomial_tails, _check_count, _check_error_vector, _is_int
+from .priors import check_probabilities
+from .theory import MAX_SAMPLE_SIZE, _binomial_tails, _check_count, _is_int
 
 _CHUNK = 1 << 14
 _ROWS = 1 << 11  # rows of a chunk drawn per block: the working set of a pass
@@ -75,9 +76,10 @@ def _wilson_interval(successes: int, trials: int) -> tuple:
 
 def _check(error_vector, m_worst, n_samples, trials) -> np.ndarray:
     """The error vector as float64 once it, M, every N and the trials meet the
-    config's rule (``theory``'s, with mc's limits on K and the trials), before
-    any table is built; a ``ValueError`` naming the argument otherwise."""
-    p = _check_error_vector(error_vector)
+    config's rule (``check_probabilities`` and ``theory``'s counts, with mc's
+    limits on K and the trials), before any table is built; a ``ValueError``
+    naming the argument otherwise."""
+    p = check_probabilities("error_vector", error_vector, 2)
     if p.size > MAX_CLASSES:
         raise ValueError(f"error_vector must be a 1-d vector of 2 to {MAX_CLASSES} probabilities")
     _check_count("m_worst", m_worst, p.size)
@@ -282,4 +284,5 @@ def mc_ega_mse(p_error: float, n_samples: int, trials: int, master_seed: int) ->
     """Sample mean of (exp(P) - exp(Phat))^2 over seeded trials, with its
     standard error and a normal 95% interval: the MSE of a pass over the
     two classes (p_error, 0), whose worst class is p_error."""
-    return mc_curve([p_error, 0.0], 2, [n_samples], trials, master_seed)[0][1]
+    p = check_probabilities("p_error", [p_error])
+    return mc_curve([*p, 0.0], 2, [n_samples], trials, master_seed)[0][1]

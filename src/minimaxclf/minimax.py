@@ -143,7 +143,7 @@ def run_minimax(
     pi_train = dataset.train_prior()
     counts = dataset.per_class_counts
     if config.fixed_target is not None:
-        target = Prior(np.asarray(config.fixed_target, dtype=np.float64))
+        target = Prior(config.fixed_target)
     else:
         target = pi_train
 

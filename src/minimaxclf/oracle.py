@@ -316,15 +316,13 @@ def _simplex_grid(k: int, resolution: float) -> np.ndarray:
         raise ValueError(
             f"grid resolution must be 1 / n for an integer n <= {MAX_GRID_STEPS}, got {resolution}"
         )
-    if k == 2:
-        i = np.arange(steps + 1)
-        return np.stack([i, steps - i], axis=1) / steps
-    if k == 3:
-        i, j = np.meshgrid(np.arange(steps + 1), np.arange(steps + 1), indexing="ij")
-        keep = i + j <= steps
-        i, j = i[keep], j[keep]
-        return np.stack([i, j, steps - i - j], axis=1) / steps
-    raise ValueError("exhaustive simplex grid supported for K <= 3 only")
+    if k > 3:
+        raise ValueError("exhaustive simplex grid supported for K <= 3 only")
+    # the K - 1 free counts of every point, in C order, where they sum to at most steps
+    free = np.nonzero(sum(np.indices((steps + 1,) * (k - 1), sparse=True)) <= steps)
+    grid = np.stack([*free, steps - sum(free)], axis=1, dtype=np.float64)
+    grid /= steps  # in place: a 2,000-step grid is 48 MB
+    return grid
 
 
 @dataclass(frozen=True)

@@ -9,24 +9,34 @@ import numpy as np
 SIMPLEX_ATOL = 1e-12
 
 
+def check_probabilities(name: str, values, least: int = 1) -> np.ndarray:
+    """``values`` as a float64 copy, bit for bit, once it is a 1-d vector of
+    at least ``least`` real numbers in [0, 1], none a bool nor a string; a
+    ``ValueError`` naming ``name`` otherwise."""
+    v = np.asarray(values)
+    # numpy makes floats of a list that mixes in a bool: only its entries tell
+    valid = v.ndim == 1 and v.size >= least and v.dtype.kind in "iuf" and (
+        isinstance(values, np.ndarray) or not any(isinstance(x, (bool, np.bool_)) for x in values))
+    if valid:
+        v = v.astype(np.float64)
+    if not (valid and np.all((v >= 0) & (v <= 1))):  # NaN fails both comparisons
+        raise ValueError(f"{name} must be a 1-d vector of at least {least} real numbers that "
+                         f"lie in [0, 1], none a bool nor a string; got {values!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Prior:
     """A probability vector over the K classes.
 
-    Coordinates must be nonnegative and sum to one within ``SIMPLEX_ATOL``.
+    Coordinates must lie in [0, 1] and sum to one within ``SIMPLEX_ATOL``.
     The wrapped array is copied and made read-only at construction.
     """
 
     p: np.ndarray = field()
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=np.float64).copy()
-        if p.ndim != 1 or p.size < 2:
-            raise ValueError("prior must be a 1-d vector with at least 2 classes")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("prior has non-finite entries")
-        if np.any(p < 0):
-            raise ValueError(f"prior has negative entries: {p[p < 0]}")
+        p = check_probabilities("prior", self.p, 2)
         if abs(float(p.sum()) - 1.0) > SIMPLEX_ATOL:
             raise ValueError(f"prior sums to {p.sum()!r}, expected 1 within {SIMPLEX_ATOL}")
         p.flags.writeable = False

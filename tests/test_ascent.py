@@ -280,6 +280,10 @@ def _state(method, k=2):
                      id="risks-nan"),
         pytest.param(lambda: ClassRisks([0.1, 0.2], [10, 0]), "at least one sample",
                      id="risks-count"),
+        pytest.param(lambda: ClassRisks([True, False], [3, 3]), "estimates must be",
+                     id="risks-bool"),
+        pytest.param(lambda: ClassRisks(["0.5", "0.1"], [3, 3]), "estimates must be",
+                     id="risks-str"),
         pytest.param(lambda: _state("sgd"), "unknown ascent method", id="state-method"),
         pytest.param(lambda: AscentState(Prior.uniform(2), "linear", 0.1, m_worst=3),
                      r"m_worst must be in \[1, 2\]", id="state-m_worst"),

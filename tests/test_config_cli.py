@@ -1291,8 +1291,9 @@ def _exits_2_naming(capsys, command: str, config: dict, out: Path, prefix: str) 
     [((40, 24, 16), {"minimax": {"fixed_target": [0.5, 0.5]}}, "minimax.fixed_target"),
      ((40, 24, 16), {"ascent": {"m_worst": 5}}, "ascent.m_worst"),
      ((50, 1, 50), {}, "dataset.csv_path"),
-     ((50, 0, 50), {}, "dataset.csv_path")],
-    ids=["fixed_target", "m_worst", "one-sample-class", "labels-1-and-3"],
+     ((50, 0, 50), {}, "dataset.csv_path"),
+     ((4, 0, 0), {}, "dataset.csv_path")],
+    ids=["fixed_target", "m_worst", "one-sample-class", "labels-1-and-3", "one-class"],
 )
 @pytest.mark.usefixtures("pool_deadline")
 def test_csv_class_count_checked_once_read(tmp_path, capsys, monkeypatch, command, cpus,

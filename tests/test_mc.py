@@ -311,6 +311,9 @@ def test_failure_matches_reference_loop(m, n, seed):
                      "n_samples must be in .*, got True", id="failure-bool-n_samples"),
         pytest.param(lambda: mc_ega_mse(0.3, True, 10_000, 0),
                      "n_samples must be in .*, got True", id="mse-bool-n_samples"),
+        pytest.param(lambda: mc_ega_mse(True, 4, 10_000, 0), "p_error must be", id="mse-bool-p"),
+        pytest.param(lambda: mc_worst_class_failure([True, 0.5], 1, 4, 10_000, 0),
+                     "error_vector must be a 1-d vector", id="failure-mixed-bool-vector"),
         pytest.param(lambda: mc_ega_mse(0.3, 4, 10_000.0, 0),
                      "trials must be an integer", id="mse-float-trials"),
         pytest.param(lambda: McCurve([0.5, 0.2], 1, [4, 0], 10_000, 0),

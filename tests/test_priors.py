@@ -1,7 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minimaxclf.priors import Prior
+from minimaxclf.priors import Prior, check_probabilities
+
+# 0, 1 and the subnormals at each width among the values
+_FLOATS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.floats(0.0, 1.0))
+_FLOAT32S = st.one_of(st.sampled_from([0.0, 1.0, 1e-45, 1e-40]), st.floats(0.0, 1.0, width=32))
+
+
+def _entries(values):
+    return st.lists(values, min_size=1, max_size=6)
+
+
+@st.composite
+def _probability_vectors(draw):
+    """A valid vector of 1-6 entries: a list or tuple of Python numbers, or
+    an int, float32 or float64 array."""
+    kind = draw(st.sampled_from(["list", "tuple", "int", "float32", "float64"]))
+    if kind == "int":
+        dtype = draw(st.sampled_from([np.int8, np.uint8, np.int64]))
+        return np.array(draw(_entries(st.integers(0, 1))), dtype=dtype)
+    if kind == "float32":
+        return np.array(draw(_entries(_FLOAT32S)), dtype=np.float32)
+    values = draw(_entries(st.one_of(_FLOATS, st.integers(0, 1))))
+    return {"list": values, "tuple": tuple(values), "float64": np.array(values)}[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probability_vectors())
+def test_valid_vector_kept_bit_for_bit(values):
+    # what Prior and ClassRisks store is what np.asarray(v, dtype=np.float64)
+    # made of it before they shared the rule, and never the caller's array
+    checked = check_probabilities("v", values)
+    assert checked.dtype == np.float64
+    assert checked.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+    assert not np.shares_memory(checked, values)
 
 
 class TestPrior:
@@ -11,7 +46,7 @@ class TestPrior:
             Prior(np.array([0.5, 0.6]))
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"prior must .* lie in \[0, 1\]"):
             Prior(np.array([1.2, -0.2]))
 
     def test_uniform_and_from_counts(self):
@@ -33,8 +68,13 @@ class TestPrior:
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda: Prior([1.0]), "at least 2 classes", id="one-class"),
-        pytest.param(lambda: Prior([np.nan, 1.0]), "non-finite", id="nan"),
+        pytest.param(lambda: Prior([1.0]), "prior must be a 1-d vector of at least 2",
+                     id="one-class"),
+        pytest.param(lambda: Prior([np.nan, 1.0]), r"prior must .* lie in \[0, 1\]", id="nan"),
+        # real numbers only: numpy would read a bool as 0 or 1
+        pytest.param(lambda: Prior([True, False]), "prior must be", id="bool"),
+        pytest.param(lambda: Prior([True, 0.0]), "prior must be", id="mixed-bool"),
+        pytest.param(lambda: Prior(["0.5", "0.5"]), "prior must be", id="str"),
         pytest.param(lambda: Prior.from_counts([0, 0]), "sum to zero", id="no-counts"),
     ],
 )

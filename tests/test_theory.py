@@ -401,25 +401,46 @@ class TestBoundTerms:
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda: binomial_pmf(3, 1.5), "probability must lie", id="pmf-p"),
-        pytest.param(lambda: binomial_pmf(0, 0.5), "at least one trial", id="pmf-trials"),
-        pytest.param(lambda: prob_find_worst([0.5], 1, 4), "at least 2 classes",
-                     id="mth-one-class"),
-        pytest.param(lambda: prob_find_worst([1.5, 0.2], 1, 4), "error probabilities must lie",
-                     id="mth-range"),
+        pytest.param(lambda: binomial_pmf(3, 1.5), r"^p must .* lie in \[0, 1\]", id="pmf-p"),
+        pytest.param(lambda: binomial_pmf(0, 0.5), r"n_samples must be in \[1, 1000000\], got 0",
+                     id="pmf-trials"),
+        pytest.param(lambda: prob_find_worst([0.5], 1, 4),
+                     "error_vector must be a 1-d vector of at least 2", id="mth-one-class"),
+        pytest.param(lambda: prob_find_worst([1.5, 0.2], 1, 4),
+                     r"error_vector must .* lie in \[0, 1\]", id="mth-range"),
         pytest.param(lambda: prob_find_worst([0.5, 0.2], 3, 4), r"m_worst must be in \[1, 2\]",
                      id="mth-m"),
         pytest.param(lambda: prob_find_worst([np.nan, 0.5, 0.2], 1, 4),
-                     "error probabilities must lie", id="mth-nan"),
-        pytest.param(lambda: exact_find_worst_probability([0.5], 1, 4), "at least 2 classes",
-                     id="exact-one-class"),
+                     r"error_vector must .* lie in \[0, 1\]", id="mth-nan"),
+        pytest.param(lambda: exact_find_worst_probability([0.5], 1, 4),
+                     "error_vector must be a 1-d vector of at least 2", id="exact-one-class"),
         pytest.param(lambda: exact_find_worst_probability([1.5, 0.2], 1, 4),
-                     "error probabilities must lie", id="exact-range"),
+                     r"error_vector must .* lie in \[0, 1\]", id="exact-range"),
         pytest.param(lambda: exact_find_worst_probability([0.5, 0.2], 3, 4),
                      r"m_worst must be in \[1, 2\]", id="exact-m_worst"),
         pytest.param(lambda: exact_find_worst_probability([np.nan, 0.5, 0.2], 1, 4),
-                     "error probabilities must lie", id="exact-nan"),
-        pytest.param(lambda: ega_estimate_mse(1.5, 4), "probability must lie", id="mse-p"),
+                     r"error_vector must .* lie in \[0, 1\]", id="exact-nan"),
+        pytest.param(lambda: ega_estimate_mse(1.5, 4), r"p_error must .* lie in \[0, 1\]",
+                     id="mse-p"),
+        # a probability is a real number, not a bool nor a string, and N an
+        # integer in [1, MAX_SAMPLE_SIZE], at every entry point
+        pytest.param(lambda: prob_greater(True, False, 4), r"\[p_y, p_y2\] must be",
+                     id="greater-bool"),
+        pytest.param(lambda: prob_greater("0.5", 0.2, 4), r"\[p_y, p_y2\] must be",
+                     id="greater-str"),
+        pytest.param(lambda: prob_leq(0.5, True, 4), r"\[p_y, p_y2\] must be", id="leq-bool"),
+        pytest.param(lambda: ega_estimate_mse(True, 4), "p_error must be", id="mse-bool-p"),
+        pytest.param(lambda: ega_estimate_mse("0.5", 4), "p_error must be", id="mse-str-p"),
+        pytest.param(lambda: binomial_pmf(True, 0.5), "n_samples must be in .*, got True",
+                     id="pmf-bool-n_samples"),
+        pytest.param(lambda: binomial_pmf(2.0, 0.5), "n_samples must be in .*, got 2.0",
+                     id="pmf-float-n_samples"),
+        pytest.param(lambda: binomial_pmf(3 * 10**6, 0.5),
+                     r"n_samples must be in \[1, 1000000\], got 3000000", id="pmf-n_samples-cap"),
+        pytest.param(lambda: exact_find_worst_probability([True, 0.5], 1, 4),
+                     "error_vector must be a 1-d vector", id="exact-mixed-bool-vector"),
+        pytest.param(lambda: prob_find_worst([True, 0.5, 0.2], 1, 4),
+                     "error_vector must be a 1-d vector", id="mth-mixed-bool-vector"),
         # the vector holds numbers, as mc and the config take it: not bools nor strings
         pytest.param(lambda: prob_find_worst([True, False], 1, 4),
                      "error_vector must be a 1-d vector", id="mth-bool-vector"),
