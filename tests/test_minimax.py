@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,50 @@ class TestPhases:
             run_minimax(config, _dataset())
         assert str(info.value) == f"{phase} epoch 1 failed: non-finite gradient in tensor W1"
         assert isinstance(info.value.__cause__, ValueError)
+
+
+def _run_digest(report) -> str:
+    """SHA-256 of every record's epoch, phase, mean loss, prior, risks and
+    evaluation triple, the final prior and every params tensor, bit for bit."""
+    h = hashlib.sha256()
+    for rec in report.records:
+        scalars = (rec.worst_class, rec.worst_class_acc, rec.balanced_acc)
+        h.update(repr((rec.epoch, rec.phase, float(rec.mean_loss).hex(), *scalars)).encode())
+        for a in (rec.prior.p, rec.risks.estimates, rec.risks.counts):
+            h.update(a.tobytes())
+    h.update(report.final_prior.p.tobytes())
+    for name, tensor in report.params.tensors():
+        h.update(name.encode() + tensor.tobytes())
+    return h.hexdigest()
+
+
+def _mlp_run():
+    """A width-8 MLP on four circle classes: TWCE, EGA, deferred
+    re-weighting after epoch 3 and an eval set."""
+    spec = circle_mixture(4, 1.0)
+    config = _small_config(
+        loss_variant="TWCE", drw_epoch=3, architecture="mlp", hidden_width=8,
+        ascent=AscentConfig(method="ega", alpha=0.1, m_worst=1, tie_seed=0),
+    )
+    dataset = sample_mixture(spec, [60, 30, 20, 20], seed=0)
+    return run_minimax(config, dataset, sample_mixture(spec, [50] * 4, seed=9))
+
+
+@pytest.mark.parametrize(
+    "run, digest",
+    [
+        pytest.param(lambda: run_minimax(_small_config(), _dataset()),
+                     "b68c530318d3bd024a931b661e139055333f779938216d676e5330e8eba55c3f",
+                     id="linear-tla"),
+        pytest.param(_mlp_run,
+                     "e34ad75ca4cdf95bdce2896beaaca6124ffb44940b1a844c3274843fdd34c260",
+                     id="mlp-twce-ega-drw"),
+    ],
+)
+def test_run_bits_pinned(run, digest):
+    # every epoch's record, the final prior and the parameters of two runs:
+    # a change that moves any bit of the loop fails here
+    assert _run_digest(run()) == digest
 
 
 class TestSwapComponents:
