@@ -12,7 +12,7 @@ import numpy as np
 from .data import LabeledDataset
 from .metrics import _class_hits
 from .model import ModelParams
-from .priors import Prior, check_probabilities
+from .priors import Prior, check_integers, check_probabilities
 from .theory import _check_count
 
 LINEAR_ASCENT = "linear"
@@ -30,7 +30,7 @@ class ClassRisks:
 
     def __post_init__(self) -> None:
         e = check_probabilities("estimates", self.estimates)
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = check_integers("counts", self.counts)
         if c.shape != e.shape:
             raise ValueError("estimates and counts must be 1-d vectors of equal length")
         if np.any(c < 1):

@@ -32,7 +32,7 @@ from .config import (
     load_config,
     minimax_config,
 )
-from .mc import McCurve, size_groups
+from .mc import mc_curve
 from .metrics import inter_intra_ratio
 from .minimax import RunReport, run_minimax, swap_components
 from .model import extract_features, save_checkpoint
@@ -216,18 +216,15 @@ def run_theory(config: dict, out_dir: Path) -> None:
 
 
 def run_mc(config: dict, out_dir: Path) -> None:
-    """Theory-vs-Monte-Carlo curves: the analytic points, then one pass per
-    group of sample sizes, its chunks on the ``_pool_map`` threads; this
+    """Theory-vs-Monte-Carlo curves: the analytic points, then the
+    ``mc_curve`` passes, their chunks on the ``_pool_map`` threads; this
     thread writes both CSVs in config order."""
     mc_cfg = config["mc"]
     sizes = mc_cfg["sample_sizes"]
     vector, m = mc_cfg["error_vector"], mc_cfg["m_worst"]
     exact = [_exact_curve_point(vector, m, n) for n in sizes]
-    estimates = []
-    for group in size_groups(sizes):
-        curve = McCurve(vector, m, group, mc_cfg["trials"], mc_cfg["master_seed"])
-        with _pool_map(curve.tally, curve.chunks, processes=False) as tallies:
-            estimates += curve.estimates(tallies)
+    estimates = mc_curve(vector, m, sizes, mc_cfg["trials"], mc_cfg["master_seed"],
+                         lambda fn, tasks: _pool_map(fn, tasks, processes=False))
     failure_rows, mse_rows = [], []
     for n, (failure, mse), (est, mse_est) in zip(sizes, exact, estimates):
         failure_rows.append([n, failure, est.value, est.ci_low, est.ci_high])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import Prior
+from .priors import Prior, check_integers
 
 LONG_TAIL = "long_tail"
 STEP = "step"
@@ -141,9 +141,9 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         x = np.asarray(self.instances, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
         if x.ndim != 2:
             raise ValueError("instances must be a 2-d array (N, d)")
+        y = check_integers("labels", self.labels)
         if y.shape != (x.shape[0],):
             raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} instances")
         if y.size and (y.min() < 0 or y.max() >= self.class_count):
@@ -184,7 +184,7 @@ def sample_mixture(spec: MixtureSpec, counts, seed: int) -> LabeledDataset:
     Sampling uses one child generator per class, so a class's draw does not
     depend on the other classes' counts.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = check_integers("counts", counts)
     if counts.shape != (spec.class_count,):
         raise ValueError(f"counts length {counts.size} does not match {spec.class_count} classes")
     if np.any(counts < 0):

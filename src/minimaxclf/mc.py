@@ -29,7 +29,7 @@ a second generator advanced past the uniforms, and computes each block's
 query keys and guide indices once; every size gathers its own counts from
 them. The MSE reads the chunk's first n uniforms, as a one-class draw of n
 counts would. A size reads the stream it would read alone, so no estimate
-depends on which sizes share a pass (``size_groups`` keeps the N + 1 of a
+depends on which sizes share a pass (``_size_groups`` keeps the N + 1 of a
 pass's sizes to a sum of at most ``MAX_SAMPLE_SIZE + 1``, the tables of one
 point at the cap), and a chunk's ``McCurve.tally`` gives the same bits on
 any thread: the failures are integers, and the MSE sums are added chunk by
@@ -39,6 +39,7 @@ chunk in chunk order.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +157,7 @@ def _query(uniforms: np.ndarray, classes, out: np.ndarray, index: np.ndarray) ->
     return out, np.right_shift(out, _BUCKET_BITS, out=index)
 
 
-def size_groups(n_samples) -> list:
+def _size_groups(n_samples) -> list:
     """The sample sizes in order, split into the groups one pass each
     serves: a group holds tables of at most ``MAX_SAMPLE_SIZE + 1`` counts
     per class, as one curve point at the cap does."""
@@ -257,12 +258,20 @@ class McCurve:
         return out
 
 
-def mc_curve(error_vector, m_worst: int, n_samples, trials: int, master_seed: int) -> list:
-    """The (failure, MSE) estimates at each sample size of ``n_samples``
-    from one pass over the chunks, in turn. The pass's tables go when it
-    returns."""
-    curve = McCurve(error_vector, m_worst, n_samples, trials, master_seed)
-    return curve.estimates(map(curve.tally, curve.chunks))
+def mc_curve(error_vector, m_worst: int, n_samples, trials: int, master_seed: int,
+             pool_map=lambda fn, tasks: nullcontext(map(fn, tasks))) -> list:
+    """The (failure, MSE) estimates at each sample size of ``n_samples``,
+    once every argument is checked: one pass over the chunks per group of
+    sizes, whose tables go before the next group's are built. The context
+    manager ``pool_map(fn, tasks)`` yields a pass's tallies in chunk order;
+    by default the chunks run in turn in this process."""
+    _check(error_vector, m_worst, n_samples, trials)
+    estimates = []
+    for group in _size_groups(n_samples):
+        curve = McCurve(error_vector, m_worst, group, trials, master_seed)
+        with pool_map(curve.tally, curve.chunks) as tallies:
+            estimates += curve.estimates(tallies)
+    return estimates
 
 
 def mc_worst_class_failure(

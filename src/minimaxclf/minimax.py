@@ -1,7 +1,6 @@
-"""The three-phase min-max training loop: warmup on the model split, minimax
-epochs alternating one training pass with one prior-ascent step driven by
-held-out risks, then fine-tuning on the full data with the final prior.
-"""
+"""The three-phase min-max loop: warmup, minimax epochs alternating one
+minimization step (by default a ``TrainedModel`` training pass) with one
+prior-ascent step driven by held-out risks, then fine-tuning at the final prior."""
 
 from __future__ import annotations
 
@@ -19,11 +18,7 @@ from .ascent import (
     estimate_class_risks,
 )
 from .data import LabeledDataset, partition_dataset
-from .losses import (
-    GeneralizedLossSpec,
-    deferred_reweighting_weights,
-    spec_from_variant,
-)
+from .losses import deferred_reweighting_weights, spec_from_variant
 from .metrics import per_class_accuracies
 from .model import (
     ModelParams,
@@ -102,62 +97,75 @@ class RunReport:
     final_balanced_acc: Optional[float] = None
 
 
-def _loss_spec(
-    config: MinimaxConfig, pi_train: Prior, pi_target: Prior, counts, epoch: int
-) -> GeneralizedLossSpec:
-    spec = spec_from_variant(
-        config.loss_variant,
-        pi_train,
-        pi_target,
-        counts=counts,
-        tau=config.tau,
-        gamma=config.gamma,
-    )
-    if config.drw_epoch is not None and epoch > config.drw_epoch:
-        spec = spec.with_weights(deferred_reweighting_weights(counts))
-    return spec
+class TrainedModel:
+    """The minimization step: the model trained at each target prior. It owns the model/prior
+    split, the training prior and counts, the parameters and the optimizer state."""
 
+    def __init__(self, config: MinimaxConfig, dataset: LabeledDataset, eval_set=None):
+        self.config, self.dataset, self.eval_set = config, dataset, eval_set
+        self.split = partition_dataset(dataset, config.model_fraction, config.partition_seed)
+        self.train_prior = dataset.train_prior()
+        self.counts = dataset.per_class_counts
+        self.params = init_params(
+            config.architecture,
+            dataset.dim,
+            dataset.class_count,
+            seed=config.init_seed,
+            hidden_width=config.hidden_width,
+        )
+        self.opt_state = init_optimizer(self.params)
 
-def _evaluate(params: ModelParams, eval_set: Optional[LabeledDataset]) -> tuple:
-    """(worst class, its accuracy, balanced accuracy) from one prediction of
-    the eval set; all None without one."""
-    if eval_set is None:
-        return None, None, None
-    acc = per_class_accuracies(params, eval_set)
-    worst = int(np.argmin(acc))
-    return worst, float(acc[worst]), float(acc.mean())
+    def fit(self, phase: str, epoch: int, target: Prior) -> float:
+        """One epoch at ``target`` (on all the data when fine-tuning); its mean loss."""
+        spec = spec_from_variant(
+            self.config.loss_variant,
+            self.train_prior,
+            target,
+            counts=self.counts,
+            tau=self.config.tau,
+            gamma=self.config.gamma,
+        )
+        if self.config.drw_epoch is not None and epoch > self.config.drw_epoch:
+            spec = spec.with_weights(deferred_reweighting_weights(self.counts))
+        data = self.dataset if phase == FINETUNE else self.split.model_part
+        self.params, loss = train_epoch(self.params, self.opt_state, data, spec, self.config.train)
+        return loss
+
+    def held_out_risks(self) -> ClassRisks:
+        return estimate_class_risks(self.params, self.split.prior_part)
+
+    def evaluate(self) -> tuple:
+        """(worst class, its accuracy, balanced accuracy) on the eval set; all None without one."""
+        if self.eval_set is None:
+            return None, None, None
+        acc = per_class_accuracies(self.params, self.eval_set)
+        worst = int(np.argmin(acc))
+        return worst, float(acc[worst]), float(acc.mean())
 
 
 def run_minimax(
     config: MinimaxConfig,
     dataset: LabeledDataset,
     eval_set: Optional[LabeledDataset] = None,
+    *,
+    minimizer=None,
 ) -> RunReport:
     """Run the full three-phase loop and record every epoch.
 
     The target prior starts at the training prior (or ``fixed_target``); it
     moves only during the minimax phase, one ascent step per epoch, computed
     from risks on the held-out prior split after that epoch's training pass.
+    Each epoch calls the minimizer (by default a ``TrainedModel``) three
+    times: ``fit(phase, epoch, target)``, ``held_out_risks()``, ``evaluate()``.
     """
-    split = partition_dataset(dataset, config.model_fraction, config.partition_seed)
+    if minimizer is None:
+        minimizer = TrainedModel(config, dataset, eval_set)
     pi_train = dataset.train_prior()
-    counts = dataset.per_class_counts
+    target, ascent_state = pi_train, None  # with no ascent state the prior stays frozen
+    alpha = config.ascent.resolved_alpha()
     if config.fixed_target is not None:
         target = Prior(config.fixed_target)
-    else:
-        target = pi_train
-
-    params = init_params(
-        config.architecture,
-        dataset.dim,
-        dataset.class_count,
-        seed=config.init_seed,
-        hidden_width=config.hidden_width,
-    )
-    opt_state = init_optimizer(params)
-    alpha = config.ascent.resolved_alpha()
-    ascent_state = None  # the prior stays frozen at the target
-    if config.fixed_target is None and alpha > 0:
+    elif alpha > 0:
         ascent_state = AscentState(
             prior=target,
             method=config.ascent.method,
@@ -171,36 +179,27 @@ def run_minimax(
         + [MINIMAX] * config.minimax_epochs
         + [FINETUNE] * config.finetune_epochs
     )
-    records = []
+    records, scores = [], None
     for epoch, phase in enumerate(phases, start=1):
-        prior_used = target
-        spec = _loss_spec(config, pi_train, prior_used, counts, epoch)
-        # fine-tuning trains on the full data, the earlier phases on the model split
-        data = dataset if phase == FINETUNE else split.model_part
         try:
-            params, loss = train_epoch(params, opt_state, data, spec, config.train)
+            loss = minimizer.fit(phase, epoch, target)
         except Exception as err:
             raise RuntimeError(f"{phase} epoch {epoch} failed: {err}") from err
-        risks = estimate_class_risks(params, split.prior_part)
+        risks = minimizer.held_out_risks()
+        scores = minimizer.evaluate()
+        records.append(EpochRecord(epoch, phase, loss, target, risks, *scores))
         if phase == MINIMAX and ascent_state is not None:
             ascent_step(ascent_state, risks)
             target = ascent_state.prior
-        records.append(
-            EpochRecord(epoch, phase, loss, prior_used, risks, *_evaluate(params, eval_set))
-        )
 
-    if records:  # the last epoch evaluated the final parameters already
-        last = records[-1]
-        final = (last.worst_class, last.worst_class_acc, last.balanced_acc)
-    else:  # no epochs: the initial parameters are the final ones
-        final = _evaluate(params, eval_set)
-    final_worst, final_worst_acc, final_bal = final
+    # the last epoch scored the final parameters; with none, the initial ones are final
+    final_worst, final_worst_acc, final_bal = scores if records else minimizer.evaluate()
     return RunReport(
         records=records,
         final_prior=target,
-        params=params,
+        params=minimizer.params,
         train_prior=pi_train,
-        train_counts=counts,
+        train_counts=dataset.per_class_counts,
         config=config,
         final_worst_class=final_worst,
         final_worst_class_acc=final_worst_acc,

@@ -9,20 +9,38 @@ import numpy as np
 SIMPLEX_ATOL = 1e-12
 
 
+def _vector(name: str, values, dtype, what: str, least: int = 0) -> np.ndarray:
+    """``values`` as a ``dtype`` copy, bit for bit, once it is a 1-d vector of
+    at least ``least`` entries that cast to ``dtype`` safely, none a bool; a
+    ``ValueError`` that ``name`` must be a 1-d vector of ``what`` otherwise."""
+    try:
+        v = np.asarray(values)
+    except ValueError:  # ragged: numpy's message names no argument
+        v = np.asarray(None)
+    # numpy makes numbers of a list that mixes in a bool: only its entries tell
+    if not (v.ndim == 1 and v.size >= least and v.dtype != bool and np.can_cast(v.dtype, dtype)
+            and (isinstance(values, np.ndarray)
+                 or not any(isinstance(x, (bool, np.bool_)) for x in values))):
+        raise ValueError(f"{name} must be a 1-d vector of {what}; got {values!r}")
+    return v.astype(dtype)
+
+
 def check_probabilities(name: str, values, least: int = 1) -> np.ndarray:
     """``values`` as a float64 copy, bit for bit, once it is a 1-d vector of
     at least ``least`` real numbers in [0, 1], none a bool nor a string; a
     ``ValueError`` naming ``name`` otherwise."""
-    v = np.asarray(values)
-    # numpy makes floats of a list that mixes in a bool: only its entries tell
-    valid = v.ndim == 1 and v.size >= least and v.dtype.kind in "iuf" and (
-        isinstance(values, np.ndarray) or not any(isinstance(x, (bool, np.bool_)) for x in values))
-    if valid:
-        v = v.astype(np.float64)
-    if not (valid and np.all((v >= 0) & (v <= 1))):  # NaN fails both comparisons
-        raise ValueError(f"{name} must be a 1-d vector of at least {least} real numbers that "
-                         f"lie in [0, 1], none a bool nor a string; got {values!r}")
+    what = f"at least {least} real numbers that lie in [0, 1], none a bool nor a string"
+    v = _vector(name, values, np.float64, what, least)
+    if not np.all((v >= 0) & (v <= 1)):  # NaN fails both comparisons
+        raise ValueError(f"{name} must be a 1-d vector of {what}; got {values!r}")
     return v
+
+
+def check_integers(name: str, values) -> np.ndarray:
+    """``values`` as an int64 copy, bit for bit, once it is a 1-d vector of
+    integers, none a bool, a float nor a string; a ``ValueError`` naming
+    ``name`` otherwise."""
+    return _vector(name, values, np.int64, "integers, none a bool, a float nor a string")
 
 
 @dataclass(frozen=True)

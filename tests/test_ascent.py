@@ -284,6 +284,12 @@ def _state(method, k=2):
                      id="risks-bool"),
         pytest.param(lambda: ClassRisks(["0.5", "0.1"], [3, 3]), "estimates must be",
                      id="risks-str"),
+        pytest.param(lambda: ClassRisks([[0.5], [0.2, 0.3]], [3, 3]), "estimates must be",
+                     id="risks-ragged"),
+        # whole sample counts only: numpy would truncate 1.5 to 1 and read a bool as 0 or 1
+        *[pytest.param(lambda c=c: ClassRisks([0.1, 0.2], c), "counts must be a 1-d vector of "
+                       "integers", id=f"risks-counts-{name}")
+          for name, c in [("float", [1.5, 2.7]), ("bool", [True, 3]), ("ragged", [[3], [3, 3]])]],
         pytest.param(lambda: _state("sgd"), "unknown ascent method", id="state-method"),
         pytest.param(lambda: AscentState(Prior.uniform(2), "linear", 0.1, m_worst=3),
                      r"m_worst must be in \[1, 2\]", id="state-m_worst"),

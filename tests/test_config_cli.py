@@ -779,7 +779,7 @@ class TestExperiments:
         config = _tiny_mc_config([4, 5, 3, 9])
         one_pass = _artifact_digests(run_experiment(config, tmp_path / "one"))
         monkeypatch.setattr(mc, "MAX_SAMPLE_SIZE", 10)
-        assert mc.size_groups([4, 5, 3, 9]) == [[4, 5], [3], [9]]
+        assert mc._size_groups([4, 5, 3, 9]) == [[4, 5], [3], [9]]
         assert _artifact_digests(run_experiment(config, tmp_path / "three")) == one_pass
 
     @staticmethod

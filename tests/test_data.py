@@ -211,12 +211,19 @@ def _load(tmp_path, text):
                      "at least 2 classes", id="imbalance-one-class"),
         pytest.param(lambda tmp: LabeledDataset(np.zeros(3), np.zeros(3), 2), "2-d",
                      id="dataset-1d-instances"),
-        pytest.param(lambda tmp: LabeledDataset(np.zeros((3, 1)), np.zeros(2), 2),
+        pytest.param(lambda tmp: LabeledDataset(np.zeros((3, 1)), np.zeros(2, dtype=int), 2),
                      "labels shape", id="dataset-label-count"),
+        # class indices only: numpy would truncate 0.7 to 0 and read a bool as 0 or 1
+        *[pytest.param(lambda tmp, y=y: LabeledDataset(np.zeros((2, 1)), y, 2),
+                       "labels must be a 1-d vector of integers", id=f"dataset-labels-{name}")
+          for name, y in [("float", [0.7, 1.9]), ("bool", [True, False]),
+                          ("mixed-bool", [True, 0]), ("ragged", [[0], [1, 0]])]],
         pytest.param(lambda tmp: LabeledDataset(np.zeros((2, 1)), [0, 2], 2),
                      r"lie in \[0, 2\)", id="dataset-label-range"),
         pytest.param(lambda tmp: sample_mixture(two_gaussians_1d(), [1, -1], 0), "nonnegative",
                      id="sample-negative-count"),
+        pytest.param(lambda tmp: sample_mixture(two_gaussians_1d(), [2.5, 3.9], 0),
+                     "counts must be a 1-d vector of integers", id="sample-float-counts"),
         pytest.param(lambda tmp: _load(tmp, "1.0\n2.0\n"), "row 1: need at least one feature",
                      id="csv-one-column"),
         pytest.param(lambda tmp: _load(tmp, "1.0,1\n2.0,3.0,2\n"),

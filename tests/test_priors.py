@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minimaxclf.priors import Prior, check_probabilities
+from minimaxclf.priors import Prior, check_integers, check_probabilities
 
 # 0, 1 and the subnormals at each width among the values
 _FLOATS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.floats(0.0, 1.0))
@@ -36,6 +36,19 @@ def test_valid_vector_kept_bit_for_bit(values):
     checked = check_probabilities("v", values)
     assert checked.dtype == np.float64
     assert checked.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+    assert not np.shares_memory(checked, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([list, tuple, np.int8, np.uint8, np.int32, np.uint32, np.int64]),
+       _entries(st.integers(0, 127)))
+def test_integer_vector_kept_bit_for_bit(kind, values):
+    # labels and counts store what np.asarray(v, dtype=np.int64) made of an
+    # integer vector before they applied the rule, whatever its integer type
+    values = kind(values) if kind in (list, tuple) else np.array(values, dtype=kind)
+    checked = check_integers("v", values)
+    assert checked.dtype == np.int64
+    assert checked.tobytes() == np.asarray(values, dtype=np.int64).tobytes()
     assert not np.shares_memory(checked, values)
 
 
@@ -75,6 +88,7 @@ class TestPrior:
         pytest.param(lambda: Prior([True, False]), "prior must be", id="bool"),
         pytest.param(lambda: Prior([True, 0.0]), "prior must be", id="mixed-bool"),
         pytest.param(lambda: Prior(["0.5", "0.5"]), "prior must be", id="str"),
+        pytest.param(lambda: Prior([[0.5], [0.2, 0.3]]), "prior must be", id="ragged"),
         pytest.param(lambda: Prior.from_counts([0, 0]), "sum to zero", id="no-counts"),
     ],
 )
