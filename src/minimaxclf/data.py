@@ -269,7 +269,5 @@ def load_csv_dataset(path, has_header: bool = False) -> LabeledDataset:
         labels.append(label - 1)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    x = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    return LabeledDataset(x, y, class_count=int(y.max()) + 1)
+    return LabeledDataset(rows, labels, class_count=max(labels) + 1)
 

@@ -10,9 +10,9 @@ SIMPLEX_ATOL = 1e-12
 
 
 def _vector(name: str, values, dtype, what: str, least: int = 0) -> np.ndarray:
-    """``values`` as a ``dtype`` copy, bit for bit, once it is a 1-d vector of
-    at least ``least`` entries that cast to ``dtype`` safely, none a bool; a
-    ``ValueError`` that ``name`` must be a 1-d vector of ``what`` otherwise."""
+    """``values`` as an array once it is a 1-d vector of at least ``least``
+    entries that cast to ``dtype`` safely, none a bool; a ``ValueError`` that
+    ``name`` must be a 1-d vector of ``what`` otherwise."""
     try:
         v = np.asarray(values)
     except ValueError:  # ragged: numpy's message names no argument
@@ -22,7 +22,7 @@ def _vector(name: str, values, dtype, what: str, least: int = 0) -> np.ndarray:
             and (isinstance(values, np.ndarray)
                  or not any(isinstance(x, (bool, np.bool_)) for x in values))):
         raise ValueError(f"{name} must be a 1-d vector of {what}; got {values!r}")
-    return v.astype(dtype)
+    return v
 
 
 def check_probabilities(name: str, values, least: int = 1) -> np.ndarray:
@@ -30,17 +30,18 @@ def check_probabilities(name: str, values, least: int = 1) -> np.ndarray:
     at least ``least`` real numbers in [0, 1], none a bool nor a string; a
     ``ValueError`` naming ``name`` otherwise."""
     what = f"at least {least} real numbers that lie in [0, 1], none a bool nor a string"
-    v = _vector(name, values, np.float64, what, least)
+    v = _vector(name, values, np.float64, what, least).astype(np.float64)
     if not np.all((v >= 0) & (v <= 1)):  # NaN fails both comparisons
         raise ValueError(f"{name} must be a 1-d vector of {what}; got {values!r}")
     return v
 
 
 def check_integers(name: str, values) -> np.ndarray:
-    """``values`` as an int64 copy, bit for bit, once it is a 1-d vector of
-    integers, none a bool, a float nor a string; a ``ValueError`` naming
-    ``name`` otherwise."""
-    return _vector(name, values, np.int64, "integers, none a bool, a float nor a string")
+    """``values`` as int64 with the same values (the array itself where it
+    is one already), once it is a 1-d vector of integers, none a bool, a
+    float nor a string; a ``ValueError`` naming ``name`` otherwise."""
+    what = "integers, none a bool, a float nor a string"
+    return np.asarray(_vector(name, values, np.int64, what), dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,9 @@ def _load(tmp_path, text):
                      "row 2: expected 2 columns, found 3", id="csv-ragged-row"),
         pytest.param(lambda tmp: _load(tmp, "1.0,1.5\n"), "row 1: non-integer label",
                      id="csv-non-integer-label"),
+        # past int64: numpy raised OverflowError where it converted the labels
+        pytest.param(lambda tmp: _load(tmp, f"1.0,{2**63 + 1}\n"),
+                     "labels must be a 1-d vector of integers", id="csv-label-past-int64"),
         pytest.param(lambda tmp: _load(tmp, "1.0,0.5,1\nnan,0.5,1\n"),
                      "row 2: non-finite feature", id="csv-nan-feature"),
         pytest.param(lambda tmp: _load(tmp, "inf,0.5,1\n"), "row 1: non-finite feature",

@@ -44,12 +44,13 @@ def test_valid_vector_kept_bit_for_bit(values):
        _entries(st.integers(0, 127)))
 def test_integer_vector_kept_bit_for_bit(kind, values):
     # labels and counts store what np.asarray(v, dtype=np.int64) made of an
-    # integer vector before they applied the rule, whatever its integer type
+    # integer vector before they applied the rule, whatever its integer type,
+    # and an int64 array itself, uncopied, as then
     values = kind(values) if kind in (list, tuple) else np.array(values, dtype=kind)
     checked = check_integers("v", values)
     assert checked.dtype == np.int64
     assert checked.tobytes() == np.asarray(values, dtype=np.int64).tobytes()
-    assert not np.shares_memory(checked, values)
+    assert (checked is values) == (kind is np.int64)
 
 
 class TestPrior:
