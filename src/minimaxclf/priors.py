@@ -17,8 +17,10 @@ def _vector(name: str, values, dtype, what: str, least: int = 0) -> np.ndarray:
         v = np.asarray(values)
     except ValueError:  # ragged: numpy's message names no argument
         v = np.asarray(None)
-    # numpy makes numbers of a list that mixes in a bool: only its entries tell
-    if not (v.ndim == 1 and v.size >= least and v.dtype != bool and np.can_cast(v.dtype, dtype)
+    # numpy makes float64 of an empty list, and numbers of a list that mixes
+    # in a bool: only its entries tell
+    if not (v.ndim == 1 and v.size >= least and v.dtype != bool
+            and (np.can_cast(v.dtype, dtype) or v.size == 0)
             and (isinstance(values, np.ndarray)
                  or not any(isinstance(x, (bool, np.bool_)) for x in values))):
         raise ValueError(f"{name} must be a 1-d vector of {what}; got {values!r}")

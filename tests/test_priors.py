@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minimaxclf.data import LabeledDataset
 from minimaxclf.priors import Prior, check_integers, check_probabilities
 
 # 0, 1 and the subnormals at each width among the values
@@ -51,6 +52,12 @@ def test_integer_vector_kept_bit_for_bit(kind, values):
     assert checked.dtype == np.int64
     assert checked.tobytes() == np.asarray(values, dtype=np.int64).tobytes()
     assert (checked is values) == (kind is np.int64)
+
+
+def test_empty_integer_vector_accepted():
+    # numpy reads [] as float64, but it holds no float: no labels are labels
+    assert check_integers("labels", []).dtype == np.int64
+    assert LabeledDataset(np.empty((0, 1)), [], 2).labels.size == 0
 
 
 class TestPrior:
