@@ -230,7 +230,8 @@ class TestPhases:
         # a threshold at 0 gets each class half right
         params = ModelParams("linear", (np.array([[-1.0, 1.0]]),), (np.zeros(2),))
         x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
-        model = minimax.TrainedModel(_small_config(), _dataset(), LabeledDataset(x, [0, 0, 1, 1], 2))
+        eval_set = LabeledDataset(x, np.array([0, 0, 1, 1]), 2)
+        model = minimax.TrainedModel(_small_config(), _dataset(), eval_set)
         model.params = params
         assert model.evaluate() == (0, 0.5, 0.5)
 
@@ -346,6 +347,7 @@ class TestBayesMinimizer:
             (rec.phase, rec.epoch) for rec in report.records] == [
             ("minimax", epoch) for epoch in range(1, 401)]
         assert all(target is rec.prior for (_, _, target), rec in zip(rule.fits, report.records))
+        assert len(rule.risks) == 400
         assert all(rec.risks is risks for rec, risks in zip(report.records, rule.risks))
         assert report.params is None and report.records[0].prior == report.train_prior
 
